@@ -372,9 +372,10 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         with open(args.config) as f:
             defaults = json.load(f)
+        # explicit flags, given as "--key value" or "--key=value", override the config file
+        explicit = {tok.partition("=")[0] for tok in raw if tok.startswith("--")}
         for key, value in defaults.items():
-            # explicit flags override the config file
-            if f"--{key}" in raw or f"--{key.replace('_', '-')}" in raw:
+            if f"--{key}" in explicit or f"--{key.replace('_', '-')}" in explicit:
                 continue
             setattr(args, key, value)
     try:

@@ -32,24 +32,6 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return rank
 
 
-def gf2_rowspan_contains(rows: Sequence[int], vec: int) -> bool:
-    basis: List[int] = []
-    for r in rows:
-        cur = r
-        for b in basis:
-            low = b & -b
-            if cur & low:
-                cur ^= b
-        if cur:
-            basis.append(cur)
-    cur = vec
-    for b in basis:
-        low = b & -b
-        if cur & low:
-            cur ^= b
-    return cur == 0
-
-
 # -- chain complexes ---------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .pauli import PauliOperator, SiteFactor
-from .tableau import StabilizerGroup
+from .tableau import StabilizerGroup, _as_weyl
 from .weyl import WeylOperator, w_power
 
 MAX_AMPLITUDES = 1 << 22
@@ -37,10 +37,6 @@ class DenseState:
 def _check_size(d: int, n: int) -> None:
     if d**n > MAX_AMPLITUDES:
         raise ValueError(f"state of size {d}^{n} exceeds the dense bound")
-
-
-def _as_weyl(op: AnyOperator) -> WeylOperator:
-    return WeylOperator.from_pauli(op) if isinstance(op, PauliOperator) else op
 
 
 def apply_operator(state: DenseState, op: AnyOperator) -> DenseState:

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .dense import DenseState, dense_expectation
 from .pauli import PauliOperator, multiply
 from .strategies import CellulationStrategy, CompositeOperatorSet
-from .tableau import StabilizerGroup
+from .tableau import Expectation, StabilizerGroup
 
 Number = Union[Fraction, float]
 
@@ -66,9 +66,6 @@ class StrategyEvaluation:
     p_q: Number
     mermin: Optional[Number] = None
     meta: Dict = field(default_factory=dict)
-
-    def as_float(self) -> float:
-        return float(self.p_q)
 
 
 # -- classical parity baseline -----------------------------------------------------
@@ -140,25 +137,31 @@ def classical_strategy_score(p: int, a: Sequence[int], c: Sequence[int]) -> Frac
 def _resource_expectation(
     op: PauliOperator,
     resource: Union[StabilizerGroup, DenseState],
-) -> Tuple[str, complex]:
+) -> Union[Expectation, complex]:
+    """The exact Expectation on a stabilizer group, <psi|O|psi> on a dense state."""
     if isinstance(resource, DenseState):
-        return "dense", dense_expectation(resource, op)
-    e = resource.expectation(op)
-    return e.kind, e.value
+        return dense_expectation(resource, op)
+    return resource.expectation(op)
 
 
-def _win_probability(target_sign: int, kind: str, value: complex) -> Number:
-    if kind == "definite":
-        re = (value * target_sign).real
-        if abs(re - 1) < 1e-12:
-            return Fraction(1)
-        if abs(re + 1) < 1e-12:
-            return Fraction(0)
-        return Fraction(1, 2)
-    if kind in ("zero", "logical"):
-        return Fraction(1, 2)
+def _definite_sign(e: Expectation) -> int:
+    """+1 or -1 when <O> is exactly that value, 0 otherwise."""
+    if e.kind == "definite":
+        k = e.phase_exp % (2 * e.d)
+        if k == 0:
+            return 1
+        if k == e.d:
+            return -1
+    return 0
+
+
+def _win_probability(target_sign: int, e: Union[Expectation, complex]) -> Number:
+    if isinstance(e, Expectation):
+        # 1 when <O> is exactly the target sign, 0 when exactly its negative,
+        # 1/2 when the measured eigenvalue is uniformly random
+        return Fraction(1 + target_sign * _definite_sign(e), 2)
     # dense resource
-    return (1.0 + target_sign * value.real) / 2.0
+    return (1.0 + target_sign * e.real) / 2.0
 
 
 def quantum_parity_eval(
@@ -179,20 +182,22 @@ def quantum_parity_eval(
     total: Number = Fraction(0) if not isinstance(res, DenseState) else 0.0
     mermin: Optional[Number] = None
     mermin_acc: Number = Fraction(0) if not isinstance(res, DenseState) else 0.0
+    # (X_i, Y_i) per player, built once: player_op rebuilds them from site factors
+    measured = [(ops.player_op(i, 1, 0), ops.player_op(i, 1, 1)) for i in range(p)]
     for bits in game.valid_inputs():
         coll = PauliOperator.identity(ops.n)
         for i, b in enumerate(bits):
-            coll = multiply(coll, ops.player_op(i, 1, b))
-        kind, value = _resource_expectation(coll, res)
-        win = _win_probability(game.target_sign(bits), kind, value)
+            coll = multiply(coll, measured[i][b])
+        e = _resource_expectation(coll, res)
+        win = _win_probability(game.target_sign(bits), e)
         per_input[bits] = win
         total = total + win
         if p == 3:
             sign = 1 if sum(bits) == 0 else -1
-            if kind == "definite":
-                mermin_acc = mermin_acc + sign * Fraction(round(value.real))
-            elif kind == "dense":
-                mermin_acc = mermin_acc + sign * value.real
+            if isinstance(e, Expectation):
+                mermin_acc = mermin_acc + sign * _definite_sign(e)
+            else:
+                mermin_acc = mermin_acc + sign * e.real
     p_q = total / len(per_input) if isinstance(total, float) else Fraction(total, len(per_input))
     if p == 3:
         mermin = mermin_acc
@@ -225,10 +230,6 @@ class CellulationGame:
                     mask |= 1 << c
                 cob.append(mask)
             self.z_basis = _independent_cells(cob)
-
-    @property
-    def input_bits(self) -> int:
-        return len(self.x_basis) + len(self.z_basis)
 
 
 def _independent_cells(vectors: Sequence[int]) -> Tuple[int, ...]:
@@ -304,8 +305,7 @@ def cellulation_game_eval(
         for c, (a, b) in enumerate(exps):
             if a or b:
                 coll = multiply(coll, ops.player_op(c, a, b))
-        kind, value = _resource_expectation(coll, res)
-        win = _win_probability(target, kind, value)
+        win = _win_probability(target, _resource_expectation(coll, res))
         per_input[bits] = win
         total = total + win
         count += 1

@@ -71,10 +71,6 @@ class PauliOperator:
             count += 1
         return PauliOperator(n, x, z, _LETTER_PHASE[letter] * count)
 
-    @property
-    def weight(self) -> int:
-        return _popcount(self.x | self.z)
-
     def support(self) -> List[int]:
         v = self.x | self.z
         return [j for j in range(self.n) if (v >> j) & 1]

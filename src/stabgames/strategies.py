@@ -880,10 +880,6 @@ def _ds_dual_ring(vertex_region) -> List[Tuple[int, int]]:
     return _region_boundary_vertex_cycle(dual_cells)
 
 
-def _translate(cells, dx, dy):
-    return [(x + dx, y + dy) for (x, y) in cells]
-
-
 def _ds_arc_ops(code, ring, cut1, cut2):
     """Split a closed plaquette ring at two step positions into two directed
     arcs and return their string operators (first arc starts at cut1)."""

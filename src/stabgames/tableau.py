@@ -2,10 +2,24 @@
 phase, expectation values, ground-space dimension, sector fixing.
 
 Rows are genuine group elements, so every "row operation" is an operator
-product and phases are exact by construction.  For d=2 the canonical form is
-the reduced row echelon form over GF(2) (bit-packed ints); for general d it
-is the Howell normal form over Z_d, which is what membership testing needs
-when d has zero divisors (d=4 here).
+product and phases are exact by construction.
+
+Qubit groups (generators given as PauliOperator) live in a packed GF(2)
+tableau.  Each row is one int v = x | z << n, so column c < n is x_c and
+column n + j is z_j, plus an exact i-power phase.  Generators are inserted
+by pivot-on-lowest-bit elimination and then back-substituted, which gives
+the fully reduced row echelon form with pivots on the lowest columns, in
+the style of Aaronson-Gottesman (quant-ph/0406196) and Stim (Gidney,
+arXiv:2103.02202).  Commutation is read from column bitsets over the
+generators: bit k of xc[j] (zc[j]) says generator k has X (Z) on site j,
+so an operator commutes with the group iff the XOR of xc[j] over its
+z-support and zc[j] over its x-support is 0.  The product phase of two
+rows is counted with int.bit_count.
+
+Weyl groups (generators given as WeylOperator, any d, including d=2) are
+kept in Howell normal form over Z_d, which is what membership testing needs
+when d has zero divisors (d=4 here); they serve every d > 2 and are the
+reference the packed qubit path is tested against.
 
 Expectation values of an operator O in the stabilized space come in three
 kinds: Definite (a root of unity, when O is a phase times a group element),
@@ -19,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .pauli import PauliOperator
 from .weyl import WeylOperator, commutation_phase, w_multiply, w_power
@@ -51,88 +65,12 @@ def _as_weyl(op: AnyOperator) -> WeylOperator:
     return WeylOperator.from_pauli(op) if isinstance(op, PauliOperator) else op
 
 
-class _QubitRows:
-    """Row arithmetic on bit-packed Pauli rows; columns are x_0..x_{n-1}, z_0..z_{n-1}."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def col(self, row: PauliOperator, c: int) -> int:
-        if c < self.n:
-            return (row.x >> c) & 1
-        return (row.z >> (c - self.n)) & 1
-
-    @staticmethod
-    def mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-        return a * b
-
-    @staticmethod
-    def pow(a: PauliOperator, k: int) -> PauliOperator:
-        k %= 2
-        return a if k else PauliOperator.identity(a.n)
-
-    @staticmethod
-    def true_pow(a: PauliOperator, k: int) -> PauliOperator:
-        acc = PauliOperator.identity(a.n)
-        for _ in range(k):
-            acc = acc * a
-        return acc
-
-    @staticmethod
-    def comm(a: PauliOperator, b: PauliOperator) -> int:
-        pc = bin(a.x & b.z).count("1") + bin(a.z & b.x).count("1")
-        return pc % 2
-
-    @staticmethod
-    def is_scalar(a: PauliOperator) -> bool:
-        return a.x == 0 and a.z == 0
-
-    @staticmethod
-    def phase_of(a: PauliOperator) -> int:
-        return a.phase
-
-    @staticmethod
-    def identity(d: int, n: int) -> PauliOperator:
-        return PauliOperator.identity(n)
-
-
-class _QuditRows:
-    """Row arithmetic on WeylOperator rows over Z_d."""
-
-    def __init__(self, d: int, n: int):
-        self.d = d
-        self.n = n
-
-    def col(self, row: WeylOperator, c: int) -> int:
-        return row.x[c] if c < self.n else row.z[c - self.n]
-
-    @staticmethod
-    def mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-        return w_multiply(a, b)
-
-    @staticmethod
-    def pow(a: WeylOperator, k: int) -> WeylOperator:
-        return w_power(a, k)
-
-    @staticmethod
-    def true_pow(a: WeylOperator, k: int) -> WeylOperator:
-        return w_power(a, k)
-
-    @staticmethod
-    def comm(a: WeylOperator, b: WeylOperator) -> int:
-        return commutation_phase(a, b)
-
-    @staticmethod
-    def is_scalar(a: WeylOperator) -> bool:
-        return a.is_scalar()
-
-    @staticmethod
-    def phase_of(a: WeylOperator) -> int:
-        return a.phase
-
-    @staticmethod
-    def identity(d: int, n: int) -> WeylOperator:
-        return WeylOperator.identity(d, n)
+def _bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
 def _unit_inverse(u: int, d: int) -> Optional[int]:
@@ -166,7 +104,6 @@ class StabilizerGroup:
         if n is not None and n != self.n:
             raise ValueError("register mismatch with generators")
         qubit = self.d == 2 and all(isinstance(g, PauliOperator) for g in gens)
-        self._ops = _QubitRows(self.n) if qubit else _QuditRows(self.d, self.n)
         if not qubit:
             gens = [_as_weyl(g) for g in gens]
         for g in gens:
@@ -174,28 +111,111 @@ class StabilizerGroup:
                 raise ValueError("generator register size mismatch")
             if isinstance(g, WeylOperator) and g.d != self.d:
                 raise ValueError("generator dimension mismatch")
-        for i, g in enumerate(gens):
-            for h in gens[i + 1 :]:
-                if self._ops.comm(g, h) != 0:
-                    raise ValueError("generators do not commute")
         self.generators = tuple(gens)
-        self.rows: List[AnyOperator] = []
+        # qubit groups: pivot column -> (packed row, i-power phase), ascending
+        self._packed: Optional[Dict[int, Tuple[int, int]]] = None
+        self._weyl_rows: List[WeylOperator] = []
         self.pivots: List[Tuple[int, int]] = []  # (column, pivot value)
-        self._canonicalize(list(gens))
+        if qubit:
+            self._build_packed(gens)
+        else:
+            for i, g in enumerate(gens):
+                for h in gens[i + 1 :]:
+                    if commutation_phase(g, h) != 0:
+                        raise ValueError("generators do not commute")
+            self._canonicalize(gens)
 
-    # -- canonical form ------------------------------------------------
+    # -- packed GF(2) tableau (qubit groups) -----------------------------
 
-    def _canonicalize(self, work: List[AnyOperator]) -> None:
-        ops, d = self._ops, self.d
-        rows: List[AnyOperator] = []
+    def _build_packed(self, gens: Sequence[PauliOperator]) -> None:
+        n = self.n
+        xc = [0] * n
+        zc = [0] * n
+        for k, g in enumerate(gens):
+            bit = 1 << k
+            for j in _bits(g.x):
+                xc[j] |= bit
+            for j in _bits(g.z):
+                zc[j] |= bit
+        self._xc, self._zc = xc, zc
+        for g in gens:
+            if self._anticommuting(g.x, g.z):
+                raise ValueError("generators do not commute")
+        # Forward pass: each row's lowest set bit is its pivot.  All products
+        # below are of commuting elements, so their phases do not depend on
+        # the order in which rows are combined.
+        vec: Dict[int, int] = {}
+        phase: Dict[int, int] = {}
+        pivmask = 0
+        for g in gens:
+            v = g.x | g.z << n
+            ph = g.phase
+            m = v & pivmask
+            while m:
+                c = (m & -m).bit_length() - 1
+                r = vec[c]
+                ph += phase[c] + 2 * ((v >> n) & r).bit_count()
+                v ^= r
+                m = v & pivmask
+            ph &= 3
+            if not v:
+                if ph:
+                    raise ValueError("inconsistent group: nontrivial scalar generated")
+                continue
+            # a Pauli squares to +I iff it is Hermitian: i^ph with ph = |x & z| mod 2
+            if (ph - ((v >> n) & v).bit_count()) & 1:
+                raise ValueError("inconsistent group: nontrivial scalar generated")
+            c = (v & -v).bit_length() - 1
+            vec[c], phase[c] = v, ph
+            pivmask |= 1 << c
+        # Back-substitution, highest pivot first: the rows with higher pivots
+        # are already reduced, so each product clears exactly one pivot bit.
+        cols = sorted(vec)
+        for c in reversed(cols):
+            v, ph = vec[c], phase[c]
+            m = v & pivmask & ~(1 << c)
+            for q in _bits(m):
+                r = vec[q]
+                ph += phase[q] + 2 * ((v >> n) & r).bit_count()
+                v ^= r
+            vec[c], phase[c] = v, ph & 3
+        self._packed = {c: (vec[c], phase[c]) for c in cols}
+        self._pivmask = pivmask
+        self.pivots = [(c, 1) for c in cols]
+
+    def _anticommuting(self, x: int, z: int) -> int:
+        """Bitset of the generators that anticommute with X^x Z^z."""
+        xc, zc = self._xc, self._zc
+        acc = 0
+        for j in _bits(z):
+            acc ^= xc[j]
+        for j in _bits(x):
+            acc ^= zc[j]
+        return acc
+
+    def _reduce_packed(self, v: int, ph: int) -> Tuple[int, int]:
+        """(v, ph) times every row whose pivot bit v carries, in pivot order."""
+        n, packed = self.n, self._packed
+        for c in _bits(v & self._pivmask):
+            r, rph = packed[c]
+            ph += rph + 2 * ((v >> n) & r).bit_count()
+            v ^= r
+        return v, ph & 3
+
+    # -- Howell form over Z_d (Weyl groups) ----------------------------------
+
+    def _canonicalize(self, work: List[WeylOperator]) -> None:
+        d, n = self.d, self.n
+        rows: List[WeylOperator] = []
         pivots: List[Tuple[int, int]] = []
         pending = list(work)
-        for col in range(2 * self.n):
+        for col in range(2 * n):
+            zside, j = col >= n, col % n
             # pick the pending row with the "most invertible" entry at col
             best = None
             best_gcd = d
             for idx, r in enumerate(pending):
-                e = ops.col(r, col)
+                e = (r.z if zside else r.x)[j]
                 if e == 0:
                     continue
                 g = math.gcd(e, d)
@@ -206,55 +226,60 @@ class StabilizerGroup:
             if best is None:
                 continue
             piv = pending.pop(best)
-            e = ops.col(piv, col)
+            e = (piv.z if zside else piv.x)[j]
             inv = _unit_inverse(e, d)
             if inv is not None:
-                piv = ops.pow(piv, inv)
+                piv = w_power(piv, inv)
                 pval = 1
-                closure = ops.true_pow(piv, d)
-                if ops.phase_of(closure) != 0:
+                closure = w_power(piv, d)
+                if closure.phase != 0:
                     raise ValueError("inconsistent group: nontrivial scalar generated")
             else:
                 # zero-divisor pivot: normalize to the gcd and keep span closure
                 pval = best_gcd
                 scale = _unit_inverse(e // pval, d // pval)
                 if scale is not None and scale != 1:
-                    piv = ops.pow(piv, scale)
-                extra = ops.true_pow(piv, d // pval)
-                if not ops.is_scalar(extra):
+                    piv = w_power(piv, scale)
+                extra = w_power(piv, d // pval)
+                if not extra.is_scalar():
                     pending.append(extra)
-                elif ops.phase_of(extra) != 0:
+                elif extra.phase != 0:
                     raise ValueError("inconsistent group: nontrivial scalar generated")
-            # eliminate this column from pending rows and from earlier rows
+            # eliminate this column from pending rows and from earlier rows;
+            # an entry that is not a multiple of pval is cleared as far as
+            # possible (Howell)
             for i, r in enumerate(pending):
-                k = ops.col(r, col)
-                if k % pval == 0:
-                    q = k // pval
-                else:
-                    # not clearable exactly; clear as far as possible (Howell)
-                    q = k // pval
+                q = (r.z if zside else r.x)[j] // pval
                 if q:
-                    pending[i] = ops.mul(r, ops.pow(piv, -q))
+                    pending[i] = w_multiply(r, w_power(piv, -q))
             for i, r in enumerate(rows):
-                k = ops.col(r, col)
-                q = k // pval
+                q = (r.z if zside else r.x)[j] // pval
                 if q:
-                    rows[i] = ops.mul(r, ops.pow(piv, -q))
+                    rows[i] = w_multiply(r, w_power(piv, -q))
             rows.append(piv)
             pivots.append((col, pval))
         for r in pending:
-            if not ops.is_scalar(r):
+            if not r.is_scalar():
                 raise ValueError("canonicalization failed to clear a row")
-            if ops.phase_of(r) != 0:
+            if r.phase != 0:
                 raise ValueError("inconsistent group: nontrivial scalar generated")
-        self.rows = rows
+        self._weyl_rows = rows
         self.pivots = pivots
 
     # -- queries ---------------------------------------------------------
 
     @property
+    def rows(self) -> List[AnyOperator]:
+        """Canonical rows in pivot order, as operators of the generators' type."""
+        if self._packed is None:
+            return self._weyl_rows
+        n = self.n
+        mask = (1 << n) - 1
+        return [PauliOperator(n, v & mask, v >> n, ph) for v, ph in self._packed.values()]
+
+    @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def group_order(self) -> int:
         order = 1
@@ -276,7 +301,7 @@ class StabilizerGroup:
         return dim.bit_length() - 1
 
     def _coerce(self, op: AnyOperator) -> AnyOperator:
-        if isinstance(self._ops, _QubitRows):
+        if self._packed is not None:
             if isinstance(op, WeylOperator):
                 return op.to_pauli()
             return op
@@ -284,31 +309,37 @@ class StabilizerGroup:
 
     def reduce(self, op: AnyOperator) -> AnyOperator:
         """Multiply op by group elements to clear every pivot column."""
-        ops = self._ops
         cur = self._coerce(op)
-        for (col, pval), row in zip(self.pivots, self.rows):
-            e = ops.col(cur, col)
+        n = self.n
+        if cur.n != n:
+            raise ValueError("register mismatch")
+        if self._packed is not None:
+            v, ph = self._reduce_packed(cur.x | cur.z << n, cur.phase)
+            return PauliOperator(n, v & ((1 << n) - 1), v >> n, ph)
+        for (col, pval), row in zip(self.pivots, self._weyl_rows):
+            e = cur.x[col] if col < n else cur.z[col - n]
             if e % pval == 0:
                 q = e // pval
                 if q:
-                    cur = ops.mul(cur, ops.pow(row, -q))
+                    cur = w_multiply(cur, w_power(row, -q))
         return cur
 
     def expectation(self, op: AnyOperator) -> Expectation:
         cur = self._coerce(op)
         if cur.n != self.n:
             raise ValueError("register mismatch")
-        ops = self._ops
-        for row in self.rows:
-            if ops.comm(row, cur) != 0:
+        if self._packed is not None:
+            if self._anticommuting(cur.x, cur.z):
+                return Expectation("zero", 2)
+            v, ph = self._reduce_packed(cur.x | cur.z << self.n, cur.phase)
+            # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
+            return Expectation("definite", 2, ph) if not v else Expectation("logical", 2)
+        for row in self._weyl_rows:
+            if commutation_phase(row, cur) != 0:
                 return Expectation("zero", self.d)
         cur = self.reduce(cur)
-        if ops.is_scalar(cur):
-            phase = ops.phase_of(cur)
-            if self.d == 2 and isinstance(cur, PauliOperator):
-                # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
-                return Expectation("definite", 2, phase)
-            return Expectation("definite", self.d, phase)
+        if cur.is_scalar():
+            return Expectation("definite", self.d, cur.phase)
         return Expectation("logical", self.d)
 
     def contains(self, op: AnyOperator, phase_exp: int = 0) -> bool:

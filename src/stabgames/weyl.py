@@ -15,7 +15,6 @@ Everything is exact integer arithmetic; no floating point.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -74,9 +73,6 @@ class WeylOperator:
 
     def is_scalar(self) -> bool:
         return not any(self.x) and not any(self.z)
-
-    def phase_value(self) -> complex:
-        return cmath.exp(1j * cmath.pi * self.phase / self.d)
 
     def support(self) -> List[int]:
         return [j for j in range(self.n) if self.x[j] or self.z[j]]

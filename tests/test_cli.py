@@ -88,6 +88,17 @@ def test_config_file_defaults(tmp_path):
     assert record["config"]["P"] == 4
 
 
+@pytest.mark.parametrize("flag", [["--L=5"], ["--L", "5"]])
+def test_explicit_flag_overrides_config_file(tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3}))
+    record, _ = run(
+        ["code", "info", "--kind", "tc2d", *flag, "--config", str(cfg)], tmp_path, "cfgo"
+    )
+    assert record["config"]["L"] == 5
+    assert record["info"]["n"] == 2 * 5 * 5
+
+
 def test_game_parity_xcube(tmp_path):
     record, _ = run(
         ["game", "parity", "--code", "xcube", "--L", "3", "--variant", "cage"], tmp_path, "xcg"

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stabgames.codes import toric2d
 from stabgames.pauli import PauliOperator, multiply
 from stabgames.tableau import Expectation, StabilizerGroup, canonicalize
 from stabgames.weyl import WeylOperator, dagger, w_multiply, w_power
@@ -11,6 +14,52 @@ from stabgames.weyl import WeylOperator, dagger, w_multiply, w_power
 
 def P(text, n):
     return PauliOperator.from_text(text, n)
+
+
+def paulis(n):
+    """Random n-qubit Pauli operators with any i-power phase."""
+    bits = st.integers(0, (1 << n) - 1)
+    return st.builds(PauliOperator, st.just(n), bits, bits, st.integers(0, 3))
+
+
+@st.composite
+def qubit_cases(draw):
+    """(n, candidate generators, probe operators) on 1..5 qubits."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(paulis(n), max_size=2 * n))
+    return n, gens, draw(st.lists(paulis(n), min_size=1, max_size=4))
+
+
+def build(gens, n):
+    """The group on n qubits, or None if the generators are rejected."""
+    try:
+        return StabilizerGroup(gens, d=2, n=n)
+    except ValueError:
+        return None
+
+
+def as_pauli(op):
+    # an empty generator list builds a qubit group on either path
+    return op.to_pauli() if isinstance(op, WeylOperator) else op
+
+
+def assert_paths_agree(gens, n, probes):
+    """The packed PauliOperator path and the WeylOperator d=2 path agree on
+    acceptance, canonical rows, pivots, expectations and reductions."""
+    gq = build(gens, n)
+    gw = build([WeylOperator.from_pauli(g) for g in gens], n)
+    assert (gq is None) == (gw is None)
+    if gq is None:
+        return
+    assert [(r.x, r.z, r.phase) for r in gq.rows] == [
+        (p.x, p.z, p.phase) for p in map(as_pauli, gw.rows)
+    ]
+    assert gq.pivots == gw.pivots
+    assert gq.ground_space_dim() == gw.ground_space_dim()
+    for probe in probes:
+        eq, ew = gq.expectation(probe), gw.expectation(WeylOperator.from_pauli(probe))
+        assert (eq.kind, eq.phase_exp) == (ew.kind, ew.phase_exp)
+        assert gq.reduce(probe) == as_pauli(gw.reduce(probe))
 
 
 def ghz_group(p):
@@ -48,6 +97,11 @@ class TestCanonicalize:
     def test_minus_identity_raises(self):
         with pytest.raises(ValueError):
             StabilizerGroup([P("i^0 Z0", 1), P("i^2 Z0", 1)])
+
+    def test_non_hermitian_generator_raises(self):
+        # (i Z0)^2 = -I
+        with pytest.raises(ValueError):
+            StabilizerGroup([P("i^1 Z0", 2), P("i^0 Z1", 2)])
 
 
 class TestGroundSpace:
@@ -172,33 +226,30 @@ class TestQuditGroups:
             rng.shuffle(gens)
             assert [(r.x, r.z, r.phase) for r in StabilizerGroup(gens).rows] == want
 
-    def test_pauli_and_weyl_paths_agree_at_d2(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            n = rng.randrange(2, 6)
-            gens = []
-            for _ in range(2 * n):
-                cand = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), 0)
-                if cand.x == 0 and cand.z == 0:
-                    continue
-                if not cand.is_hermitian():
-                    cand = cand.scale_i(1)
-                try:
-                    StabilizerGroup(gens + [cand])
-                    gens.append(cand)
-                except ValueError:
-                    pass
-            if not gens:
-                continue
-            gq = StabilizerGroup(gens)
-            gw = StabilizerGroup([WeylOperator.from_pauli(g) for g in gens])
-            assert gq.rank == gw.rank
-            assert gq.ground_space_dim() == gw.ground_space_dim()
-            probe = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), 0)
-            eq, ew = gq.expectation(probe), gw.expectation(WeylOperator.from_pauli(probe))
-            assert eq.kind == ew.kind
-            if eq.kind == "definite":
-                assert eq.value == pytest.approx(ew.value)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(qubit_cases())
+    @example((1, [P("i^0 X0", 1), P("i^0 Z0", 1)], [P("i^0 X0", 1)]))  # non-commuting
+    @example((1, [P("i^0 Z0", 1), P("i^2 Z0", 1)], [P("i^0 Z0", 1)]))  # -I
+    @example((1, [P("i^1 Z0", 1)], [P("i^0 Z0", 1)]))  # non-Hermitian i*Z0
+    def test_pauli_and_weyl_paths_agree_at_d2(self, case):
+        n, cands, probes = case
+        assert_paths_agree(cands, n, probes)
+        # grow a valid group greedily, as the reference path decides
+        gens = []
+        for cand in cands:
+            if not cand.is_hermitian():
+                cand = cand.scale_i(1)
+            if build([WeylOperator.from_pauli(g) for g in gens + [cand]], n) is not None:
+                gens.append(cand)
+        member = PauliOperator.identity(n)
+        for g in gens[::2]:
+            member = multiply(member, g)
+        assert_paths_agree(gens, n, probes + [member, member.scale_i(2)])
+
+    def test_toric_code_packed_rows_match_weyl_path(self):
+        gens = list(toric2d(6).group.generators)
+        star_plaquette = multiply(gens[0], gens[-1])
+        assert_paths_agree(gens, 72, [star_plaquette, P("i^0 X0", 72), P("i^0 Z0 Z1", 72)])
 
 
 def test_text_round_trip():
