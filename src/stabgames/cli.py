@@ -242,6 +242,8 @@ def cmd_game_magic_square(args):
 def _parse_thetas(grid: str):
     if ":" in grid:
         start, stop, step = (float(t) for t in grid.split(":"))
+        if not step > 0:
+            raise ValueError(f"--thetas step must be positive, got {grid!r}")
         out = []
         t = start
         while t <= stop + 1e-12:
@@ -252,9 +254,17 @@ def _parse_thetas(grid: str):
 
 
 def cmd_sweep_deformation(args):
+    if args.code != "tc2d":
+        raise ValueError(f"--code: sweep deformation supports only tc2d, got {args.code!r}")
+    signs = {"+": 0, "-": 2}
+    if len(args.sector) != 2 or any(s not in signs for s in args.sector):
+        # argparse strips a bare "--" value, so --sector=-- arrives as []
+        raise ValueError(
+            f"--sector must be two signs from + and -, got {args.sector!r}"
+            " (the option parser drops a bare '--' value; give that sector in --config)"
+        )
     code = toric2d(args.L)
     ops = tc2d_parity_ops(code, args.P)
-    signs = {"+": 0, "-": 2}
     fixers = [
         f.scale_i(signs[s])
         for f, s in zip(toric2d_winding_z_fixers(code), args.sector)
@@ -279,9 +289,12 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--outdir", default=None)
     sub.add_argument("--tag", default=None)
-    sub.add_argument("--workers", type=int, default=os.cpu_count(),
-                     help="parallelism for enumeration-heavy searches")
     sub.add_argument("--config", default=None, help="JSON file with defaults; flags override")
+
+
+def _add_workers(sub):
+    sub.add_argument("--workers", type=int, default=os.cpu_count(),
+                     help="parallelism for the classical exhaustive searches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--P", type=int, default=3)
     gp.add_argument("--classical", action="store_true")
     gp.add_argument("--variant", default=None)
+    _add_workers(gp)
     _add_common(gp)
     gp.set_defaults(func=cmd_game_parity)
 
@@ -346,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     gm.add_argument("--classical", action="store_true")
     gm.add_argument("--Lx", type=int, default=8)
     gm.add_argument("--Ly", type=int, default=10)
+    _add_workers(gm)
     _add_common(gm)
     gm.set_defaults(func=cmd_game_magic_square)
 

@@ -375,6 +375,8 @@ def _ds_step_factors(lat: _DsLattice, px: int, py: int, direction: str, conj: bo
 
 
 def _dual_path_steps(path: Sequence[Tuple[int, int]], Lx: int, Ly: int):
+    """(x0, y0, direction) for each unit step of a path on the Lx x Ly torus;
+    used for dual (plaquette) and direct (vertex) paths alike."""
     steps = []
     for (x0, y0), (x1, y1) in zip(path, path[1:]):
         dx = (x1 - x0) % Lx
@@ -412,23 +414,13 @@ def ds_string(code: CodeInstance, kind: str, path: Sequence[Tuple[int, int]]) ->
             acc = w_multiply(step, acc)
         return acc
     if kind == "ssbar":
-        factors = []
-        for (x0, y0), (x1, y1) in zip(path, path[1:]):
-            dx = (x1 - x0) % lat.Lx
-            dy = (y1 - y0) % lat.Ly
-            if (dx, dy) == (1, 0):
-                factors.append((lat.h(x0, y0), 0, 2))
-            elif (dx, dy) == (lat.Lx - 1, 0):
-                factors.append((lat.h(x1, y1), 0, 2))
-            elif (dx, dy) == (0, 1):
-                factors.append((lat.v(x0, y0), 0, 2))
-            elif (dx, dy) == (0, lat.Ly - 1):
-                factors.append((lat.v(x1, y1), 0, 2))
-            else:
-                raise ValueError(f"path not connected at {(x0, y0)} -> {(x1, y1)}")
         acc = WeylOperator.identity(4, n)
-        for f in factors:
-            acc = w_multiply(_weyl_from_factors(n, [f]), acc)
+        for x, y, direction in _dual_path_steps(path, lat.Lx, lat.Ly):
+            if direction in "EW":
+                site = lat.h(x if direction == "E" else x - 1, y)
+            else:
+                site = lat.v(x, y if direction == "N" else y - 1)
+            acc = w_multiply(_weyl_from_factors(n, [(site, 0, 2)]), acc)
         return acc
     raise ValueError(f"unknown string kind {kind!r}")
 

@@ -19,17 +19,28 @@ CellKey = Hashable
 # -- GF(2) linear algebra on bit-packed rows --------------------------------
 
 
+def _independent_rows(rows: Sequence[int]) -> Tuple[int, ...]:
+    """Input-order indices of a maximal independent subset of GF(2) rows:
+    row i is kept exactly when it is independent of rows 0..i-1."""
+    basis: List[int] = []  # kept rows, each reduced by the earlier ones' lowest bits
+    kept: List[int] = []
+    for i, row in enumerate(rows):
+        for b in basis:
+            if row & b & -b:
+                row ^= b
+        if row:
+            basis.append(row)
+            kept.append(i)
+    return tuple(kept)
+
+
 def gf2_rank(rows: Sequence[int]) -> int:
-    work = [r for r in rows if r]
-    rank = 0
-    while work:
-        row = work.pop()
-        if row == 0:
-            continue
-        low = row & -row
-        rank += 1
-        work = [r ^ row if r & low else r for r in work]
-    return rank
+    return len(_independent_rows(rows))
+
+
+def _transpose(rows: Sequence[int], ncols: int) -> List[int]:
+    """Bit-packed transpose: column j of `rows` as a row over the row indices."""
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
 
 
 # -- chain complexes ---------------------------------------------------------
@@ -68,7 +79,8 @@ class ChainComplex:
         return ker - self.boundary_rank(i + 1)
 
     def cohomology_dim(self, i: int) -> int:
-        # over a field, dim H^i = dim H_i; computed independently via transposes
+        # over a field dim H^i = dim H_i; computed independently, from the
+        # transposed boundary matrices
         if i < 0 or i > self.top_dim:
             return 0
         ker = self.dims[i] - self._coboundary_rank(i)
@@ -78,7 +90,7 @@ class ChainComplex:
         """Rank of delta_k = boundary_{k+1}^T : C_k -> C_{k+1}."""
         if k < 0 or k >= self.top_dim:
             return 0
-        return self.boundary_rank(k + 1)
+        return gf2_rank(_transpose(self.boundary[k + 1], self.dims[k]))
 
     def check_boundary_squares_to_zero(self) -> bool:
         for k in range(2, self.top_dim + 1):

@@ -163,21 +163,27 @@ def deform(
     return DenseState(2, n, cur / nrm)
 
 
+_DUMP_DTYPES = {b"DSTV1\x00": np.complex64, b"DSTV2\x00": np.complex128}
+
+
 def save_state(state: DenseState, path) -> None:
-    """Binary dump: magic, d, n, then the amplitudes as complex64."""
+    """Binary dump: magic, d, n, then the amplitudes as complex128 (lossless).
+
+    load_state also reads the older DSTV1 dumps, which hold complex64.
+    """
     with open(path, "wb") as f:
-        f.write(b"DSTV1\x00")
+        f.write(b"DSTV2\x00")
         f.write(np.array([state.d, state.n], dtype=np.int32).tobytes())
-        f.write(state.amps.astype(np.complex64).tobytes())
+        f.write(state.amps.astype(np.complex128).tobytes())
 
 
 def load_state(path) -> DenseState:
     with open(path, "rb") as f:
-        magic = f.read(6)
-        if magic != b"DSTV1\x00":
+        dtype = _DUMP_DTYPES.get(f.read(6))
+        if dtype is None:
             raise ValueError("not a dense-state dump")
         d, n = np.frombuffer(f.read(8), dtype=np.int32)
-        amps = np.frombuffer(f.read(), dtype=np.complex64).astype(complex)
+        amps = np.frombuffer(f.read(), dtype=dtype).astype(complex)
     if len(amps) != int(d) ** int(n):
         raise ValueError("truncated dense-state dump")
     return DenseState(int(d), int(n), amps)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .complexes import _independent_rows
 from .dense import DenseState, dense_expectation
 from .pauli import PauliOperator, multiply
 from .strategies import CellulationStrategy, CompositeOperatorSet
@@ -221,7 +222,7 @@ class CellulationGame:
         p = self.strategy.p
         chain = coarse.to_chain()
         if self.x_basis is None:
-            self.x_basis = _independent_cells(chain.boundary[p + 1])
+            self.x_basis = _independent_rows(chain.boundary[p + 1])
         if self.z_basis is None:
             cob = []
             for vi in range(len(coarse.cells[p - 1])):
@@ -229,22 +230,7 @@ class CellulationGame:
                 for c in coarse.coboundary_indices(p - 1, vi):
                     mask |= 1 << c
                 cob.append(mask)
-            self.z_basis = _independent_cells(cob)
-
-
-def _independent_cells(vectors: Sequence[int]) -> Tuple[int, ...]:
-    basis: List[int] = []
-    chosen: List[int] = []
-    for i, vec in enumerate(vectors):
-        cur = vec
-        for b in basis:
-            low = b & -b
-            if cur & low:
-                cur ^= b
-        if cur:
-            basis.append(cur)
-            chosen.append(i)
-    return tuple(chosen)
+            self.z_basis = _independent_rows(cob)
 
 
 def cellulation_game_eval(

@@ -15,8 +15,9 @@ re-derives them from scratch:
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .codes import CodeInstance
 from .complexes import CellComplex, PlaneGraph
@@ -151,74 +152,60 @@ def _staircase_region(k: int) -> List[Tuple[int, int]]:
     return cells
 
 
-def _region_boundary_cycle(cells: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
-    """Boundary edges of a plaquette region as one counterclockwise cycle.
+def _region_boundary_walk(cells: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Counterclockwise closed vertex walk around a plaquette region, its
+    first vertex repeated at the end.
 
-    Edges are (x, y, o) in unreduced plane coordinates; plaquette (x, y) is
-    bounded by h(x,y), h(x,y+1), v(x,y), v(x+1,y).
+    Coordinates are unreduced plane coordinates; plaquette (x, y) has corner
+    vertices (x, y) .. (x + 1, y + 1).
     """
     region = set(cells)
-    directed = {}  # vertex -> (next vertex, edge)
+    directed = {}  # vertex -> next vertex, region on the left
     for (x, y) in region:
-        if (x, y - 1) not in region:  # south edge, region above: walk east
-            directed[(x, y)] = ((x + 1, y), (x, y, 0))
-        if (x, y + 1) not in region:  # north edge, region below: walk west
-            directed[(x + 1, y + 1)] = ((x, y + 1), (x, y + 1, 0))
-        if (x - 1, y) not in region:  # west edge, region to the east: walk south
-            directed[(x, y + 1)] = ((x, y), (x, y, 1))
-        if (x + 1, y) not in region:  # east edge, region to the west: walk north
-            directed[(x + 1, y)] = ((x + 1, y + 1), (x + 1, y, 1))
+        if (x, y - 1) not in region:  # south edge: walk east
+            directed[(x, y)] = (x + 1, y)
+        if (x, y + 1) not in region:  # north edge: walk west
+            directed[(x + 1, y + 1)] = (x, y + 1)
+        if (x - 1, y) not in region:  # west edge: walk south
+            directed[(x, y + 1)] = (x, y)
+        if (x + 1, y) not in region:  # east edge: walk north
+            directed[(x + 1, y)] = (x + 1, y + 1)
     start = min(directed)
-    cycle = []
-    v = start
+    walk = [start]
     while True:
-        nxt, edge = directed[v]
-        cycle.append(edge)
-        v = nxt
-        if v == start:
+        walk.append(directed[walk[-1]])
+        if walk[-1] == start:
             break
-    if len(cycle) != len(directed):
+    if len(walk) - 1 != len(directed):
         raise ValueError("region boundary is not a single cycle")
-    return cycle
+    return walk
 
 
-def _wrap_edge(edge: Tuple[int, int, int], Lx: int, Ly: int) -> Tuple[str, int, int, int]:
+def _walk_edge(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int, int]:
+    """Edge (x, y, o) between adjacent vertices a and b; o = 0 is horizontal."""
+    return (min(a[0], b[0]), min(a[1], b[1]), 0 if a[1] == b[1] else 1)
+
+
+def _wrap_edge(edge: Tuple[int, int, int], L: int) -> Tuple[str, int, int, int]:
     x, y, o = edge
-    return ("e", x % Lx, y % Ly, o)
+    return ("e", x % L, y % L, o)
 
 
 def _dual_step_edge(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int, int]:
     """Primal edge crossed when stepping between adjacent plaquettes a -> b
     (unreduced plane coordinates)."""
     (x0, y0), (x1, y1) = a, b
-    if (x1 - x0, y1 - y0) == (1, 0):
-        return (x1, y0, 1)
-    if (x1 - x0, y1 - y0) == (-1, 0):
-        return (x0, y0, 1)
-    if (x1 - x0, y1 - y0) == (0, 1):
-        return (x0, y1, 0)
-    if (x1 - x0, y1 - y0) == (0, -1):
-        return (x0, y0, 0)
-    raise ValueError(f"plaquettes {a}, {b} are not adjacent")
+    if abs(x1 - x0) + abs(y1 - y0) != 1:
+        raise ValueError(f"plaquettes {a}, {b} are not adjacent")
+    return (max(x0, x1), max(y0, y1), 1 if y0 == y1 else 0)
 
 
-def _dual_bfs(
-    start: Tuple[int, int],
-    goal: Tuple[int, int],
-    forbidden: set,
-    Lx: int,
-    Ly: int,
-    box: Tuple[int, int, int, int],
+def _bfs_route(
+    start: Tuple[int, int], goal: Tuple[int, int], passable: Callable
 ) -> List[Tuple[int, int]]:
-    """Shortest dual path in the plane (universal cover) between plaquettes,
-    never crossing a torus lift of a forbidden edge.
-
-    Planning in unreduced coordinates keeps every routed pair of paths
-    homologically equivalent, so XORs of routed paths are contractible.
-    """
-    from collections import deque
-
-    x_lo, x_hi, y_lo, y_hi = box
+    """Shortest route of unit steps from start to goal, taking a step
+    cur -> nxt only when passable(cur, nxt); neighbours are tried in the
+    order east, west, north, south, which fixes the route among ties."""
     prev = {start: None}
     q = deque([start])
     while q:
@@ -228,42 +215,21 @@ def _dual_bfs(
             while cur is not None:
                 path.append(cur)
                 cur = prev[cur]
-            return list(reversed(path))
+            return path[::-1]
         x, y = cur
         for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if not (x_lo <= nxt[0] <= x_hi and y_lo <= nxt[1] <= y_hi):
-                continue
-            if nxt in prev:
-                continue
-            if _wrap_edge(_dual_step_edge(cur, nxt), Lx, Ly) in forbidden:
-                continue
-            prev[nxt] = cur
-            q.append(nxt)
-    raise ValueError("no dual route available")
-
-
-def _interior_route(
-    cells: Sequence[Tuple[int, int]], start: Tuple[int, int], stop: Tuple[int, int]
-) -> List[Tuple[int, int]]:
-    from collections import deque
-
-    allowed = set(cells)
-    prev = {start: None}
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        if cur == stop:
-            path = []
-            while cur is not None:
-                path.append(cur)
-                cur = prev[cur]
-            return list(reversed(path))
-        x, y = cur
-        for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nxt in allowed and nxt not in prev:
+            if nxt not in prev and passable(cur, nxt):
                 prev[nxt] = cur
                 q.append(nxt)
-    raise ValueError("region is not connected")
+    raise ValueError(f"no route from {start} to {goal}")
+
+
+def _edge_pair(code: CodeInstance, x_keys, z_keys) -> Tuple[Tuple[SiteFactor, ...], ...]:
+    """(X factors, Z factors) of one composite pair from qubit cell keys."""
+    return (
+        tuple((code.qubit_index(k), "X") for k in x_keys),
+        tuple((code.qubit_index(k), "Z") for k in z_keys),
+    )
 
 
 def _arc_partition(cycle: Sequence, p: int) -> List[List]:
@@ -300,33 +266,36 @@ def tc2d_parity_ops(
     span = max(max(x for x, _ in cells), max(y for _, y in cells)) + 1
     if span + 1 > L:
         raise ValueError(f"P={p} strategy region does not fit in L={L}")
-    cycle = _region_boundary_cycle(cells)
+    walk = _region_boundary_walk(cells)
+    cycle = [_walk_edge(a, b) for a, b in zip(walk, walk[1:])]
     if len(cycle) < p:
         raise ValueError("boundary loop shorter than the player count")
-    loop_edges = {_wrap_edge(e, L, L) for e in cycle}
+    loop_edges = {_wrap_edge(e, L) for e in cycle}
     if len(loop_edges) != len(cycle):
         raise ValueError("boundary loop self-overlaps on the torus")
     arcs = _arc_partition(cycle, p)
-    c0 = cells[0]
-    c_inf = (anchor[0] - 1, anchor[1] - 1)
-    box = (anchor[0] - L - 1, anchor[0] + 2 * L, anchor[1] - L - 1, anchor[1] + 2 * L)
+    region = set(cells)
+    ax, ay = anchor
+
+    def outside(cur, nxt):
+        # plan in the plane (universal cover), never crossing a torus lift of
+        # the loop: every routed pair of paths is then homologically
+        # equivalent, so XORs of routed paths are contractible
+        return (
+            ax - L - 1 <= nxt[0] <= ax + 2 * L
+            and ay - L - 1 <= nxt[1] <= ay + 2 * L
+            and _wrap_edge(_dual_step_edge(cur, nxt), L) not in loop_edges
+        )
+
     pairs = []
     for arc in arcs:
-        cross = arc[len(arc) // 2]
-        inner, outer = _edge_side_plaquettes(cross, set(cells))
-        route = _interior_route(cells, c0, inner)
-        exterior = _dual_bfs(outer, c_inf, loop_edges, L, L, box)
-        # dual path: interior route, the arc crossing, then the exterior route
-        z_factors = (
-            [(code.qubit_index(_wrap_edge(_dual_step_edge(a, b), L, L)), "Z")
-             for a, b in zip(route, route[1:])]
-            + [(code.qubit_index(_wrap_edge(cross, L, L)), "Z")]
-            + [(code.qubit_index(_wrap_edge(_dual_step_edge(a, b), L, L)), "Z")
-               for a, b in zip(exterior, exterior[1:])]
-        )
-        z_factors = _xor_reduce_factors(z_factors)
-        x_factors = tuple((code.qubit_index(_wrap_edge(e, L, L)), "X") for e in arc)
-        pairs.append((x_factors, tuple(z_factors)))
+        inner, outer = _edge_side_plaquettes(arc[len(arc) // 2], region)
+        # dual path: interior route, the step inner -> outer across arc i,
+        # then the exterior route to a common plaquette
+        path = _bfs_route(cells[0], inner, lambda cur, nxt: nxt in region)
+        path += _bfs_route(outer, (ax - 1, ay - 1), outside)
+        dual_edges = [_wrap_edge(_dual_step_edge(a, b), L) for a, b in zip(path, path[1:])]
+        pairs.append(_edge_pair(code, [_wrap_edge(e, L) for e in arc], _xor_reduce(dual_edges)))
     constraints = [Constraint("X", tuple(range(p)), 0, "loop")]
     constraints += [
         Constraint("Z", (i, j), 0, f"Z{i}Z{j}") for i in range(p) for j in range(i + 1, p)
@@ -350,15 +319,13 @@ def _edge_side_plaquettes(edge: Tuple[int, int, int], region: set):
     raise ValueError(f"edge {edge} is not on the region boundary")
 
 
-def _xor_reduce_factors(factors: List[SiteFactor]) -> List[SiteFactor]:
-    """Drop site factors that appear an even number of times (Z^2 = 1),
-    keeping first-appearance order for the survivors."""
-    from collections import Counter
-
-    counts = Counter(f for f in factors)
+def _xor_reduce(items: List) -> List:
+    """Drop site factors (or qubit keys) that appear an even number of times
+    (Z^2 = 1), keeping first-appearance order for the survivors."""
+    counts = Counter(items)
     out = []
     seen = set()
-    for f in factors:
+    for f in items:
         if counts[f] % 2 == 1 and f not in seen:
             out.append(f)
             seen.add(f)
@@ -374,10 +341,9 @@ def _tc2d_winding_ops(code: CodeInstance, p: int, anchor: Tuple[int, int]) -> Co
     arcs = _arc_partition(loop, p)
     pairs = []
     for arc in arcs:
-        xs = tuple((code.qubit_index(("e", x % L, y % L, o)), "X") for (x, y, o) in arc)
         col = arc[len(arc) // 2][0] % L
-        zs = tuple((code.qubit_index(("e", col, y, 0)), "Z") for y in range(L))
-        pairs.append((xs, zs))
+        x_keys = [_wrap_edge(e, L) for e in arc]
+        pairs.append(_edge_pair(code, x_keys, [("e", col, y, 0) for y in range(L)]))
     winding_x = PauliOperator.from_support(
         code.n, "X", [code.qubit_index(("e", x, y0, 0)) for x in range(L)]
     )
@@ -411,7 +377,7 @@ def deform_arc(
     plaq_factors = [(code.qubit_index(k), "X") for k in plaq_edges]
     new_pairs = list(ops.pairs)
     xf = list(new_pairs[i][0]) + plaq_factors
-    new_pairs[i] = (tuple(_xor_reduce_factors(xf)), new_pairs[i][1])
+    new_pairs[i] = (tuple(_xor_reduce(xf)), new_pairs[i][1])
     return CompositeOperatorSet(code, ops.resource, new_pairs, list(ops.constraints), dict(ops.meta))
 
 
@@ -522,8 +488,8 @@ def xcube_ops(code: CodeInstance, variant: str = "prism") -> CompositeOperatorSe
         cross_a = [e(0, 0, 0, 0), e(-1, 0, 0, 0), e(0, 0, 0, 1), e(0, -1, 0, 1)]
         cross_b = [e(1, 0, 0, 0), e(0, 0, 0, 0), e(1, 0, 0, 1), e(1, -1, 0, 1)]
         z1 = [(s, "X") for s in seed]
-        z2 = _xor_reduce_factors([(s, "X") for s in seed + cross_a])
-        z3 = _xor_reduce_factors([(s, "X") for s in seed + cross_a + cross_b])
+        z2 = _xor_reduce([(s, "X") for s in seed + cross_a])
+        z3 = _xor_reduce([(s, "X") for s in seed + cross_a + cross_b])
         pairs = [(tuple(x1), tuple(z1)), (tuple(x2), tuple(z2)), (tuple(x3), tuple(z3))]
     else:
         raise ValueError(f"unknown X-cube variant {variant!r}")
@@ -553,11 +519,7 @@ def plane_graph_embedding(
     if not g.dual_is_loopless():
         raise ValueError("graph or its dual has a self-loop")
     n_eff = len(g.edges)
-    pairs = []
-    for i in range(n_eff):
-        xf = tuple((code.qubit_index(k), "X") for k in placement["edge"][i])
-        zf = tuple((code.qubit_index(k), "Z") for k in placement["dual"][i])
-        pairs.append((xf, zf))
+    pairs = [_edge_pair(code, placement["edge"][i], placement["dual"][i]) for i in range(n_eff)]
     constraints = []
     eff_gens: List[PauliOperator] = []
     for fi, edge_set in enumerate(g.face_edge_sets()):
@@ -593,7 +555,6 @@ def cycle_dipole_embedding(
 
     base = tc2d_parity_ops(code, p)
     g = cycle_graph(p)
-    L = code.meta["L"]
     key = lambda idx: code.cell.cells[1][idx]
     placement = {
         "edge": {i: [key(s) for (s, _) in base.pairs[i][0]] for i in range(p)},
@@ -690,16 +651,10 @@ def cellulation_ops(
     composites) and coarse (p-1)-cell coboundaries (products of the Z
     composites), which is what the cellulation game measures.
     """
-    pairs = []
-    for key in coarse.cells[p]:
-        xs = placement["p_cells"][key]
-        zs = placement["dual_cells"][key]
-        pairs.append(
-            (
-                tuple((code.qubit_index(k), "X") for k in xs),
-                tuple((code.qubit_index(k), "Z") for k in zs),
-            )
-        )
+    pairs = [
+        _edge_pair(code, placement["p_cells"][key], placement["dual_cells"][key])
+        for key in coarse.cells[p]
+    ]
     constraints = []
     for fi in range(len(coarse.cells[p + 1])):
         constraints.append(
@@ -808,14 +763,9 @@ def fan_cellulation_ops(code: CodeInstance, center: Tuple[int, int] = (2, 2)) ->
         closed=False,
         meta={"kind": "fan", "P": 3},
     )
-    pairs = []
-    for xs, zs in ((ray_a, arc_a), (ray_b, arc_b), (ray_c, arc_c)):
-        pairs.append(
-            (
-                tuple((code.qubit_index(k), "X") for k in xs),
-                tuple((code.qubit_index(k), "Z") for k in zs),
-            )
-        )
+    pairs = [
+        _edge_pair(code, xs, zs) for xs, zs in ((ray_a, arc_a), (ray_b, arc_b), (ray_c, arc_c))
+    ]
     constraints = [
         Constraint("X", (0, 1), 0, "lens01"),
         Constraint("X", (1, 2), 0, "lens12"),
@@ -847,37 +797,9 @@ class MagicSquareOperators:
     meta: Dict = field(default_factory=dict)
 
 
-def _region_boundary_vertex_cycle(cells) -> List[Tuple[int, int]]:
-    """Counterclockwise closed vertex walk around a plaquette region."""
-    region = set(cells)
-    directed = {}
-    for (x, y) in region:
-        if (x, y - 1) not in region:
-            directed[(x, y)] = (x + 1, y)
-        if (x, y + 1) not in region:
-            directed[(x + 1, y + 1)] = (x, y + 1)
-        if (x - 1, y) not in region:
-            directed[(x, y + 1)] = (x, y)
-        if (x + 1, y) not in region:
-            directed[(x + 1, y)] = (x + 1, y + 1)
-    start = min(directed)
-    walk = [start]
-    v = start
-    while True:
-        v = directed[v]
-        if v == start:
-            break
-        walk.append(v)
-    if len(walk) != len(directed):
-        raise ValueError("region boundary is not a single cycle")
-    walk.append(start)
-    return walk
-
-
 def _ds_dual_ring(vertex_region) -> List[Tuple[int, int]]:
     """Closed ccw plaquette path (dual loop) around a set of vertices."""
-    dual_cells = [(a - 1, b - 1) for (a, b) in vertex_region]
-    return _region_boundary_vertex_cycle(dual_cells)
+    return _region_boundary_walk([(a - 1, b - 1) for (a, b) in vertex_region])
 
 
 def _ds_arc_ops(code, ring, cut1, cut2):
@@ -885,22 +807,19 @@ def _ds_arc_ops(code, ring, cut1, cut2):
     arcs and return their string operators (first arc starts at cut1)."""
     from .codes import ds_string
 
-    steps = len(ring) - 1
-    if not (0 <= cut1 < cut2 < steps):
-        raise ValueError("bad cut positions")
     path1 = ring[cut1 : cut2 + 1]
     path2 = ring[cut2:] + ring[1 : cut1 + 1]
     return ds_string(code, "s", path1), ds_string(code, "s", path2)
 
 
-def _pair_geometry_valid(code, xa, za, xb, zb) -> Optional[Dict]:
-    """Check one candidate arc assignment; return phase fixes or None.
+def _pair_geometry_valid(xa, za, xb, zb) -> Optional[Dict]:
+    """Check one arc assignment; return the dagger fixes or None.
 
     Requirements: disjoint player supports, Z X = omega^{+-1} X Z within a
-    player and full commutation across players, fourth powers equal to +1,
-    and definite loop constraints (phases recorded for normalization).
+    player and full commutation across players, and fourth powers equal
+    to +1.
     """
-    from .weyl import commutation_phase, dagger, w_multiply, w_power
+    from .weyl import commutation_phase, w_power
 
     supp = lambda op: set(op.support())
     if (supp(xa) | supp(za)) & (supp(xb) | supp(zb)):
@@ -920,91 +839,55 @@ def _pair_geometry_valid(code, xa, za, xb, zb) -> Optional[Dict]:
     return {"dagger_a": k_a == 3, "dagger_b": k_b == 3}
 
 
+# Cut positions (ring A, ring A, ring B, ring B) for the magic-square arcs:
+# player A holds the single dual steps A[3:5] and B[0:2], which cross at the
+# corner the two vertex regions share; player B holds the two complements.
+_DS_CUTS = (3, 4, 0, 1)
+
+
 def ds_magic_square_ops(code: CodeInstance, offset2: Tuple[int, int] = (0, 5)) -> MagicSquareOperators:
     """Construct the two interlocked split dual loops realizing two effective
     ququart pairs shared between the players, then a translated second copy.
 
     Loop geometry: two corner-kissing 2x2 vertex regions.  Their boundary
-    dual loops cross transversally near the shared corner, and the cut
-    positions are searched so that one arc of each loop picks up exactly one
-    unit of noncommutation with its partner (the semionic corner phase) while
-    all other requirements hold: disjoint player supports, commuting cross
-    pairs, fourth powers +1, and definite loop constraints.  Partner-arc
+    dual loops cross transversally near the shared corner, and the fixed cuts
+    `_DS_CUTS` give one arc of each loop exactly one unit of noncommutation
+    with its partner (the semionic corner phase).  `_pair_geometry_valid`
+    rechecks every requirement (disjoint player supports, commuting cross
+    pairs, fourth powers +1) and fixes the orientation of each Z; partner-arc
     phases are then normalized so both loop constraints read +1.
     """
-    from .codes import ds_fixed_group, ds_string
-    from .weyl import commutation_phase, dagger, w_multiply, w_power
+    from .codes import ds_fixed_group
+    from .weyl import commutation_phase, dagger, w_multiply
 
     lat = code.meta["lattice"]
     if lat.Lx < 8 or lat.Ly < 10:
         raise ValueError("magic-square layout needs at least an 8 x 10 torus")
-    region_a = [(x, y) for x in range(0, 2) for y in range(0, 2)]
-    region_b = [(x, y) for x in range(1, 3) for y in range(1, 3)]
-    ring_a = _ds_dual_ring(region_a)
-    ring_b = _ds_dual_ring(region_b)
-    steps_a = len(ring_a) - 1
-    steps_b = len(ring_b) - 1
-    found = None
-    for ca1 in range(steps_a):
-        for ca2 in range(ca1 + 1, steps_a):
-            try:
-                xa, xb = _ds_arc_ops(code, ring_a, ca1, ca2)
-            except ValueError:
-                continue
-            for cb1 in range(steps_b):
-                for cb2 in range(cb1 + 1, steps_b):
-                    za, zb = _ds_arc_ops(code, ring_b, cb1, cb2)
-                    fix = _pair_geometry_valid(code, xa, za, xb, zb)
-                    if fix is None:
-                        zb, za = za, zb
-                        fix = _pair_geometry_valid(code, xa, za, xb, zb)
-                    if fix is not None:
-                        found = (xa, za, xb, zb, fix, (ca1, ca2, cb1, cb2))
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    if not found:
-        raise ValueError("no valid arc split found for the magic-square layout")
-    xa, za, xb, zb, fix, cuts = found
-    if fix["dagger_a"]:
-        za = dagger(za)
-    if fix["dagger_b"]:
-        zb = dagger(zb)
+    ring_a = _ds_dual_ring([(x, y) for x in range(0, 2) for y in range(0, 2)])
+    ring_b = _ds_dual_ring([(x, y) for x in range(1, 3) for y in range(1, 3)])
+    ca1, ca2, cb1, cb2 = _DS_CUTS
     resource = ds_fixed_group(code)
-    # normalize partner phases so <X Xt> = 1 and <Z Zt^dag> = 1
-    e_x = resource.expectation(w_multiply(xa, xb))
-    if e_x.kind != "definite":
-        raise ValueError("loop constraint X Xt is not definite")
-    xb = xb.scale_w(-e_x.phase_exp)
-    e_z = resource.expectation(w_multiply(za, dagger(zb)))
-    if e_z.kind != "definite":
-        raise ValueError("loop constraint Z Zt^dag is not definite")
-    zb = zb.scale_w(e_z.phase_exp)
-    # second effective qudit: same geometry translated
-    dx, dy = offset2
-    ring_a2 = [(x + dx, y + dy) for (x, y) in ring_a]
-    ring_b2 = [(x + dx, y + dy) for (x, y) in ring_b]
-    ca1, ca2, cb1, cb2 = cuts
-    xa2, xb2 = _ds_arc_ops(code, ring_a2, ca1, ca2)
-    za2, zb2 = _ds_arc_ops(code, ring_b2, cb1, cb2)
-    if fix["dagger_a"]:
-        za2 = dagger(za2)
-    if fix["dagger_b"]:
-        zb2 = dagger(zb2)
-    e_x2 = resource.expectation(w_multiply(xa2, xb2))
-    e_z2 = resource.expectation(w_multiply(za2, dagger(zb2)))
-    if e_x2.kind != "definite" or e_z2.kind != "definite":
-        raise ValueError("translated pair constraints are not definite")
-    xb2 = xb2.scale_w(-e_x2.phase_exp)
-    zb2 = zb2.scale_w(e_z2.phase_exp)
+    copies = []
+    for dx, dy in ((0, 0), offset2):
+        xa, xb = _ds_arc_ops(code, [(x + dx, y + dy) for (x, y) in ring_a], ca1, ca2)
+        za, zb = _ds_arc_ops(code, [(x + dx, y + dy) for (x, y) in ring_b], cb1, cb2)
+        fix = _pair_geometry_valid(xa, za, xb, zb)
+        if fix is None:
+            raise ValueError("magic-square arcs fail the pair geometry check")
+        if fix["dagger_a"]:
+            za = dagger(za)
+        if fix["dagger_b"]:
+            zb = dagger(zb)
+        # normalize partner phases so <X Xt> = 1 and <Z Zt^dag> = 1
+        e_x = resource.expectation(w_multiply(xa, xb))
+        e_z = resource.expectation(w_multiply(za, dagger(zb)))
+        if e_x.kind != "definite" or e_z.kind != "definite":
+            raise ValueError("loop constraints X Xt and Z Zt^dag are not definite")
+        copies.append((xa, za, xb.scale_w(-e_x.phase_exp), zb.scale_w(e_z.phase_exp), fix))
+    (xa, za, xb, zb, fix), (xa2, za2, xb2, zb2, _) = copies
     # the two copies must act on disjoint qudits and commute
-    all_ops = [xa, za, xb, zb, xa2, za2, xb2, zb2]
-    for i, p in enumerate(all_ops[:4]):
-        for q in all_ops[4:]:
+    for p in (xa, za, xb, zb):
+        for q in (xa2, za2, xb2, zb2):
             if commutation_phase(p, q) != 0:
                 raise ValueError("translated copy interferes with the first pair")
     return MagicSquareOperators(
@@ -1014,8 +897,7 @@ def ds_magic_square_ops(code: CodeInstance, offset2: Tuple[int, int] = (0, 5)) -
         a_z=[za, za2],
         b_x=[xb, xb2],
         b_z=[zb, zb2],
-        meta={"cuts": cuts, "offset2": offset2,
-              "dagger_a": fix["dagger_a"], "dagger_b": fix["dagger_b"]},
+        meta={"cuts": _DS_CUTS, "offset2": offset2, **fix},
     )
 
 

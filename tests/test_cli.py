@@ -111,3 +111,44 @@ def test_game_parity_tc3d(tmp_path):
         ["game", "parity", "--code", "tc3d-faces", "--L", "2"], tmp_path, "t3f"
     )
     assert record["p_q"]["fraction"] == "1/1"
+
+
+def test_sweep_deformation_rejects_other_codes(tmp_path, capsys):
+    rc = main(["sweep", "deformation", "--code", "xcube", "--L", "2", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "--code" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_deformation_rejects_stripped_sector(tmp_path, capsys):
+    # argparse turns --sector=-- into an empty list; the run must not go ahead
+    # with the winding sectors left unfixed
+    rc = main(["sweep", "deformation", "--L", "2", "--sector=--", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "--sector" in capsys.readouterr().err
+
+
+def test_sweep_deformation_sector_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sector": "--"}))
+    record, _ = run(
+        ["sweep", "deformation", "--L", "2", "--thetas", "0", "--config", str(cfg)], tmp_path, "swc"
+    )
+    assert record["config"]["sector"] == "--"
+    assert abs(record["sweep"][0]["p_q"] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.1", "0.5:0:-0.1"])
+def test_parse_thetas_rejects_nonpositive_step(grid):
+    from stabgames.cli import _parse_thetas
+
+    with pytest.raises(ValueError, match="step"):
+        _parse_thetas(grid)
+
+
+def test_workers_only_on_classical_search_commands(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "info", "--kind", "tc2d", "--workers", "2", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    record, _ = run(["game", "parity", "--classical", "--P", "3", "--workers", "1"], tmp_path, "w")
+    assert record["p_cl"]["fraction"] == "3/4"

@@ -8,6 +8,7 @@ import pytest
 from stabgames.complexes import (
     CellComplex,
     ChainComplex,
+    _independent_rows,
     build_torus_2d,
     build_torus_3d,
     cycle_graph,
@@ -51,7 +52,15 @@ def test_gf2_rank_against_naive():
     for _ in range(200):
         ncols = rng.randrange(1, 12)
         rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 10))]
+        cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
         assert gf2_rank(rows) == naive_rank(rows, ncols)
+        assert gf2_rank(cols) == naive_rank(cols, len(rows)) == naive_rank(rows, ncols)
+        # the kernel keeps row i exactly when it raises the rank of rows[:i]
+        kept = _independent_rows(rows)
+        assert kept == tuple(
+            i for i in range(len(rows))
+            if naive_rank(rows[: i + 1], ncols) > naive_rank(rows[:i], ncols)
+        )
 
 
 class TestTorusBuilders:
@@ -85,11 +94,18 @@ class TestHomology:
         c = p.to_chain()
         assert [c.homology_dim(i) for i in range(3)] == [1, 0, 1]
 
-    def test_cohomology_matches_homology(self):
-        for cell in (build_torus_2d(2), build_torus_3d(2)):
-            c = cell.to_chain()
-            for i in range(len(c.dims)):
-                assert c.cohomology_dim(i) == c.homology_dim(i)
+    def test_cohomology_matches_homology(self, monkeypatch):
+        sphere, _ = plane_graph_complex(random_stacked_triangulation(4, seed=1))
+        chains = [cell.to_chain() for cell in (build_torus_2d(2), build_torus_3d(2), sphere)]
+        homology = [[c.homology_dim(i) for i in range(len(c.dims))] for c in chains]
+
+        def no_boundary_rank(self, k):
+            raise AssertionError("cohomology must not reuse the boundary ranks")
+
+        # cohomology ranks the transposed matrices, independently of boundary_rank
+        monkeypatch.setattr(ChainComplex, "boundary_rank", no_boundary_rank)
+        for c, hom in zip(chains, homology):
+            assert [c.cohomology_dim(i) for i in range(len(c.dims))] == hom
 
 
 class TestEulerCheck:

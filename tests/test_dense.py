@@ -225,3 +225,25 @@ def test_state_dump_round_trip(tmp_path):
     loaded = load_state(path)
     assert loaded.d == 2 and loaded.n == 3
     assert np.allclose(loaded.amps, state.amps, atol=1e-6)
+
+
+def test_state_dump_is_lossless_and_reads_v1(tmp_path):
+    from stabgames.dense import load_state, save_state
+
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = DenseState(2, 3, amps / np.linalg.norm(amps))
+    path = tmp_path / "state.bin"
+    save_state(state, path)
+    loaded = load_state(path)
+    assert loaded.amps.dtype == np.complex128
+    assert loaded.amps.tobytes() == state.amps.tobytes()
+    # a dump in the older complex64 format still loads
+    v1 = tmp_path / "state_v1.bin"
+    v1.write_bytes(
+        b"DSTV1\x00" + np.array([2, 3], dtype=np.int32).tobytes()
+        + state.amps.astype(np.complex64).tobytes()
+    )
+    old = load_state(v1)
+    assert (old.d, old.n) == (2, 3)
+    assert np.array_equal(old.amps, state.amps.astype(np.complex64).astype(complex))
