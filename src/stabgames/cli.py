@@ -172,7 +172,7 @@ def cmd_game_parity(args):
     cfg = {"command": "game parity", "code": args.code, "L": args.L, "P": args.P,
            "classical": args.classical, "variant": args.variant}
     if args.classical:
-        opt, witness = classical_optimum_parity(args.P, workers=args.workers)
+        opt, witness = classical_optimum_parity(args.P)
         record = {"p_cl": _num(opt), "witness": witness}
         rows = [[args.P, float(opt), f"{opt.numerator}/{opt.denominator}"]]
         return _emit(args, cfg, record, rows, ["P", "p_cl", "p_cl_exact"])
@@ -219,10 +219,14 @@ def cmd_game_magic_square(args):
     cfg = {"command": "game magic-square", "d": args.d, "classical": args.classical,
            "Lx": args.Lx, "Ly": args.Ly}
     if args.classical:
-        opt, witness = classical_optimum_magic_square(args.d, workers=args.workers)
+        opt, witness = classical_optimum_magic_square(args.d)
         record = {"p_cl": _num(opt), "witness": {k: [list(t) for t in v] for k, v in witness.items()}}
         rows = [[args.d, float(opt), f"{opt.numerator}/{opt.denominator}"]]
         return _emit(args, cfg, record, rows, ["d", "p_cl", "p_cl_exact"])
+    if args.d != 4:
+        raise ValueError(
+            f"--d: the quantum magic square runs on the d=4 double-semion code, got {args.d}"
+        )
     code = double_semion(args.Lx, args.Ly)
     ms = ds_magic_square_ops(code)
     rep = magic_square_eval(ms)
@@ -293,8 +297,9 @@ def _add_common(sub):
 
 
 def _add_workers(sub):
-    sub.add_argument("--workers", type=int, default=os.cpu_count(),
-                     help="parallelism for the classical exhaustive searches")
+    # the classical optima run in one process; "--workers 1" command lines must still parse
+    sub.add_argument("--workers", type=int, choices=(1,), default=1,
+                     help="accepted for compatibility; only 1 is allowed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Game definitions, exhaustive classical baselines, and quantum-strategy
+"""Game definitions, exact classical baselines, and quantum-strategy
 evaluation: the P-player parity game, coarse-cellulation games, and the
 even-dimension magic-square game.
 
@@ -16,6 +16,8 @@ import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .complexes import _independent_rows
 from .dense import DenseState, dense_expectation
@@ -72,52 +74,36 @@ class StrategyEvaluation:
 # -- classical parity baseline -----------------------------------------------------
 
 
-def _parity_scan_chunk(args) -> Tuple[int, int, int]:
-    """Best (wins, -class index) over a contiguous range of c-classes."""
-    p, c_lo, c_hi = args
-    inputs = ParityGame(p).valid_inputs()
-    masks = [sum(b << i for i, b in enumerate(bits)) for bits in inputs]
-    targets = [(sum(bits) // 2) & 1 for bits in inputs]
-    best = (-1, 0, 0)  # wins, -(2c + a_total), payload
-    for c in range(c_lo, c_hi):
-        overlaps = [bin(c & m).count("1") & 1 for m in masks]
-        for a_total in (0, 1):
-            wins = sum(1 for o, t in zip(overlaps, targets) if (a_total ^ o) == t)
-            key = (wins, -(2 * c + a_total))
-            if key > best[:2]:
-                best = (wins, key[1], 2 * c + a_total)
-    return best
-
-
-def classical_optimum_parity(p: int, workers: int = 1) -> Tuple[Fraction, Dict]:
-    """Exhaustive optimum over deterministic strategies.
+def classical_optimum_parity(p: int) -> Tuple[Fraction, Dict]:
+    """Exact optimum over deterministic strategies, via a Walsh-Hadamard transform.
 
     A strategy is a pair of bits per player, y_i(x) = a_i xor (c_i and x);
-    the win count depends only on (xor of a_i, the c vector), so scanning
-    those classes covers all 4^P deterministic strategies exactly.  Chunks
-    of the scan may run in worker processes; the merge prefers the lowest
-    class index on ties, so the result is identical for any worker count.
+    the win count depends only on (xor of a_i, the c vector), so the classes
+    cover all 4^P deterministic strategies.  With f(m) = (-1)^(|m|/2) on
+    even-weight inputs m and 0 on odd ones, the unnormalised transform
+    W(c) = sum_m (-1)^(c.m) f(m) gives wins(c, a) = (2^(P-1) + (-1)^a W(c)) / 2
+    for every class at once.  The witness is the lowest c with maximal |W(c)|,
+    with a = 0 when W(c) >= 0: the lowest class index 2c + a among the optima.
     """
     if p < 3:
         raise ValueError("parity game needs at least 3 players")
-    if p > 12:
-        raise ValueError("exhaustive search capped at P = 12")
-    total = 1 << p
-    workers = max(1, min(workers, 8))
-    if workers == 1 or total < 256:
-        chunks = [_parity_scan_chunk((p, 0, total))]
-    else:
-        step = -(-total // workers)
-        ranges = [(p, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_parity_scan_chunk, ranges)
-    best = max(chunks, key=lambda t: (t[0], t[1]))
-    wins, _, payload = best
-    c, a_total = payload >> 1, payload & 1
+    if p > 20:
+        raise ValueError("exact optimum capped at P = 20")
+    weight = np.zeros(1, dtype=np.int64)
+    for _ in range(p):  # popcount of every index m < 2^P
+        weight = np.concatenate([weight, weight + 1])
+    w = np.where(weight % 2 == 0, 1 - 2 * ((weight // 2) % 2), 0)
+    for k in range(p):  # in-place butterflies over bit k
+        v = w.reshape(-1, 2, 1 << k)
+        lo = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        v[:, 1] = lo - v[:, 1]
+    c = int(np.argmax(np.abs(w)))
+    a_total = 0 if w[c] >= 0 else 1
+    half = 1 << (p - 1)
+    wins = (half + abs(int(w[c]))) // 2
     strategy = {"a": [a_total] + [0] * (p - 1), "c": [(c >> i) & 1 for i in range(p)]}
-    return Fraction(wins, 1 << (p - 1)), strategy
+    return Fraction(wins, half), strategy
 
 
 def classical_strategy_score(p: int, a: Sequence[int], c: Sequence[int]) -> Fraction:
@@ -319,60 +305,32 @@ def _valid_rows(d: int, target: int) -> List[Tuple[int, ...]]:
     return rows
 
 
-def _square_scan_chunk(args) -> Tuple[int, int, tuple]:
-    """Best (wins, -B index) over a contiguous range of B strategies."""
-    d, lo, hi = args
-    rows = _valid_rows(d, 0)
-    cols = _valid_rows(d, d // 2)
-    m = len(cols)
-    best = (-1, 0, None)
-    for idx in range(lo, hi):
-        k0, rem = divmod(idx, m * m)
-        k1, k2 = divmod(rem, m)
-        b_cols = [cols[k0], cols[k1], cols[k2]]
-        wins = 0
-        a_rows = []
-        for r in range(3):
-            best_row, best_cnt = None, -1
-            for row in rows:
-                cnt = sum(1 for c in range(3) if row[c] == b_cols[c][r])
-                if cnt > best_cnt:
-                    best_row, best_cnt = row, cnt
-            wins += best_cnt
-            a_rows.append(best_row)
-        if (wins, -idx) > best[:2]:
-            best = (wins, -idx, (a_rows, b_cols))
-    return best
-
-
-def classical_optimum_magic_square(d: int, workers: int = 1) -> Tuple[Fraction, Dict]:
-    """Exhaustive deterministic optimum for the mod-d magic square game.
+def classical_optimum_magic_square(d: int) -> Tuple[Fraction, Dict]:
+    """Exact deterministic optimum for the mod-d magic square game.
 
     Player A picks one valid row filling per row input, B one valid column
-    filling per column input.  For each of B's d^6 strategies the best
-    response of each of A's rows is independent, so the scan is exact: max
-    over B of the sum over rows of the best row response.  The scan chunks
-    over worker processes with a lowest-index tie-break, so results do not
-    depend on the worker count.
+    filling per column input.  Against B's three column entries in row r,
+    A's best response for that row depends on nothing else, so A's best row
+    is tabulated once for each of the d^3 entry triples (first row on ties).
+    B's (d^2)^3 strategies are then scanned in order, each scoring the sum of
+    its three table entries; the first strict maximum is the witness.
     """
     if d % 2:
         raise ValueError("game undefined for odd d (column target d/2)")
     if d > 4:
         raise ValueError("exhaustive search capped at d = 4")
-    total = (d * d) ** 3
-    workers = max(1, min(workers, 8))
-    if workers == 1 or total < 4096:
-        chunks = [_square_scan_chunk((d, 0, total))]
-    else:
-        step = -(-total // workers)
-        ranges = [(d, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_square_scan_chunk, ranges)
-    wins, _, payload = max(chunks, key=lambda t: (t[0], t[1]))
-    a_rows, b_cols = payload
-    return Fraction(wins, 9), {"a_rows": a_rows, "b_cols": b_cols}
+    rows = _valid_rows(d, 0)
+    response = {}  # column-entry triple -> (matches, A's best row)
+    for entries in itertools.product(range(d), repeat=3):
+        scored = [(sum(x == y for x, y in zip(row, entries)), row) for row in rows]
+        response[entries] = max(scored, key=lambda t: t[0])
+    best_wins, best_cols = -1, None
+    for b_cols in itertools.product(_valid_rows(d, d // 2), repeat=3):
+        wins = sum(response[entries][0] for entries in zip(*b_cols))
+        if wins > best_wins:
+            best_wins, best_cols = wins, b_cols
+    a_rows = [response[entries][1] for entries in zip(*best_cols)]
+    return Fraction(best_wins, 9), {"a_rows": a_rows, "b_cols": list(best_cols)}
 
 
 def lifted_qubit_square_strategy(d: int) -> Dict:

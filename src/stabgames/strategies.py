@@ -932,28 +932,30 @@ def deserialize_operator_set(text: str, code: CodeInstance,
                              resource: Optional[StabilizerGroup] = None) -> CompositeOperatorSet:
     """Rebuild an operator set serialized by serialize_operator_set.
 
-    Factor sequences are reconstructed site-by-site from the canonical text
-    form; within-player ordering of commuting single-site factors is not
-    observable, so round-tripping preserves every operator exactly.
+    Each composite becomes one single-site factor per support site, with the
+    letter (X, Y or Z) read off the operator's own x/z bits; these factors
+    commute, so their order is not observable.  Qubit sets only: a header
+    with d != 2, or an operator whose text phase its factors do not
+    reproduce, raises ValueError instead of coming back changed.
     """
     import json as _json
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = _json.loads(lines[0])
+    if header["d"] != 2:
+        raise ValueError(f"operator sets deserialize for qubit codes only, got d={header['d']}")
     if header["n"] != code.n:
         raise ValueError("register size mismatch")
-    xs: Dict[int, PauliOperator] = {}
-    zs: Dict[int, PauliOperator] = {}
+    letters = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}  # (x bit, z bit) -> factor
+    factors: Dict[str, Tuple[SiteFactor, ...]] = {}
     for ln in lines[1:]:
         tag, body = ln.split(" ", 1)
-        idx = int(tag[1:])
         op = PauliOperator.from_text(body, code.n)
-        (xs if tag[0] == "X" else zs)[idx] = op
-    pairs = []
-    for i in range(header["players"]):
-        x_factors = tuple((s, "X") for s in xs[i].support())
-        z_factors = tuple((s, "Z") for s in zs[i].support())
-        pairs.append((x_factors, z_factors))
+        seq = tuple((s, letters[(op.x >> s) & 1, (op.z >> s) & 1]) for s in op.support())
+        if ordered_product(seq, code.n) != op:
+            raise ValueError(f"{tag}: phase of {body!r} is not reproduced by its site factors")
+        factors[tag] = seq
+    pairs = [(factors[f"X{i}"], factors[f"Z{i}"]) for i in range(header["players"])]
     constraints = [
         Constraint(c["kind"], tuple(c["indices"]), c["phase_exp"], c.get("label", ""))
         for c in header["constraints"]

@@ -150,5 +150,23 @@ def test_workers_only_on_classical_search_commands(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["code", "info", "--kind", "tc2d", "--workers", "2", "--outdir", str(tmp_path)])
     assert exc.value.code == 2
+    # the classical optima run in one process: --workers accepts only 1
+    for command in (["game", "parity", "--classical", "--P", "3"],
+                    ["game", "magic-square", "--classical", "--d", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--workers", "2", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
     record, _ = run(["game", "parity", "--classical", "--P", "3", "--workers", "1"], tmp_path, "w")
     assert record["p_cl"]["fraction"] == "3/4"
+    record, _ = run(
+        ["game", "magic-square", "--classical", "--d", "2", "--workers", "1"], tmp_path, "wm"
+    )
+    assert record["p_cl"]["fraction"] == "8/9"
+
+
+def test_quantum_magic_square_rejects_other_d(tmp_path, capsys):
+    # the quantum strategy always runs on the d=4 double-semion code
+    rc = main(["game", "magic-square", "--d", "6", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "--d" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

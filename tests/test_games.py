@@ -19,6 +19,7 @@ from stabgames.games import (
     CellulationGame,
     MagicSquareGame,
     ParityGame,
+    _valid_rows,
     cellulation_game_eval,
     classical_optimum_magic_square,
     classical_optimum_parity,
@@ -55,6 +56,51 @@ class TestParityGameStructure:
         assert g.target_sign((1, 1, 1, 1)) == 1
 
 
+def _reference_parity_scan(p):
+    """The former Python scan over every (c, a) class, lowest index 2c + a on ties."""
+    inputs = ParityGame(p).valid_inputs()
+    masks = [sum(b << i for i, b in enumerate(bits)) for bits in inputs]
+    targets = [(sum(bits) // 2) & 1 for bits in inputs]
+    best = (-1, 0, 0)  # wins, -(2c + a_total), payload
+    for c in range(1 << p):
+        overlaps = [bin(c & m).count("1") & 1 for m in masks]
+        for a_total in (0, 1):
+            wins = sum(1 for o, t in zip(overlaps, targets) if (a_total ^ o) == t)
+            key = (wins, -(2 * c + a_total))
+            if key > best[:2]:
+                best = (wins, key[1], 2 * c + a_total)
+    wins, _, payload = best
+    c, a_total = payload >> 1, payload & 1
+    strategy = {"a": [a_total] + [0] * (p - 1), "c": [(c >> i) & 1 for i in range(p)]}
+    return Fraction(wins, 1 << (p - 1)), strategy
+
+
+def _reference_square_scan(d):
+    """The former scan over B's strategies, recomputing A's best rows for each."""
+    rows = _valid_rows(d, 0)
+    cols = _valid_rows(d, d // 2)
+    m = len(cols)
+    best = (-1, 0, None)
+    for idx in range(m ** 3):
+        k0, rem = divmod(idx, m * m)
+        k1, k2 = divmod(rem, m)
+        b_cols = [cols[k0], cols[k1], cols[k2]]
+        wins = 0
+        a_rows = []
+        for r in range(3):
+            best_row, best_cnt = None, -1
+            for row in rows:
+                cnt = sum(1 for c in range(3) if row[c] == b_cols[c][r])
+                if cnt > best_cnt:
+                    best_row, best_cnt = row, cnt
+            wins += best_cnt
+            a_rows.append(best_row)
+        if (wins, -idx) > best[:2]:
+            best = (wins, -idx, (a_rows, b_cols))
+    wins, _, (a_rows, b_cols) = best
+    return Fraction(wins, 9), {"a_rows": a_rows, "b_cols": b_cols}
+
+
 class TestClassicalParity:
     @pytest.mark.parametrize(
         "p,want",
@@ -65,6 +111,18 @@ class TestClassicalParity:
         opt, witness = classical_optimum_parity(p)
         assert opt == want == Fraction(1, 2) + Fraction(1, 2 ** -(-p // 2))
         assert classical_strategy_score(p, witness["a"], witness["c"]) == want
+
+    @pytest.mark.parametrize("p", range(3, 13))
+    def test_matches_reference_scan(self, p):
+        assert classical_optimum_parity(p) == _reference_parity_scan(p)
+
+    def test_tight_bound_through_p20(self):
+        for p in range(3, 21):
+            opt, witness = classical_optimum_parity(p)
+            assert opt == Fraction(1, 2) + Fraction(1, 2 ** -(-p // 2)), p
+            assert len(witness["a"]) == len(witness["c"]) == p
+        with pytest.raises(ValueError):
+            classical_optimum_parity(21)
 
     def test_trivial_all_ones_strategy_saturates_p3(self):
         assert classical_strategy_score(3, [1, 1, 1], [0, 0, 0]) == Fraction(3, 4)
@@ -181,6 +239,10 @@ class TestClassicalMagicSquare:
             assert opt == Fraction(8, 9)
             assert magic_square_score(d, witness["a_rows"], witness["b_cols"]) == Fraction(8, 9)
 
+    @pytest.mark.parametrize("d", (2, 4))
+    def test_matches_reference_scan(self, d):
+        assert classical_optimum_magic_square(d) == _reference_square_scan(d)
+
     def test_lift_achieves_eight_ninths(self):
         s = lifted_qubit_square_strategy(4)
         assert magic_square_score(4, s["a_rows"], s["b_cols"]) == Fraction(8, 9)
@@ -221,11 +283,6 @@ class TestMagicSquareQuantum:
         rep = magic_square_eval(ms, resource=trivial)
         assert rep.p_q < 1
         assert any("cell" in p for p in rep.problems)
-
-
-def test_worker_count_does_not_change_results():
-    assert classical_optimum_parity(6, workers=1) == classical_optimum_parity(6, workers=3)
-    assert classical_optimum_magic_square(4, workers=1) == classical_optimum_magic_square(4, workers=3)
 
 
 def test_mermin_formula_holds_for_dense_resources():
