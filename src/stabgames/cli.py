@@ -385,19 +385,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The subparser that owns the options of the parsed command."""
+    for dest in ("command", "subcommand"):
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subs.choices[getattr(args, dest)]
+    return parser
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value checked as the option's parsed value: a bool for a
+    switch, the option's type (str if it has none) otherwise, and one of its
+    choices; null only where the option's default is null.  Raises ValueError
+    naming the key."""
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        value = "".join(value)  # a sector given sign by sign, ["-", "-"]
+    expected = bool if action.nargs == 0 else action.type or str
+    if type(value) is not expected:
+        raise ValueError(f"key {key!r} must be {expected.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"key {key!r}: invalid choice {value!r} (choose from {choices})")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args, raw) -> None:
+    """Fill options from the --config JSON file; explicit flags, given as
+    "--key value" or "--key=value", override it.  A key that names no option
+    of the command, or a value the option would not parse to, exits 2."""
+    leaf = _leaf_parser(parser, args)
+    actions = {a.dest: a for a in leaf._actions if a.option_strings and a.dest not in ("help", "config")}
+    with open(args.config) as f:
+        defaults = json.load(f)
+    explicit = {tok.partition("=")[0] for tok in raw if tok.startswith("--")}
+    for key, value in defaults.items():
+        action = actions.get(key)
+        if action is None:
+            leaf.error(f"--config: unknown key {key!r}")
+        if explicit & set(action.option_strings):
+            continue
+        try:
+            setattr(args, key, _config_value(action, key, value))
+        except ValueError as exc:
+            leaf.error(f"--config: {exc}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     raw = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(raw)
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            defaults = json.load(f)
-        # explicit flags, given as "--key value" or "--key=value", override the config file
-        explicit = {tok.partition("=")[0] for tok in raw if tok.startswith("--")}
-        for key, value in defaults.items():
-            if f"--{key}" in explicit or f"--{key.replace('_', '-')}" in explicit:
-                continue
-            setattr(args, key, value)
+        _apply_config(parser, args, raw)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

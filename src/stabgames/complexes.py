@@ -11,12 +11,20 @@ tracing and validated through Euler's formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 CellKey = Hashable
 
 
 # -- GF(2) linear algebra on bit-packed rows --------------------------------
+
+
+def _bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
 def _independent_rows(rows: Sequence[int]) -> Tuple[int, ...]:
@@ -94,15 +102,11 @@ class ChainComplex:
 
     def check_boundary_squares_to_zero(self) -> bool:
         for k in range(2, self.top_dim + 1):
-            for cell in range(self.dims[k]):
+            lower = self.boundary[k - 1]
+            for mask in self.boundary[k]:
                 acc = 0
-                mask = self.boundary[k][cell]
-                j = 0
-                while mask:
-                    if mask & 1:
-                        acc ^= self.boundary[k - 1][j]
-                    mask >>= 1
-                    j += 1
+                for j in _bits(mask):
+                    acc ^= lower[j]
                 if acc:
                     return False
         return True

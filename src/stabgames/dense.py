@@ -7,6 +7,7 @@ expectations.  Bounded at d^n <= 2**22 amplitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -117,19 +118,12 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
 
 
 def _row_order(op: AnyOperator, d: int) -> int:
+    """Smallest k >= 1 with op^k = I.  P^m0 is a scalar w^phi exactly when m0
+    is a multiple of d / gcd(d, exponents), and w^phi has order 2d / gcd(2d, phi)."""
     w = _as_weyl(op)
-    for k in (1, 2, 4, 8):
-        if k >= 1 and w_power(w, k).is_identity():
-            return k
-    # generic fallback
-    k = 1
-    cur = w
-    while not cur.is_identity():
-        cur = cur * w
-        k += 1
-        if k > 4 * d:
-            raise ValueError("operator order too large")
-    return k
+    m0 = d // math.gcd(d, *w.x, *w.z)
+    phi = w_power(w, m0).phase
+    return m0 * (2 * d // math.gcd(2 * d, phi))
 
 
 def deform(

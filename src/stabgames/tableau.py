@@ -19,7 +19,19 @@ rows is counted with int.bit_count.
 Weyl groups (generators given as WeylOperator, any d, including d=2) are
 kept in Howell normal form over Z_d, which is what membership testing needs
 when d has zero divisors (d=4 here); they serve every d > 2 and are the
-reference the packed qubit path is tested against.
+reference the packed qubit path is tested against.  Rows are one int64
+array of exponents (column c < n is x_c, column n + j is z_j) with a Z_2d
+phase vector, and every row operation is a vectorised update of that
+array.  Commutation is checked once, with the symplectic Gram matrix
+X Z^T - Z X^T mod d.  Powers come in closed form,
+(w^f X^x Z^z)^m = w^(m f + m(m-1) z.x) X^(m x) Z^(m z) for any integer m
+(de Beaudrap, arXiv:1102.3354), so clearing a pivot column from every row
+whose entry is a nonzero multiple of the pivot is one array update.  The
+pivot of a column is the first pending row with the smallest gcd(e, d);
+a zero-divisor pivot p with entry g appends p^(d/g) to the pending rows
+(Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
+1998).  The rows, phases and pivots are those of the per-operator
+elimination kept in the test suite as the reference.
 
 Expectation values of an operator O in the stabilized space come in three
 kinds: Definite (a root of unity, when O is a phase times a group element),
@@ -31,12 +43,14 @@ explicit; degenerate resource states make the distinction load-bearing.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from .complexes import _bits
 from .pauli import PauliOperator
-from .weyl import WeylOperator, commutation_phase, w_multiply, w_power
+from .weyl import WeylOperator
 
 AnyOperator = Union[PauliOperator, WeylOperator]
 
@@ -65,19 +79,91 @@ def _as_weyl(op: AnyOperator) -> WeylOperator:
     return WeylOperator.from_pauli(op) if isinstance(op, PauliOperator) else op
 
 
-def _bits(v: int) -> Iterator[int]:
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
+def _all_commute(e: np.ndarray, d: int, n: int) -> bool:
+    """Whether every pair of rows commutes: X Z^T - Z X^T = 0 mod d.
+
+    The symplectic Gram matrix is taken one row at a time, against the later
+    rows and over that row's support only, where its terms can be nonzero,
+    so the scratch stays one column of the matrix."""
+    x, z = e[:, :n], e[:, n:]
+    for i in range(len(e) - 1):
+        sx, sz = np.flatnonzero(x[i]), np.flatnonzero(z[i])
+        gram = z[i + 1 :, sx] @ x[i, sx] - x[i + 1 :, sz] @ z[i, sz]
+        if (gram % d).any():
+            return False
+    return True
 
 
-def _unit_inverse(u: int, d: int) -> Optional[int]:
-    """Multiplicative inverse of u in Z_d, or None if u is not a unit."""
-    if math.gcd(u, d) != 1:
-        return None
-    return pow(u, -1, d)
+def _power(e: np.ndarray, f: int, m: int, d: int, n: int) -> Tuple[np.ndarray, int]:
+    """(exponents, phase) of (w^f X^x Z^z)^m; m may be negative."""
+    zx = int(e[n:] @ e[:n])
+    return (m * e) % d, (m * f + m * (m - 1) * zx) % (2 * d)
+
+
+def _howell(
+    e: np.ndarray, f: np.ndarray, g: int, d: int, n: int
+) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int]]]:
+    """Howell normal form over Z_d, with exact Z_2d phases, of the g rows at
+    the top of the exponent buffer e and phase buffer f.
+
+    The buffers are worked on in place; their rows below g take the rows
+    that zero-divisor pivots append.  Returns the canonical rows' exponents
+    and phases in pivot order and the (column, pivot value) list.  Raises
+    ValueError if the rows generate a nontrivial scalar."""
+    cap, dd = len(e), 2 * d
+    pending = np.zeros(cap, dtype=bool)
+    pending[:g] = True
+    used = g
+    done: List[int] = []
+    pivots: List[Tuple[int, int]] = []
+    for col in range(2 * n):
+        live = np.flatnonzero(pending[:used])
+        if not live.size:
+            break
+        # the first pending row with the "most invertible" entry at col
+        gcds = np.gcd(e[live, col], d)
+        k = int(np.argmin(gcds))
+        pval = int(gcds[k])
+        if pval == d:
+            continue
+        p = int(live[k])
+        pending[p] = False
+        entry = int(e[p, col])
+        scale = pow(entry // pval, -1, d // pval)
+        if scale != 1:
+            e[p], f[p] = _power(e[p], int(f[p]), scale, d, n)
+        if pval == 1:
+            if _power(e[p], int(f[p]), d, d, n)[1]:
+                raise ValueError("inconsistent group: nontrivial scalar generated")
+        else:
+            # zero-divisor pivot: keep the span closed under p^(d/pval)
+            extra, phase = _power(e[p], int(f[p]), d // pval, d, n)
+            if extra.any():
+                e[used], f[used] = extra, phase
+                pending[used] = True
+                used += 1
+            elif phase:
+                raise ValueError("inconsistent group: nontrivial scalar generated")
+        # every other row r becomes r * p^(-q), q = entry // pval; an entry
+        # that is not a multiple of pval is cleared as far as possible
+        q = e[:used, col] // pval
+        q[p] = 0
+        sel = np.flatnonzero(q)
+        if sel.size:
+            m = -q[sel]
+            row = e[p]
+            zx = int(row[n:] @ row[:n])
+            cross = e[sel, n:] @ row[:n]
+            f[sel] = (f[sel] + m * int(f[p]) + m * (m - 1) * zx + 2 * m * cross) % dd
+            e[sel] = (e[sel] + m[:, None] * row) % d
+        done.append(p)
+        pivots.append((col, pval))
+    for r in np.flatnonzero(pending[:used]):
+        if e[r].any():
+            raise ValueError("canonicalization failed to clear a row")
+        if f[r]:
+            raise ValueError("inconsistent group: nontrivial scalar generated")
+    return e[done], f[done], pivots
 
 
 class StabilizerGroup:
@@ -114,16 +200,22 @@ class StabilizerGroup:
         self.generators = tuple(gens)
         # qubit groups: pivot column -> (packed row, i-power phase), ascending
         self._packed: Optional[Dict[int, Tuple[int, int]]] = None
-        self._weyl_rows: List[WeylOperator] = []
         self.pivots: List[Tuple[int, int]] = []  # (column, pivot value)
         if qubit:
             self._build_packed(gens)
         else:
-            for i, g in enumerate(gens):
-                for h in gens[i + 1 :]:
-                    if commutation_phase(g, h) != 0:
-                        raise ValueError("generators do not commute")
-            self._canonicalize(gens)
+            # Weyl groups: canonical rows as exponent array and phase vector
+            d, n, g = self.d, self.n, len(gens)
+            # every zero-divisor pivot appends at most one row and there are
+            # at most 2n pivots; np.zeros leaves the rows never written unmapped
+            e = np.zeros((g + 2 * n, 2 * n), dtype=np.int64)
+            f = np.zeros(g + 2 * n, dtype=np.int64)
+            for i, op in enumerate(gens):
+                e[i], f[i] = op.x + op.z, op.phase
+            if not _all_commute(e[:g], d, n):
+                raise ValueError("generators do not commute")
+            self._rows_e, self._rows_f, self.pivots = _howell(e, f, g, d, n)
+            self._rows_zx = (self._rows_e[:, n:] * self._rows_e[:, :n]).sum(axis=1).tolist()
 
     # -- packed GF(2) tableau (qubit groups) -----------------------------
 
@@ -202,78 +294,30 @@ class StabilizerGroup:
             v ^= r
         return v, ph & 3
 
-    # -- Howell form over Z_d (Weyl groups) ----------------------------------
-
-    def _canonicalize(self, work: List[WeylOperator]) -> None:
+    def _reduce_weyl(self, e: np.ndarray, f: int) -> Tuple[np.ndarray, int]:
+        """(e, f) times row^(-q) for each pivot whose column entry is q times
+        the pivot value, in pivot order."""
         d, n = self.d, self.n
-        rows: List[WeylOperator] = []
-        pivots: List[Tuple[int, int]] = []
-        pending = list(work)
-        for col in range(2 * n):
-            zside, j = col >= n, col % n
-            # pick the pending row with the "most invertible" entry at col
-            best = None
-            best_gcd = d
-            for idx, r in enumerate(pending):
-                e = (r.z if zside else r.x)[j]
-                if e == 0:
-                    continue
-                g = math.gcd(e, d)
-                if g < best_gcd:
-                    best, best_gcd = idx, g
-                    if g == 1:
-                        break
-            if best is None:
-                continue
-            piv = pending.pop(best)
-            e = (piv.z if zside else piv.x)[j]
-            inv = _unit_inverse(e, d)
-            if inv is not None:
-                piv = w_power(piv, inv)
-                pval = 1
-                closure = w_power(piv, d)
-                if closure.phase != 0:
-                    raise ValueError("inconsistent group: nontrivial scalar generated")
-            else:
-                # zero-divisor pivot: normalize to the gcd and keep span closure
-                pval = best_gcd
-                scale = _unit_inverse(e // pval, d // pval)
-                if scale is not None and scale != 1:
-                    piv = w_power(piv, scale)
-                extra = w_power(piv, d // pval)
-                if not extra.is_scalar():
-                    pending.append(extra)
-                elif extra.phase != 0:
-                    raise ValueError("inconsistent group: nontrivial scalar generated")
-            # eliminate this column from pending rows and from earlier rows;
-            # an entry that is not a multiple of pval is cleared as far as
-            # possible (Howell)
-            for i, r in enumerate(pending):
-                q = (r.z if zside else r.x)[j] // pval
-                if q:
-                    pending[i] = w_multiply(r, w_power(piv, -q))
-            for i, r in enumerate(rows):
-                q = (r.z if zside else r.x)[j] // pval
-                if q:
-                    rows[i] = w_multiply(r, w_power(piv, -q))
-            rows.append(piv)
-            pivots.append((col, pval))
-        for r in pending:
-            if not r.is_scalar():
-                raise ValueError("canonicalization failed to clear a row")
-            if r.phase != 0:
-                raise ValueError("inconsistent group: nontrivial scalar generated")
-        self._weyl_rows = rows
-        self.pivots = pivots
+        rows = self._rows_e
+        for (col, pval), row, rf, rzx in zip(self.pivots, rows, self._rows_f.tolist(), self._rows_zx):
+            q, rem = divmod(int(e[col]), pval)
+            if q and not rem:
+                m = -q
+                f = (f + m * rf + m * (m - 1) * rzx + 2 * m * int(e[n:] @ row[:n])) % (2 * d)
+                e = (e + m * row) % d
+        return e, f
 
     # -- queries ---------------------------------------------------------
 
     @property
     def rows(self) -> List[AnyOperator]:
         """Canonical rows in pivot order, as operators of the generators' type."""
-        if self._packed is None:
-            return self._weyl_rows
         n = self.n
+        if self._packed is None:
+            return [
+                WeylOperator(self.d, n, tuple(r[:n].tolist()), tuple(r[n:].tolist()), int(ph))
+                for r, ph in zip(self._rows_e, self._rows_f)
+            ]
         mask = (1 << n) - 1
         return [PauliOperator(n, v & mask, v >> n, ph) for v, ph in self._packed.values()]
 
@@ -316,13 +360,8 @@ class StabilizerGroup:
         if self._packed is not None:
             v, ph = self._reduce_packed(cur.x | cur.z << n, cur.phase)
             return PauliOperator(n, v & ((1 << n) - 1), v >> n, ph)
-        for (col, pval), row in zip(self.pivots, self._weyl_rows):
-            e = cur.x[col] if col < n else cur.z[col - n]
-            if e % pval == 0:
-                q = e // pval
-                if q:
-                    cur = w_multiply(cur, w_power(row, -q))
-        return cur
+        e, f = self._reduce_weyl(np.array(cur.x + cur.z, dtype=np.int64), cur.phase)
+        return WeylOperator(self.d, n, tuple(e[:n].tolist()), tuple(e[n:].tolist()), f)
 
     def expectation(self, op: AnyOperator) -> Expectation:
         cur = self._coerce(op)
@@ -334,13 +373,13 @@ class StabilizerGroup:
             v, ph = self._reduce_packed(cur.x | cur.z << self.n, cur.phase)
             # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
             return Expectation("definite", 2, ph) if not v else Expectation("logical", 2)
-        for row in self._weyl_rows:
-            if commutation_phase(row, cur) != 0:
-                return Expectation("zero", self.d)
-        cur = self.reduce(cur)
-        if cur.is_scalar():
-            return Expectation("definite", self.d, cur.phase)
-        return Expectation("logical", self.d)
+        d, n = self.d, self.n
+        vec = np.array(cur.x + cur.z, dtype=np.int64)
+        rows = self._rows_e
+        if ((rows[:, :n] @ vec[n:] - rows[:, n:] @ vec[:n]) % d).any():
+            return Expectation("zero", d)
+        e, f = self._reduce_weyl(vec, cur.phase)
+        return Expectation("logical", d) if e.any() else Expectation("definite", d, f)
 
     def contains(self, op: AnyOperator, phase_exp: int = 0) -> bool:
         e = self.expectation(op)
@@ -352,7 +391,7 @@ class StabilizerGroup:
         Each operator is adjoined exactly as given (with its phase), so to fix
         a sector to an eigenvalue other than +1 the caller scales it first.
         """
-        new_gens = list(self.generators)
+        fixers = []
         for lg in logicals:
             lg = self._coerce(lg)
             e = self.expectation(lg)
@@ -360,8 +399,13 @@ class StabilizerGroup:
                 raise ValueError("proposed sector fixer anticommutes with the group")
             if e.kind == "definite" and e.phase_exp % (2 * self.d) != 0:
                 raise ValueError("sector fixer already in group with a different phase")
-            new_gens.append(lg)
-        return StabilizerGroup(new_gens, d=self.d, n=self.n)
+            fixers.append(lg)
+        # The canonical form of a group is unique, so extending the canonical
+        # rows gives the rows, phases and pivots of a rebuild from the
+        # generators, with fewer rows to reduce.
+        fixed = StabilizerGroup(self.rows + fixers, d=self.d, n=self.n)
+        fixed.generators = self.generators + tuple(fixers)
+        return fixed
 
     # -- text io -----------------------------------------------------------
 

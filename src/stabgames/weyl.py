@@ -152,17 +152,20 @@ def dagger(p: WeylOperator) -> WeylOperator:
 
 
 def w_power(p: WeylOperator, m: int) -> WeylOperator:
-    """m-th power (m may be negative)."""
-    if m < 0:
-        return w_power(dagger(p), -m)
-    acc = WeylOperator.identity(p.d, p.n)
-    base = p
-    while m:
-        if m & 1:
-            acc = w_multiply(acc, base)
-        base = w_multiply(base, base)
-        m >>= 1
-    return acc
+    """m-th power in closed form, for any integer m (negative too):
+
+        (w^f X^x Z^z)^m = w^{m f + m(m-1) z.x} X^{m x} Z^{m z},
+
+    since moving each Z^z through the X^x of a later factor costs omega^{z.x}
+    and there are m(m-1)/2 such moves; at m = -1 it is the adjoint."""
+    cross = sum(a * b for a, b in zip(p.x, p.z))
+    return WeylOperator(
+        p.d,
+        p.n,
+        tuple(m * a for a in p.x),
+        tuple(m * b for b in p.z),
+        m * p.phase + m * (m - 1) * cross,
+    )
 
 
 def ordered_w_product(seq: Sequence[QuditFactor], d: int, n: int) -> WeylOperator:

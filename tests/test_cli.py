@@ -170,3 +170,55 @@ def test_quantum_magic_square_rejects_other_d(tmp_path, capsys):
     assert rc == 1
     assert "--d" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"P": "5"}, "'P'"),  # a string where the option parses to an int
+    ({"workers": 3}, "'workers'"),  # outside the option's choices
+    ({"bogus": 1}, "'bogus'"),  # names no option of the command
+], ids=["string-for-int", "invalid-choice", "unknown-key"])
+def test_config_values_go_through_the_parser(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "parity", "--classical", "--config", str(cfg), "--outdir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and key in err
+    assert not out.exists()
+
+
+def test_sweep_deformation_sector_list_from_config(tmp_path):
+    # the route the --sector error message recommends, sign by sign
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sector": ["-", "-"]}))
+    record, _ = run(
+        ["sweep", "deformation", "--L", "2", "--thetas", "0", "--config", str(cfg)], tmp_path, "swl"
+    )
+    assert record["config"]["sector"] == "--"
+    assert abs(record["sweep"][0]["p_q"] - 1.0) < 1e-10
+
+
+# SHA-256 of the JSON and CSV of `game magic-square --Lx X --Ly Y`, recorded
+# before the vectorised Weyl kernel replaced the per-operator elimination
+MAGIC_SQUARE_DIGESTS = {
+    (8, 10): ("7bd8a1cea65486ecb00ec18ea9a093046c3218533529f0af83fdf36bb064b9d5",
+              "5663b2f8fbcbc5919f984094da88b0dbe86d2256711db0bdd00d102e25cc1cf5"),
+    (9, 11): ("20eb309c11aa5368db45c82f1998a3bbcbc46cdc74ef7993c1a35ffb7c6eea15",
+              "5663b2f8fbcbc5919f984094da88b0dbe86d2256711db0bdd00d102e25cc1cf5"),
+    (12, 12): ("73df201d91a7eeef41ffd83c30afa0711b7663eae21e0b58e9a9f5de62c4348d",
+               "5663b2f8fbcbc5919f984094da88b0dbe86d2256711db0bdd00d102e25cc1cf5"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(MAGIC_SQUARE_DIGESTS), ids=lambda s: f"{s[0]}x{s[1]}")
+def test_magic_square_outputs_pinned(tmp_path, size):
+    import hashlib
+
+    lx, ly = size
+    assert main(["game", "magic-square", "--Lx", str(lx), "--Ly", str(ly),
+                 "--outdir", str(tmp_path), "--tag", "ms"]) == 0
+    got = tuple(hashlib.sha256((tmp_path / f"ms.{ext}").read_bytes()).hexdigest()
+                for ext in ("json", "csv"))
+    assert got == MAGIC_SQUARE_DIGESTS[size]

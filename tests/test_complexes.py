@@ -75,6 +75,15 @@ class TestTorusBuilders:
         for c in (build_torus_2d(3), build_torus_3d(2)):
             assert c.to_chain().check_boundary_squares_to_zero()
 
+    def test_nonzero_boundary_square_detected(self):
+        # the torus with one plaquette's boundary short of an edge: that
+        # plaquette's boundary is an open path, whose two end vertices survive
+        chain = build_torus_2d(3).to_chain()
+        faces = list(chain.boundary[2])
+        faces[4] &= faces[4] - 1
+        broken = ChainComplex(chain.dims, chain.boundary[:2] + (tuple(faces),))
+        assert not broken.check_boundary_squares_to_zero()
+
     def test_small_l_rejected(self):
         with pytest.raises(ValueError):
             build_torus_2d(1)

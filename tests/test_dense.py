@@ -4,8 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabgames.dense import DenseState, apply_operator, deform, dense_expectation, state_from_group
+from stabgames.dense import (
+    DenseState,
+    _row_order,
+    apply_operator,
+    deform,
+    dense_expectation,
+    state_from_group,
+)
 from stabgames.pauli import PauliOperator, multiply
 from stabgames.tableau import StabilizerGroup
 from stabgames.weyl import WeylOperator, w_multiply, w_power
@@ -247,3 +256,21 @@ def test_state_dump_is_lossless_and_reads_v1(tmp_path):
     old = load_state(v1)
     assert (old.d, old.n) == (2, 3)
     assert np.array_equal(old.amps, state.amps.astype(np.complex64).astype(complex))
+
+
+@st.composite
+def weyl_operators(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    return WeylOperator(d, n, tuple(draw(exps)), tuple(draw(exps)), draw(st.integers(0, 2 * d - 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weyl_operators())
+def test_row_order_matches_repeated_multiplication(op):
+    k, power = 1, op
+    while not power.is_identity():
+        power = w_multiply(power, op)
+        k += 1
+    assert _row_order(op, op.d) == k

@@ -1,5 +1,6 @@
 """Stabilizer-group canonicalization, membership and expectation tests."""
 
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from stabgames.codes import toric2d
 from stabgames.pauli import PauliOperator, multiply
 from stabgames.tableau import Expectation, StabilizerGroup, canonicalize
-from stabgames.weyl import WeylOperator, dagger, w_multiply, w_power
+from stabgames.weyl import WeylOperator, commutation_phase, dagger, w_multiply, w_power
 
 
 def P(text, n):
@@ -60,6 +61,145 @@ def assert_paths_agree(gens, n, probes):
         eq, ew = gq.expectation(probe), gw.expectation(WeylOperator.from_pauli(probe))
         assert (eq.kind, eq.phase_exp) == (ew.kind, ew.phase_exp)
         assert gq.reduce(probe) == as_pauli(gw.reduce(probe))
+
+
+# -- reference Weyl kernel: one WeylOperator per row operation ---------------
+#
+# The former per-operator Howell elimination, kept as the reference the
+# vectorised kernel is tested against.  Powers are taken by repeated squaring
+# (negative ones through the adjoint), not by the closed form the library uses.
+
+
+def _reference_power(p, m):
+    if m < 0:
+        return _reference_power(dagger(p), -m)
+    acc, base = WeylOperator.identity(p.d, p.n), p
+    while m:
+        if m & 1:
+            acc = w_multiply(acc, base)
+        base = w_multiply(base, base)
+        m >>= 1
+    return acc
+
+
+def _reference_canonicalize(gens, d, n):
+    """(canonical rows, pivots) of Weyl generators, or the ValueError message."""
+    for i, g in enumerate(gens):
+        for h in gens[i + 1 :]:
+            if commutation_phase(g, h) != 0:
+                return "generators do not commute"
+    rows, pivots, pending = [], [], list(gens)
+    for col in range(2 * n):
+        zside, j = col >= n, col % n
+        best, best_gcd = None, d
+        for idx, r in enumerate(pending):
+            e = (r.z if zside else r.x)[j]
+            if e and math.gcd(e, d) < best_gcd:
+                best, best_gcd = idx, math.gcd(e, d)
+                if best_gcd == 1:
+                    break
+        if best is None:
+            continue
+        piv = pending.pop(best)
+        e = (piv.z if zside else piv.x)[j]
+        if best_gcd == 1:
+            piv = _reference_power(piv, pow(e, -1, d))
+            pval = 1
+            if _reference_power(piv, d).phase != 0:
+                return "inconsistent group: nontrivial scalar generated"
+        else:
+            pval = best_gcd
+            scale = pow(e // pval, -1, d // pval)
+            if scale != 1:
+                piv = _reference_power(piv, scale)
+            extra = _reference_power(piv, d // pval)
+            if not extra.is_scalar():
+                pending.append(extra)
+            elif extra.phase != 0:
+                return "inconsistent group: nontrivial scalar generated"
+        for rs in (pending, rows):
+            for i, r in enumerate(rs):
+                q = (r.z if zside else r.x)[j] // pval
+                if q:
+                    rs[i] = w_multiply(r, _reference_power(piv, -q))
+        rows.append(piv)
+        pivots.append((col, pval))
+    for r in pending:
+        if not r.is_scalar():
+            return "canonicalization failed to clear a row"
+        if r.phase != 0:
+            return "inconsistent group: nontrivial scalar generated"
+    return rows, pivots
+
+
+def _reference_reduce(rows, pivots, op):
+    n = op.n
+    for (col, pval), row in zip(pivots, rows):
+        e = op.x[col] if col < n else op.z[col - n]
+        if e % pval == 0 and e // pval:
+            op = w_multiply(op, _reference_power(row, -(e // pval)))
+    return op
+
+
+def _reference_expectation(rows, pivots, op):
+    if any(commutation_phase(row, op) != 0 for row in rows):
+        return ("zero", 0)
+    red = _reference_reduce(rows, pivots, op)
+    return ("definite", red.phase) if red.is_scalar() else ("logical", 0)
+
+
+def weyl_ops(d, n):
+    """Random Weyl operators on n qudits; about half of them have only even
+    exponents, which at d = 4 makes zero-divisor pivots."""
+    def build(even, x, z, phase):
+        k = 2 if even and d == 4 else 1
+        return WeylOperator(d, n, tuple(k * v for v in x), tuple(k * v for v in z), phase)
+
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    return st.builds(build, st.booleans(), exps, exps, st.integers(0, 2 * d - 1))
+
+
+def _unit_power(op):
+    """op times a phase that makes op^d = I, when one w-step suffices."""
+    return op if w_power(op, op.d).phase == 0 else op.scale_w(1)
+
+
+@st.composite
+def weyl_cases(draw):
+    """(d, n, candidate generators, probe operators) at d = 2, 3, 4."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(weyl_ops(d, n), max_size=2 * n))
+    return d, n, gens, draw(st.lists(weyl_ops(d, n), min_size=1, max_size=4))
+
+
+def _as_w(op):
+    # an empty generator list builds a packed qubit group at d = 2
+    return WeylOperator.from_pauli(op) if isinstance(op, PauliOperator) else op
+
+
+def _weyl_group(gens, d, n):
+    """The library's group and its (rows, pivots), or the ValueError message."""
+    try:
+        g = StabilizerGroup(gens, d=d, n=n)
+    except ValueError as exc:
+        return None, str(exc)
+    return g, ([_as_w(r) for r in g.rows], g.pivots)
+
+
+def assert_matches_reference(gens, d, n, probes):
+    """The vectorised kernel and the reference agree on acceptance and its
+    error message, rows, phases, pivots, reduce and expectation."""
+    want = _reference_canonicalize(gens, d, n)
+    group, got = _weyl_group(gens, d, n)
+    assert got == want
+    if group is None:
+        return
+    rows, pivots = want
+    for probe in probes:
+        assert _as_w(group.reduce(probe)) == _reference_reduce(rows, pivots, probe)
+        e = group.expectation(probe)
+        assert (e.kind, e.phase_exp) == _reference_expectation(rows, pivots, probe)
 
 
 def ghz_group(p):
@@ -250,6 +390,57 @@ class TestQuditGroups:
         gens = list(toric2d(6).group.generators)
         star_plaquette = multiply(gens[0], gens[-1])
         assert_paths_agree(gens, 72, [star_plaquette, P("i^0 X0", 72), P("i^0 Z0 Z1", 72)])
+
+
+def _w(d, n, x, z, phase=0):
+    return WeylOperator(d, n, tuple(x), tuple(z), phase)
+
+
+class TestWeylKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(weyl_cases())
+    @example((3, 1, [_w(3, 1, [1], [0]), _w(3, 1, [0], [1])], [_w(3, 1, [1], [1])]))  # non-commuting
+    @example((4, 1, [_w(4, 1, [0], [1]), _w(4, 1, [0], [1], 2)], [_w(4, 1, [0], [1])]))  # scalar w^2
+    @example((4, 2, [_w(4, 2, [2, 0], [0, 2]), _w(4, 2, [0, 2], [2, 0])], [_w(4, 2, [2, 2], [2, 2])]))
+    @example((4, 1, [_w(4, 1, [2], [0], 1)], [_w(4, 1, [2], [0])]))  # (w X^2)^2 = w^2: zero divisor
+    def test_matches_reference(self, case):
+        d, n, cands, probes = case
+        assert_matches_reference(cands, d, n, probes)
+        # grow a valid group greedily, as the reference decides
+        gens = []
+        for cand in map(_unit_power, cands):
+            if not isinstance(_reference_canonicalize(gens + [cand], d, n), str):
+                gens.append(cand)
+        member = WeylOperator.identity(d, n)
+        for g in gens[::2]:
+            member = w_multiply(member, g)
+        assert_matches_reference(gens, d, n, probes + [member, member.scale_w(2)])
+        # fixing a sector extends the canonical rows; a rebuild from the
+        # generators must give the same group, or fail with the same message
+        base, _ = _weyl_group(gens, d, n)
+        fixers = [p for p in map(_unit_power, probes) if base.expectation(p).kind != "zero"]
+        try:
+            fixed = base.fix_sector(fixers)
+        except ValueError as exc:
+            got = str(exc)
+            if "sector fixer" in got:
+                return  # rejected by the pre-checks, before any build
+        else:
+            assert list(map(_as_w, fixed.generators)) == gens + fixers
+            got = ([_as_w(r) for r in fixed.rows], fixed.pivots)
+        assert got == _weyl_group(gens + fixers, d, n)[1]
+
+    def test_fix_sector_extends_canonical_rows_on_double_semion(self):
+        from stabgames.codes import double_semion, ds_winding_fixers
+
+        code = double_semion(4, 4)
+        fixers = ds_winding_fixers(code)
+        fixed = code.group.fix_sector(fixers)
+        rows, pivots = _reference_canonicalize(list(code.group.generators) + fixers, 4, code.n)
+        assert fixed.rows == rows and fixed.pivots == pivots
+        assert fixed.export_text() == "\n".join(
+            g.to_text() for g in list(code.group.generators) + fixers
+        )
 
 
 def test_text_round_trip():
