@@ -3,6 +3,13 @@
 Ground truth for the tableau: builds stabilizer states by projection,
 applies non-stabilizer deformations, and evaluates arbitrary operator
 expectations.  Bounded at d^n <= 2**22 amplitudes.
+
+One kernel applies every operator, for every d: ``apply_operator`` gathers
+the state once through a flat source index and multiplies each amplitude by
+one root of unity, looked up from a small-int exponent array; both index
+arrays come from one digit-wise outer sum.  ``state_from_group`` projects a
+basis state of the state's support, found exactly from the X-free canonical
+rows by back-substitution over Z_d, so the projection never vanishes.
 """
 
 from __future__ import annotations
@@ -41,29 +48,36 @@ def _check_size(d: int, n: int) -> None:
 
 
 def apply_operator(state: DenseState, op: AnyOperator) -> DenseState:
-    """Apply a (generalized) Pauli via per-site strided kernels.
+    """Apply w^f X^x Z^z to the state in one gather and one phase sweep.
 
     Site 0 is the most significant digit of the amplitude index, matching
-    the kron ordering used by the matrix oracles in the test suite.
+    the kron ordering used by the matrix oracles in the test suite.  Output
+    amplitude q is w^(f + 2e) times input amplitude q - x, digit-wise mod d,
+    with e = z.(q - x) mod d.  The source indices and the exponents e are
+    built by one outer sum over the digits, last site first so that the long
+    axis is always the inner one; the gather copies the state once, and one
+    in-place multiply by the table of the d roots w^(f + 2k) applies every
+    phase, the global one included.
     """
     w = _as_weyl(op)
     if w.n != state.n or w.d != state.d:
         raise ValueError("operator register mismatch")
     d, n = state.d, state.n
-    amps = state.amps.reshape((d,) * n if n else (1,))
-    for j in range(n):
-        a, b = w.x[j], w.z[j]
-        if b:
-            omega = np.exp(2j * np.pi * b / d)
-            phases = omega ** np.arange(d)
-            shape = [1] * n
-            shape[j] = d
-            amps = amps * phases.reshape(shape)
-        if a:
-            # X^a |q> = |q+a>: new index q' draws from q = q' - a
-            amps = np.roll(amps, a, axis=j)
-    flat = amps.reshape(-1) * np.exp(1j * np.pi * w.phase / d)
-    return DenseState(d, n, flat)
+    digits = np.arange(d)
+    src = np.zeros(1, dtype=np.intp)
+    e = np.zeros(1, dtype=np.min_scalar_type(2 * d))
+    stride = 1
+    for j in range(n - 1, -1, -1):
+        shifted = (digits - w.x[j]) % d
+        src = (shifted[:, None] * stride + src).ravel()
+        # both terms are below d, so one conditional subtraction reduces mod d
+        e = ((shifted * w.z[j] % d).astype(e.dtype)[:, None] + e).ravel()
+        e -= (e >= d) * e.dtype.type(d)
+        stride *= d
+    out = state.amps[src]
+    del src
+    out *= np.exp(1j * np.pi * (w.phase + 2 * digits) / d).take(e)
+    return DenseState(d, n, out)
 
 
 def dense_expectation(state: DenseState, op: Union[AnyOperator, Sequence[SiteFactor]]) -> complex:
@@ -83,7 +97,10 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
 
     The group together with any sector fixers must single out a unique state
     (ground_space_dim == 1); otherwise whichever state the seed happens to
-    project to would be an arbitrary choice and we refuse to guess.
+    project to would be an arbitrary choice and we refuse to guess.  By
+    default the seed is a basis state of the state's support
+    (``_support_seed``), so the projection cannot vanish; given ``seeds`` are
+    tried in order until one has a nonzero projection.
     """
     d, n = group.d, group.n
     _check_size(d, n)
@@ -92,29 +109,52 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
             "group does not fix a unique state; add sector fixers "
             f"(ground-space dim {group.ground_space_dim()})"
         )
-    size = d**n
+    rows = [_as_weyl(r) for r in group.rows]
+    orders = [_row_order(r, d) for r in rows]
     if seeds is None:
-        seeds = range(min(size, 64))
+        seeds = [_support_seed(group, rows)]
     for seed in seeds:
-        amps = np.zeros(size, dtype=complex)
+        amps = np.zeros(d**n, dtype=complex)
         amps[seed] = 1.0
         state = DenseState(d, n, amps)
-        dead = False
-        for row in group.rows:
-            acc = state.amps.copy()
-            power = state
-            order = _row_order(row, d)
-            for _ in range(order - 1):
+        for row, order in zip(rows, orders):
+            # acc = g|psi> + ... + g^(order-1)|psi> + |psi>, each power computed once
+            power = apply_operator(state, row)
+            acc = power.amps
+            for _ in range(order - 2):
                 power = apply_operator(power, row)
                 acc += power.amps
+            acc += state.amps
             nrm = np.linalg.norm(acc)
             if nrm < 1e-9:
-                dead = True
                 break
-            state = DenseState(d, n, acc / nrm)
-        if not dead:
+            acc /= nrm
+            state = DenseState(d, n, acc)
+        else:
             return state
     raise ValueError("projector annihilated every seed state tried")
+
+
+def _support_seed(group: StabilizerGroup, rows: Sequence[WeylOperator]) -> int:
+    """Index of one computational basis state in the support of the group's
+    state.
+
+    The canonical rows with pivot column >= n carry no X and generate every
+    X-free element of the group, so the support is exactly the set of |q>
+    they fix (Dehaene & De Moor, quant-ph/0304125; Hostens, Dehaene & De Moor,
+    quant-ph/0408190, for qudits): w^f Z^z fixes |q> iff z.q = -f/2 mod d.
+    The rows are in echelon form, so the equations are solved by
+    back-substitution from the last pivot, with every free digit 0.
+    """
+    d, n = group.d, group.n
+    q = [0] * n
+    for (col, pval), row in reversed(list(zip(group.pivots, rows))):
+        if col < n:
+            break
+        j = col - n
+        rest = sum(a * b for a, b in zip(row.z[j + 1 :], q[j + 1 :]))
+        q[j] = (-(row.phase // 2) - rest) % d // pval
+    return sum(digit * d ** (n - 1 - j) for j, digit in enumerate(q))
 
 
 def _row_order(op: AnyOperator, d: int) -> int:

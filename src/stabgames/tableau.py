@@ -43,6 +43,7 @@ explicit; degenerate resource states make the distinction load-bearing.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -77,6 +78,15 @@ class Expectation:
 
 def _as_weyl(op: AnyOperator) -> WeylOperator:
     return WeylOperator.from_pauli(op) if isinstance(op, PauliOperator) else op
+
+
+def _is_prime_power(d: int) -> bool:
+    if d < 2:
+        return False
+    p = next((p for p in range(2, math.isqrt(d) + 1) if d % p == 0), d)
+    while d % p == 0:
+        d //= p
+    return d == 1
 
 
 def _all_commute(e: np.ndarray, d: int, n: int) -> bool:
@@ -189,6 +199,10 @@ class StabilizerGroup:
             raise ValueError("dimension mismatch with generators")
         if n is not None and n != self.n:
             raise ValueError("register mismatch with generators")
+        if not _is_prime_power(self.d):
+            # the Howell elimination needs every entry of a column to be a
+            # multiple of the smallest gcd(entry, d), which holds only then
+            raise ValueError(f"d = {self.d} is not a prime power; stabilizer groups need d = p^k")
         qubit = self.d == 2 and all(isinstance(g, PauliOperator) for g in gens)
         if not qubit:
             gens = [_as_weyl(g) for g in gens]

@@ -200,6 +200,22 @@ def test_sweep_deformation_sector_list_from_config(tmp_path):
     assert abs(record["sweep"][0]["p_q"] - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("sector", ["++", "+-", "-+", "--"])
+def test_sweep_deformation_l3_every_sector(tmp_path, sector):
+    # at L = 3 the +- and -- states have no support on the 64 lowest basis
+    # states; a bare "--" does not survive the option parser, so every sector
+    # goes through --config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sector": sector}))
+    record, _ = run(
+        ["sweep", "deformation", "--L", "3", "--thetas", "0,0.1", "--config", str(cfg)],
+        tmp_path, "l3",
+    )
+    assert record["config"]["sector"] == sector
+    assert abs(record["sweep"][0]["p_q"] - 1.0) < 1e-10
+    assert record["sweep"][1]["p_q"] < 1.0
+
+
 # SHA-256 of the JSON and CSV of `game magic-square --Lx X --Ly Y`, recorded
 # before the vectorised Weyl kernel replaced the per-operator elimination
 MAGIC_SQUARE_DIGESTS = {

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stabgames.dense import (
@@ -15,8 +15,8 @@ from stabgames.dense import (
     dense_expectation,
     state_from_group,
 )
-from stabgames.pauli import PauliOperator, multiply
-from stabgames.tableau import StabilizerGroup
+from stabgames.pauli import PauliOperator, multiply, ordered_product
+from stabgames.tableau import StabilizerGroup, _as_weyl
 from stabgames.weyl import WeylOperator, w_multiply, w_power
 
 
@@ -274,3 +274,113 @@ def test_row_order_matches_repeated_multiplication(op):
         power = w_multiply(power, op)
         k += 1
     assert _row_order(op, op.d) == k
+
+
+def _reference_apply(state, op):
+    """The former per-site kernel: one roll per X factor, one broadcast
+    multiply per Z factor, then the global phase."""
+    w = _as_weyl(op)
+    d, n = state.d, state.n
+    amps = state.amps.reshape((d,) * n if n else (1,))
+    for j in range(n):
+        a, b = w.x[j], w.z[j]
+        if b:
+            omega = np.exp(2j * np.pi * b / d)
+            phases = omega ** np.arange(d)
+            shape = [1] * n
+            shape[j] = d
+            amps = amps * phases.reshape(shape)
+        if a:
+            amps = np.roll(amps, a, axis=j)
+    flat = amps.reshape(-1) * np.exp(1j * np.pi * w.phase / d)
+    return DenseState(d, n, flat)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(state, operator, site factors or None) for d = 2, 3, 4 on 0..5 qudits;
+    for qubits the operator is the ordered product of the site factors."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    state = DenseState(d, n, amps / np.linalg.norm(amps))
+    if d == 2:
+        sites = st.integers(0, n - 1) if n else st.nothing()
+        factors = draw(st.lists(st.tuples(sites, st.sampled_from("XYZ")), max_size=2 * n))
+        return state, ordered_product(factors, n), factors
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    op = WeylOperator(d, n, tuple(draw(exps)), tuple(draw(exps)), draw(st.integers(0, 2 * d - 1)))
+    return state, op, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_apply_operator_matches_reference(case):
+    state, op, factors = case
+    got = apply_operator(state, op)
+    assert (got.d, got.n) == (state.d, state.n)
+    assert np.allclose(got.amps, _reference_apply(state, op).amps, rtol=0, atol=1e-12)
+    if factors is not None:
+        assert abs(dense_expectation(state, op) - dense_expectation(state, factors)) < 1e-12
+
+
+def test_apply_operator_rejects_other_register():
+    state = DenseState(2, 2, np.array([1, 0, 0, 0], dtype=complex))
+    with pytest.raises(ValueError, match="operator register mismatch"):
+        apply_operator(state, PauliOperator.single(3, 0, "X"))
+    with pytest.raises(ValueError, match="operator register mismatch"):
+        apply_operator(state, WeylOperator.single(4, 2, 0, 1, 0))
+
+
+@st.composite
+def far_support_groups(draw):
+    """A random stabilizer group with a unique state whose support misses the
+    basis states 0..63: qubits on 7 or 8 sites, ququarts on 4 or 5.
+
+    The high sites (those above the last 64 amplitudes' digits) carry no X in
+    any generator, so their digits are the same on the whole support; the
+    group is then conjugated by an X^a that makes them nonzero."""
+    d, n = draw(st.sampled_from([(2, 7), (2, 8), (4, 4), (4, 5)]))
+    high = n - {2: 6, 4: 3}[d]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gens, group = [], None
+    for _ in range(60 * n):
+        if group is not None and group.ground_space_dim() == 1:
+            break
+        xs = [0] * high + [rng.randrange(d) for _ in range(n - high)]
+        cand = WeylOperator(d, n, tuple(xs), tuple(rng.randrange(d) for _ in range(n)), 0)
+        if cand.is_scalar():
+            continue
+        # a phase that gives the candidate a +1 eigenspace, if there is one
+        c = w_power(cand, d).phase
+        if c % d:
+            continue
+        cand = cand.scale_w(c // d + 2 * rng.randrange(d))
+        try:
+            group = StabilizerGroup(gens + [cand])
+        except ValueError:
+            continue
+        gens.append(cand)
+    assume(group is not None and group.ground_space_dim() == 1)
+    some = np.flatnonzero(np.abs(state_from_group(group).amps) > 1e-9)[0]
+    digits = [(int(some) // d ** (n - 1 - j)) % d for j in range(n)]
+    target = [rng.randrange(d) for _ in range(high)]
+    if not any(target):
+        target[0] = 1
+    a = [t - c for t, c in zip(target, digits)] + [rng.randrange(d) for _ in range(n - high)]
+    # X^a (w^f X^x Z^z) X^-a = w^(f - 2 z.a) X^x Z^z
+    shifted = [g.scale_w(-2 * sum(zj * aj for zj, aj in zip(g.z, a))) for g in gens]
+    if d == 2:
+        shifted = [g.to_pauli() for g in shifted]
+    return StabilizerGroup(shifted)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(far_support_groups())
+def test_default_seed_lies_in_the_support(group):
+    state = state_from_group(group)
+    assert np.flatnonzero(np.abs(state.amps) > 1e-9).min() >= 64
+    assert state.norm() == pytest.approx(1.0)
+    for gen in group.generators:
+        assert dense_expectation(state, gen) == pytest.approx(1.0, abs=1e-10)

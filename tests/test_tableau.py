@@ -279,6 +279,21 @@ class TestGroundSpace:
         assert StabilizerGroup([w_power(z, 2)]).ground_space_dim() == 2
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9])
+    def test_prime_power_dimensions_build(self, d):
+        # X^2 and X^3 generate <X> for every d
+        gens = [WeylOperator(d, 1, (2,), (0,), 0), WeylOperator(d, 1, (3,), (0,), 0)]
+        assert StabilizerGroup(gens).rank == 1
+
+    @pytest.mark.parametrize("d", [6, 12])
+    def test_other_dimensions_refused(self, d):
+        gens = [WeylOperator(d, 1, (2,), (0,), 0), WeylOperator(d, 1, (3,), (0,), 0)]
+        with pytest.raises(ValueError, match=f"d = {d} is not a prime power"):
+            StabilizerGroup(gens)
+        with pytest.raises(ValueError, match=f"d = {d} is not a prime power"):
+            StabilizerGroup([], d=d, n=1)
+
+
 class TestExpectation:
     def test_definite_plus_one(self):
         g = StabilizerGroup([P("i^0 Z0", 2)])
