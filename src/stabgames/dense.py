@@ -75,7 +75,7 @@ def apply_operator(state: DenseState, op: AnyOperator) -> DenseState:
         e -= (e >= d) * e.dtype.type(d)
         stride *= d
     out = state.amps[src]
-    del src
+    del src  # freed before the phase gather allocates: a lower peak
     out *= np.exp(1j * np.pi * (w.phase + 2 * digits) / d).take(e)
     return DenseState(d, n, out)
 
