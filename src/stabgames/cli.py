@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -89,35 +90,49 @@ def _emit(args, cfg: dict, record: dict, csv_rows, csv_header):
     return 0
 
 
+_LATTICE_CODES = {"tc2d": toric2d, "tc3d-faces": toric3d_faces,
+                  "tc3d-edges": toric3d_edges, "xcube": xcube}
+# --variant values of each code's parity strategy
+_PARITY_VARIANTS = {"ghz": (), "tc2d": ("contractible", "winding"),
+                    "tc3d-faces": (), "tc3d-edges": (), "xcube": ("prism", "cage")}
+
+
 def _build_code(args):
     kind = args.code
+    if kind not in ("ghz", "double-semion", *_LATTICE_CODES):
+        raise ValueError(f"unknown code kind {kind!r}")
+    if kind != "double-semion" and (args.Lx is not None or args.Ly is not None):
+        flag = "--Lx" if args.Lx is not None else "--Ly"
+        raise ValueError(f"{flag}: only the double-semion code takes --Lx/--Ly, got code {kind!r}")
     if kind == "ghz":
         return None
-    if kind == "tc2d":
-        return toric2d(args.L)
-    if kind == "tc3d-faces":
-        return toric3d_faces(args.L)
-    if kind == "tc3d-edges":
-        return toric3d_edges(args.L)
-    if kind == "xcube":
-        return xcube(args.L)
     if kind == "double-semion":
         return double_semion(args.Lx or args.L, args.Ly or args.L)
-    raise ValueError(f"unknown code kind {args.code!r}")
+    return _LATTICE_CODES[kind](args.L)
 
 
 def _build_strategy(args, code):
+    if args.code not in _PARITY_VARIANTS:
+        raise ValueError(f"no parity strategy for code {args.code!r}")
+    variants = _PARITY_VARIANTS[args.code]
+    if args.variant is not None and args.variant not in variants:
+        takes = "one of " + ", ".join(variants) if variants else "no variant"
+        raise ValueError(
+            f"--variant: the {args.code} strategy takes {takes}, got {args.variant!r}"
+        )
     if args.code == "ghz":
-        return ghz_ops(args.P)
-    if args.code == "tc2d":
-        return tc2d_parity_ops(code, args.P, winding=args.variant == "winding")
-    if args.code == "tc3d-faces":
-        return tc3d_1form_ops(code)
-    if args.code == "tc3d-edges":
-        return tc3d_2form_ops(code)
-    if args.code == "xcube":
-        return xcube_ops(code, args.variant or "prism")
-    raise ValueError(f"no parity strategy for code {args.code!r}")
+        ops = ghz_ops(args.P)
+    elif args.code == "tc2d":
+        ops = tc2d_parity_ops(code, args.P, winding=args.variant == "winding")
+    elif args.code == "tc3d-faces":
+        ops = tc3d_1form_ops(code)
+    elif args.code == "tc3d-edges":
+        ops = tc3d_2form_ops(code)
+    else:
+        ops = xcube_ops(code, args.variant or "prism")
+    if ops.players != args.P:
+        raise ValueError(f"--P: the {args.code} strategy has {ops.players} players, got {args.P}")
+    return ops
 
 
 def cmd_code_info(args):
@@ -192,13 +207,19 @@ def cmd_game_parity(args):
     return _emit(args, cfg, record, rows, ["input", "win_probability"])
 
 
+def _parse_blocks(text: str):
+    """(BX, BY) from a --blocks value of the form BXxBY."""
+    m = re.fullmatch(r"(\d+)x(\d+)", text, re.ASCII)
+    blocks = (int(m[1]), int(m[2])) if m else (0, 0)
+    if min(blocks) < 1:
+        raise ValueError(f"--blocks must be BXxBY with positive integers BX and BY, got {text!r}")
+    return blocks
+
+
 def cmd_game_cellulation(args):
+    bx, by = _parse_blocks(args.blocks)
     code = toric2d(args.L)
-    if args.fan:
-        strat = fan_cellulation_ops(code)
-    else:
-        bx, by = (int(t) for t in args.blocks.split("x"))
-        strat = block_cellulation_ops(code, bx, by)
+    strat = fan_cellulation_ops(code) if args.fan else block_cellulation_ops(code, bx, by)
     game = CellulationGame(strat)
     ev = cellulation_game_eval(
         game,

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import CellComplex, build_torus_2d, build_torus_3d
 from .pauli import PauliOperator
 from .tableau import StabilizerGroup
-from .weyl import WeylOperator, w_multiply
+from .weyl import WeylOperator, ordered_w_product, w_multiply
 
 LabeledGenerator = Tuple[Tuple, object]
 
@@ -262,16 +262,6 @@ def _ds_lattice(code: CodeInstance) -> _DsLattice:
     return code.meta["lattice"]
 
 
-def _weyl_from_factors(n: int, factors: Sequence[Tuple[int, int, int]], phase: int = 0) -> WeylOperator:
-    """Single Weyl operator from per-site (site, x_exp, z_exp) with sites distinct."""
-    xs = [0] * n
-    zs = [0] * n
-    for site, a, b in factors:
-        xs[site] = (xs[site] + a) % 4
-        zs[site] = (zs[site] + b) % 4
-    return WeylOperator(4, n, tuple(xs), tuple(zs), phase)
-
-
 def double_semion(Lx: int, Ly: int) -> CodeInstance:
     """Double-semion stabilizer model: four-dimensional qudits on the edges of
     a periodic square lattice.
@@ -293,21 +283,14 @@ def double_semion(Lx: int, Ly: int) -> CodeInstance:
             gens.append((("vertex", x, y), ds_vertex_operator_at(lat, n, x, y)))
     for x in range(Lx):
         for y in range(Ly):
-            op = _weyl_from_factors(
-                n,
-                [
-                    (lat.h(x, y), 0, 2),
-                    (lat.h(x, y + 1), 0, 2),
-                    (lat.v(x, y), 0, 2),
-                    (lat.v(x + 1, y), 0, 2),
-                ],
-            )
+            loop = (lat.h(x, y), lat.h(x, y + 1), lat.v(x, y), lat.v(x + 1, y))
+            op = ordered_w_product([(e, 0, 2) for e in loop], 4, n)
             gens.append((("plaquette", x, y), op))
     for x in range(Lx):
         for y in range(Ly):
-            op_h = _weyl_from_factors(n, [(lat.h(x, y), 2, 0), (lat.v(x, y - 1), 0, 2)])
+            op_h = ordered_w_product([(lat.h(x, y), 2, 0), (lat.v(x, y - 1), 0, 2)], 4, n)
             gens.append((("edge", x, y, 0), op_h))
-            op_v = _weyl_from_factors(n, [(lat.v(x, y), 2, 0), (lat.h(x - 1, y), 0, 2)])
+            op_v = ordered_w_product([(lat.v(x, y), 2, 0), (lat.h(x - 1, y), 0, 2)], 4, n)
             gens.append((("edge", x, y, 1), op_v))
     group = StabilizerGroup([g for _, g in gens], d=4, n=n)
     code = CodeInstance(
@@ -342,35 +325,31 @@ def ds_vertex_operator_at(lat: _DsLattice, n: int, x: int, y: int) -> WeylOperat
         (lat.h(x, y + 1), 0, 3),
         (lat.v(x + 1, y), 0, 1),
     ]
-    return _weyl_from_factors(n, factors, phase=0)
+    return ordered_w_product(factors, 4, n)
 
 
-# Dual-path step factors for the semion string, keyed by step direction.
-# A step moves between adjacent plaquettes; plaquette (x, y) has SW corner
-# vertex (x, y).  Each factor is ((edge, x_exp, z_exp), (edge, x_exp, z_exp)).
+def _ds_step_factors(lat: _DsLattice, x: int, y: int, direction: str, kind: str):
+    """Factors (edge, x_exp, z_exp) of one unit step of a string leaving (x, y).
 
-
-def _ds_step_factors(lat: _DsLattice, px: int, py: int, direction: str, conj: bool):
-    """Factors for one dual step leaving plaquette (px, py); conj swaps
-    X <-> X^dag (the partner-anyon string)."""
-    xa = 3 if conj else 1  # exponent used where the plain string applies X
-    xb = 1 if conj else 3  # exponent used where the plain string applies X^dag
+    Kinds "s" and "sbar" step between plaquettes (plaquette (x, y) has SW
+    corner vertex (x, y)): X or X^dag on the crossed edge and a Z or Z^dag
+    companion; "sbar" swaps X <-> X^dag (the partner-anyon string).  Kind
+    "ssbar" steps between vertices and puts Z^2 on the edge it runs along.
+    """
+    if kind == "ssbar":
+        if direction in "EW":
+            return [(lat.h(x if direction == "E" else x - 1, y), 0, 2)]
+        return [(lat.v(x, y if direction == "N" else y - 1), 0, 2)]
+    xa = 3 if kind == "sbar" else 1  # exponent used where the plain string applies X
+    xb = 4 - xa  # exponent used where the plain string applies X^dag
     if direction == "E":
-        crossed = lat.v(px + 1, py)
-        companion = lat.h(px + 1, py + 1)
-        return [(crossed, xa, 0), (companion, 0, 1)]
+        return [(lat.v(x + 1, y), xa, 0), (lat.h(x + 1, y + 1), 0, 1)]
     if direction == "W":
-        crossed = lat.v(px, py)
-        companion = lat.h(px, py + 1)
-        return [(crossed, xb, 0), (companion, 0, 3)]
+        return [(lat.v(x, y), xb, 0), (lat.h(x, y + 1), 0, 3)]
     if direction == "N":
-        crossed = lat.h(px, py + 1)
-        companion = lat.v(px + 1, py + 1)
-        return [(crossed, xb, 0), (companion, 0, 1)]
+        return [(lat.h(x, y + 1), xb, 0), (lat.v(x + 1, y + 1), 0, 1)]
     if direction == "S":
-        crossed = lat.h(px, py)
-        companion = lat.v(px + 1, py)
-        return [(crossed, xa, 0), (companion, 0, 3)]
+        return [(lat.h(x, y), xa, 0), (lat.v(x + 1, y), 0, 3)]
     raise ValueError(f"bad step direction {direction!r}")
 
 
@@ -403,26 +382,16 @@ def ds_string(code: CodeInstance, kind: str, path: Sequence[Tuple[int, int]]) ->
     fixes the overall phase: the first step is applied first.
     """
     lat = _ds_lattice(code)
-    n = code.n
     if len(path) < 2:
         raise ValueError("path needs at least two sites")
-    if kind in ("s", "sbar"):
-        conj = kind == "sbar"
-        acc = WeylOperator.identity(4, n)
-        for px, py, direction in _dual_path_steps(path, lat.Lx, lat.Ly):
-            step = _weyl_from_factors(n, _ds_step_factors(lat, px, py, direction, conj))
-            acc = w_multiply(step, acc)
-        return acc
-    if kind == "ssbar":
-        acc = WeylOperator.identity(4, n)
-        for x, y, direction in _dual_path_steps(path, lat.Lx, lat.Ly):
-            if direction in "EW":
-                site = lat.h(x if direction == "E" else x - 1, y)
-            else:
-                site = lat.v(x, y if direction == "N" else y - 1)
-            acc = w_multiply(_weyl_from_factors(n, [(site, 0, 2)]), acc)
-        return acc
-    raise ValueError(f"unknown string kind {kind!r}")
+    if kind not in ("s", "sbar", "ssbar"):
+        raise ValueError(f"unknown string kind {kind!r}")
+    factors = [
+        f
+        for x, y, direction in _dual_path_steps(path, lat.Lx, lat.Ly)
+        for f in _ds_step_factors(lat, x, y, direction, kind)
+    ]
+    return ordered_w_product(factors, 4, code.n)
 
 
 def ds_winding_fixers(code: CodeInstance) -> List[WeylOperator]:
@@ -447,6 +416,25 @@ def ds_vertex_loop(code: CodeInstance, x: int, y: int, counterclockwise: bool = 
     return ds_string(code, "s", ring)
 
 
+# Hops 1->2, 3->1, 2->3 of the exchange process around the junction (1, 1):
+# endpoints 1 (west), 2 (north), 3 (east) for the semions, on dual
+# (plaquette) paths; the boson's hops run on direct (vertex) paths.
+_SEMION_HOPS = (
+    [(0, 1), (1, 1), (1, 2), (1, 3)],
+    [(3, 1), (2, 1), (1, 1), (0, 1)],
+    [(1, 3), (1, 2), (1, 1), (2, 1), (3, 1)],
+)
+_EXCHANGE_HOPS = {
+    "s": _SEMION_HOPS,
+    "sbar": _SEMION_HOPS,
+    "ssbar": (
+        [(3, 1), (2, 1), (1, 1), (1, 2), (1, 3)],
+        [(0, 1), (1, 1), (2, 1), (3, 1)],
+        [(1, 3), (1, 2), (1, 1), (0, 1)],
+    ),
+}
+
+
 def exchange_statistics(code: CodeInstance, anyon: str) -> complex:
     """Statistical phase from the ordered three-arm hop sequence.
 
@@ -456,34 +444,10 @@ def exchange_statistics(code: CodeInstance, anyon: str) -> complex:
     composite is a closed string, so its expectation on the code space is
     definite; anything else means a bad path choice and raises.
     """
-    lat = _ds_lattice(code)
-    if anyon in ("s", "sbar"):
-        ox, oy = 1, 1
-        # endpoints 1 (west), 2 (north), 3 (east) around the junction o
-        hop_12 = ds_string(
-            code, anyon, [(ox - 1, oy), (ox, oy), (ox, oy + 1), (ox, oy + 2)]
-        )
-        hop_31 = ds_string(
-            code, anyon, [(ox + 2, oy), (ox + 1, oy), (ox, oy), (ox - 1, oy)]
-        )
-        hop_23 = ds_string(
-            code, anyon, [(ox, oy + 2), (ox, oy + 1), (ox, oy), (ox + 1, oy), (ox + 2, oy)]
-        )
-        total = w_multiply(hop_23, w_multiply(hop_31, hop_12))
-    elif anyon == "ssbar":
-        ox, oy = 1, 1
-        hop_12 = ds_string(
-            code, "ssbar", [(ox + 2, oy), (ox + 1, oy), (ox, oy), (ox, oy + 1), (ox, oy + 2)]
-        )
-        hop_31 = ds_string(
-            code, "ssbar", [(ox - 1, oy), (ox, oy), (ox + 1, oy), (ox + 2, oy)]
-        )
-        hop_23 = ds_string(
-            code, "ssbar", [(ox, oy + 2), (ox, oy + 1), (ox, oy), (ox - 1, oy)]
-        )
-        total = w_multiply(hop_23, w_multiply(hop_31, hop_12))
-    else:
+    if anyon not in _EXCHANGE_HOPS:
         raise ValueError(f"unknown anyon {anyon!r}")
+    hop_12, hop_31, hop_23 = (ds_string(code, anyon, path) for path in _EXCHANGE_HOPS[anyon])
+    total = w_multiply(hop_23, w_multiply(hop_31, hop_12))
     e = code.group.expectation(total)
     if e.kind != "definite":
         raise ValueError(f"exchange process is not definite on the code space ({e.kind})")

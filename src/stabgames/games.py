@@ -24,6 +24,7 @@ from .dense import DenseState, dense_expectation
 from .pauli import PauliOperator, multiply
 from .strategies import CellulationStrategy, CompositeOperatorSet
 from .tableau import Expectation, StabilizerGroup
+from .weyl import commutation_phase, dagger, w_multiply
 
 Number = Union[Fraction, float]
 
@@ -360,41 +361,29 @@ def magic_square_score(d: int, a_rows, b_cols) -> Fraction:
 
 def _ms_unitaries(x_op, z_op):
     """U1 = Z^dag, U2 = X^2, U3 = X Z X for one effective ququart."""
-    from .weyl import dagger as wdag, w_multiply as wmul
-
     return {
-        1: wdag(z_op),
-        2: wmul(x_op, x_op),
-        3: wmul(x_op, wmul(z_op, x_op)),
+        1: dagger(z_op),
+        2: w_multiply(x_op, x_op),
+        3: w_multiply(x_op, w_multiply(z_op, x_op)),
     }
 
 
 def _ms_table_entries(us1, us2):
     """The nine grid operators, entry[row][col], acting on one player's two
     effective ququarts (index 1 and 2)."""
-    from .weyl import dagger as wdag, w_multiply as wmul
-
-    def prod(*factors):
-        ops = [f for f in factors if f is not None]
-        acc = ops[0]
-        for f in ops[1:]:
-            acc = wmul(acc, f)
-        return acc
-
     u1, u2, u3 = us1[1], us1[2], us1[3]
     v1, v2, v3 = us2[1], us2[2], us2[3]
-    table = {
-        (0, 0): prod(wdag(u1)),
-        (0, 1): prod(wdag(v1)),
-        (0, 2): prod(u1, v1),
-        (1, 0): prod(wdag(v2)),
-        (1, 1): prod(wdag(u2)),
-        (1, 2): prod(u2, v2),
-        (2, 0): prod(u1, v2).scale_w(4),  # -U1 (x) U2
-        (2, 1): prod(u2, v1).scale_w(4),  # -U2 (x) U1
-        (2, 2): prod(u3, v3),
+    return {
+        (0, 0): dagger(u1),
+        (0, 1): dagger(v1),
+        (0, 2): w_multiply(u1, v1),
+        (1, 0): dagger(v2),
+        (1, 1): dagger(u2),
+        (1, 2): w_multiply(u2, v2),
+        (2, 0): w_multiply(u1, v2).scale_w(4),  # -U1 (x) U2
+        (2, 1): w_multiply(u2, v1).scale_w(4),  # -U2 (x) U1
+        (2, 2): w_multiply(u3, v3),
     }
-    return table
 
 
 @dataclass
@@ -418,8 +407,6 @@ def magic_square_eval(msops, resource: Optional[StabilizerGroup] = None) -> Magi
     +1 on the resource, which is what makes the players agree on the shared
     cell.  p_q is the fraction of the nine inputs won.
     """
-    from .weyl import commutation_phase, dagger as wdag, w_multiply as wmul
-
     res = resource if resource is not None else msops.resource
     d = msops.code.d
     us_a1 = _ms_unitaries(msops.a_x[0], msops.a_z[0])
@@ -428,46 +415,33 @@ def magic_square_eval(msops, resource: Optional[StabilizerGroup] = None) -> Magi
     us_b2 = _ms_unitaries(msops.b_x[1], msops.b_z[1])
     table_a = _ms_table_entries(us_a1, us_a2)
     table_b = _ms_table_entries(us_b1, us_b2)
-    problems: List[str] = []
-    commuting_rows = True
-    commuting_cols = True
-    for r in range(3):
-        ops = [table_a[(r, c)] for c in range(3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if commutation_phase(ops[i], ops[j]) != 0:
-                    commuting_rows = False
-                    problems.append(f"row {r}: entries {i},{j} do not commute")
-    for c in range(3):
-        ops = [table_b[(r, c)] for r in range(3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if commutation_phase(ops[i], ops[j]) != 0:
-                    commuting_cols = False
-                    problems.append(f"column {c}: entries {i},{j} do not commute")
-    row_identities = []
-    for r in range(3):
-        acc = table_a[(r, 0)]
-        acc = wmul(acc, table_a[(r, 1)])
-        acc = wmul(acc, table_a[(r, 2)])
-        ok = acc.is_scalar() and acc.phase % (2 * d) == 0
-        row_identities.append((ok, acc.phase if acc.is_scalar() else -1))
+    # rows are A's entries with product +1 (w^0), columns B's with product -1 (w^d)
+    lines = [("row", r, [table_a[(r, i)] for i in range(3)], 0) for r in range(3)]
+    lines += [("column", c, [table_b[(i, c)] for i in range(3)], d) for c in range(3)]
+    commuting = {"row": True, "column": True}
+    identities: Dict[str, List[Tuple[bool, int]]] = {"row": [], "column": []}
+    commute_problems: List[str] = []
+    product_problems: List[str] = []
+    for name, k, ops, target in lines:
+        for i, j in itertools.combinations(range(3), 2):
+            if commutation_phase(ops[i], ops[j]) != 0:
+                commuting[name] = False
+                commute_problems.append(f"{name} {k}: entries {i},{j} do not commute")
+        acc = w_multiply(w_multiply(ops[0], ops[1]), ops[2])
+        ok = acc.is_scalar() and acc.phase == target
+        identities[name].append((ok, acc.phase if acc.is_scalar() else -1))
         if not ok:
-            problems.append(f"row {r} product is not +1 (w^{acc.phase}, scalar={acc.is_scalar()})")
-    col_identities = []
-    for c in range(3):
-        acc = table_b[(0, c)]
-        acc = wmul(acc, table_b[(1, c)])
-        acc = wmul(acc, table_b[(2, c)])
-        ok = acc.is_scalar() and acc.phase % (2 * d) == d
-        col_identities.append((ok, acc.phase if acc.is_scalar() else -1))
-        if not ok:
-            problems.append(f"column {c} product is not -1 (w^{acc.phase}, scalar={acc.is_scalar()})")
+            sign = "-1" if target else "+1"
+            product_problems.append(
+                f"{name} {k} product is not {sign} (w^{acc.phase}, scalar={acc.is_scalar()})"
+            )
+    problems = commute_problems + product_problems
+    row_identities, col_identities = identities["row"], identities["column"]
     cell_constraints: Dict[Tuple[int, int], Tuple[str, Optional[int]]] = {}
     wins = Fraction(0)
     for r in range(3):
         for c in range(3):
-            op = wmul(table_a[(r, c)], wdag(table_b[(r, c)]))
+            op = w_multiply(table_a[(r, c)], dagger(table_b[(r, c)]))
             e = res.expectation(op)
             cell_constraints[(r, c)] = (e.kind, e.phase_exp if e.kind == "definite" else None)
             cell_ok = e.kind == "definite" and e.phase_exp % (2 * d) == 0
@@ -481,8 +455,8 @@ def magic_square_eval(msops, resource: Optional[StabilizerGroup] = None) -> Magi
         row_identities,
         col_identities,
         cell_constraints,
-        commuting_rows,
-        commuting_cols,
+        commuting["row"],
+        commuting["column"],
         Fraction(wins, 9),
         problems,
     )

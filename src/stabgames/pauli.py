@@ -24,10 +24,6 @@ _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_PHASE = {"X": 0, "Y": 1, "Z": 0}
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
 @dataclass(frozen=True)
 class PauliOperator:
     """Canonical-form Pauli string: i^phase * prod X^x Z^z."""
@@ -81,11 +77,11 @@ class PauliOperator:
     def is_hermitian(self) -> bool:
         # P^dag = i^{-phase} (-1)^{|x&z|} P / i^0 ... equality needs
         # phase == |x&z| (mod 2).
-        return (self.phase - _popcount(self.x & self.z)) % 2 == 0
+        return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
 
     def dagger(self) -> "PauliOperator":
         return PauliOperator(
-            self.n, self.x, self.z, (-self.phase + 2 * _popcount(self.x & self.z)) % 4
+            self.n, self.x, self.z, (-self.phase + 2 * (self.x & self.z).bit_count()) % 4
         )
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
@@ -98,7 +94,7 @@ class PauliOperator:
     def to_text(self) -> str:
         """Render as e.g. "i^2 X0 Y3 Z7"; bare identity is "i^0"."""
         both = self.x & self.z
-        k = (self.phase - _popcount(both)) % 4
+        k = (self.phase - both.bit_count()) % 4
         parts = [f"i^{k}"]
         v = self.x | self.z
         j = 0
@@ -141,7 +137,7 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """
     if p.n != q.n:
         raise ValueError(f"register mismatch: {p.n} vs {q.n}")
-    phase = (p.phase + q.phase + 2 * _popcount(p.z & q.x)) % 4
+    phase = (p.phase + q.phase + 2 * (p.z & q.x).bit_count()) % 4
     return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 
@@ -149,7 +145,7 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     """True iff the symplectic form |x_p & z_q| + |z_p & x_q| is even."""
     if p.n != q.n:
         raise ValueError(f"register mismatch: {p.n} vs {q.n}")
-    return (_popcount(p.x & q.z) + _popcount(p.z & q.x)) % 2 == 0
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
 def ordered_product(seq: Sequence[SiteFactor], n: int) -> PauliOperator:
@@ -173,7 +169,7 @@ def make_y_composite(x_part: PauliOperator, z_part: PauliOperator) -> PauliOpera
         raise ValueError("x_part must be a phase-free X-type operator")
     if z_part.x != 0 or z_part.phase != 0:
         raise ValueError("z_part must be a phase-free Z-type operator")
-    overlap = _popcount(x_part.x & z_part.z)
+    overlap = (x_part.x & z_part.z).bit_count()
     if overlap != 1:
         raise ValueError(f"supports must intersect on exactly one site, got {overlap}")
     return multiply(x_part, z_part).scale_i(1)

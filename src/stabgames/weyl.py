@@ -10,6 +10,11 @@ X^a Z^b factors close only over half-angle phases when d is even.  The
 commutation rule is Z X = omega X Z with omega = w^2 = exp(2*pi*i/d);
 at d=2 this embeds the qubit algebra exactly (w = i).
 
+Operators built from per-site X^a Z^b factors (the double-semion
+generators and strings) come from `ordered_w_product`, which accumulates
+the exponents and the reordering phase in one pass; `w_power` is the
+closed-form power and `dagger` its m = -1 case.
+
 Everything is exact integer arithmetic; no floating point.
 """
 
@@ -140,15 +145,8 @@ def commutation_phase(p: WeylOperator, q: WeylOperator) -> int:
 
 
 def dagger(p: WeylOperator) -> WeylOperator:
-    """Exact adjoint: (w^f X^a Z^b)^dag = w^{-f+2ab} X^{-a} Z^{-b} per site."""
-    cross = sum(a * b for a, b in zip(p.x, p.z))
-    return WeylOperator(
-        p.d,
-        p.n,
-        tuple(-a for a in p.x),
-        tuple(-b for b in p.z),
-        -p.phase + 2 * cross,
-    )
+    """Exact adjoint, the power m = -1."""
+    return w_power(p, -1)
 
 
 def w_power(p: WeylOperator, m: int) -> WeylOperator:
@@ -169,8 +167,17 @@ def w_power(p: WeylOperator, m: int) -> WeylOperator:
 
 
 def ordered_w_product(seq: Sequence[QuditFactor], d: int, n: int) -> WeylOperator:
-    """Product of per-site X^a Z^b factors, first element applied first."""
-    acc = WeylOperator.identity(d, n)
+    """Product of per-site X^a Z^b factors, first element applied first.
+
+    One pass: left-multiplying the running product by X_j^a Z_j^b moves Z_j^b
+    through the X_j^{x_j} accumulated so far, which costs w^{2 b x_j}."""
+    xs = [0] * n
+    zs = [0] * n
+    phase = 0
     for site, a, b in seq:
-        acc = w_multiply(WeylOperator.single(d, n, site, a, b), acc)
-    return acc
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} outside register of size {n}")
+        phase += 2 * b * xs[site]
+        xs[site] += a
+        zs[site] += b
+    return WeylOperator(d, n, tuple(xs), tuple(zs), phase)

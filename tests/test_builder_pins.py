@@ -12,7 +12,15 @@ from functools import lru_cache
 
 import pytest
 
-from stabgames.codes import double_semion, toric2d, toric3d_edges, toric3d_faces, xcube
+from stabgames.codes import (
+    double_semion,
+    ds_vertex_loop,
+    ds_winding_fixers,
+    toric2d,
+    toric3d_edges,
+    toric3d_faces,
+    xcube,
+)
 from stabgames.strategies import (
     block_cellulation_ops,
     cycle_dipole_embedding,
@@ -35,6 +43,14 @@ def _magic_square_text(Lx, Ly):
     ms = ds_magic_square_ops(double_semion(Lx, Ly))
     ops = ms.a_x + ms.a_z + ms.b_x + ms.b_z
     return "\n".join(op.to_text() for op in ops) + "\n" + json.dumps(ms.meta, sort_keys=True)
+
+
+def _ds_operators_text():
+    """The 4x4 double-semion generators, the 8x10 winding fixers and the
+    vertex loop at (0, 0) both ways, each in its text form."""
+    code = double_semion(8, 10)
+    ops = ds_winding_fixers(code) + [ds_vertex_loop(code, 0, 0, ccw) for ccw in (True, False)]
+    return double_semion(4, 4).group.export_text() + "\n" + "\n".join(op.to_text() for op in ops)
 
 
 BUILDERS = {
@@ -69,6 +85,7 @@ BUILDERS = {
     "cycle-dipole-P5": lambda: serialize_operator_set(cycle_dipole_embedding(tc2d(8), 5)[0]),
     "wheel": lambda: serialize_operator_set(wheel_embedding(tc2d(7))[0]),
     "ds-magic-square-8x10": lambda: _magic_square_text(8, 10),
+    "ds-operators": _ds_operators_text,
 }
 
 PINS = {
@@ -77,6 +94,7 @@ PINS = {
     "cellulation-fan": "12dd2e4086d4c2c6df1f7b2c52a2a14d631a43cb4849221b252dd17ce350acc2",
     "cycle-dipole-P5": "06eddcd378ba499669a93250518969cbb864486221d9ab3f54685724b664df29",
     "ds-magic-square-8x10": "291513c190620ec91153725662c18ba57cecaa496e91a072a60cd72aac62308c",
+    "ds-operators": "ab0fcc7c891123e342215c95026c65bf5cb51677791feebd46fafb14a9258efe",
     "ghz-P5": "750a291289e8970b5a1d00805c4a902010ead85f66ce31a2dd5c953518155444",
     "tc2d-contractible-P3": "ef4316b9981e4200694975bb877be334cc32f3e9cade78273c3cccfe6a8b046f",
     "tc2d-contractible-P4": "717284b988cdfd66087f2bbe9e761b10d5b80bc9e3f9128e01f92ac1fd295cbe",

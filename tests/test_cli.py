@@ -238,3 +238,57 @@ def test_magic_square_outputs_pinned(tmp_path, size):
     got = tuple(hashlib.sha256((tmp_path / f"ms.{ext}").read_bytes()).hexdigest()
                 for ext in ("json", "csv"))
     assert got == MAGIC_SQUARE_DIGESTS[size]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["game", "parity", "--code", "xcube", "--L", "4", "--P", "7"], "--P"),
+    (["game", "parity", "--code", "tc3d-edges", "--L", "2", "--P", "4"], "--P"),
+    (["game", "parity", "--code", "tc2d", "--L", "4", "--variant", "windng"], "--variant"),
+    (["game", "parity", "--code", "ghz", "--variant", "winding"], "--variant"),
+    (["strategy", "validate", "--code", "tc3d-faces", "--L", "2", "--variant", "cage"], "--variant"),
+    (["game", "parity", "--code", "tc2d", "--L", "4", "--Lx", "4"], "--Lx"),
+    (["strategy", "validate", "--code", "xcube", "--L", "3", "--Ly", "3"], "--Ly"),
+    (["code", "info", "--kind", "tc2d", "--L", "4", "--Lx", "5"], "--Lx"),
+], ids=["xcube-P", "tc3d-P", "tc2d-variant", "ghz-variant", "tc3d-variant",
+        "parity-Lx", "validate-Ly", "info-Lx"])
+def test_ignored_flags_are_refused(tmp_path, capsys, args, flag):
+    # a flag the chosen code or strategy does not use must not be recorded as if it had been
+    rc = main(args + ["--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["--code", "tc2d", "--L", "4", "--variant", "contractible"],
+    ["--code", "tc2d", "--L", "4", "--P", "4", "--variant", "winding"],
+    ["--code", "xcube", "--L", "3", "--P", "3"],
+], ids=["tc2d-contractible", "tc2d-winding", "xcube-P3"])
+def test_flags_the_strategy_uses_are_accepted(tmp_path, args):
+    record, _ = run(["game", "parity", *args], tmp_path, "ok")
+    assert record["p_q"]["fraction"] == "1/1"
+
+
+def test_code_info_double_semion_takes_lx_ly(tmp_path):
+    record, _ = run(
+        ["code", "info", "--kind", "double-semion", "--Lx", "4", "--Ly", "3"], tmp_path, "ds"
+    )
+    assert record["info"]["n"] == 2 * 4 * 3
+
+
+@pytest.mark.parametrize("blocks", ["0x3", "3x0", "3", "3x3x3", "ax3", "-3x3", ""])
+def test_game_cellulation_rejects_malformed_blocks(tmp_path, capsys, blocks):
+    rc = main(["game", "cellulation", "--L", "6", f"--blocks={blocks}", "--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--blocks" in err and "BXxBY" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_game_cellulation_blocks_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"blocks": "3x3"}))
+    record, _ = run(["game", "cellulation", "--L", "6", "--config", str(cfg)], tmp_path, "cb")
+    assert record["config"]["blocks"] == "3x3"
+    assert record["p_q"]["fraction"] == "1/1"

@@ -1,6 +1,7 @@
 """Game-level tests: classical baselines, quantum evaluations, cellulation
 games, magic square."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -283,6 +284,26 @@ class TestMagicSquareQuantum:
         rep = magic_square_eval(ms, resource=trivial)
         assert rep.p_q < 1
         assert any("cell" in p for p in rep.problems)
+
+    def test_broken_operators_report_rows_then_columns(self, ms):
+        # A's second Z and B's second X replaced by the first X and Z: rows 0
+        # and 2 and column 2 fail, every commutation problem is listed before
+        # every product problem, and the cells come last
+        broken = dataclasses.replace(ms, a_z=[ms.a_z[0], ms.a_x[0]], b_x=[ms.b_x[0], ms.b_z[0]])
+        rep = magic_square_eval(broken)
+        assert rep.row_identities == [(False, 2), (True, 0), (False, 4)]
+        assert rep.col_identities == [(True, 4), (True, 4), (False, 2)]
+        assert not rep.commuting_rows and not rep.commuting_cols
+        pairs = ("0,1", "0,2", "1,2")
+        assert rep.problems[:12] == [
+            *(f"row {r}: entries {p} do not commute" for r in (0, 2) for p in pairs),
+            *(f"column 2: entries {p} do not commute" for p in pairs),
+            "row 0 product is not +1 (w^2, scalar=True)",
+            "row 2 product is not +1 (w^4, scalar=True)",
+            "column 2 product is not -1 (w^2, scalar=True)",
+        ]
+        assert len(rep.problems) == 19 and all(p.startswith("cell") for p in rep.problems[12:])
+        assert rep.p_q == Fraction(5, 36)
 
 
 def test_mermin_formula_holds_for_dense_resources():

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabgames.pauli import PauliOperator, multiply
 from stabgames.weyl import (
@@ -155,6 +157,36 @@ class TestOrderedProduct:
             for site, a, b in seq:
                 m = to_matrix(WeylOperator.single(d, n, site, a, b)) @ m
             assert np.allclose(to_matrix(ordered_w_product(seq, d, n)), m, atol=1e-10)
+
+
+def _reference_ordered_w_product(seq, d, n):
+    """The former step-by-step fold: one full multiply per factor."""
+    acc = WeylOperator.identity(d, n)
+    for site, a, b in seq:
+        acc = w_multiply(WeylOperator.single(d, n, site, a, b), acc)
+    return acc
+
+
+@st.composite
+def factor_sequences(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 5))
+    # few sites and long sequences, so most draws repeat a site
+    factor = st.tuples(st.integers(0, n - 1), st.integers(-d, 2 * d), st.integers(-d, 2 * d))
+    return d, n, draw(st.lists(factor, max_size=12))
+
+
+class TestOrderedProductOnePass:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(factor_sequences())
+    def test_matches_step_by_step_fold(self, case):
+        d, n, seq = case
+        assert ordered_w_product(seq, d, n) == _reference_ordered_w_product(seq, d, n)
+
+    @pytest.mark.parametrize("site", [-1, 3, 7])
+    def test_site_outside_register_raises(self, site):
+        with pytest.raises(ValueError, match="outside register"):
+            ordered_w_product([(0, 1, 0), (site, 1, 1)], 4, 3)
 
 
 class TestMagicSquareUnitaries:
