@@ -97,6 +97,18 @@ _PARITY_VARIANTS = {"ghz": (), "tc2d": ("contractible", "winding"),
                     "tc3d-faces": (), "tc3d-edges": (), "xcube": ("prism", "cage")}
 
 
+def _resolve(args, ignored, why: str, **defaults) -> None:
+    """Refuse each option named in ignored that was given, as the run would
+    ignore it; then give each option in defaults that was not given (None)
+    its default value."""
+    for dest in ignored:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest}: {why}")
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
 def _build_code(args):
     kind = args.code
     if kind not in ("ghz", "double-semion", *_LATTICE_CODES):
@@ -164,6 +176,7 @@ def cmd_complex_info(args):
 
 
 def cmd_strategy_validate(args):
+    _resolve(args, ["L"] if args.code == "ghz" else [], "the ghz code has no lattice size", L=3)
     code = _build_code(args)
     ops = _build_strategy(args, code)
     report = validate(ops)
@@ -184,6 +197,9 @@ def cmd_strategy_validate(args):
 
 
 def cmd_game_parity(args):
+    _resolve(args, ["code", "L", "Lx", "Ly", "variant"] if args.classical else [],
+             "the classical parity game takes only --P", code="ghz")
+    _resolve(args, ["L"] if args.code == "ghz" else [], "the ghz code has no lattice size", L=3)
     cfg = {"command": "game parity", "code": args.code, "L": args.L, "P": args.P,
            "classical": args.classical, "variant": args.variant}
     if args.classical:
@@ -217,6 +233,8 @@ def _parse_blocks(text: str):
 
 
 def cmd_game_cellulation(args):
+    _resolve(args, ["blocks"] if args.fan else [], "the fan cellulation has no blocks",
+             blocks="2x2")
     bx, by = _parse_blocks(args.blocks)
     code = toric2d(args.L)
     strat = fan_cellulation_ops(code) if args.fan else block_cellulation_ops(code, bx, by)
@@ -237,6 +255,8 @@ def cmd_game_cellulation(args):
 
 
 def cmd_game_magic_square(args):
+    _resolve(args, ["Lx", "Ly"] if args.classical else [],
+             "the classical magic square has no lattice", Lx=8, Ly=10)
     cfg = {"command": "game magic-square", "d": args.d, "classical": args.classical,
            "Lx": args.Lx, "Ly": args.Ly}
     if args.classical:
@@ -349,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = s.add_subparsers(dest="subcommand", required=True)
     sv = ssub.add_parser("validate")
     sv.add_argument("--code", required=True)
-    sv.add_argument("--L", type=int, default=3)
+    sv.add_argument("--L", type=int, default=None, help="default 3; not for ghz")
     sv.add_argument("--Lx", type=int, default=None)
     sv.add_argument("--Ly", type=int, default=None)
     sv.add_argument("--P", type=int, default=3)
@@ -360,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("game", help="evaluate games")
     gsub = g.add_subparsers(dest="subcommand", required=True)
     gp = gsub.add_parser("parity")
-    gp.add_argument("--code", default="ghz")
-    gp.add_argument("--L", type=int, default=3)
+    gp.add_argument("--code", default=None, help="default ghz; not with --classical")
+    gp.add_argument("--L", type=int, default=None, help="default 3; not for ghz or --classical")
     gp.add_argument("--Lx", type=int, default=None)
     gp.add_argument("--Ly", type=int, default=None)
     gp.add_argument("--P", type=int, default=3)
@@ -373,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = gsub.add_parser("cellulation")
     gc.add_argument("--L", type=int, default=6)
-    gc.add_argument("--blocks", default="2x2")
+    gc.add_argument("--blocks", default=None, help="default 2x2; not with --fan")
     gc.add_argument("--fan", action="store_true")
     gc.add_argument("--restrict-unit-z", action="store_true")
     gc.add_argument("--samples", type=int, default=1024)
@@ -384,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     gm = gsub.add_parser("magic-square")
     gm.add_argument("--d", type=int, default=4)
     gm.add_argument("--classical", action="store_true")
-    gm.add_argument("--Lx", type=int, default=8)
-    gm.add_argument("--Ly", type=int, default=10)
+    gm.add_argument("--Lx", type=int, default=None, help="default 8; not with --classical")
+    gm.add_argument("--Ly", type=int, default=None, help="default 10; not with --classical")
     _add_workers(gm)
     _add_common(gm)
     gm.set_defaults(func=cmd_game_magic_square)

@@ -122,16 +122,6 @@ def classical_strategy_score(p: int, a: Sequence[int], c: Sequence[int]) -> Frac
 # -- quantum parity evaluation --------------------------------------------------------
 
 
-def _resource_expectation(
-    op: PauliOperator,
-    resource: Union[StabilizerGroup, DenseState],
-) -> Union[Expectation, complex]:
-    """The exact Expectation on a stabilizer group, <psi|O|psi> on a dense state."""
-    if isinstance(resource, DenseState):
-        return dense_expectation(resource, op)
-    return resource.expectation(op)
-
-
 def _definite_sign(e: Expectation) -> int:
     """+1 or -1 when <O> is exactly that value, 0 otherwise."""
     if e.kind == "definite":
@@ -143,13 +133,23 @@ def _definite_sign(e: Expectation) -> int:
     return 0
 
 
-def _win_probability(target_sign: int, e: Union[Expectation, complex]) -> Number:
-    if isinstance(e, Expectation):
-        # 1 when <O> is exactly the target sign, 0 when exactly its negative,
-        # 1/2 when the measured eigenvalue is uniformly random
-        return Fraction(1 + target_sign * _definite_sign(e), 2)
-    # dense resource
-    return (1.0 + target_sign * e.real) / 2.0
+def _score(ops: CompositeOperatorSet, resource: Union[StabilizerGroup, DenseState],
+           exps: Iterable[Tuple[int, int]], target: int) -> Tuple[Number, Number]:
+    """Win probability and <O> for one input, where O is the product of the
+    players' i^{ab} X^a Z^b in player order and target the sign that wins.
+
+    On a stabilizer group <O> is the exact sign +1, -1 or 0 (uniformly random
+    outcome) and the win a rational; on a dense state both are floats.
+    """
+    coll = PauliOperator.identity(ops.n)
+    for i, (a, b) in enumerate(exps):
+        if a or b:
+            coll = multiply(coll, ops.player_op(i, a, b))
+    if isinstance(resource, DenseState):
+        s = dense_expectation(resource, coll).real
+        return (1 + target * s) / 2, s
+    s = _definite_sign(resource.expectation(coll))
+    return Fraction(1 + target * s, 2), s
 
 
 def quantum_parity_eval(
@@ -167,29 +167,15 @@ def quantum_parity_eval(
     game = ParityGame(p)
     res = resource if resource is not None else ops.resource
     per_input: Dict[Tuple, Number] = {}
-    total: Number = Fraction(0) if not isinstance(res, DenseState) else 0.0
-    mermin: Optional[Number] = None
-    mermin_acc: Number = Fraction(0) if not isinstance(res, DenseState) else 0.0
-    # (X_i, Y_i) per player, built once: player_op rebuilds them from site factors
-    measured = [(ops.player_op(i, 1, 0), ops.player_op(i, 1, 1)) for i in range(p)]
+    total = mermin = Fraction(0)
     for bits in game.valid_inputs():
-        coll = PauliOperator.identity(ops.n)
-        for i, b in enumerate(bits):
-            coll = multiply(coll, measured[i][b])
-        e = _resource_expectation(coll, res)
-        win = _win_probability(game.target_sign(bits), e)
+        win, s = _score(ops, res, [(1, b) for b in bits], game.target_sign(bits))
         per_input[bits] = win
-        total = total + win
-        if p == 3:
-            sign = 1 if sum(bits) == 0 else -1
-            if isinstance(e, Expectation):
-                mermin_acc = mermin_acc + sign * _definite_sign(e)
-            else:
-                mermin_acc = mermin_acc + sign * e.real
-    p_q = total / len(per_input) if isinstance(total, float) else Fraction(total, len(per_input))
-    if p == 3:
-        mermin = mermin_acc
-    return StrategyEvaluation(per_input, p_q, mermin, meta={"P": p})
+        total += win
+        if p == 3:  # + for XXX, - for the three XYY-type inputs
+            mermin += s if sum(bits) == 0 else -s
+    return StrategyEvaluation(per_input, total / len(per_input), mermin if p == 3 else None,
+                              meta={"P": p})
 
 
 # -- cellulation game -------------------------------------------------------------------
@@ -239,12 +225,14 @@ def cellulation_game_eval(
     strat = game.strategy
     ops = strat.ops
     res = resource if resource is not None else ops.resource
-    dense = isinstance(res, DenseState)
-    face_inc = [strat.face_incidence(c) for c in range(strat.players)]
-    vert_inc = [strat.vertex_incidence(c) for c in range(strat.players)]
-    x_pos = {cell: k for k, cell in enumerate(game.x_basis)}
-    z_pos = {cell: k for k, cell in enumerate(game.z_basis)}
     nx = len(game.x_basis)
+    x_pos = {cell: k for k, cell in enumerate(game.x_basis)}
+    z_pos = {cell: nx + k for k, cell in enumerate(game.z_basis)}
+    # per player, the input bits on its incident basis cells: a is their parity
+    # on the (p+1)-cells, b on the (p-1)-cells (or 1 with restrict_unit_z)
+    players = range(strat.players)
+    a_bits = [[x_pos[f] for f in strat.face_incidence(c) if f in x_pos] for c in players]
+    b_bits = [[z_pos[v] for v in strat.vertex_incidence(c) if v in z_pos] for c in players]
     nz = 0 if restrict_unit_z else len(game.z_basis)
     bits_total = nx + nz
     if (1 << bits_total) <= max_exhaustive:
@@ -257,35 +245,23 @@ def cellulation_game_eval(
         )
         exhaustive = False
     per_input: Dict[Tuple, Number] = {}
-    total: Number = Fraction(0) if not dense else 0.0
+    total = Fraction(0)
     count = 0
     for bits in assignments:
-        xbits = bits[:nx]
-        zbits = bits[nx:]
-        exps = []
-        for c in range(strat.players):
-            a = sum(xbits[x_pos[f]] for f in face_inc[c] if f in x_pos) % 2
-            if restrict_unit_z:
-                b = 1
-            else:
-                b = sum(zbits[z_pos[v]] for v in vert_inc[c] if v in z_pos) % 2
-            exps.append((a, b))
+        exps = [
+            (sum(bits[k] for k in ak) % 2, 1 if restrict_unit_z else sum(bits[k] for k in bk) % 2)
+            for ak, bk in zip(a_bits, b_bits)
+        ]
         cross = sum(a * b for a, b in exps)
         if cross % 2:
             raise ValueError("odd a.b parity: stabilizer commutation violated")
-        target = 1 if cross % 4 == 0 else -1
-        coll = PauliOperator.identity(ops.n)
-        for c, (a, b) in enumerate(exps):
-            if a or b:
-                coll = multiply(coll, ops.player_op(c, a, b))
-        win = _win_probability(target, _resource_expectation(coll, res))
+        win, _ = _score(ops, res, exps, 1 if cross % 4 == 0 else -1)
         per_input[bits] = win
-        total = total + win
+        total += win
         count += 1
-    p_q = total / count if dense else Fraction(total, count)
     return StrategyEvaluation(
         per_input,
-        p_q,
+        total / count,
         meta={
             "bits": bits_total,
             "exhaustive": exhaustive,

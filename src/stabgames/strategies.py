@@ -40,6 +40,16 @@ class CompositeOperatorSet:
     pairs: List[Tuple[Tuple[SiteFactor, ...], Tuple[SiteFactor, ...]]]
     constraints: List[Constraint]
     meta: Dict = field(default_factory=dict)
+    # per player, i^{ab} X^a Z^b indexed [a][b]; built once from pairs
+    _table: List = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        one = PauliOperator.identity(self.n)
+        self._table = []
+        for xf, zf in self.pairs:
+            x, z = ordered_product(xf, self.n), ordered_product(zf, self.n)
+            y = multiply(x, z).scale_i(1)  # Z segment applied first
+            self._table.append(((one, z), (x, y)))
 
     @property
     def n(self) -> int:
@@ -50,23 +60,18 @@ class CompositeOperatorSet:
         return len(self.pairs)
 
     def x_op(self, i: int) -> PauliOperator:
-        return ordered_product(self.pairs[i][0], self.n)
+        return self._table[i][1][0]
 
     def z_op(self, i: int) -> PauliOperator:
-        return ordered_product(self.pairs[i][1], self.n)
+        return self._table[i][0][1]
 
     def y_op(self, i: int) -> PauliOperator:
         """Hermitian composite i * X_i * Z_i (Z segment applied first)."""
-        return multiply(self.x_op(i), self.z_op(i)).scale_i(1)
+        return self._table[i][1][1]
 
     def player_op(self, i: int, x_exp: int, z_exp: int) -> PauliOperator:
         """i^{xz} X_i^x Z_i^z for bits (x_exp, z_exp)."""
-        op = PauliOperator.identity(self.n)
-        if z_exp:
-            op = multiply(self.z_op(i), op)
-        if x_exp:
-            op = multiply(self.x_op(i), op)
-        return op.scale_i(x_exp * z_exp)
+        return self._table[i][x_exp][z_exp]
 
 
 @dataclass
@@ -84,9 +89,7 @@ def validate(ops: CompositeOperatorSet) -> ValidationReport:
     constraint's expectation on the resource group."""
     p = ops.players
     problems: List[str] = []
-    xs = [ops.x_op(i) for i in range(p)]
-    zs = [ops.z_op(i) for i in range(p)]
-    matrix = [[not commutes(xs[i], zs[j]) for j in range(p)] for i in range(p)]
+    matrix = [[not commutes(ops.x_op(i), ops.z_op(j)) for j in range(p)] for i in range(p)]
     comm_ok = all(matrix[i][j] == (i == j) for i in range(p) for j in range(p))
     if not comm_ok:
         problems.append("anticommutation pattern is not delta_ij")
@@ -102,7 +105,7 @@ def validate(ops: CompositeOperatorSet) -> ValidationReport:
     for c in ops.constraints:
         op = PauliOperator.identity(ops.n)
         for i in c.indices:
-            op = multiply(op, xs[i] if c.kind == "X" else zs[i])
+            op = multiply(op, ops.x_op(i) if c.kind == "X" else ops.z_op(i))
         e = ops.resource.expectation(op)
         got = e.phase_exp if e.kind == "definite" else None
         results.append((c, e.kind, got))

@@ -359,6 +359,9 @@ class StabilizerGroup:
         return dim.bit_length() - 1
 
     def _coerce(self, op: AnyOperator) -> AnyOperator:
+        """op in the group's row type, checked against its register."""
+        if op.n != self.n:
+            raise ValueError("register mismatch")
         if self._packed is not None:
             if isinstance(op, WeylOperator):
                 return op.to_pauli()
@@ -369,8 +372,6 @@ class StabilizerGroup:
         """Multiply op by group elements to clear every pivot column."""
         cur = self._coerce(op)
         n = self.n
-        if cur.n != n:
-            raise ValueError("register mismatch")
         if self._packed is not None:
             v, ph = self._reduce_packed(cur.x | cur.z << n, cur.phase)
             return PauliOperator(n, v & ((1 << n) - 1), v >> n, ph)
@@ -379,8 +380,6 @@ class StabilizerGroup:
 
     def expectation(self, op: AnyOperator) -> Expectation:
         cur = self._coerce(op)
-        if cur.n != self.n:
-            raise ValueError("register mismatch")
         if self._packed is not None:
             if self._anticommuting(cur.x, cur.z):
                 return Expectation("zero", 2)
@@ -394,10 +393,6 @@ class StabilizerGroup:
             return Expectation("zero", d)
         e, f = self._reduce_weyl(vec, cur.phase)
         return Expectation("logical", d) if e.any() else Expectation("definite", d, f)
-
-    def contains(self, op: AnyOperator, phase_exp: int = 0) -> bool:
-        e = self.expectation(op)
-        return e.is_definite(phase_exp)
 
     def fix_sector(self, logicals: Iterable[AnyOperator]) -> "StabilizerGroup":
         """Enlarge the group by commuting operators, pinning their eigenvalues.

@@ -249,8 +249,20 @@ def test_magic_square_outputs_pinned(tmp_path, size):
     (["game", "parity", "--code", "tc2d", "--L", "4", "--Lx", "4"], "--Lx"),
     (["strategy", "validate", "--code", "xcube", "--L", "3", "--Ly", "3"], "--Ly"),
     (["code", "info", "--kind", "tc2d", "--L", "4", "--Lx", "5"], "--Lx"),
+    (["game", "parity", "--classical", "--code", "xcube", "--variant", "cage",
+      "--Lx", "5", "--P", "4"], "--code"),
+    (["game", "parity", "--classical", "--variant", "winding"], "--variant"),
+    (["game", "parity", "--classical", "--L", "5"], "--L"),
+    (["game", "magic-square", "--classical", "--d", "2", "--Lx", "9"], "--Lx"),
+    (["game", "magic-square", "--classical", "--Ly", "9"], "--Ly"),
+    (["game", "cellulation", "--fan", "--blocks", "3x3"], "--blocks"),
+    (["game", "parity", "--code", "ghz", "--L", "9"], "--L"),
+    (["game", "parity", "--L", "3"], "--L"),
+    (["strategy", "validate", "--code", "ghz", "--L", "3"], "--L"),
 ], ids=["xcube-P", "tc3d-P", "tc2d-variant", "ghz-variant", "tc3d-variant",
-        "parity-Lx", "validate-Ly", "info-Lx"])
+        "parity-Lx", "validate-Ly", "info-Lx", "classical-code", "classical-variant",
+        "classical-L", "classical-square-Lx", "classical-square-Ly", "fan-blocks",
+        "ghz-L", "default-ghz-L", "validate-ghz-L"])
 def test_ignored_flags_are_refused(tmp_path, capsys, args, flag):
     # a flag the chosen code or strategy does not use must not be recorded as if it had been
     rc = main(args + ["--outdir", str(tmp_path)])
@@ -268,6 +280,55 @@ def test_ignored_flags_are_refused(tmp_path, capsys, args, flag):
 def test_flags_the_strategy_uses_are_accepted(tmp_path, args):
     record, _ = run(["game", "parity", *args], tmp_path, "ok")
     assert record["p_q"]["fraction"] == "1/1"
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["game", "parity", "--classical", "--P", "4"],
+     {"code": "ghz", "L": 3, "P": 4, "classical": True, "variant": None}),
+    (["game", "parity", "--P", "4"], {"code": "ghz", "L": 3}),
+    (["strategy", "validate", "--code", "ghz", "--P", "4"], {"code": "ghz", "L": 3}),
+    (["game", "magic-square", "--classical", "--d", "2"], {"Lx": 8, "Ly": 10}),
+    (["game", "cellulation", "--fan", "--L", "5"], {"blocks": "2x2", "fan": True}),
+], ids=["classical-parity", "ghz-parity", "ghz-validate", "classical-square", "fan"])
+def test_unset_options_record_their_defaults(tmp_path, args, expected):
+    # options a run may ignore default to None, so that a given value can be
+    # refused; an unset one is still recorded with its documented default
+    record, _ = run(args, tmp_path, "def")
+    assert {k: record["config"][k] for k in expected} == expected
+
+
+# SHA-256 of the JSON and CSV of each command, recorded before both games
+# were scored by one per-input rule; the sweep's floats come from a dense
+# state vector (x86-64, numpy 2.4)
+SCORED_RUN_DIGESTS = {
+    "cellulation": (
+        ["game", "cellulation"],
+        "64f98169a7b0f228fa1d531a5182c0c9e67130bed4a35b95b75506ad5af07967",
+        "741f634c295cfd303acbd4a0c63a8c231482ebb7342ad4628753d2d33f1369ee"),
+    "cellulation-fan-unit-z": (
+        ["game", "cellulation", "--fan", "--restrict-unit-z"],
+        "a984ebe1f6a31e4b69b51388859cb6a6f884ebdaa8d041987e9d26ba2b5cf92e",
+        "e77b05e7f94771bab1f2931080408eb55a0dba38244d23af83dd7c7f7b7ab13d"),
+    "cellulation-blocks-3x2": (
+        ["game", "cellulation", "--blocks", "3x2"],
+        "edc829701d855152046e90492ed98025b9ef28728c48ed0773655f8c02b17f1c",
+        "a8fa3c23bf6563bedb100faab5173a031099772391911cda3273ac0584dd9ce4"),
+    "sweep-x": (
+        ["sweep", "deformation", "--L", "2", "--family", "x", "--sector", "++"],
+        "0dc170db06b008e03ad1ddbe582ad6641ccb2784d069109becfccda1d3a4b9f1",
+        "e18cc2e17362fbff47a8ef97953da6903b5658d5b5ea9a5463f377272271a13b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORED_RUN_DIGESTS))
+def test_scored_run_outputs_pinned(tmp_path, name):
+    import hashlib
+
+    args, *digests = SCORED_RUN_DIGESTS[name]
+    assert main(args + ["--outdir", str(tmp_path), "--tag", "run"]) == 0
+    got = [hashlib.sha256((tmp_path / f"run.{ext}").read_bytes()).hexdigest()
+           for ext in ("json", "csv")]
+    assert got == digests
 
 
 def test_code_info_double_semion_takes_lx_ly(tmp_path):

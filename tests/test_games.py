@@ -214,6 +214,16 @@ class TestCellulationGame:
         orth = state_from_group(flipped)
         ev2 = cellulation_game_eval(game, resource=orth)
         assert ev2.p_q == pytest.approx(0.5, abs=1e-10)
+        # the tableau scores the same sector exactly, input by input
+        exact = cellulation_game_eval(game, resource=flipped)
+        assert exact.p_q == Fraction(1, 2)
+        assert exact.per_input.keys() == ev2.per_input.keys()
+        for bits, win in ev2.per_input.items():
+            assert abs(win - exact.per_input[bits]) < 1e-10
+        assert type(exact.p_q) is Fraction
+        assert all(type(w) is Fraction for w in exact.per_input.values())
+        assert type(ev2.p_q) is float
+        assert all(type(w) is float for w in ev2.per_input.values())
 
     def test_fan_restriction_reproduces_parity(self):
         code = toric2d(5)

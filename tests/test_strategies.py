@@ -14,7 +14,7 @@ from stabgames.codes import (
     toric3d_faces,
     xcube,
 )
-from stabgames.pauli import PauliOperator, commutes, multiply, twist_product
+from stabgames.pauli import PauliOperator, commutes, multiply, ordered_product, twist_product
 from stabgames.strategies import (
     CompositeOperatorSet,
     block_cellulation_ops,
@@ -325,3 +325,52 @@ def test_block_cellulation_effective_rank_reaches_n_with_sectors():
     assert all(eff.expectation(f).kind == "logical" for f in fixers)
     fixed = eff.fix_sector(fixers)
     assert fixed.rank == n_eff
+
+
+def _reference_player_op(ops, i, x_exp, z_exp):
+    """i^{xz} X_i^x Z_i^z as composed before the table: each segment rebuilt
+    from its site factors and multiplied onto the identity, Z first."""
+    op = PauliOperator.identity(ops.n)
+    if z_exp:
+        op = multiply(ordered_product(ops.pairs[i][1], ops.n), op)
+    if x_exp:
+        op = multiply(ordered_product(ops.pairs[i][0], ops.n), op)
+    return op.scale_i(x_exp * z_exp)
+
+
+def _round_trip(ops):
+    from stabgames.strategies import deserialize_operator_set, serialize_operator_set
+
+    return deserialize_operator_set(serialize_operator_set(ops), ops.code, ops.resource)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ghz_ops(5),
+        lambda: tc2d_parity_ops(toric2d(6), 5),
+        lambda: tc2d_parity_ops(toric2d(4), 4, winding=True),
+        lambda: deform_arc(tc2d_parity_ops(toric2d(6), 4), 1, (2, 0)),
+        lambda: tc3d_1form_ops(toric3d_faces(3)),
+        lambda: tc3d_2form_ops(toric3d_edges(3)),
+        lambda: xcube_ops(xcube(3), "prism"),
+        lambda: xcube_ops(xcube(3), "cage"),
+        lambda: cycle_dipole_embedding(toric2d(8), 5)[0],
+        lambda: wheel_embedding(toric2d(7))[0],
+        lambda: block_cellulation_ops(toric2d(6), 3, 2).ops,
+        lambda: fan_cellulation_ops(toric2d(6)).ops,
+        lambda: _round_trip(tc2d_parity_ops(toric2d(4), 3)),
+    ],
+    ids=["ghz", "tc2d-contractible", "tc2d-winding", "deform-arc", "tc3d-1form",
+         "tc3d-2form", "xcube-prism", "xcube-cage", "cycle-dipole", "wheel",
+         "cellulation-blocks", "cellulation-fan", "deserialized"],
+)
+def test_player_op_table_matches_composition(build):
+    ops = build()
+    for i in range(ops.players):
+        for a in (0, 1):
+            for b in (0, 1):
+                assert ops.player_op(i, a, b) == _reference_player_op(ops, i, a, b)
+        assert ops.x_op(i) == _reference_player_op(ops, i, 1, 0)
+        assert ops.z_op(i) == _reference_player_op(ops, i, 0, 1)
+        assert ops.y_op(i) == _reference_player_op(ops, i, 1, 1)

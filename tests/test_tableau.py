@@ -324,9 +324,13 @@ class TestExpectation:
         assert e.kind == "definite" and e.value == pytest.approx(-1.0)
 
     def test_register_mismatch(self):
-        g = StabilizerGroup([P("i^0 Z0", 2)])
-        with pytest.raises(ValueError):
-            g.expectation(P("i^0 Z0", 3))
+        # every query, on the packed and the Weyl path, checks the register
+        qubits = StabilizerGroup([P("i^0 Z0", 2)])
+        ququarts = StabilizerGroup([WeylOperator.single(4, 2, 0, 0, 1)])
+        for g, op in ((qubits, P("i^0 Z0", 3)), (ququarts, WeylOperator.single(4, 3, 0, 0, 1))):
+            for query in (g.expectation, g.reduce, lambda o: g.fix_sector([o])):
+                with pytest.raises(ValueError, match="register mismatch"):
+                    query(op)
 
 
 class TestFixSector:
