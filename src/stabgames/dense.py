@@ -4,10 +4,12 @@ Ground truth for the tableau: builds stabilizer states by projection,
 applies non-stabilizer deformations, and evaluates arbitrary operator
 expectations.  Bounded at d^n <= 2**22 amplitudes.
 
-One kernel applies every operator, for every d: ``apply_operator`` gathers
-the state once through a flat source index and multiplies each amplitude by
-one root of unity, looked up from a small-int exponent array; both index
-arrays come from one digit-wise outer sum.  ``state_from_group`` projects a
+One kernel applies every operator, for every d: ``apply_operator`` splits
+w^f X^x Z^z into a factor on the first half of the sites and one on the
+rest, builds each half's source offsets and Z exponents (at most
+d^ceil(n/2) entries), gathers the state once through their outer sum and
+applies the phases as one row and one column multiply, in place; the gather
+index is its only full-size temporary.  ``state_from_group`` projects a
 basis state of the state's support, found exactly from the X-free canonical
 rows by back-substitution over Z_d, so the projection never vanishes.
 """
@@ -47,36 +49,52 @@ def _check_size(d: int, n: int) -> None:
         raise ValueError(f"state of size {d}^{n} exceeds the dense bound")
 
 
+def _half_tables(d: int, xs: Sequence[int], zs: Sequence[int]):
+    """Source offsets and Z exponents over one block of sites.
+
+    Entry q (the block's sites as digits, first site most significant) holds
+    the block index of q - x, digit-wise mod d, and e = z.(q - x) mod d.  One
+    outer sum over the digits, last site first, builds both.
+    """
+    digits = np.arange(d)
+    src = np.zeros(1, dtype=np.intp)
+    e = np.zeros(1, dtype=np.intp)
+    stride = 1
+    for a, b in zip(reversed(xs), reversed(zs)):
+        shifted = (digits - a) % d
+        src = (shifted[:, None] * stride + src).ravel()
+        e = ((shifted * b)[:, None] + e).ravel() % d
+        stride *= d
+    return src, e
+
+
 def apply_operator(state: DenseState, op: AnyOperator) -> DenseState:
-    """Apply w^f X^x Z^z to the state in one gather and one phase sweep.
+    """Apply w^f X^x Z^z to the state in one gather and two phase sweeps.
 
     Site 0 is the most significant digit of the amplitude index, matching
     the kron ordering used by the matrix oracles in the test suite.  Output
     amplitude q is w^(f + 2e) times input amplitude q - x, digit-wise mod d,
-    with e = z.(q - x) mod d.  The source indices and the exponents e are
-    built by one outer sum over the digits, last site first so that the long
-    axis is always the inner one; the gather copies the state once, and one
-    in-place multiply by the table of the d roots w^(f + 2k) applies every
-    phase, the global one included.
+    with e = z.(q - x) mod d.
+
+    The operator is A (x) B, with A on the first m = n // 2 sites and B on
+    the rest.  So the source index of q is src_hi * d^(n-m) + src_lo, and
+    since w^(2d) = 1, w^(2e) = w^(2 e_hi) w^(2 e_lo) needs no reduction mod
+    d.  ``_half_tables`` builds each half, at most d^ceil(n/2) entries; the
+    state is gathered once through the outer sum of the source offsets, and
+    on the (d^m, d^(n-m)) view of the result one in-place multiply applies
+    the row roots w^(f + 2 e_hi) and another the column roots w^(2 e_lo).
     """
     w = _as_weyl(op)
     if w.n != state.n or w.d != state.d:
         raise ValueError("operator register mismatch")
     d, n = state.d, state.n
-    digits = np.arange(d)
-    src = np.zeros(1, dtype=np.intp)
-    e = np.zeros(1, dtype=np.min_scalar_type(2 * d))
-    stride = 1
-    for j in range(n - 1, -1, -1):
-        shifted = (digits - w.x[j]) % d
-        src = (shifted[:, None] * stride + src).ravel()
-        # both terms are below d, so one conditional subtraction reduces mod d
-        e = ((shifted * w.z[j] % d).astype(e.dtype)[:, None] + e).ravel()
-        e -= (e >= d) * e.dtype.type(d)
-        stride *= d
-    out = state.amps[src]
-    del src  # freed before the phase gather allocates: a lower peak
-    out *= np.exp(1j * np.pi * (w.phase + 2 * digits) / d).take(e)
+    m = n // 2
+    src_hi, e_hi = _half_tables(d, w.x[:m], w.z[:m])
+    src_lo, e_lo = _half_tables(d, w.x[m:], w.z[m:])
+    out = state.amps.take(np.add.outer(src_hi * d ** (n - m), src_lo).ravel())
+    grid = out.reshape(src_hi.size, src_lo.size)
+    grid *= np.exp(1j * np.pi * (w.phase + 2 * e_hi) / d)[:, None]
+    grid *= np.exp(1j * np.pi * (2 * e_lo) / d)
     return DenseState(d, n, out)
 
 
@@ -166,6 +184,15 @@ def _row_order(op: AnyOperator, d: int) -> int:
     return m0 * (2 * d // math.gcd(2 * d, phi))
 
 
+def _z_weights(count: Sequence[int]) -> np.ndarray:
+    """sum_j count[j] * (-1)^(q_j) for every q over a block of sites, the
+    first site most significant."""
+    weights = np.zeros(1)
+    for c in count:
+        weights = np.add.outer(weights, [c, -c]).ravel()
+    return weights
+
+
 def deform(
     state: DenseState, family: str, theta: float, sites: Sequence[int] = None
 ) -> DenseState:
@@ -174,13 +201,16 @@ def deform(
         raise ValueError("deformations implemented for qubit registers only")
     if sites is None:
         sites = range(state.n)
-    cur = state.amps.copy()
+    cur = state.amps  # both families build a new array from it
     n = state.n
     if family.lower() in ("z", "z-field"):
-        weights = np.zeros(1 << n)
+        # the weight of |q> is sum_site (-1)^(q_site); it splits over the two
+        # halves of the register like the operators in apply_operator
+        count = [0] * n
         for j in sites:
-            bit = (np.arange(1 << n) >> (n - 1 - j)) & 1
-            weights += 1.0 - 2.0 * bit
+            count[j] += 1
+        m = n // 2
+        weights = np.add.outer(_z_weights(count[:m]), _z_weights(count[m:])).ravel()
         cur = cur * np.exp(theta * weights)
     elif family.lower() in ("x", "x-field"):
         ch, sh = np.cosh(theta), np.sinh(theta)

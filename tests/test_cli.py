@@ -216,6 +216,30 @@ def test_sweep_deformation_l3_every_sector(tmp_path, sector):
     assert record["sweep"][1]["p_q"] < 1.0
 
 
+# p_q and mermin of `sweep deformation --L 3 --thetas 0,0.2` at theta = 0.2,
+# recorded before the dense kernel split each operator over two half registers
+L3_SWEEP_AT_0_2 = {
+    "z": (0.8523182298844547, 2.8185458390756377),
+    "x": (0.8210108559322269, 2.568086847457815),
+}
+
+
+@pytest.mark.parametrize("family", sorted(L3_SWEEP_AT_0_2))
+def test_sweep_deformation_l3_values(tmp_path, family):
+    # n = 18: the kernel's halves are 9 and 9 sites; the floats pass through
+    # norms and inner products, so they are compared with a tolerance
+    record, _ = run(
+        ["sweep", "deformation", "--L", "3", "--family", family, "--thetas", "0,0.2"],
+        tmp_path, family,
+    )
+    zero, moved = record["sweep"]
+    assert zero["theta"] == 0.0 and abs(zero["p_q"] - 1.0) < 1e-10
+    p_q, mermin = L3_SWEEP_AT_0_2[family]
+    assert moved["theta"] == 0.2
+    assert abs(moved["p_q"] - p_q) < 1e-12
+    assert abs(moved["mermin"] - mermin) < 1e-12
+
+
 # SHA-256 of the JSON and CSV of `game magic-square --Lx X --Ly Y`, recorded
 # before the vectorised Weyl kernel replaced the per-operator elimination
 MAGIC_SQUARE_DIGESTS = {

@@ -223,6 +223,41 @@ class TestDeform:
         assert fd == pytest.approx(anti - 2 * exp_a * exp_m, abs=1e-6)
 
 
+def _reference_z_deform(state, theta, sites):
+    """The former Z-field deformation: one full-register pass per site."""
+    n = state.n
+    weights = np.zeros(1 << n)
+    for j in sites:
+        bit = (np.arange(1 << n) >> (n - 1 - j)) & 1
+        weights += 1.0 - 2.0 * bit
+    cur = state.amps * np.exp(theta * weights)
+    return cur / np.linalg.norm(cur)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_z_field_matches_reference(data):
+    n = data.draw(st.integers(0, 10))
+    # None deforms every site; a list may repeat a site
+    site_lists = st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([])
+    sites = data.draw(st.none() | site_lists)
+    theta = data.draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = DenseState(2, n, amps / np.linalg.norm(amps))
+    want = _reference_z_deform(state, theta, range(n) if sites is None else sites)
+    assert np.array_equal(deform(state, "z", theta, sites).amps, want)
+
+
+def test_z_field_matches_reference_on_18_qubits():
+    rng = np.random.default_rng(18)
+    amps = rng.normal(size=1 << 18) + 1j * rng.normal(size=1 << 18)
+    state = DenseState(2, 18, amps / np.linalg.norm(amps))
+    for theta in (0.2, -0.35):
+        want = _reference_z_deform(state, theta, range(18))
+        assert np.array_equal(deform(state, "z", theta).amps, want)
+
+
 def test_state_dump_round_trip(tmp_path):
     from stabgames.dense import load_state, save_state
 
@@ -298,10 +333,11 @@ def _reference_apply(state, op):
 
 @st.composite
 def kernel_cases(draw):
-    """(state, operator, site factors or None) for d = 2, 3, 4 on 0..5 qudits;
-    for qubits the operator is the ordered product of the site factors."""
+    """(state, operator, site factors or None) on 0..9 qubits, 0..6 qutrits
+    and 0..5 ququarts, so the kernel's two halves come equal, unequal and
+    empty; for qubits the operator is the ordered product of the site factors."""
     d = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(0, 5))
+    n = draw(st.integers(0, {2: 9, 3: 6, 4: 5}[d]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
     state = DenseState(d, n, amps / np.linalg.norm(amps))
