@@ -322,9 +322,26 @@ def test_unset_options_record_their_defaults(tmp_path, args, expected):
 
 
 # SHA-256 of the JSON and CSV of each command, recorded before both games
-# were scored by one per-input rule; the sweep's floats come from a dense
-# state vector (x86-64, numpy 2.4)
+# were scored by one per-input rule (the parity runs: before the stabilizer
+# scoring moved to one quadratic form per evaluation); the sweeps' floats
+# come from a dense state vector (x86-64, numpy 2.4)
 SCORED_RUN_DIGESTS = {
+    "parity-tc2d-L32-P12": (
+        ["game", "parity", "--code", "tc2d", "--L", "32", "--P", "12"],
+        "e00bd051b8fe4cd7bd6ad2e231b18e43741e488dc20c402c65154de1c9dd3fde",
+        "530770ad1ab0398afdbc19b5f04a9452585e2e0ec751600f8355b14ad4773a49"),
+    "parity-mermin": (
+        ["game", "parity", "--P", "3"],
+        "12a81e00ccebd70890fb96e245a6e97f0be805351bfcc3945d45fb6085fce0f9",
+        "513db2251bd97f96997ae27644612b9ef26627e54e919379757e447a164fe876"),
+    "parity-tc2d-winding": (
+        ["game", "parity", "--code", "tc2d", "--L", "6", "--P", "5", "--variant", "winding"],
+        "b9315b64d5b2a91f41df035da5cd072bd249ae8a422da98ec303fb72d73b0dbf",
+        "49ef775e1b02b1bb173d67cbf1bdebfaba2da97312510a53a49f36456050411d"),
+    "sweep-z": (
+        ["sweep", "deformation", "--L", "2", "--family", "z"],
+        "abd68390c7c3c0fc49333f8373138c0edee9be6bf450835b234d3433e5cbde4a",
+        "3b981ff0a2845da1e61c001356aefc6419d63f956ea1874daf2f77cb61465d40"),
     "cellulation": (
         ["game", "cellulation"],
         "64f98169a7b0f228fa1d531a5182c0c9e67130bed4a35b95b75506ad5af07967",
