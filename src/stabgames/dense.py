@@ -201,7 +201,7 @@ def deform(
         raise ValueError("deformations implemented for qubit registers only")
     if sites is None:
         sites = range(state.n)
-    cur = state.amps  # both families build a new array from it
+    cur = state.amps  # neither family writes to the given state
     n = state.n
     if family.lower() in ("z", "z-field"):
         # the weight of |q> is sum_site (-1)^(q_site); it splits over the two
@@ -213,12 +213,17 @@ def deform(
         weights = np.add.outer(_z_weights(count[:m]), _z_weights(count[m:])).ravel()
         cur = cur * np.exp(theta * weights)
     elif family.lower() in ("x", "x-field"):
+        # exp(theta X_j) = ch + sh X_j pairs each amplitude with the one that
+        # differs in site j: the middle axis of the (2^j, 2, 2^(n-1-j)) view
         ch, sh = np.cosh(theta), np.sinh(theta)
-        work = DenseState(2, n, cur)
+        cur = cur.copy()
         for j in sites:
-            flipped = apply_operator(work, PauliOperator.single(n, j, "X"))
-            work = DenseState(2, n, ch * work.amps + sh * flipped.amps)
-        cur = work.amps
+            pair = cur.reshape(1 << j, 2, -1)
+            a0, a1 = pair[:, 0], pair[:, 1]
+            new0 = ch * a0 + sh * a1
+            a1 *= ch
+            a1 += sh * a0
+            a0[...] = new0
     else:
         raise ValueError(f"unknown deformation family {family!r}")
     nrm = np.linalg.norm(cur)

@@ -6,7 +6,10 @@ Quantum evaluations are exact: stabilizer resources give win probabilities
 as rationals, dense resources give floats from exact state vectors.  Win
 credit for an input whose collective observable has expectation zero (or is
 logical on a degenerate resource) is 1/2: the measured eigenvalue is then
-uniformly random.
+uniformly random.  On a stabilizer group, each evaluation scores every input
+from one Z4 quadratic form in the input bits (``_sign_form``), fixed by
+1 + m + m(m-1)/2 group reductions for m input bits; a dense state is scored
+input by input.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ import itertools
 import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .complexes import _independent_rows
 from .dense import DenseState, dense_expectation
-from .pauli import PauliOperator, multiply
+from .pauli import PauliOperator
 from .strategies import CellulationStrategy, CompositeOperatorSet
-from .tableau import Expectation, StabilizerGroup
-from .weyl import commutation_phase, dagger, w_multiply
+from .tableau import StabilizerGroup
+from .weyl import WeylOperator, commutation_phase, dagger, w_multiply
 
 Number = Union[Fraction, float]
 
@@ -122,34 +125,130 @@ def classical_strategy_score(p: int, a: Sequence[int], c: Sequence[int]) -> Frac
 # -- quantum parity evaluation --------------------------------------------------------
 
 
-def _definite_sign(e: Expectation) -> int:
-    """+1 or -1 when <O> is exactly that value, 0 otherwise."""
-    if e.kind == "definite":
-        k = e.phase_exp % (2 * e.d)
-        if k == 0:
-            return 1
-        if k == e.d:
-            return -1
-    return 0
+_WINS = {1: Fraction(1), 0: Fraction(1, 2), -1: Fraction(0)}  # win for t*s
 
 
-def _score(ops: CompositeOperatorSet, resource: Union[StabilizerGroup, DenseState],
-           exps: Iterable[Tuple[int, int]], target: int) -> Tuple[Number, Number]:
-    """Win probability and <O> for one input, where O is the product of the
-    players' i^{ab} X^a Z^b in player order and target the sign that wins.
-
-    On a stabilizer group <O> is the exact sign +1, -1 or 0 (uniformly random
-    outcome) and the win a rational; on a dense state both are floats.
-    """
-    coll = PauliOperator.identity(ops.n)
+def _collective(ops: CompositeOperatorSet, exps: Sequence[Tuple[int, int]]) -> PauliOperator:
+    """O = prod_i i^{a_i b_i} X_i^{a_i} Z_i^{b_i} in player order (the last
+    player's factor applied first), for (a_i, b_i) in exps."""
+    x = z = ph = 0
     for i, (a, b) in enumerate(exps):
         if a or b:
-            coll = multiply(coll, ops.player_op(i, a, b))
-    if isinstance(resource, DenseState):
-        s = dense_expectation(resource, coll).real
-        return (1 + target * s) / 2, s
-    s = _definite_sign(resource.expectation(coll))
-    return Fraction(1 + target * s, 2), s
+            op = ops.player_op(i, a, b)
+            ph += op.phase + 2 * (z & op.x).bit_count()
+            x ^= op.x
+            z ^= op.z
+    return PauliOperator(ops.n, x, z, ph)
+
+
+def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
+               exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
+               m: int) -> Callable[[Tuple[int, ...], List[Tuple[int, int]]], int]:
+    """sign(u, exps_of(u)) = <O(u)> on the group's stabilized space, as +1,
+    -1 or 0, for every u in GF(2)^m, from 1 + m + m(m-1)/2 reductions.
+
+    exps_of must be affine over GF(2): each player's (a_i, b_i) is a fixed
+    bit, or the parity of some bits of u.  Write O(u) = i^{sum_i a_i b_i} M(u),
+    M(u) = prod_i X_i^{a_i} Z_i^{b_i}, and let reduce(M(u)) = M(u) g(u) with
+    residual vector r(u) and i-power rho(u).
+
+    - r(u) is affine in u: the x|z vector of M(u) is an XOR of the players'
+      vectors, and the group element g(u) that clears the pivot bits is
+      unique, so its vector depends linearly on that of M(u).
+    - rho(u) mod 4 is a polynomial of degree <= 2 in the bits of u (Dehaene
+      & De Moor, quant-ph/0304125).  Every phase term is an integer phase
+      times one exponent, or twice a GF(2) product of two exponents: the
+      factors' own phases, the 2|z.x'| of each product, and the same for
+      the rows of g(u), whose exponents on the rows are affine in u too.
+      Read as an integer, an exponent that is the XOR of the bits u_j with
+      j in S is sum_S u_j - 2 sum_{j<k in S} u_j u_k (mod 4), and twice a
+      GF(2) product only depends on it mod 2, so no term has degree > 2.
+    - Such a polynomial is fixed by its values at 0, at each e_j and at each
+      e_j + e_k: rho(u) = c + sum_j l_j u_j + sum_{j<k} q_jk u_j u_k with
+      c = rho(0), l_j = rho(e_j) - c, q_jk = rho(e_j + e_k) - rho(e_j) -
+      rho(e_k) + c, and r(u) = r(0) + sum_j u_j (r(e_j) + r(0)).
+    - If r(u) = 0, M(u) = i^rho g(u) with g(u) in the group, so <O(u)> =
+      i^k, k = rho(u) + sum_i a_i b_i.  That sum is not a quadratic form
+      in u (a_i b_i is a product of two parities), so it is added per
+      input.  The sign is +1 or -1 for k = 0 or 2 mod 4 and 0 for odd k.
+    - If r(u) != 0, O(u) is not a phase times a group element: it
+      anticommutes with some stabilizer (an anticommuting operator never
+      reduces to 0) or it is logical.  Either way the outcome is uniformly
+      random and the sign is 0.
+    """
+    n = ops.n
+
+    def point(*ones: int) -> Tuple[int, int]:
+        exps = exps_of(tuple(int(j in ones) for j in range(m)))
+        r = group.reduce(_collective(ops, exps))
+        if isinstance(r, WeylOperator):
+            r = r.to_pauli()
+        return r.x | r.z << n, r.phase - sum(a * b for a, b in exps)
+
+    r0, c = point()
+    single = [point(j) for j in range(m)]
+    step = [r ^ r0 for r, _ in single]  # change of the residual when u_j flips
+    lin = [rho - c for _, rho in single]
+    # q_jk for k < j, as bitsets over k of its low and high bit
+    q_lo, q_hi = [0] * m, [0] * m
+    for j in range(m):
+        for k in range(j):
+            q = (point(k, j)[1] - single[j][1] - single[k][1] + c) % 4
+            q_lo[j] |= (q & 1) << k
+            q_hi[j] |= (q >> 1) << k
+
+    def sign(bits: Tuple[int, ...], exps: List[Tuple[int, int]]) -> int:
+        r, k, seen = r0, c + sum(a * b for a, b in exps), 0
+        for j, b in enumerate(bits):
+            if b:
+                r ^= step[j]
+                k += lin[j] + (q_lo[j] & seen).bit_count() + 2 * (q_hi[j] & seen).bit_count()
+                seen |= 1 << j
+        if r or k & 1:
+            return 0
+        return 1 - (k & 2)
+
+    return sign
+
+
+def _score_inputs(
+    ops: CompositeOperatorSet,
+    resource: Union[StabilizerGroup, DenseState],
+    exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
+    m: int,
+    inputs: Iterable[Tuple[int, ...]],
+    target_of: Callable[[Tuple[int, ...], List[Tuple[int, int]]], int],
+) -> Tuple[Dict[Tuple, Number], Number, List[Number]]:
+    """Per-input wins, their mean p_q and each input's <O(u)>, for the inputs
+    u in GF(2)^m, where O(u) is the product of the players' i^{ab} X^a Z^b
+    with (a, b) = exps_of(u) and target_of(u, exps) the sign that wins.
+
+    The win is (1 + t <O>) / 2.  On a stabilizer group <O> is the exact sign
+    from ``_sign_form``, the wins are Fractions and p_q is one Fraction of
+    their integer total; on a dense state <O> is a float, input by input.
+    """
+    exact = not isinstance(resource, DenseState)
+    if exact:
+        sign = _sign_form(ops, resource, exps_of, m)
+    else:
+        def sign(bits, exps):
+            return dense_expectation(resource, _collective(ops, exps)).real
+    per_input: Dict[Tuple, Number] = {}
+    signs: List[Number] = []
+    halves, total = 0, 0.0
+    for bits in inputs:
+        exps = exps_of(bits)
+        s = sign(bits, exps)
+        ts = target_of(bits, exps) * s
+        if exact:
+            per_input[bits] = _WINS[ts]
+            halves += 1 + ts
+        else:
+            per_input[bits] = win = (1 + ts) / 2
+            total += win
+        signs.append(s)
+    p_q = Fraction(halves, 2 * len(signs)) if exact else total / len(signs)
+    return per_input, p_q, signs
 
 
 def quantum_parity_eval(
@@ -158,24 +257,25 @@ def quantum_parity_eval(
 ) -> StrategyEvaluation:
     """Evaluate the measurement strategy on every valid input.
 
-    Player i measures X_i on input 0 and Y_i = i X_i Z_i on input 1; the
-    collective operator's expectation fixes the win probability per input.
-    For P = 3 the Mermin combination <XXX> - <XYY> - <YXY> - <YYX> is also
-    reported, and p_q equals (1 + mermin/4) / 2 identically.
+    Player i measures X_i on input 0 and Y_i = i X_i Z_i on input 1, so
+    (a_i, b_i) = (1, u_i); the collective operator's expectation fixes the
+    win probability per input.  For P = 3 the Mermin combination
+    <XXX> - <XYY> - <YXY> - <YYX> is also reported, and p_q equals
+    (1 + mermin/4) / 2 identically.
     """
     p = ops.players
     game = ParityGame(p)
     res = resource if resource is not None else ops.resource
-    per_input: Dict[Tuple, Number] = {}
-    total = mermin = Fraction(0)
-    for bits in game.valid_inputs():
-        win, s = _score(ops, res, [(1, b) for b in bits], game.target_sign(bits))
-        per_input[bits] = win
-        total += win
-        if p == 3:  # + for XXX, - for the three XYY-type inputs
+    inputs = game.valid_inputs()
+    per_input, p_q, signs = _score_inputs(
+        ops, res, lambda bits: [(1, b) for b in bits], p, inputs,
+        lambda bits, exps: game.target_sign(bits))
+    mermin = None
+    if p == 3:  # + for XXX, - for the three XYY-type inputs
+        mermin = Fraction(0)
+        for bits, s in zip(inputs, signs):
             mermin += s if sum(bits) == 0 else -s
-    return StrategyEvaluation(per_input, total / len(per_input), mermin if p == 3 else None,
-                              meta={"P": p})
+    return StrategyEvaluation(per_input, p_q, mermin, meta={"P": p})
 
 
 # -- cellulation game -------------------------------------------------------------------
@@ -244,24 +344,23 @@ def cellulation_game_eval(
             tuple(rng.randrange(2) for _ in range(bits_total)) for _ in range(samples)
         )
         exhaustive = False
-    per_input: Dict[Tuple, Number] = {}
-    total = Fraction(0)
-    count = 0
-    for bits in assignments:
-        exps = [
+
+    def exps_of(bits: Tuple[int, ...]) -> List[Tuple[int, int]]:
+        return [
             (sum(bits[k] for k in ak) % 2, 1 if restrict_unit_z else sum(bits[k] for k in bk) % 2)
             for ak, bk in zip(a_bits, b_bits)
         ]
+
+    def target_of(bits: Tuple[int, ...], exps: List[Tuple[int, int]]) -> int:
         cross = sum(a * b for a, b in exps)
         if cross % 2:
             raise ValueError("odd a.b parity: stabilizer commutation violated")
-        win, _ = _score(ops, res, exps, 1 if cross % 4 == 0 else -1)
-        per_input[bits] = win
-        total += win
-        count += 1
+        return 1 if cross % 4 == 0 else -1
+
+    per_input, p_q, _ = _score_inputs(ops, res, exps_of, bits_total, assignments, target_of)
     return StrategyEvaluation(
         per_input,
-        total / count,
+        p_q,
         meta={
             "bits": bits_total,
             "exhaustive": exhaustive,

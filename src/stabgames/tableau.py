@@ -7,14 +7,18 @@ product and phases are exact by construction.
 Qubit groups (generators given as PauliOperator) live in a packed GF(2)
 tableau.  Each row is one int v = x | z << n, so column c < n is x_c and
 column n + j is z_j, plus an exact i-power phase.  Generators are inserted
-by pivot-on-lowest-bit elimination and then back-substituted, which gives
-the fully reduced row echelon form with pivots on the lowest columns, in
-the style of Aaronson-Gottesman (quant-ph/0406196) and Stim (Gidney,
-arXiv:2103.02202).  Commutation is read from column bitsets over the
-generators: bit k of xc[j] (zc[j]) says generator k has X (Z) on site j,
-so an operator commutes with the group iff the XOR of xc[j] over its
-z-support and zc[j] over its x-support is 0.  The product phase of two
-rows is counted with int.bit_count.
+by pivot-on-lowest-bit elimination, in the style of Aaronson-Gottesman
+(quant-ph/0406196) and Stim (Gidney, arXiv:2103.02202), and the group keeps
+those echelon rows: each has its pivot on its lowest set bit.  Reduction
+clears the lowest pivot bit of the operator until none is left; every
+nonzero element of the span carries a pivot bit and the group element that
+clears them is unique, so the residual and its phase are those of any other
+basis of the group.  The fully reduced canonical rows are back-substituted
+only when ``rows`` is first read, and cached.  Commutation is read from
+column bitsets over the generators: bit k of xc[j] (zc[j]) says generator k
+has X (Z) on site j, so an operator commutes with the group iff the XOR of
+xc[j] over its z-support and zc[j] over its x-support is 0.  The product
+phase of two rows is counted with int.bit_count.
 
 Weyl groups (generators given as WeylOperator, any d, including d=2) are
 kept in Howell normal form over Z_d, which is what membership testing needs
@@ -212,8 +216,9 @@ class StabilizerGroup:
             if isinstance(g, WeylOperator) and g.d != self.d:
                 raise ValueError("generator dimension mismatch")
         self.generators = tuple(gens)
-        # qubit groups: pivot column -> (packed row, i-power phase), ascending
+        # qubit groups: pivot column -> (packed echelon row, i-power phase)
         self._packed: Optional[Dict[int, Tuple[int, int]]] = None
+        self._rows: Optional[List[AnyOperator]] = None  # canonical rows, on first read
         self.pivots: List[Tuple[int, int]] = []  # (column, pivot value)
         if qubit:
             self._build_packed(gens)
@@ -247,23 +252,13 @@ class StabilizerGroup:
         for g in gens:
             if self._anticommuting(g.x, g.z):
                 raise ValueError("generators do not commute")
-        # Forward pass: each row's lowest set bit is its pivot.  All products
-        # below are of commuting elements, so their phases do not depend on
+        # Forward pass: each generator is reduced by the rows so far and
+        # kept, pivot on its lowest bit, unless it reduces to a scalar.  All
+        # products are of commuting elements, so their phases do not depend on
         # the order in which rows are combined.
-        vec: Dict[int, int] = {}
-        phase: Dict[int, int] = {}
-        pivmask = 0
+        self._packed, self._pivmask = {}, 0
         for g in gens:
-            v = g.x | g.z << n
-            ph = g.phase
-            m = v & pivmask
-            while m:
-                c = (m & -m).bit_length() - 1
-                r = vec[c]
-                ph += phase[c] + 2 * ((v >> n) & r).bit_count()
-                v ^= r
-                m = v & pivmask
-            ph &= 3
+            v, ph = self._reduce_packed(g.x | g.z << n, g.phase)
             if not v:
                 if ph:
                     raise ValueError("inconsistent group: nontrivial scalar generated")
@@ -272,22 +267,26 @@ class StabilizerGroup:
             if (ph - ((v >> n) & v).bit_count()) & 1:
                 raise ValueError("inconsistent group: nontrivial scalar generated")
             c = (v & -v).bit_length() - 1
-            vec[c], phase[c] = v, ph
-            pivmask |= 1 << c
-        # Back-substitution, highest pivot first: the rows with higher pivots
-        # are already reduced, so each product clears exactly one pivot bit.
-        cols = sorted(vec)
-        for c in reversed(cols):
-            v, ph = vec[c], phase[c]
-            m = v & pivmask & ~(1 << c)
-            for q in _bits(m):
-                r = vec[q]
-                ph += phase[q] + 2 * ((v >> n) & r).bit_count()
+            self._packed[c] = (v, ph)
+            self._pivmask |= 1 << c
+        self.pivots = [(c, 1) for c in sorted(self._packed)]
+
+    def _canonical_packed(self) -> List[PauliOperator]:
+        """The fully reduced rows in pivot order, by back-substitution from
+        the highest pivot: the rows with higher pivots are already reduced,
+        so each product clears exactly one pivot bit."""
+        n, packed, pivmask = self.n, self._packed, self._pivmask
+        done: Dict[int, Tuple[int, int]] = {}
+        for c, _ in reversed(self.pivots):
+            v, ph = packed[c]
+            for q in _bits(v & pivmask & ~(1 << c)):
+                r, rph = done[q]
+                ph += rph + 2 * ((v >> n) & r).bit_count()
                 v ^= r
-            vec[c], phase[c] = v, ph & 3
-        self._packed = {c: (vec[c], phase[c]) for c in cols}
-        self._pivmask = pivmask
-        self.pivots = [(c, 1) for c in cols]
+            done[c] = (v, ph & 3)
+        mask = (1 << n) - 1
+        rows = (done[c] for c, _ in self.pivots)
+        return [PauliOperator(n, v & mask, v >> n, ph) for v, ph in rows]
 
     def _anticommuting(self, x: int, z: int) -> int:
         """Bitset of the generators that anticommute with X^x Z^z."""
@@ -300,12 +299,15 @@ class StabilizerGroup:
         return acc
 
     def _reduce_packed(self, v: int, ph: int) -> Tuple[int, int]:
-        """(v, ph) times every row whose pivot bit v carries, in pivot order."""
-        n, packed = self.n, self._packed
-        for c in _bits(v & self._pivmask):
-            r, rph = packed[c]
+        """(v, ph) times the row of its lowest pivot bit, until v carries no
+        pivot bit."""
+        n, packed, pivmask = self.n, self._packed, self._pivmask
+        m = v & pivmask
+        while m:
+            r, rph = packed[(m & -m).bit_length() - 1]
             ph += rph + 2 * ((v >> n) & r).bit_count()
             v ^= r
+            m = v & pivmask
         return v, ph & 3
 
     def _reduce_weyl(self, e: np.ndarray, f: int) -> Tuple[np.ndarray, int]:
@@ -325,15 +327,20 @@ class StabilizerGroup:
 
     @property
     def rows(self) -> List[AnyOperator]:
-        """Canonical rows in pivot order, as operators of the generators' type."""
-        n = self.n
-        if self._packed is None:
-            return [
-                WeylOperator(self.d, n, tuple(r[:n].tolist()), tuple(r[n:].tolist()), int(ph))
-                for r, ph in zip(self._rows_e, self._rows_f)
-            ]
-        mask = (1 << n) - 1
-        return [PauliOperator(n, v & mask, v >> n, ph) for v, ph in self._packed.values()]
+        """Canonical rows in pivot order, as operators of the generators' type.
+
+        They are built on the first read and cached; each read returns a new
+        list, so a caller cannot change the group through it."""
+        if self._rows is None:
+            if self._packed is None:
+                n = self.n
+                self._rows = [
+                    WeylOperator(self.d, n, tuple(r[:n].tolist()), tuple(r[n:].tolist()), int(ph))
+                    for r, ph in zip(self._rows_e, self._rows_f)
+                ]
+            else:
+                self._rows = self._canonical_packed()
+        return list(self._rows)
 
     @property
     def rank(self) -> int:

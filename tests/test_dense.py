@@ -258,6 +258,34 @@ def test_z_field_matches_reference_on_18_qubits():
         assert np.array_equal(deform(state, "z", theta).amps, want)
 
 
+def _reference_x_deform(state, theta, sites):
+    """The former X-field deformation: one apply_operator per site."""
+    ch, sh = np.cosh(theta), np.sinh(theta)
+    work = DenseState(2, state.n, state.amps)
+    for j in sites:
+        flipped = apply_operator(work, PauliOperator.single(state.n, j, "X"))
+        work = DenseState(2, state.n, ch * work.amps + sh * flipped.amps)
+    return work.amps / np.linalg.norm(work.amps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_x_field_matches_reference(data):
+    n = data.draw(st.integers(0, 10))
+    # None deforms every site; a list may repeat a site
+    site_lists = st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([])
+    sites = data.draw(st.none() | site_lists)
+    theta = data.draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = DenseState(2, n, amps / np.linalg.norm(amps))
+    before = state.amps.copy()
+    want = _reference_x_deform(state, theta, range(n) if sites is None else sites)
+    got = deform(state, "x", theta, sites).amps
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(state.amps, before)  # the update works on a copy
+
+
 def test_state_dump_round_trip(tmp_path):
     from stabgames.dense import load_state, save_state
 

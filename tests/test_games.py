@@ -2,12 +2,16 @@
 games, magic square."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabgames.codes import (
+    CodeInstance,
     double_semion,
     star_operator,
     toric2d,
@@ -20,6 +24,7 @@ from stabgames.games import (
     CellulationGame,
     MagicSquareGame,
     ParityGame,
+    _score_inputs,
     _valid_rows,
     cellulation_game_eval,
     classical_optimum_magic_square,
@@ -42,7 +47,10 @@ from stabgames.strategies import (
     validate,
     xcube_ops,
 )
+from stabgames.pauli import PauliOperator, multiply
 from stabgames.tableau import StabilizerGroup
+from stabgames.weyl import WeylOperator
+from tests_matrix_helpers import stabilizer_generators
 
 
 class TestParityGameStructure:
@@ -285,7 +293,6 @@ class TestMagicSquareQuantum:
         assert rep.commuting_rows and rep.commuting_cols
 
     def test_trivial_resource_fails_cross_constraints(self, ms):
-        from stabgames.weyl import WeylOperator
 
         code = ms.code
         trivial = StabilizerGroup(
@@ -342,3 +349,88 @@ def test_parity_eval_invariant_under_player_relabeling():
         ],
     )
     assert quantum_parity_eval(relabeled).p_q == quantum_parity_eval(ops).p_q == 1
+
+
+# -- the quadratic form against the per-input rule -------------------------------
+
+
+def reference_sign(ops, group, exps):
+    """The former per-input rule: <O> for the product of the players'
+    i^{ab} X^a Z^b in player order, from one expectation; +1 or -1 when
+    definite and real, else 0."""
+    coll = PauliOperator.identity(ops.n)
+    for i, (a, b) in enumerate(exps):
+        if a or b:
+            coll = multiply(coll, ops.player_op(i, a, b))
+    e = group.expectation(coll)
+    if e.kind == "definite" and e.phase_exp % 2 == 0:
+        return 1 - e.phase_exp % 4
+    return 0
+
+
+@st.composite
+def random_strategies(draw, min_players=1):
+    """Random players' operators on a random qubit group of any rank.  Each
+    X_i and Z_i is an ordered product of 0..3 one-site factors, so they may
+    be non-Hermitian and need not anticommute, or commute with the group."""
+    n = draw(st.integers(1, 6))
+    gens = draw(stabilizer_generators(n))
+    group = StabilizerGroup(gens, d=2, n=n)
+    code = CodeInstance(kind="random", d=2, n=n, group=group, labeled_generators=())
+    factors = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ")), max_size=3)
+    players = draw(st.integers(min_players, 10 if min_players > 1 else 5))
+    pairs = draw(st.lists(st.tuples(factors, factors), min_size=players, max_size=players))
+    return CompositeOperatorSet(code, group, [(tuple(x), tuple(z)) for x, z in pairs], [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_strategies(min_players=3))
+def test_parity_form_matches_per_input_rule(ops):
+    game = ParityGame(ops.players)
+    ev = quantum_parity_eval(ops)
+    wins = {}
+    for bits in game.valid_inputs():
+        s = reference_sign(ops, ops.resource, [(1, b) for b in bits])
+        wins[bits] = Fraction(1 + game.target_sign(bits) * s, 2)
+    assert ev.per_input == wins
+    assert ev.p_q == sum(wins.values()) / len(wins)
+    assert all(type(w) is Fraction for w in ev.per_input.values()) and type(ev.p_q) is Fraction
+    if ops.players == 3:
+        assert ev.mermin == 4 * (2 * ev.p_q - 1)
+    # the same group built on the Weyl path, which reduces to WeylOperators
+    weyl = StabilizerGroup([WeylOperator.from_pauli(g) for g in ops.resource.generators],
+                           d=2, n=ops.n)
+    assert quantum_parity_eval(ops, resource=weyl).per_input == wins
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_strategies(), st.data())
+def test_cellulation_form_matches_per_input_rule(ops, data):
+    # a_i is the parity of some of the first nx bits, b_i of some of the
+    # other bits, or 1 with unit z; the target is another parity of the bits
+    m = data.draw(st.integers(0, 10))
+    nx = data.draw(st.integers(0, m))
+    unit_z = data.draw(st.booleans())
+    if unit_z:
+        m = nx
+    masks = st.integers(0, (1 << m) - 1)
+    a_masks = [data.draw(masks) & ((1 << nx) - 1) for _ in range(ops.players)]
+    b_masks = [data.draw(masks) & ~((1 << nx) - 1) for _ in range(ops.players)]
+    t_mask = data.draw(masks)
+
+    def parity(mask, bits):
+        return sum(bits[k] for k in range(m) if mask >> k & 1) % 2
+
+    def exps_of(bits):
+        return [(parity(am, bits), 1 if unit_z else parity(bm, bits))
+                for am, bm in zip(a_masks, b_masks)]
+
+    def target_of(bits, exps):
+        return 1 - 2 * parity(t_mask, bits)
+
+    inputs = list(itertools.product((0, 1), repeat=m))
+    per_input, p_q, signs = _score_inputs(ops, ops.resource, exps_of, m, inputs, target_of)
+    want = [reference_sign(ops, ops.resource, exps_of(bits)) for bits in inputs]
+    assert signs == want
+    assert per_input == {u: Fraction(1 + target_of(u, None) * s, 2) for u, s in zip(inputs, want)}
+    assert p_q == sum(per_input.values()) / len(inputs)

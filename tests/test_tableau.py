@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabgames.codes import toric2d
-from stabgames.pauli import PauliOperator, multiply
+from stabgames.pauli import PauliOperator, commutes, multiply
 from stabgames.tableau import Expectation, StabilizerGroup, canonicalize
 from stabgames.weyl import WeylOperator, commutation_phase, dagger, w_multiply, w_power
+from tests_matrix_helpers import stabilizer_generators
 
 
 def P(text, n):
@@ -25,9 +26,10 @@ def paulis(n):
 
 @st.composite
 def qubit_cases(draw):
-    """(n, candidate generators, probe operators) on 1..5 qubits."""
+    """(n, candidate generators, probe operators) on 1..5 qubits; the
+    candidates are random Paulis or the generators of a random group."""
     n = draw(st.integers(1, 5))
-    gens = draw(st.lists(paulis(n), max_size=2 * n))
+    gens = draw(st.lists(paulis(n), max_size=2 * n) | stabilizer_generators(n))
     return n, gens, draw(st.lists(paulis(n), min_size=1, max_size=4))
 
 
@@ -44,9 +46,30 @@ def as_pauli(op):
     return op.to_pauli() if isinstance(op, WeylOperator) else op
 
 
+def canonical_reduce(group, op):
+    """Reduction by the canonical rows: op times every row whose pivot bit
+    op carries.  Each canonical row carries no other row's pivot bit, so the
+    bits are read once, from op."""
+    cur = op
+    for (col, _), row in zip(group.pivots, group.rows):
+        if ((op.x | op.z << op.n) >> col) & 1:
+            cur = multiply(cur, row)
+    return cur
+
+
+def canonical_expectation(group, op):
+    """(kind, phase) of <op>, by canonical reduction."""
+    if not all(commutes(op, row) for row in group.rows):
+        return "zero", 0
+    r = canonical_reduce(group, op)
+    return ("logical", 0) if r.x or r.z else ("definite", r.phase)
+
+
 def assert_paths_agree(gens, n, probes):
     """The packed PauliOperator path and the WeylOperator d=2 path agree on
-    acceptance, canonical rows, pivots, expectations and reductions."""
+    acceptance, canonical rows, pivots, expectations and reductions; and the
+    packed path, which reduces by its echelon rows, agrees with a reduction
+    by the canonical rows."""
     gq = build(gens, n)
     gw = build([WeylOperator.from_pauli(g) for g in gens], n)
     assert (gq is None) == (gw is None)
@@ -61,6 +84,8 @@ def assert_paths_agree(gens, n, probes):
         eq, ew = gq.expectation(probe), gw.expectation(WeylOperator.from_pauli(probe))
         assert (eq.kind, eq.phase_exp) == (ew.kind, ew.phase_exp)
         assert gq.reduce(probe) == as_pauli(gw.reduce(probe))
+        assert gq.reduce(probe) == canonical_reduce(gq, probe)
+        assert (eq.kind, eq.phase_exp) == canonical_expectation(gq, probe)
 
 
 # -- reference Weyl kernel: one WeylOperator per row operation ---------------
@@ -466,3 +491,17 @@ def test_text_round_trip():
     g = ghz_group(4)
     g2 = StabilizerGroup.import_text(g.export_text(), 2, 4)
     assert [(r.x, r.z, r.phase) for r in g.rows] == [(r.x, r.z, r.phase) for r in g2.rows]
+
+
+@pytest.mark.parametrize("weyl", [False, True], ids=["packed", "weyl"])
+def test_rows_are_built_once_and_read_as_a_new_list(weyl):
+    gens = list(toric2d(3).group.generators)
+    if weyl:
+        gens = [WeylOperator.from_pauli(g) for g in gens]
+    g = StabilizerGroup(gens)
+    first = g.rows
+    want = list(first)
+    first.clear()  # changes the caller's list, not the group
+    again = g.rows
+    assert again == want and again is not g.rows
+    assert all(a is b for a, b in zip(again, g.rows))
