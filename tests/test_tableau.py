@@ -382,6 +382,27 @@ class TestFixSector:
         g = StabilizerGroup([P("i^0 Z0 Z1", 2)])
         assert g.fix_sector([]).expectation(P("i^0 X0 X1", 2)).kind == "logical"
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), stabilizer_generators(n), st.lists(paulis(n), max_size=3))))
+    def test_matches_rebuild_on_qubits(self, case):
+        # fixing a sector extends the group's rows; a rebuild from the
+        # generators must give the same group, or fail as well
+        n, gens, probes = case
+        base = StabilizerGroup(gens, d=2, n=n)
+        fixers = [p if p.is_hermitian() else p.scale_i(1) for p in probes]
+        fixers = [p for p in fixers if base.expectation(p).kind != "zero"]
+        rebuilt = build(gens + fixers, n)
+        try:
+            fixed = base.fix_sector(fixers)
+        except ValueError:
+            assert rebuilt is None
+            return
+        assert fixed.generators == tuple(gens + fixers)
+        assert fixed.rows == rebuilt.rows and fixed.pivots == rebuilt.pivots
+        for probe in probes:
+            assert fixed.reduce(probe) == rebuilt.reduce(probe)
+
 
 class TestQuditGroups:
     def test_bell_pair_group(self):
