@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -238,19 +239,12 @@ def cmd_game_cellulation(args):
     bx, by = _parse_blocks(args.blocks)
     code = toric2d(args.L)
     strat = fan_cellulation_ops(code) if args.fan else block_cellulation_ops(code, bx, by)
-    game = CellulationGame(strat)
-    ev = cellulation_game_eval(
-        game,
-        restrict_unit_z=args.restrict_unit_z,
-        max_exhaustive=1 << args.max_exhaustive_bits,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    ev = cellulation_game_eval(CellulationGame(strat), restrict_unit_z=args.restrict_unit_z)
     cfg = {"command": "game cellulation", "L": args.L, "blocks": args.blocks,
-           "fan": args.fan, "restrict_unit_z": args.restrict_unit_z,
-           "samples": args.samples}
-    record = {"p_q": _num(ev.p_q), "inputs": len(ev.per_input), "meta": ev.meta}
-    rows = [[args.blocks if not args.fan else "fan", len(ev.per_input), float(ev.p_q)]]
+           "fan": args.fan, "restrict_unit_z": args.restrict_unit_z}
+    inputs = 1 << ev.meta["bits"]  # every input is scored, by one exact sum
+    record = {"p_q": _num(ev.p_q), "inputs": inputs, "meta": ev.meta}
+    rows = [[args.blocks if not args.fan else "fan", inputs, float(ev.p_q)]]
     return _emit(args, cfg, record, rows, ["cellulation", "inputs", "p_q"])
 
 
@@ -284,18 +278,45 @@ def cmd_game_magic_square(args):
     return _emit(args, cfg, record, rows, ["cell", "kind", "phase_exp"])
 
 
+MAX_THETAS = 10_000  # points in one sweep; each is a dense evaluation
+
+
 def _parse_thetas(grid: str):
-    if ":" in grid:
-        start, stop, step = (float(t) for t in grid.split(":"))
+    """The sweep's angles, from START:STOP:STEP or a comma list.  Values that
+    are not finite numbers and empty grids are refused, and so is a grid of
+    more than MAX_THETAS points, counted before the list is built."""
+    sweep = ":" in grid
+    usage = f"--thetas takes START:STOP:STEP or a comma list of numbers, got {grid!r}"
+    try:
+        values = [float(t) for t in grid.split(":" if sweep else ",")]
+    except ValueError:
+        raise ValueError(usage) from None
+    if sweep and len(values) != 3:
+        raise ValueError(usage)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--thetas values must be finite, got {grid!r}")
+    if not sweep:
+        count = len(values)
+    else:
+        start, stop, step = values
         if not step > 0:
             raise ValueError(f"--thetas step must be positive, got {grid!r}")
-        out = []
-        t = start
-        while t <= stop + 1e-12:
-            out.append(round(t, 10))
-            t += step
-        return out
-    return [float(t) for t in grid.split(",")]
+        span = (stop + 1e-12 - start) / step  # may be inf; the loop below makes
+        if span < 0:  # floor(span) + 1 points, or one more from rounding
+            raise ValueError(f"--thetas grid is empty: start is above stop, got {grid!r}")
+        count = math.floor(min(span, MAX_THETAS)) + 1
+    if count > MAX_THETAS:
+        raise ValueError(f"--thetas grid has more than {MAX_THETAS} points, got {grid!r}")
+    if not sweep:
+        return values
+    out = []
+    t = start
+    while t <= stop + 1e-12:
+        out.append(round(t, 10))
+        if t + step == t:
+            raise ValueError(f"--thetas step is below the float resolution at {t}, got {grid!r}")
+        t += step
+    return out
 
 
 def cmd_sweep_deformation(args):
@@ -308,6 +329,7 @@ def cmd_sweep_deformation(args):
             f"--sector must be two signs from + and -, got {args.sector!r}"
             " (the option parser drops a bare '--' value; give that sector in --config)"
         )
+    thetas = _parse_thetas(args.thetas)
     code = toric2d(args.L)
     ops = tc2d_parity_ops(code, args.P)
     fixers = [
@@ -316,7 +338,6 @@ def cmd_sweep_deformation(args):
     ]
     fixed = code.group.fix_sector(fixers)
     base_state = state_from_group(fixed)
-    thetas = _parse_thetas(args.thetas)
     results = []
     for theta in thetas:
         state = deform(base_state, args.family, theta) if theta else base_state
@@ -396,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--blocks", default=None, help="default 2x2; not with --fan")
     gc.add_argument("--fan", action="store_true")
     gc.add_argument("--restrict-unit-z", action="store_true")
-    gc.add_argument("--samples", type=int, default=1024)
-    gc.add_argument("--max-exhaustive-bits", type=int, default=14)
     _add_common(gc)
     gc.set_defaults(func=cmd_game_cellulation)
 

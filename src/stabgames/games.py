@@ -6,23 +6,25 @@ Quantum evaluations are exact: stabilizer resources give win probabilities
 as rationals, dense resources give floats from exact state vectors.  Win
 credit for an input whose collective observable has expectation zero (or is
 logical on a degenerate resource) is 1/2: the measured eigenvalue is then
-uniformly random.  On a stabilizer group, each evaluation scores every input
-from one Z4 quadratic form in the input bits (``_sign_form``), fixed by
-1 + m + m(m-1)/2 group reductions for m input bits; a dense state is scored
-input by input.
+uniformly random.  On a stabilizer group, each evaluation reads one Z4
+quadratic form in the input bits (``_sign_form``), fixed by 1 + m + m(m-1)/2
+group reductions for m input bits.  The parity game scores every input from
+it; the cellulation game's value over all 2^m inputs is one exponential sum
+of that form, exact for any m (``_exact_value``).  A dense state is scored
+input by input.  In both games the sign that wins input u is i^{sum_i a_i b_i},
+for the players' exponents (a_i, b_i).
 """
 
 from __future__ import annotations
 
 import itertools
-import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .complexes import _independent_rows
+from .complexes import _bits, _independent_rows
 from .dense import DenseState, dense_expectation
 from .pauli import PauliOperator
 from .strategies import CellulationStrategy, CompositeOperatorSet
@@ -143,9 +145,11 @@ def _collective(ops: CompositeOperatorSet, exps: Sequence[Tuple[int, int]]) -> P
 
 def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
                exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
-               m: int) -> Callable[[Tuple[int, ...], List[Tuple[int, int]]], int]:
-    """sign(u, exps_of(u)) = <O(u)> on the group's stabilized space, as +1,
-    -1 or 0, for every u in GF(2)^m, from 1 + m + m(m-1)/2 reductions.
+               m: int) -> Tuple[int, List[int], Callable[[int], int], bool]:
+    """The residual r(u) and i-power rho(u) of every input u in GF(2)^m, from
+    1 + m + m(m-1)/2 reductions, as (r(0), step, rho, odd_cross):
+    r(u) = r(0) xor step[j] for each u_j = 1, rho(u) mod 4 for u given as a
+    bitmask, and whether sum_i a_i b_i is odd at any input.
 
     exps_of must be affine over GF(2): each player's (a_i, b_i) is a fixed
     bit, or the parity of some bits of u.  Write O(u) = i^{sum_i a_i b_i} M(u),
@@ -162,53 +166,53 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
       the rows of g(u), whose exponents on the rows are affine in u too.
       Read as an integer, an exponent that is the XOR of the bits u_j with
       j in S is sum_S u_j - 2 sum_{j<k in S} u_j u_k (mod 4), and twice a
-      GF(2) product only depends on it mod 2, so no term has degree > 2.
+      GF(2) product only depends on it mod 2, so no term has degree > 2,
+      and every quadratic coefficient is even.
     - Such a polynomial is fixed by its values at 0, at each e_j and at each
       e_j + e_k: rho(u) = c + sum_j l_j u_j + sum_{j<k} q_jk u_j u_k with
       c = rho(0), l_j = rho(e_j) - c, q_jk = rho(e_j + e_k) - rho(e_j) -
       rho(e_k) + c, and r(u) = r(0) + sum_j u_j (r(e_j) + r(0)).
     - If r(u) = 0, M(u) = i^rho g(u) with g(u) in the group, so <O(u)> =
-      i^k, k = rho(u) + sum_i a_i b_i.  That sum is not a quadratic form
-      in u (a_i b_i is a product of two parities), so it is added per
-      input.  The sign is +1 or -1 for k = 0 or 2 mod 4 and 0 for odd k.
+      i^k, k = rho(u) + sum_i a_i b_i: +1 or -1 for k = 0 or 2 mod 4 and 0
+      for odd k.
     - If r(u) != 0, O(u) is not a phase times a group element: it
       anticommutes with some stabilizer (an anticommuting operator never
       reduces to 0) or it is logical.  Either way the outcome is uniformly
-      random and the sign is 0.
+      random and <O(u)> = 0.
+    - sum_i a_i b_i mod 2 is a GF(2) quadratic in u too, so it is even at
+      every input when it is even at the points read here.
     """
     n = ops.n
+    odd_cross = False
 
     def point(*ones: int) -> Tuple[int, int]:
+        nonlocal odd_cross
         exps = exps_of(tuple(int(j in ones) for j in range(m)))
+        cross = sum(a * b for a, b in exps)
+        odd_cross |= bool(cross & 1)
         r = group.reduce(_collective(ops, exps))
         if isinstance(r, WeylOperator):
             r = r.to_pauli()
-        return r.x | r.z << n, r.phase - sum(a * b for a, b in exps)
+        return r.x | r.z << n, r.phase - cross
 
     r0, c = point()
     single = [point(j) for j in range(m)]
     step = [r ^ r0 for r, _ in single]  # change of the residual when u_j flips
     lin = [rho - c for _, rho in single]
-    # q_jk for k < j, as bitsets over k of its low and high bit
-    q_lo, q_hi = [0] * m, [0] * m
+    q2 = [0] * m  # q_jk / 2 mod 2 for k < j, as a bitset over k
     for j in range(m):
         for k in range(j):
             q = (point(k, j)[1] - single[j][1] - single[k][1] + c) % 4
-            q_lo[j] |= (q & 1) << k
-            q_hi[j] |= (q >> 1) << k
+            assert q % 2 == 0, "odd quadratic coefficient in the sign form"
+            q2[j] |= (q >> 1) << k
 
-    def sign(bits: Tuple[int, ...], exps: List[Tuple[int, int]]) -> int:
-        r, k, seen = r0, c + sum(a * b for a, b in exps), 0
-        for j, b in enumerate(bits):
-            if b:
-                r ^= step[j]
-                k += lin[j] + (q_lo[j] & seen).bit_count() + 2 * (q_hi[j] & seen).bit_count()
-                seen |= 1 << j
-        if r or k & 1:
-            return 0
-        return 1 - (k & 2)
+    def rho(u: int) -> int:
+        k = c
+        for j in _bits(u):
+            k += lin[j] + 2 * (q2[j] & u).bit_count()
+        return k & 3
 
-    return sign
+    return r0, step, rho, odd_cross
 
 
 def _score_inputs(
@@ -217,29 +221,40 @@ def _score_inputs(
     exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
     m: int,
     inputs: Iterable[Tuple[int, ...]],
-    target_of: Callable[[Tuple[int, ...], List[Tuple[int, int]]], int],
 ) -> Tuple[Dict[Tuple, Number], Number, List[Number]]:
     """Per-input wins, their mean p_q and each input's <O(u)>, for the inputs
     u in GF(2)^m, where O(u) is the product of the players' i^{ab} X^a Z^b
-    with (a, b) = exps_of(u) and target_of(u, exps) the sign that wins.
+    with (a, b) = exps_of(u).
 
-    The win is (1 + t <O>) / 2.  On a stabilizer group <O> is the exact sign
-    from ``_sign_form``, the wins are Fractions and p_q is one Fraction of
-    their integer total; on a dense state <O> is a float, input by input.
+    The sign that wins is t(u) = i^{x(u)}, x(u) = sum_i a_i b_i, which is real
+    only for even x(u) (ValueError otherwise), and the win is (1 + t<O>)/2.
+    On a stabilizer group <O> is the exact sign from ``_sign_form``, the wins
+    are Fractions and p_q is one Fraction of their integer total; on a dense
+    state <O> is a float, input by input.
     """
     exact = not isinstance(resource, DenseState)
     if exact:
-        sign = _sign_form(ops, resource, exps_of, m)
+        r0, step, rho, _ = _sign_form(ops, resource, exps_of, m)
+
+        def sign(bits, exps, cross):
+            u = sum(b << j for j, b in enumerate(bits))
+            r, k = r0, rho(u) + cross
+            for j in _bits(u):
+                r ^= step[j]
+            return 0 if r or k & 1 else 1 - (k & 2)
     else:
-        def sign(bits, exps):
+        def sign(bits, exps, cross):
             return dense_expectation(resource, _collective(ops, exps)).real
     per_input: Dict[Tuple, Number] = {}
     signs: List[Number] = []
     halves, total = 0, 0.0
     for bits in inputs:
         exps = exps_of(bits)
-        s = sign(bits, exps)
-        ts = target_of(bits, exps) * s
+        cross = sum(a * b for a, b in exps)
+        if cross & 1:
+            raise ValueError("odd a.b parity: stabilizer commutation violated")
+        s = sign(bits, exps, cross)
+        ts = (1 - (cross & 2)) * s
         if exact:
             per_input[bits] = _WINS[ts]
             halves += 1 + ts
@@ -249,6 +264,126 @@ def _score_inputs(
         signs.append(s)
     p_q = Fraction(halves, 2 * len(signs)) if exact else total / len(signs)
     return per_input, p_q, signs
+
+
+def _affine_solutions(rows: Sequence[int], target: int) -> Optional[Tuple[int, List[int]]]:
+    """(u0, kernel) such that the inputs u whose rows XOR to target (row j
+    taken when u_j = 1) are u0 + span(kernel), or None when there is none."""
+    pivots: Dict[int, Tuple[int, int]] = {}  # lowest bit -> (row, its inputs)
+    kernel = []
+
+    def reduce(v: int, comb: int) -> Tuple[int, int]:
+        while v and (v & -v) in pivots:
+            pv, pc = pivots[v & -v]
+            v, comb = v ^ pv, comb ^ pc
+        return v, comb
+
+    for j, row in enumerate(rows):
+        v, comb = reduce(row, 1 << j)
+        if v:
+            pivots[v & -v] = (v, comb)
+        else:
+            kernel.append(comb)
+    v, u0 = reduce(target, 0)
+    return None if v else (u0, kernel)
+
+
+def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
+    """S = sum over t in GF(2)^n of (-1)^{f(t)}, f(t) = f0 + sum_i alpha_i t_i
+    + sum_{i<k} beta_ik t_i t_k, with alpha a bitset over i and adj[i] the
+    bitset of the k with beta_ik = 1 (symmetric, zero diagonal).
+
+    The variables are summed out one or two at a time:
+    - a variable j with no edge appears only as alpha_j t_j, and its sum is
+      2 for alpha_j = 0 and 0 for alpha_j = 1;
+    - for an edge j-k, collect every term with t_j or t_k as
+      t_j t_k + t_j A + t_k B, with A = alpha_j + sum_{v != k} beta_jv t_v
+      and B likewise; then sum_{t_j, t_k} (-1)^{...} = 2 (-1)^{AB}, since the
+      sum over t_j is 2 [t_k = A].  Expanding AB, with N_j and N_k the
+      remaining neighbours of j and k, adds alpha_j alpha_k to f0,
+      alpha_j N_k + alpha_k N_j + (N_j and N_k) to alpha (t_v^2 = t_v) and
+      N_j N_k^T + N_k N_j^T to the edges (zero on the diagonal mod 2).
+    So S is 0 or +-2^r, r the number of variables and pairs summed out.
+    """
+    adj = list(adj)
+    alive = (1 << len(adj)) - 1
+    power = 0
+    for j in range(len(adj)):
+        if not alive >> j & 1:
+            continue
+        alive ^= 1 << j
+        nj = adj[j] & alive
+        if not nj:
+            if alpha >> j & 1:
+                return 0
+            power += 1
+            continue
+        k = (nj & -nj).bit_length() - 1  # the pair j-k
+        alive ^= 1 << k
+        nj ^= 1 << k
+        nk = adj[k] & alive
+        aj, ak = alpha >> j & 1, alpha >> k & 1
+        f0 ^= aj & ak
+        alpha ^= (nk if aj else 0) ^ (nj if ak else 0) ^ (nj & nk)
+        for v in _bits(nj):
+            adj[v] ^= nk
+        for v in _bits(nk):
+            adj[v] ^= nj
+        power += 1
+    return (1 - 2 * (f0 & 1)) << power
+
+
+def _exact_value(
+    ops: CompositeOperatorSet,
+    group: StabilizerGroup,
+    exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
+    m: int,
+) -> Fraction:
+    """p_q over all 2^m inputs u, exact, from one exponential sum.
+
+    The sign that wins is t(u) = i^{x(u)}, x(u) = sum_i a_i b_i, and x(u)
+    must be even (ValueError otherwise; ``_sign_form`` checks it).
+    - If r(u) = 0, <O(u)> = i^{rho(u) + x(u)} and i^{2x} = 1, so t<O> =
+      i^{rho(u)}: the win is (1 + [r(u) = 0] Re i^{rho(u)}) / 2, and
+      p_q = (2^m + S) / 2^{m+1}, S = sum_{u in A} (-1)^{rho(u)/2}, where A
+      holds the inputs with r(u) = 0 and rho(u) even.
+    - Every q_jk is even, so rho mod 2 = c + sum_j l_j u_j is affine, and A
+      solves one GF(2) linear system: the step vectors with l_j mod 2
+      appended, XORed to r(0) with c mod 2 appended.  A is empty or
+      u0 + span(K).
+    - On u = u0 + K t, rho is again a Z4 polynomial of degree <= 2 in t (an
+      XOR read as an integer is quadratic), and all its values are even, so
+      are its coefficients (read at 0, e_i and e_i + e_k).  So
+      f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
+      at those points, and S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``).
+    """
+    r0, step, rho, odd_cross = _sign_form(ops, group, exps_of, m)
+    if odd_cross:
+        raise ValueError("odd a.b parity: stabilizer commutation violated")
+    c = rho(0)
+    rows = [s << 1 | (rho(1 << j) ^ c) & 1 for j, s in enumerate(step)]
+    solved = _affine_solutions(rows, r0 << 1 | c & 1)
+    total = 0
+    if solved is not None:
+        u0, kernel = solved
+
+        def f(*ts: int) -> int:
+            u = u0
+            for i in ts:
+                u ^= kernel[i]
+            return rho(u) >> 1
+
+        f0 = f()
+        single = [f(i) for i in range(len(kernel))]
+        alpha = sum((fi ^ f0) << i for i, fi in enumerate(single))
+        adj = [0] * len(kernel)
+        for i in range(len(kernel)):
+            for k in range(i):
+                if f(i, k) ^ single[i] ^ single[k] ^ f0:
+                    adj[i] |= 1 << k
+                    adj[k] |= 1 << i
+        total = _quadratic_sign_sum(f0, alpha, adj)
+    return Fraction((1 << m) + total, 1 << (m + 1))
 
 
 def quantum_parity_eval(
@@ -267,9 +402,9 @@ def quantum_parity_eval(
     game = ParityGame(p)
     res = resource if resource is not None else ops.resource
     inputs = game.valid_inputs()
+    # (a_i, b_i) = (1, u_i), so i^{sum a_i b_i} = i^{|u|} is the target sign
     per_input, p_q, signs = _score_inputs(
-        ops, res, lambda bits: [(1, b) for b in bits], p, inputs,
-        lambda bits, exps: game.target_sign(bits))
+        ops, res, lambda bits: [(1, b) for b in bits], p, inputs)
     mermin = None
     if p == 3:  # + for XXX, - for the three XYY-type inputs
         mermin = Fraction(0)
@@ -287,87 +422,66 @@ class CellulationGame:
     each player measures i^{ab} X^a Z^b with incidence-derived exponents."""
 
     strategy: CellulationStrategy
-    x_basis: Tuple[int, ...] = None  # independent coarse (p+1)-cells
-    z_basis: Tuple[int, ...] = None  # independent coarse (p-1)-cells
+    x_basis: Tuple[int, ...] = field(init=False)  # independent coarse (p+1)-cells
+    z_basis: Tuple[int, ...] = field(init=False)  # independent coarse (p-1)-cells
 
     def __post_init__(self):
-        coarse = self.strategy.coarse
-        p = self.strategy.p
-        chain = coarse.to_chain()
-        if self.x_basis is None:
-            self.x_basis = _independent_rows(chain.boundary[p + 1])
-        if self.z_basis is None:
-            cob = []
-            for vi in range(len(coarse.cells[p - 1])):
-                mask = 0
-                for c in coarse.coboundary_indices(p - 1, vi):
-                    mask |= 1 << c
-                cob.append(mask)
-            self.z_basis = _independent_rows(cob)
+        strat = self.strategy
+        coarse, p = strat.coarse, strat.p
+        self.x_basis = _independent_rows(coarse.to_chain().boundary[p + 1])
+        cob = []
+        for vi in range(len(coarse.cells[p - 1])):
+            mask = 0
+            for c in coarse.coboundary_indices(p - 1, vi):
+                mask |= 1 << c
+            cob.append(mask)
+        self.z_basis = _independent_rows(cob)
+        # per player, the input bits on its incident basis cells: a is their
+        # parity on the (p+1)-cells, b on the (p-1)-cells
+        nx = len(self.x_basis)
+        x_pos = {cell: k for k, cell in enumerate(self.x_basis)}
+        z_pos = {cell: nx + k for k, cell in enumerate(self.z_basis)}
+        players = range(strat.players)
+        self._a_bits = [[x_pos[f] for f in strat.face_incidence(c) if f in x_pos] for c in players]
+        self._b_bits = [[z_pos[v] for v in strat.vertex_incidence(c) if v in z_pos] for c in players]
+
+    def exponents(self, bits: Sequence[int], restrict_unit_z: bool = False) -> List[Tuple[int, int]]:
+        """Each player's (a, b) for the input bits: the x_basis bits come
+        first, then the z_basis bits; with restrict_unit_z every b is 1 and
+        only the x_basis bits are given."""
+        return [
+            (sum(bits[k] for k in ak) % 2, 1 if restrict_unit_z else sum(bits[k] for k in bk) % 2)
+            for ak, bk in zip(self._a_bits, self._b_bits)
+        ]
 
 
 def cellulation_game_eval(
     game: CellulationGame,
     resource: Optional[Union[StabilizerGroup, DenseState]] = None,
     restrict_unit_z: bool = False,
-    max_exhaustive: int = 1 << 16,
-    samples: int = 2048,
-    seed: int = 7,
 ) -> StrategyEvaluation:
-    """Average win probability over the game's inputs.
+    """Win probability over every input of the game.
 
-    Inputs are enumerated exhaustively when 2^bits <= max_exhaustive and
-    sampled uniformly (seeded) otherwise.  With restrict_unit_z the Z
-    exponent of every player is pinned to 1 and only the X-side bits are
-    enumerated, which reduces the game to the parity game on suitable
+    On a stabilizer group p_q is the exact Fraction from one exponential sum
+    (``_exact_value``), for any number of input bits, and per_input is
+    empty; a dense state is scored input by input.  With restrict_unit_z the
+    Z exponent of every player is pinned to 1 and only the X-side bits are
+    inputs, which reduces the game to the parity game on suitable
     cellulations.
     """
-    strat = game.strategy
-    ops = strat.ops
+    ops = game.strategy.ops
     res = resource if resource is not None else ops.resource
-    nx = len(game.x_basis)
-    x_pos = {cell: k for k, cell in enumerate(game.x_basis)}
-    z_pos = {cell: nx + k for k, cell in enumerate(game.z_basis)}
-    # per player, the input bits on its incident basis cells: a is their parity
-    # on the (p+1)-cells, b on the (p-1)-cells (or 1 with restrict_unit_z)
-    players = range(strat.players)
-    a_bits = [[x_pos[f] for f in strat.face_incidence(c) if f in x_pos] for c in players]
-    b_bits = [[z_pos[v] for v in strat.vertex_incidence(c) if v in z_pos] for c in players]
-    nz = 0 if restrict_unit_z else len(game.z_basis)
-    bits_total = nx + nz
-    if (1 << bits_total) <= max_exhaustive:
-        assignments: Iterable[Tuple[int, ...]] = itertools.product((0, 1), repeat=bits_total)
-        exhaustive = True
+    bits = len(game.x_basis) + (0 if restrict_unit_z else len(game.z_basis))
+
+    def exps_of(u: Tuple[int, ...]) -> List[Tuple[int, int]]:
+        return game.exponents(u, restrict_unit_z)
+
+    if isinstance(res, DenseState):
+        inputs = itertools.product((0, 1), repeat=bits)
+        per_input, p_q, _ = _score_inputs(ops, res, exps_of, bits, inputs)
     else:
-        rng = _random.Random(seed)
-        assignments = (
-            tuple(rng.randrange(2) for _ in range(bits_total)) for _ in range(samples)
-        )
-        exhaustive = False
-
-    def exps_of(bits: Tuple[int, ...]) -> List[Tuple[int, int]]:
-        return [
-            (sum(bits[k] for k in ak) % 2, 1 if restrict_unit_z else sum(bits[k] for k in bk) % 2)
-            for ak, bk in zip(a_bits, b_bits)
-        ]
-
-    def target_of(bits: Tuple[int, ...], exps: List[Tuple[int, int]]) -> int:
-        cross = sum(a * b for a, b in exps)
-        if cross % 2:
-            raise ValueError("odd a.b parity: stabilizer commutation violated")
-        return 1 if cross % 4 == 0 else -1
-
-    per_input, p_q, _ = _score_inputs(ops, res, exps_of, bits_total, assignments, target_of)
-    return StrategyEvaluation(
-        per_input,
-        p_q,
-        meta={
-            "bits": bits_total,
-            "exhaustive": exhaustive,
-            "restrict_unit_z": restrict_unit_z,
-            "seed": None if exhaustive else seed,
-        },
-    )
+        per_input, p_q = {}, _exact_value(ops, res, exps_of, bits)
+    return StrategyEvaluation(per_input, p_q, meta={"bits": bits, "restrict_unit_z": restrict_unit_z})
 
 
 # -- magic-square game ---------------------------------------------------------------

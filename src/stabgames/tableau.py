@@ -416,10 +416,13 @@ class StabilizerGroup:
             if e.kind == "definite" and e.phase_exp % (2 * self.d) != 0:
                 raise ValueError("sector fixer already in group with a different phase")
             fixers.append(lg)
-        # The canonical form of a group is unique, so extending the canonical
-        # rows gives the rows, phases and pivots of a rebuild from the
-        # generators, with fewer rows to reduce.
-        fixed = StabilizerGroup(self.rows + fixers, d=self.d, n=self.n)
+        # The canonical form of a group is unique, so any generating set gives
+        # the same rows, phases and pivots.  A qubit group is rebuilt from its
+        # generators: the packed build pays per set bit, and canonical rows
+        # are denser than local generators.  A Weyl group extends its
+        # canonical rows, which are fewer than its generators.
+        base = self.generators if self._packed is not None else self.rows
+        fixed = StabilizerGroup(list(base) + fixers, d=self.d, n=self.n)
         fixed.generators = self.generators + tuple(fixers)
         return fixed
 

@@ -238,7 +238,7 @@ def test_criterion_08_cellulation_game():
         code6 = toric2d(6)
         for bx, by in ((2, 2), (3, 3), (2, 3)):
             strat = block_cellulation_ops(code6, bx, by)
-            ev = cellulation_game_eval(CellulationGame(strat), max_exhaustive=1 << 10, samples=256)
+            ev = cellulation_game_eval(CellulationGame(strat))
             assert ev.p_q == 1, (bx, by)
         # microscopic cellulation against the dense codespace projector
         code2 = toric2d(2)
@@ -265,7 +265,7 @@ def test_criterion_08_cellulation_game():
         ev_fan = cellulation_game_eval(CellulationGame(fan), restrict_unit_z=True)
         par = quantum_parity_eval(tc2d_parity_ops(code5, 3))
         assert ev_fan.p_q == par.p_q == 1
-        assert len(ev_fan.per_input) == len(par.per_input) == 4
+        assert 1 << ev_fan.meta["bits"] == len(par.per_input) == 4
         assert time.time() - t0 < 60
 
 

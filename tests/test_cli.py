@@ -146,6 +146,32 @@ def test_parse_thetas_rejects_nonpositive_step(grid):
         _parse_thetas(grid)
 
 
+@pytest.mark.parametrize("grid", [
+    "0.1:0:0.05", "nan", "inf", "0,-inf", "0:nan:0.1", "0:1e9:1", "0:0:5e-324",
+    "1e9:1e9:1e-10", "", "0:1", "0,,1",
+], ids=["empty", "nan", "inf", "list-inf", "nan-stop", "1e9-points", "denormal-step",
+        "stalled-step", "blank", "two-fields", "blank-item"])
+def test_sweep_deformation_refuses_bad_thetas(tmp_path, capsys, grid):
+    # each of these exited 0 with an empty or NaN sweep, or hung building
+    # the grid; now the grid is refused before anything is built
+    rc = main(["sweep", "deformation", "--L", "2", f"--thetas={grid}", "--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--thetas" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_parse_thetas_caps_the_point_count():
+    from stabgames.cli import MAX_THETAS, _parse_thetas
+
+    assert len(_parse_thetas(f"0:{MAX_THETAS - 1}:1")) == MAX_THETAS
+    with pytest.raises(ValueError, match="points"):
+        _parse_thetas(f"0:{MAX_THETAS}:1")
+    assert len(_parse_thetas(",".join(["0.5"] * MAX_THETAS))) == MAX_THETAS
+    with pytest.raises(ValueError, match="points"):
+        _parse_thetas(",".join(["0.5"] * (MAX_THETAS + 1)))
+
+
 def test_workers_only_on_classical_search_commands(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["code", "info", "--kind", "tc2d", "--workers", "2", "--outdir", str(tmp_path)])
@@ -324,7 +350,10 @@ def test_unset_options_record_their_defaults(tmp_path, args, expected):
 # SHA-256 of the JSON and CSV of each command, recorded before both games
 # were scored by one per-input rule (the parity runs: before the stabilizer
 # scoring moved to one quadratic form per evaluation); the sweeps' floats
-# come from a dense state vector (x86-64, numpy 2.4)
+# come from a dense state vector (x86-64, numpy 2.4).  The cellulation JSON
+# was re-recorded when one exact sum replaced enumeration and sampling: the
+# config lost "samples" and the meta "exhaustive" and "seed", and the
+# default run now scores all 65536 inputs; the other two CSVs kept their bytes.
 SCORED_RUN_DIGESTS = {
     "parity-tc2d-L32-P12": (
         ["game", "parity", "--code", "tc2d", "--L", "32", "--P", "12"],
@@ -344,15 +373,15 @@ SCORED_RUN_DIGESTS = {
         "3b981ff0a2845da1e61c001356aefc6419d63f956ea1874daf2f77cb61465d40"),
     "cellulation": (
         ["game", "cellulation"],
-        "64f98169a7b0f228fa1d531a5182c0c9e67130bed4a35b95b75506ad5af07967",
-        "741f634c295cfd303acbd4a0c63a8c231482ebb7342ad4628753d2d33f1369ee"),
+        "159060101c2c4932abb128b59a84ff2310e83e66f69bdf3c979366e7182a98a0",
+        "f628207a4f2668681f00cea0873992c7b22519f11c03e06c419eddab5ca9b329"),
     "cellulation-fan-unit-z": (
         ["game", "cellulation", "--fan", "--restrict-unit-z"],
-        "a984ebe1f6a31e4b69b51388859cb6a6f884ebdaa8d041987e9d26ba2b5cf92e",
+        "11bb555e30a5008f3a0e7527e63fb982d5e58a5ae497253be7d9002b2ae77733",
         "e77b05e7f94771bab1f2931080408eb55a0dba38244d23af83dd7c7f7b7ab13d"),
     "cellulation-blocks-3x2": (
         ["game", "cellulation", "--blocks", "3x2"],
-        "edc829701d855152046e90492ed98025b9ef28728c48ed0773655f8c02b17f1c",
+        "aef6591e2595689fab3acbd72a14d26e6f1d65c5d24089b010d0ce001c94c9ff",
         "a8fa3c23bf6563bedb100faab5173a031099772391911cda3273ac0584dd9ce4"),
     "sweep-x": (
         ["sweep", "deformation", "--L", "2", "--family", "x", "--sector", "++"],
@@ -386,6 +415,31 @@ def test_game_cellulation_rejects_malformed_blocks(tmp_path, capsys, blocks):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--blocks" in err and "BXxBY" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [["--samples", "5"], ["--max-exhaustive-bits", "16"]],
+                         ids=["samples", "max-exhaustive-bits"])
+def test_game_cellulation_refuses_removed_sampling_options(tmp_path, flag):
+    # every input is scored exactly, so nothing chooses between enumeration
+    # and sampling any more, on the command line or in a config file
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "cellulation", *flag, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    key = flag[0][2:].replace("-", "_")
+    cfg.write_text(json.dumps({key: int(flag[1])}))
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "cellulation", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_game_cellulation_scores_every_input_at_scale(tmp_path):
+    # 70 input bits: one exact sum, where enumeration would take 2^70 inputs
+    record, csv = run(["game", "cellulation", "--L", "12", "--blocks", "2x2"], tmp_path, "big")
+    assert record["p_q"]["fraction"] == "1/1"
+    assert record["meta"]["bits"] == 70 and record["inputs"] == 1 << 70
+    assert csv.splitlines()[1] == f"2x2,{1 << 70},1.0"
 
 
 def test_game_cellulation_blocks_from_config(tmp_path):

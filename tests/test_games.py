@@ -15,6 +15,7 @@ from stabgames.codes import (
     double_semion,
     star_operator,
     toric2d,
+    toric2d_winding_z_fixers,
     toric3d_edges,
     toric3d_faces,
     xcube,
@@ -24,6 +25,8 @@ from stabgames.games import (
     CellulationGame,
     MagicSquareGame,
     ParityGame,
+    _exact_value,
+    _quadratic_sign_sum,
     _score_inputs,
     _valid_rows,
     cellulation_game_eval,
@@ -195,7 +198,7 @@ class TestCellulationGame:
         for bx, by in ((2, 2), (3, 3), (2, 3)):
             strat = block_cellulation_ops(code, bx, by)
             game = CellulationGame(strat)
-            ev = cellulation_game_eval(game, max_exhaustive=1 << 10, samples=256)
+            ev = cellulation_game_eval(game)
             assert ev.p_q == 1
 
     def test_microscopic_matches_codespace_projector(self):
@@ -222,14 +225,17 @@ class TestCellulationGame:
         orth = state_from_group(flipped)
         ev2 = cellulation_game_eval(game, resource=orth)
         assert ev2.p_q == pytest.approx(0.5, abs=1e-10)
-        # the tableau scores the same sector exactly, input by input
+        # the tableau sums the same sector exactly; dense scores every input,
+        # each as the per-input rule with target i^{sum a_i b_i}
         exact = cellulation_game_eval(game, resource=flipped)
-        assert exact.p_q == Fraction(1, 2)
-        assert exact.per_input.keys() == ev2.per_input.keys()
+        assert exact.p_q == Fraction(1, 2) and exact.per_input == {}
+        assert len(ev2.per_input) == 1 << ev2.meta["bits"]
         for bits, win in ev2.per_input.items():
-            assert abs(win - exact.per_input[bits]) < 1e-10
+            exps = game.exponents(bits)
+            cross = sum(a * b for a, b in exps)
+            s = reference_sign(strat.ops, flipped, exps)
+            assert abs(win - (1 + (1 - (cross & 2)) * s) / 2) < 1e-10
         assert type(exact.p_q) is Fraction
-        assert all(type(w) is Fraction for w in exact.per_input.values())
         assert type(ev2.p_q) is float
         assert all(type(w) is float for w in ev2.per_input.values())
 
@@ -238,11 +244,11 @@ class TestCellulationGame:
         strat = fan_cellulation_ops(code)
         game = CellulationGame(strat)
         ev = cellulation_game_eval(game, restrict_unit_z=True)
-        assert len(ev.per_input) == 4  # 2^(P-1) parity inputs
-        assert ev.p_q == 1
+        assert 1 << ev.meta["bits"] == 4  # 2^(P-1) parity inputs
+        assert ev.p_q == 1  # so every input is won, as in the parity game
         parity_ev = quantum_parity_eval(tc2d_parity_ops(code, 3))
         assert parity_ev.p_q == ev.p_q
-        assert sorted(ev.per_input.values()) == sorted(parity_ev.per_input.values())
+        assert set(parity_ev.per_input.values()) == {1}
 
     def test_even_cross_parity_asserted(self):
         code = toric2d(4)
@@ -403,20 +409,44 @@ def test_parity_form_matches_per_input_rule(ops):
     assert quantum_parity_eval(ops, resource=weyl).per_input == wins
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(random_strategies(), st.data())
 def test_cellulation_form_matches_per_input_rule(ops, data):
     # a_i is the parity of some of the first nx bits, b_i of some of the
-    # other bits, or 1 with unit z; the target is another parity of the bits
-    m = data.draw(st.integers(0, 10))
-    nx = data.draw(st.integers(0, m))
-    unit_z = data.draw(st.booleans())
-    if unit_z:
-        m = nx
-    masks = st.integers(0, (1 << m) - 1)
-    a_masks = [data.draw(masks) & ((1 << nx) - 1) for _ in range(ops.players)]
-    b_masks = [data.draw(masks) & ~((1 << nx) - 1) for _ in range(ops.players)]
-    t_mask = data.draw(masks)
+    # other bits, or 1 with unit z; the target is i^{sum_i a_i b_i}.
+    # - Unshared masks make that sum odd at some input in most draws, and
+    #   both scorings must refuse those.
+    # - Shared masks give players 2i and 2i + 1 the same ones (and an odd
+    #   last player a = 0), so the sum is even at every input.
+    # - Shared players: up to five pairs of equal players, each measuring
+    #   anticommuting X and Z on one site (X may be non-Hermitian), then the
+    #   drawn first player.  A pair's product is +-I with a sign quadratic
+    #   in a and b, which random players almost never give on the inputs
+    #   where O is +-I times a group element.
+    # The game is drawn from a seed that includes the players, so that these
+    # choices are uniform and vary with the players: hypothesis alone draws
+    # an integer seed of 0 in a third of the examples.
+    seed = (ops.pairs, ops.resource.generators, data.draw(st.integers(0, 2**32 - 1)))
+    rng = random.Random(repr(seed))
+    shared = rng.choice(["none", "masks", "players"])
+    if shared == "players":
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            # X and Z are each a letter, or the other two letters in either
+            # order, whose product is +-i times it
+            site = rng.randrange(ops.n)
+            x, z = ([w] if rng.random() < 0.5 else rng.sample("XYZ".replace(w, ""), 2)
+                    for w in rng.sample("XYZ", 2))
+            pairs += 2 * [(tuple((site, c) for c in x), tuple((site, c) for c in z))]
+        ops = CompositeOperatorSet(ops.code, ops.resource, pairs + list(ops.pairs[:1]), [])
+    m = rng.randrange(11)
+    unit_z = rng.random() < 0.5
+    nx = m if unit_z else rng.randint(0, m)
+    a_masks = [rng.getrandbits(nx) for _ in range(ops.players)]
+    b_masks = [rng.getrandbits(m - nx) << nx for _ in range(ops.players)]
+    if shared != "none":
+        a_masks = [a_masks[i & ~1] if i | 1 < ops.players else 0 for i in range(ops.players)]
+        b_masks = [b_masks[i & ~1] for i in range(ops.players)]
 
     def parity(mask, bits):
         return sum(bits[k] for k in range(m) if mask >> k & 1) % 2
@@ -425,12 +455,75 @@ def test_cellulation_form_matches_per_input_rule(ops, data):
         return [(parity(am, bits), 1 if unit_z else parity(bm, bits))
                 for am, bm in zip(a_masks, b_masks)]
 
-    def target_of(bits, exps):
-        return 1 - 2 * parity(t_mask, bits)
-
     inputs = list(itertools.product((0, 1), repeat=m))
-    per_input, p_q, signs = _score_inputs(ops, ops.resource, exps_of, m, inputs, target_of)
+    crosses = [sum(a * b for a, b in exps_of(u)) for u in inputs]
+    if any(x & 1 for x in crosses):
+        with pytest.raises(ValueError, match="odd a.b parity"):
+            _exact_value(ops, ops.resource, exps_of, m)
+        with pytest.raises(ValueError, match="odd a.b parity"):
+            _score_inputs(ops, ops.resource, exps_of, m, inputs)
+        return
     want = [reference_sign(ops, ops.resource, exps_of(bits)) for bits in inputs]
-    assert signs == want
-    assert per_input == {u: Fraction(1 + target_of(u, None) * s, 2) for u, s in zip(inputs, want)}
-    assert p_q == sum(per_input.values()) / len(inputs)
+    wins = {u: Fraction(1 + (1 - (x & 2)) * s, 2) for u, x, s in zip(inputs, crosses, want)}
+    p_q = sum(wins.values()) / len(inputs)
+    assert _exact_value(ops, ops.resource, exps_of, m) == p_q
+    per_input, got_p_q, signs = _score_inputs(ops, ops.resource, exps_of, m, inputs)
+    assert signs == want and per_input == wins and got_p_q == p_q
+    # the same group built on the Weyl path, which reduces to WeylOperators
+    weyl = StabilizerGroup([WeylOperator.from_pauli(g) for g in ops.resource.generators],
+                           d=2, n=ops.n)
+    assert _exact_value(ops, weyl, exps_of, m) == p_q
+
+
+@pytest.mark.parametrize("blocks, unit_z", [
+    ((2, 2), False), ((3, 3), False), ((2, 3), False), (None, False), (None, True),
+], ids=["blocks-2x2", "blocks-3x3", "blocks-2x3", "fan", "fan-unit-z"])
+def test_cellulation_sum_matches_enumeration(blocks, unit_z):
+    # criterion 8's block cellulations of L = 6, and the L = 5 fan
+    if blocks:
+        game = CellulationGame(block_cellulation_ops(toric2d(6), *blocks))
+    else:
+        game = CellulationGame(fan_cellulation_ops(toric2d(5)))
+    ev = cellulation_game_eval(game, restrict_unit_z=unit_z)
+    bits = ev.meta["bits"]
+    inputs = itertools.product((0, 1), repeat=bits)
+    ops = game.strategy.ops
+    _, p_q, _ = _score_inputs(ops, ops.resource, lambda u: game.exponents(u, unit_z), bits, inputs)
+    assert ev.p_q == p_q == 1 and ev.per_input == {}
+
+
+def test_cellulation_sum_matches_enumeration_in_both_l2_sectors():
+    code = toric2d(2)
+    game = CellulationGame(block_cellulation_ops(code, 1, 1))
+    fixers = toric2d_winding_z_fixers(code)
+    flipped = StabilizerGroup(
+        [g.scale_i(2) if lab == ("zstab", ("v", 1, 1)) else g
+         for lab, g in code.labeled_generators if lab != ("zstab", ("v", 0, 0))],
+        d=2, n=code.n)
+    for group, value in ((code.group, 1), (flipped, Fraction(1, 2))):
+        fixed = group.fix_sector(fixers)
+        ev = cellulation_game_eval(game, resource=fixed)
+        bits = ev.meta["bits"]
+        inputs = itertools.product((0, 1), repeat=bits)
+        _, p_q, _ = _score_inputs(game.strategy.ops, fixed, game.exponents, bits, inputs)
+        assert ev.p_q == p_q == value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, 1), st.integers(0, (1 << k) - 1),
+    st.integers(0, (1 << (k * (k - 1) // 2)) - 1))))
+def test_quadratic_sign_sum_matches_brute_force(draw):
+    k, f0, alpha, edges = draw
+    pairs = [(i, l) for i in range(k) for l in range(i)]
+    adj = [0] * k
+    for e, (i, l) in enumerate(pairs):
+        if edges >> e & 1:
+            adj[i] |= 1 << l
+            adj[l] |= 1 << i
+    total = 0
+    for t in range(1 << k):
+        f = f0 + (alpha & t).bit_count()
+        f += sum(1 for e, (i, l) in enumerate(pairs) if edges >> e & 1 and t >> i & t >> l & 1)
+        total += 1 - 2 * (f & 1)
+    assert _quadratic_sign_sum(f0, alpha, adj) == total

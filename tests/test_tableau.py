@@ -386,8 +386,8 @@ class TestFixSector:
     @given(st.integers(1, 5).flatmap(
         lambda n: st.tuples(st.just(n), stabilizer_generators(n), st.lists(paulis(n), max_size=3))))
     def test_matches_rebuild_on_qubits(self, case):
-        # fixing a sector extends the group's rows; a rebuild from the
-        # generators must give the same group, or fail as well
+        # fixing a sector rebuilds a qubit group from its generators and the
+        # fixers; an independent build must give the same group, or fail
         n, gens, probes = case
         base = StabilizerGroup(gens, d=2, n=n)
         fixers = [p if p.is_hermitian() else p.scale_i(1) for p in probes]
