@@ -152,9 +152,11 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     bitmask, and whether sum_i a_i b_i is odd at any input.
 
     exps_of must be affine over GF(2): each player's (a_i, b_i) is a fixed
-    bit, or the parity of some bits of u.  Write O(u) = i^{sum_i a_i b_i} M(u),
-    M(u) = prod_i X_i^{a_i} Z_i^{b_i}, and let reduce(M(u)) = M(u) g(u) with
-    residual vector r(u) and i-power rho(u).
+    bit, or the parity of some bits of u.  So it is called only at 0 and at
+    each e_j, and the exponents at e_j + e_k are the XOR of those three.
+    Write O(u) = i^{sum_i a_i b_i} M(u), M(u) = prod_i X_i^{a_i} Z_i^{b_i},
+    and let reduce(M(u)) = M(u) g(u) with residual vector r(u) and i-power
+    rho(u).
 
     - r(u) is affine in u: the x|z vector of M(u) is an XOR of the players'
       vectors, and the group element g(u) that clears the pivot bits is
@@ -185,9 +187,8 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     n = ops.n
     odd_cross = False
 
-    def point(*ones: int) -> Tuple[int, int]:
+    def point(exps: List[Tuple[int, int]]) -> Tuple[int, int]:
         nonlocal odd_cross
-        exps = exps_of(tuple(int(j in ones) for j in range(m)))
         cross = sum(a * b for a, b in exps)
         odd_cross |= bool(cross & 1)
         r = group.reduce(_collective(ops, exps))
@@ -195,14 +196,19 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
             r = r.to_pauli()
         return r.x | r.z << n, r.phase - cross
 
-    r0, c = point()
-    single = [point(j) for j in range(m)]
+    base = exps_of((0,) * m)
+    units = [exps_of(tuple(int(k == j) for k in range(m))) for j in range(m)]
+    r0, c = point(base)
+    single = [point(exps) for exps in units]
     step = [r ^ r0 for r, _ in single]  # change of the residual when u_j flips
     lin = [rho - c for _, rho in single]
     q2 = [0] * m  # q_jk / 2 mod 2 for k < j, as a bitset over k
     for j in range(m):
         for k in range(j):
-            q = (point(k, j)[1] - single[j][1] - single[k][1] + c) % 4
+            # exps_of is affine, so exps(e_j + e_k) = exps(e_j) xor exps(e_k) xor exps(0)
+            pair = [(a0 ^ aj ^ ak, b0 ^ bj ^ bk)
+                    for (a0, b0), (aj, bj), (ak, bk) in zip(base, units[j], units[k])]
+            q = (point(pair)[1] - single[j][1] - single[k][1] + c) % 4
             assert q % 2 == 0, "odd quadratic coefficient in the sign form"
             q2[j] |= (q >> 1) << k
 

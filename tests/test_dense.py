@@ -448,3 +448,129 @@ def test_default_seed_lies_in_the_support(group):
     assert state.norm() == pytest.approx(1.0)
     for gen in group.generators:
         assert dense_expectation(state, gen) == pytest.approx(1.0, abs=1e-10)
+
+
+def _reference_state_from_group(group, seeds):
+    """The former full-register projection: from |seed>, each canonical row's
+    sum over its powers, one apply_operator per power, normalised after every
+    row; the first seed whose projection does not vanish wins."""
+    d, n = group.d, group.n
+    rows = [_as_weyl(r) for r in group.rows]
+    for seed in seeds:
+        amps = np.zeros(d**n, dtype=complex)
+        amps[seed] = 1.0
+        state = DenseState(d, n, amps)
+        for row in rows:
+            power = apply_operator(state, row)
+            acc = power.amps
+            for _ in range(_row_order(row, d) - 2):
+                power = apply_operator(power, row)
+                acc += power.amps
+            acc += state.amps
+            nrm = np.linalg.norm(acc)
+            if nrm < 1e-9:
+                break
+            state = DenseState(d, n, acc / nrm)
+        else:
+            return state
+    raise ValueError("projector annihilated every seed state tried")
+
+
+def _conjugated_z_group(rng, n):
+    """The Z-basis group on n qubits after n*n random H, S and CNOT gates on
+    the generators' x/z bits, with random Hermitian signs: gates keep the
+    generators commuting and independent, so any signs fix a unique state."""
+    xs, zs = [0] * n, [1 << j for j in range(n)]
+    for _ in range(n * n):
+        gate, a = rng.randrange(3 if n > 1 else 2), rng.randrange(n)
+        bit = 1 << a
+        for k in range(n):
+            if gate == 0 and bool(xs[k] & bit) != bool(zs[k] & bit):  # H
+                xs[k] ^= bit
+                zs[k] ^= bit
+            elif gate == 1:  # S
+                zs[k] ^= xs[k] & bit
+        if gate == 2:  # CNOT a -> b
+            b = (a + 1 + rng.randrange(n - 1)) % n
+            for k in range(n):
+                xs[k] ^= ((xs[k] >> a) & 1) << b
+                zs[k] ^= ((zs[k] >> b) & 1) << a
+    gens = [PauliOperator(n, x, z, (bin(x & z).count("1") + 2 * rng.randrange(2)) % 4)
+            for x, z in zip(xs, zs)]
+    return StabilizerGroup(gens)
+
+
+def _sampled_ququart_group(rng, n):
+    """Random commuting Weyl generators on n ququarts, each given a phase with
+    a +1 eigenspace, until the group fixes a unique state (or None).  Unlike
+    a conjugated Z-basis group, it can hold order-2 rows such as X^2 Z^2."""
+    gens, group = [], None
+    for _ in range(100 * n):
+        if group is not None and group.ground_space_dim() == 1:
+            return group
+        cand = WeylOperator(4, n, tuple(rng.randrange(4) for _ in range(n)),
+                            tuple(rng.randrange(4) for _ in range(n)), 0)
+        c = w_power(cand, 4).phase
+        if cand.is_scalar() or c % 4:
+            continue
+        cand = cand.scale_w(c // 4 + 2 * rng.randrange(4))
+        try:
+            group = StabilizerGroup(gens + [cand])
+        except ValueError:
+            continue
+        gens.append(cand)
+    return None
+
+
+@st.composite
+def seeded_groups(draw):
+    """(group, seeds): a random stabilizer group with a unique state, qubits
+    on 1..10 sites or ququarts on 1..4, and seeds whose first 1..3 entries
+    miss the state's support, where anything does, and whose last one lies
+    in it."""
+    d = draw(st.sampled_from([2, 4]))
+    n = draw(st.sampled_from(range(1, 11 if d == 2 else 5)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    group = _conjugated_z_group(rng, n) if d == 2 else _sampled_ququart_group(rng, n)
+    assume(group is not None)
+    want = _reference_state_from_group(group, range(d**n))
+    inside = np.abs(want.amps) > 1e-9
+    misses = np.flatnonzero(~inside).tolist()
+    seeds = rng.sample(misses, min(len(misses), draw(st.integers(1, 3))))
+    return group, seeds + [rng.choice(np.flatnonzero(inside).tolist())]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seeded_groups())
+def test_state_from_group_matches_full_register_projection(case):
+    group, seeds = case
+    got = state_from_group(group, seeds)
+    want = _reference_state_from_group(group, seeds)
+    # the same seed gives the same global phase, so no phase is divided out
+    assert np.allclose(got.amps, want.amps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seeds, bad", [([-1], -1), ([8], 8), ([3, 8], 8), ([1 << 40], 1 << 40)])
+def test_seed_outside_the_register_is_refused(seeds, bad):
+    gens = [PauliOperator.from_support(3, "X", range(3))]
+    gens += [PauliOperator.from_support(3, "Z", [i, i + 1]) for i in range(2)]
+    with pytest.raises(ValueError, match=rf"seed {bad} .*range\(8\)"):
+        state_from_group(StabilizerGroup(gens), seeds)
+
+
+@pytest.mark.parametrize("d, n", [(2, 15), (2, 16), (4, 8), (3, 10), (2, 5), (4, 3)])
+def test_blocked_kernel_matches_full_vector(d, n):
+    """On random states, grids of several row blocks (3^10 ends in a partial
+    block) and of one: apply_operator equals the per-site reference, and
+    the blocked expectation equals the vdot of the whole applied vector."""
+    rng = np.random.default_rng(100 * d + n)
+    amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    state = DenseState(d, n, amps / np.linalg.norm(amps))
+    for _ in range(4):
+        xs, zs = rng.integers(0, d, size=(2, n)).tolist()
+        op = WeylOperator(d, n, tuple(xs), tuple(zs), int(rng.integers(2 * d)))
+        if d == 2:
+            op = op.to_pauli()
+        applied = apply_operator(state, op).amps
+        assert np.allclose(applied, _reference_apply(state, op).amps, rtol=0, atol=1e-12)
+        assert abs(dense_expectation(state, op) - np.vdot(state.amps, applied)) < 1e-12
