@@ -1,9 +1,11 @@
-"""Byte-level pins on every strategy builder's output.
+"""Byte-level pins on every strategy builder's output, and on the torus
+complexes and 3D codes those builders start from.
 
 Each case serializes one builder's operators (the standard text form of every
-composite, in order, plus the header or meta) and compares its SHA-256 with a
-recorded digest.  Refactors of the lattice walks, routes and cut choices must
-leave these digests unchanged.
+composite, in order, plus the header or meta), one complex (its text dump) or
+one code (its group's text export plus the generator labels) and compares its
+SHA-256 with a recorded digest.  Refactors of the lattice walks, routes, cut
+choices and cell layouts must leave these digests unchanged.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from stabgames.codes import (
     toric3d_faces,
     xcube,
 )
+from stabgames.complexes import build_torus_2d, build_torus_3d, complex_to_text
 from stabgames.strategies import (
     block_cellulation_ops,
     cycle_dipole_embedding,
@@ -51,6 +54,11 @@ def _ds_operators_text():
     code = double_semion(8, 10)
     ops = ds_winding_fixers(code) + [ds_vertex_loop(code, 0, 0, ccw) for ccw in (True, False)]
     return double_semion(4, 4).group.export_text() + "\n" + "\n".join(op.to_text() for op in ops)
+
+
+def _code_text(code):
+    labels = "\n".join(repr(lab) for lab, _ in code.labeled_generators)
+    return code.group.export_text() + "\n" + labels
 
 
 BUILDERS = {
@@ -86,9 +94,21 @@ BUILDERS = {
     "wheel": lambda: serialize_operator_set(wheel_embedding(tc2d(7))[0]),
     "ds-magic-square-8x10": lambda: _magic_square_text(8, 10),
     "ds-operators": _ds_operators_text,
+    "complex-torus2d-3x3": lambda: complex_to_text(build_torus_2d(3)),
+    "complex-torus2d-3x4": lambda: complex_to_text(build_torus_2d(3, 4)),
+    "complex-torus3d-3": lambda: complex_to_text(build_torus_3d(3)),
+    "code-tc3d-faces-3": lambda: _code_text(toric3d_faces(3)),
+    "code-tc3d-edges-3": lambda: _code_text(toric3d_edges(3)),
+    "code-xcube-3": lambda: _code_text(xcube(3)),
 }
 
 PINS = {
+    "code-tc3d-edges-3": "820b901c87263675bfdf02538b68b5f7ba789ef1e411217ff23cfe4508edcd24",
+    "code-tc3d-faces-3": "bac9f517ded9d63dcc2d15c02f0a9e3b34c0dc03aee853df0b5a646616f9fad6",
+    "code-xcube-3": "559580a8b80778522da9adade105acaff3ea287714318ba669f4e0329306172d",
+    "complex-torus2d-3x3": "c21eb46294d65dabff4ff84a2390f011c257dc31bdf84c7c45529fe0d713d56b",
+    "complex-torus2d-3x4": "da0a0b78e2b41cc9ff2cc6e2bb3c0f4cc1079eefc735696fe9a808c8c4dbef8e",
+    "complex-torus3d-3": "eb6065d8c07e10720a2a91cc48bb2b4a4d5cd1a2809fe4f099da8766a9a8e834",
     "cellulation-blocks-2x3": "fbd1e6123a4d23df7ff13235890a8bf174d6d7e6e295b3c4659b815373144435",
     "cellulation-blocks-3x3": "caa5310671f1cf40cb0d4d63b5886b3d722ddad7fcb047d71d82c37e9e61626b",
     "cellulation-fan": "12dd2e4086d4c2c6df1f7b2c52a2a14d631a43cb4849221b252dd17ce350acc2",
