@@ -29,7 +29,7 @@ from .codes import (
     toric3d_faces,
     xcube,
 )
-from .complexes import build_torus_2d, build_torus_3d
+from .complexes import build_torus
 from .dense import deform, state_from_group
 from .games import (
     CellulationGame,
@@ -162,7 +162,7 @@ def cmd_code_info(args):
 
 
 def cmd_complex_info(args):
-    cell = build_torus_2d(args.L) if args.lattice == "torus2d" else build_torus_3d(args.L)
+    cell = build_torus(*[args.L] * (2 if args.lattice == "torus2d" else 3))
     chain = cell.to_chain()
     hom = [chain.homology_dim(i) for i in range(len(chain.dims))]
     cfg = {"command": "complex info", "lattice": args.lattice, "L": args.L}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import CellComplex, build_torus_2d, build_torus_3d
+from .complexes import CellComplex, build_torus
 from .pauli import PauliOperator
 from .tableau import StabilizerGroup
 from .weyl import WeylOperator, ordered_w_product, w_multiply
@@ -102,7 +102,7 @@ def homological_css(cell: CellComplex, p: int) -> CodeInstance:
 
 def toric2d(L: int) -> CodeInstance:
     """2D toric code: qubits on edges, Z stars on vertices, X loops on plaquettes."""
-    code = homological_css(build_torus_2d(L), 1)
+    code = homological_css(build_torus(L, L), 1)
     code.kind = "toric2d"
     code.meta["L"] = L
     return code
@@ -111,7 +111,7 @@ def toric2d(L: int) -> CodeInstance:
 def toric3d_faces(L: int) -> CodeInstance:
     """3D toric code with qubits on faces: Z stabilizers on edges (elementary
     dual loops), X stabilizers on cubes (elementary membranes)."""
-    code = homological_css(build_torus_3d(L), 2)
+    code = homological_css(build_torus(L, L, L), 2)
     code.kind = "toric3d_faces"
     code.meta["L"] = L
     return code
@@ -120,7 +120,7 @@ def toric3d_faces(L: int) -> CodeInstance:
 def toric3d_edges(L: int) -> CodeInstance:
     """Dual 3D toric code with qubits on edges: Z stars on vertices, X loops
     on faces."""
-    code = homological_css(build_torus_3d(L), 1)
+    code = homological_css(build_torus(L, L, L), 1)
     code.kind = "toric3d_edges"
     code.meta["L"] = L
     return code
@@ -163,54 +163,24 @@ def loop_operator(code: CodeInstance, key) -> PauliOperator:
 
 def xcube(L: int) -> CodeInstance:
     """X-cube model: qubits on cubic-lattice edges; Z-type 12-edge cube
-    operators and X-type 4-edge planar vertex crosses."""
+    operators and X-type 4-edge planar vertex crosses.
+
+    A cube term is the union of the edges on its faces' boundaries; the
+    vertex term (v, mu) is the set of edges in v's coboundary whose axis is
+    not mu."""
     if L < 2:
         raise ValueError("X-cube needs L >= 2")
-    cell = build_torus_3d(L)
+    cell = build_torus(L, L, L)
     n = len(cell.cells[1])
-
-    def e(p, a):
-        return ("e", p[0] % L, p[1] % L, p[2] % L, a)
-
-    def shift(p, a, amt=1):
-        q = list(p)
-        q[a] += amt
-        return tuple(q)
-
     gens: List[LabeledGenerator] = []
-    for x in range(L):
-        for y in range(L):
-            for z in range(L):
-                p = (x, y, z)
-                edges = []
-                for a in (0, 1, 2):
-                    b, c = [ax for ax in (0, 1, 2) if ax != a]
-                    for db in (0, 1):
-                        for dc in (0, 1):
-                            q = shift(shift(p, b, db), c, dc)
-                            edges.append(e(q, a))
-                support = [cell.index(1, k) for k in edges]
-                gens.append(
-                    (("cube", x, y, z), PauliOperator.from_support(n, "Z", support))
-                )
-    for x in range(L):
-        for y in range(L):
-            for z in range(L):
-                p = (x, y, z)
-                for mu in (0, 1, 2):
-                    edges = []
-                    for a in (0, 1, 2):
-                        if a == mu:
-                            continue
-                        edges.append(e(p, a))
-                        edges.append(e(shift(p, a, -1), a))
-                    support = [cell.index(1, k) for k in edges]
-                    gens.append(
-                        (
-                            ("vertex", x, y, z, mu),
-                            PauliOperator.from_support(n, "X", support),
-                        )
-                    )
+    for i, key in enumerate(cell.cells[3]):
+        edges = {e for f in cell.boundary_indices(3, i) for e in cell.boundary_indices(2, f)}
+        gens.append((("cube",) + key[1:], PauliOperator.from_support(n, "Z", edges)))
+    for i, key in enumerate(cell.cells[0]):
+        star = cell.coboundary_indices(0, i)
+        for mu in (0, 1, 2):
+            support = [e for e in star if cell.cells[1][e][-1] != mu]
+            gens.append((("vertex",) + key[1:] + (mu,), PauliOperator.from_support(n, "X", support)))
     group = StabilizerGroup([g for _, g in gens], d=2, n=n)
     return CodeInstance(
         kind="xcube",

@@ -11,7 +11,10 @@ tracing and validated through Euler's formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
+from itertools import combinations, product
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 CellKey = Hashable
 
@@ -27,23 +30,40 @@ def _bits(v: int) -> Iterator[int]:
         v ^= low
 
 
-def _independent_rows(rows: Sequence[int]) -> Tuple[int, ...]:
-    """Input-order indices of a maximal independent subset of GF(2) rows:
-    row i is kept exactly when it is independent of rows 0..i-1."""
-    basis: List[int] = []  # kept rows, each reduced by the earlier ones' lowest bits
+def gf2_eliminate(
+    rows: Sequence[int], target: int = 0
+) -> Tuple[Tuple[int, ...], List[int], Optional[int]]:
+    """(kept, kernel, u0) of GF(2) rows, eliminated in input order with each
+    reduced row pivoting on its lowest set bit.
+
+    A combination u takes row j when bit j of u is set.  Row i is kept
+    exactly when it is independent of rows 0..i-1; kernel holds one
+    combination XORing to zero for every other row, a basis of all such;
+    u0 is a combination whose rows XOR to target, or None when there is none.
+    """
+    pivots: Dict[int, Tuple[int, int]] = {}  # lowest bit -> (reduced row, its combination)
     kept: List[int] = []
-    for i, row in enumerate(rows):
-        for b in basis:
-            if row & b & -b:
-                row ^= b
-        if row:
-            basis.append(row)
-            kept.append(i)
-    return tuple(kept)
+    kernel: List[int] = []
+
+    def reduce(v: int, comb: int) -> Tuple[int, int]:
+        while v and (v & -v) in pivots:
+            pv, pc = pivots[v & -v]
+            v, comb = v ^ pv, comb ^ pc
+        return v, comb
+
+    for j, row in enumerate(rows):
+        v, comb = reduce(row, 1 << j)
+        if v:
+            pivots[v & -v] = (v, comb)
+            kept.append(j)
+        else:
+            kernel.append(comb)
+    v, u0 = reduce(target, 0)
+    return tuple(kept), kernel, None if v else u0
 
 
 def gf2_rank(rows: Sequence[int]) -> int:
-    return len(_independent_rows(rows))
+    return len(gf2_eliminate(rows)[0])
 
 
 def _transpose(rows: Sequence[int], ncols: int) -> List[int]:
@@ -129,8 +149,10 @@ class CellComplex:
     boundary_keys: Tuple[Tuple[Tuple[CellKey, ...], ...], ...]
     closed: bool
     meta: Dict = field(default_factory=dict)
-    _index: Tuple[Dict[CellKey, int], ...] = None
-    _cobound: Tuple[Dict[int, Tuple[int, ...]], ...] = None
+    # caches derived from the cells, so left out of equality and repr
+    _index: Tuple[Dict[CellKey, int], ...] = field(default=None, init=False, repr=False, compare=False)
+    _cobound: Tuple[Dict[int, Tuple[int, ...]], ...] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = tuple({key: i for i, key in enumerate(level)} for level in self.cells)
@@ -197,94 +219,64 @@ def dualize(c: CellComplex) -> CellComplex:
 
 # -- torus builders ------------------------------------------------------------
 
+_TAGS = {2: "vep", 3: "vefc"}  # key tag of each degree's cells
 
-def build_torus_2d(L: int, Ly: int = None) -> CellComplex:
-    """Periodic square cellulation: vertices, edges (o=0 along +x, o=1 along +y),
-    and plaquettes keyed by their lower-left corner.  Rectangular when Ly is given."""
-    Lx = L
-    if Ly is None:
-        Ly = L
-    if Lx < 2 or Ly < 2:
+
+def _label(D: int, axes: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Key suffix of a cell spanning `axes`: the axis of an edge, the normal
+    axis of a 3D face, nothing for vertices and top cells."""
+    if len(axes) == 1:
+        return axes
+    if len(axes) == 2 and D == 3:
+        return tuple(a for a in range(3) if a not in axes)
+    return ()
+
+
+def build_torus(*sizes: int) -> CellComplex:
+    """Periodic cubical cellulation of the D-torus (D = 2 or 3), one side
+    length per axis.
+
+    A k-cell is a corner position plus a set of k axes.  Its key is the
+    degree's tag (`v e p` in 2D, `v e f c` in 3D), the position, then the axis
+    of an edge or the normal axis of a 3D face.  Cells are ordered by
+    position (axis 0 slowest), then by label.  The boundary of a cell lists
+    its sub-cells in label order, each at the corner and then one step along
+    the axis it drops.
+    """
+    D = len(sizes)
+    if D not in _TAGS:
+        raise ValueError(f"torus builds 2 or 3 dimensions, got {D}")
+    if min(sizes) < 2:
         raise ValueError("torus needs L >= 2")
-    verts = [("v", x, y) for x in range(Lx) for y in range(Ly)]
-    edges = [("e", x, y, o) for x in range(Lx) for y in range(Ly) for o in (0, 1)]
-    faces = [("p", x, y) for x in range(Lx) for y in range(Ly)]
-
-    def v(x, y):
-        return ("v", x % Lx, y % Ly)
-
-    def e(x, y, o):
-        return ("e", x % Lx, y % Ly, o)
-
-    e_bnd = []
-    for (_, x, y, o) in edges:
-        if o == 0:
-            e_bnd.append((v(x, y), v(x + 1, y)))
-        else:
-            e_bnd.append((v(x, y), v(x, y + 1)))
-    f_bnd = []
-    for (_, x, y) in faces:
-        f_bnd.append((e(x, y, 0), e(x, y + 1, 0), e(x, y, 1), e(x + 1, y, 1)))
-    return CellComplex(
-        2,
-        (tuple(verts), tuple(edges), tuple(faces)),
-        (tuple(() for _ in verts), tuple(e_bnd), tuple(f_bnd)),
-        closed=True,
-        meta={"lattice": "torus2d", "L": Lx, "Lx": Lx, "Ly": Ly},
-    )
-
-
-def build_torus_3d(L: int) -> CellComplex:
-    """Periodic cubic cellulation; edges keyed by axis, faces by normal axis."""
-    if L < 2:
-        raise ValueError("torus needs L >= 2")
-    rng = range(L)
-    verts = [("v", x, y, z) for x in rng for y in rng for z in rng]
-    edges = [("e", x, y, z, a) for x in rng for y in rng for z in rng for a in (0, 1, 2)]
-    faces = [("f", x, y, z, m) for x in rng for y in rng for z in rng for m in (0, 1, 2)]
-    cubes = [("c", x, y, z) for x in rng for y in rng for z in rng]
-
-    def wrap(p):
-        return (p[0] % L, p[1] % L, p[2] % L)
-
-    def v(p):
-        return ("v",) + wrap(p)
-
-    def e(p, a):
-        return ("e",) + wrap(p) + (a,)
-
-    def f(p, m):
-        return ("f",) + wrap(p) + (m,)
-
-    def shift(p, a, amount=1):
-        q = list(p)
-        q[a] += amount
-        return tuple(q)
-
-    e_bnd = []
-    for (_, x, y, z, a) in edges:
-        p = (x, y, z)
-        e_bnd.append((v(p), v(shift(p, a))))
-    f_bnd = []
-    for (_, x, y, z, m) in faces:
-        p = (x, y, z)
-        a, b = [ax for ax in (0, 1, 2) if ax != m]
-        f_bnd.append((e(p, a), e(shift(p, b), a), e(p, b), e(shift(p, a), b)))
-    c_bnd = []
-    for (_, x, y, z) in cubes:
-        p = (x, y, z)
-        faces6 = []
-        for m in (0, 1, 2):
-            faces6.append(f(p, m))
-            faces6.append(f(shift(p, m), m))
-        c_bnd.append(tuple(faces6))
-    return CellComplex(
-        3,
-        (tuple(verts), tuple(edges), tuple(faces), tuple(cubes)),
-        (tuple(() for _ in verts), tuple(e_bnd), tuple(f_bnd), tuple(c_bnd)),
-        closed=True,
-        meta={"lattice": "torus3d", "L": L},
-    )
+    positions = list(product(*(range(n) for n in sizes)))
+    grid = np.arange(len(positions)).reshape(sizes)
+    # step[a][i]: index of the position one step along axis a from position i
+    step = [np.roll(grid, -1, axis=a).ravel().tolist() for a in range(D)]
+    shapes = [
+        sorted(combinations(range(D), k), key=lambda axes: _label(D, axes)) for k in range(D + 1)
+    ]
+    labels = [[_label(D, axes) for axes in level] for level in shapes]
+    cells = [
+        tuple((tag, *pos, *lab) for pos in positions for lab in labs)
+        for tag, labs in zip(_TAGS[D], labels)
+    ]
+    boundary = [tuple(() for _ in positions)]
+    for k in range(1, D + 1):
+        level, below = shapes[k], shapes[k - 1]
+        lower = [cells[k - 1][t :: len(below)] for t in range(len(below))]  # keys by sub-shape
+        rows: List[Tuple[CellKey, ...]] = [()] * len(cells[k])
+        for s, axes in enumerate(level):
+            cols = []
+            for t, sub in enumerate(below):
+                if set(sub) <= set(axes):
+                    (dropped,) = set(axes) - set(sub)
+                    cols += [lower[t], [lower[t][j] for j in step[dropped]]]
+            rows[s :: len(level)] = zip(*cols)
+        boundary.append(tuple(rows))
+    meta = {"lattice": f"torus{D}d", "L": sizes[0]}
+    if D == 2 or len(set(sizes)) > 1:
+        meta.update(zip(("Lx", "Ly", "Lz"), sizes))
+    return CellComplex(D, tuple(cells), tuple(boundary), closed=True, meta=meta)
 
 
 # -- plane graphs ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .complexes import _bits, _independent_rows
+from .complexes import _bits, _transpose, gf2_eliminate
 from .dense import DenseState, dense_expectation
 from .pauli import PauliOperator
 from .strategies import CellulationStrategy, CompositeOperatorSet
@@ -272,28 +272,6 @@ def _score_inputs(
     return per_input, p_q, signs
 
 
-def _affine_solutions(rows: Sequence[int], target: int) -> Optional[Tuple[int, List[int]]]:
-    """(u0, kernel) such that the inputs u whose rows XOR to target (row j
-    taken when u_j = 1) are u0 + span(kernel), or None when there is none."""
-    pivots: Dict[int, Tuple[int, int]] = {}  # lowest bit -> (row, its inputs)
-    kernel = []
-
-    def reduce(v: int, comb: int) -> Tuple[int, int]:
-        while v and (v & -v) in pivots:
-            pv, pc = pivots[v & -v]
-            v, comb = v ^ pv, comb ^ pc
-        return v, comb
-
-    for j, row in enumerate(rows):
-        v, comb = reduce(row, 1 << j)
-        if v:
-            pivots[v & -v] = (v, comb)
-        else:
-            kernel.append(comb)
-    v, u0 = reduce(target, 0)
-    return None if v else (u0, kernel)
-
-
 def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
     """S = sum over t in GF(2)^n of (-1)^{f(t)}, f(t) = f0 + sum_i alpha_i t_i
     + sum_{i<k} beta_ik t_i t_k, with alpha a bitset over i and adj[i] the
@@ -368,10 +346,9 @@ def _exact_value(
         raise ValueError("odd a.b parity: stabilizer commutation violated")
     c = rho(0)
     rows = [s << 1 | (rho(1 << j) ^ c) & 1 for j, s in enumerate(step)]
-    solved = _affine_solutions(rows, r0 << 1 | c & 1)
+    _, kernel, u0 = gf2_eliminate(rows, r0 << 1 | c & 1)
     total = 0
-    if solved is not None:
-        u0, kernel = solved
+    if u0 is not None:
 
         def f(*ts: int) -> int:
             u = u0
@@ -433,15 +410,10 @@ class CellulationGame:
 
     def __post_init__(self):
         strat = self.strategy
-        coarse, p = strat.coarse, strat.p
-        self.x_basis = _independent_rows(coarse.to_chain().boundary[p + 1])
-        cob = []
-        for vi in range(len(coarse.cells[p - 1])):
-            mask = 0
-            for c in coarse.coboundary_indices(p - 1, vi):
-                mask |= 1 << c
-            cob.append(mask)
-        self.z_basis = _independent_rows(cob)
+        chain, p = strat.coarse.to_chain(), strat.p
+        self.x_basis = gf2_eliminate(chain.boundary[p + 1])[0]
+        # row v of the transposed boundary: the p-cells whose boundary holds v
+        self.z_basis = gf2_eliminate(_transpose(chain.boundary[p], chain.dims[p - 1]))[0]
         # per player, the input bits on its incident basis cells: a is their
         # parity on the (p+1)-cells, b on the (p-1)-cells
         nx = len(self.x_basis)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .codes import CodeInstance
-from .complexes import CellComplex, PlaneGraph
+from .complexes import CellComplex, PlaneGraph, build_torus
 from .pauli import PauliOperator, SiteFactor, commutes, multiply, ordered_product
 from .tableau import StabilizerGroup
 
@@ -673,44 +674,44 @@ def cellulation_ops(
     return CellulationStrategy(ops, coarse, p)
 
 
-def block_cellulation_ops(code: CodeInstance, bx: int, by: int) -> CellulationStrategy:
-    """Coarse square-block cellulation of a 2D toric code.
+def block_cellulation_ops(code: CodeInstance, *blocks: int) -> CellulationStrategy:
+    """Coarse block cellulation of a toric code (tc2d, tc3d-faces or
+    tc3d-edges), one block factor b per lattice axis.
 
-    Coarse edges are straight runs of bx (or by) microscopic edges between
-    block corners; coarse dual edges are straight dual runs between block
-    centers, crossing exactly their partner run.  bx = by = 1 reproduces the
-    microscopic lattice and single-site operators.
+    The coarse complex is the torus with L // b cells along each axis, keyed
+    like the fine one.  A coarse p-cell at P spans the axes A: its axis for an
+    edge, every axis but its normal for a 3D face.  Its X side is the fine
+    p-cells with the same tag and axis that tile its block face: b*P + [0, b)
+    along A and b*P on the other axes.  Its Z side is the straight dual run
+    between block centres that crosses it: b*P + b//2 along A and
+    b*P + b//2 + 1 - b + [0, b) across A.  Unit blocks reproduce the fine
+    lattice and single-site operators.
     """
-    from .complexes import build_torus_2d
-
-    if code.kind != "toric2d":
-        raise ValueError("block cellulation needs a 2D toric code")
-    L = code.meta["L"]
-    if L % bx or L % by:
+    if code.kind not in ("toric2d", "toric3d_faces", "toric3d_edges"):
+        raise ValueError("block cellulation needs a toric code (tc2d, tc3d-faces or tc3d-edges)")
+    D, p, L = code.cell.dim, code.qubit_degree, code.meta["L"]
+    if len(blocks) != D:
+        raise ValueError(f"a {D}D code needs {D} block factors, got {len(blocks)}")
+    if min(blocks) < 1 or any(L % b for b in blocks):
         raise ValueError("block sizes must divide L")
-    nx, ny = L // bx, L // by
-    if nx < 2 or ny < 2:
+    if any(L // b < 2 for b in blocks):
         raise ValueError("need at least 2 blocks per direction")
-    coarse = build_torus_2d(nx, ny)
-    cx, cy = bx // 2, by // 2
+    coarse = build_torus(*(L // b for b in blocks))
     p_cells = {}
     dual_cells = {}
-    for key in coarse.cells[1]:
-        _, i, j, o = key
-        if o == 0:
-            p_cells[key] = [("e", (bx * i + t) % L, (by * j) % L, 0) for t in range(bx)]
-            # dual run between block centers (i, j-1) and (i, j)
-            col = (bx * i + cx) % L
-            rows = [(by * (j - 1) + cy + t) % L for t in range(by)]
-            dual_cells[key] = [("e", col, (r + 1) % L, 0) for r in rows]
-        else:
-            p_cells[key] = [("e", (bx * i) % L, (by * j + t) % L, 1) for t in range(by)]
-            row = (by * j + cy) % L
-            cols = [(bx * (i - 1) + cx + t) % L for t in range(bx)]
-            dual_cells[key] = [("e", (c + 1) % L, row, 1) for c in cols]
+    for key in coarse.cells[p]:
+        tag, corner, (o,) = key[0], key[1:D + 1], key[D + 1:]
+        spans = {o} if p == 1 else set(range(D)) - {o}
+        tile, run = [], []
+        for a, (b, c) in enumerate(zip(blocks, corner)):
+            mid = b * c + b // 2
+            tile.append(range(b * c, b * c + b) if a in spans else (b * c,))
+            run.append((mid,) if a in spans else range(mid + 1 - b, mid + 1))
+        p_cells[key] = [(tag, *(q % L for q in qs), o) for qs in product(*tile)]
+        dual_cells[key] = [(tag, *(q % L for q in qs), o) for qs in product(*run)]
     return cellulation_ops(
-        coarse, 1, code, {"p_cells": p_cells, "dual_cells": dual_cells},
-        meta={"bx": bx, "by": by},
+        coarse, p, code, {"p_cells": p_cells, "dual_cells": dual_cells},
+        meta=dict(zip(("bx", "by", "bz"), blocks)),
     )
 
 

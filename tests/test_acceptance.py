@@ -23,8 +23,7 @@ from stabgames.codes import (
     xcube,
 )
 from stabgames.complexes import (
-    build_torus_2d,
-    build_torus_3d,
+    build_torus,
     plane_graph_complex,
     random_stacked_triangulation,
 )
@@ -195,7 +194,7 @@ def test_criterion_05_xcube():
 def test_criterion_06_homological_counting():
     with _report(6, "stabilizer dimension counting and Euler checks"):
         t0 = time.time()
-        cases = [(build_torus_2d(3), 1), (build_torus_3d(2), 1), (build_torus_3d(2), 2)]
+        cases = [(build_torus(3, 3), 1), (build_torus(2, 2, 2), 1), (build_torus(2, 2, 2), 2)]
         for seed in range(3):
             primal, _ = plane_graph_complex(random_stacked_triangulation(3, seed=seed))
             cases.append((primal, 1))

@@ -23,7 +23,7 @@ from stabgames.codes import (
     toric3d_faces,
     xcube,
 )
-from stabgames.complexes import build_torus_2d, build_torus_3d, complex_to_text
+from stabgames.complexes import build_torus, complex_to_text
 from stabgames.strategies import (
     block_cellulation_ops,
     cycle_dipole_embedding,
@@ -94,9 +94,9 @@ BUILDERS = {
     "wheel": lambda: serialize_operator_set(wheel_embedding(tc2d(7))[0]),
     "ds-magic-square-8x10": lambda: _magic_square_text(8, 10),
     "ds-operators": _ds_operators_text,
-    "complex-torus2d-3x3": lambda: complex_to_text(build_torus_2d(3)),
-    "complex-torus2d-3x4": lambda: complex_to_text(build_torus_2d(3, 4)),
-    "complex-torus3d-3": lambda: complex_to_text(build_torus_3d(3)),
+    "complex-torus2d-3x3": lambda: complex_to_text(build_torus(3, 3)),
+    "complex-torus2d-3x4": lambda: complex_to_text(build_torus(3, 4)),
+    "complex-torus3d-3": lambda: complex_to_text(build_torus(3, 3, 3)),
     "code-tc3d-faces-3": lambda: _code_text(toric3d_faces(3)),
     "code-tc3d-edges-3": lambda: _code_text(toric3d_edges(3)),
     "code-xcube-3": lambda: _code_text(xcube(3)),

@@ -21,7 +21,7 @@ from stabgames.codes import (
     xcube,
     xcube_membrane,
 )
-from stabgames.complexes import build_torus_2d, plane_graph_complex, random_stacked_triangulation
+from stabgames.complexes import build_torus, plane_graph_complex, random_stacked_triangulation
 from stabgames.dense import dense_expectation, state_from_group
 from stabgames.pauli import PauliOperator, multiply
 from stabgames.tableau import StabilizerGroup
@@ -141,7 +141,7 @@ class TestXCube:
 
 class TestHomologicalCss:
     def test_logicals_match_homology(self):
-        for cell, p in ((build_torus_2d(3), 1), (build_torus_2d(2), 1)):
+        for cell, p in ((build_torus(3, 3), 1), (build_torus(2, 2), 1)):
             code = homological_css(cell, p)
             assert code.group.ground_space_log_dim() == cell.to_chain().homology_dim(p)
 
@@ -154,7 +154,7 @@ class TestHomologicalCss:
 
     def test_stabilizer_count_identity(self):
         # rank of X-type + rank of Z-type = n - dim H_p
-        for cell, p in ((build_torus_2d(3), 1), (build_torus_2d(2), 1)):
+        for cell, p in ((build_torus(3, 3), 1), (build_torus(2, 2), 1)):
             code = homological_css(cell, p)
             chain = cell.to_chain()
             dim_bp = chain.boundary_rank(p + 1)
@@ -165,7 +165,7 @@ class TestHomologicalCss:
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
-            homological_css(build_torus_2d(2), 2)
+            homological_css(build_torus(2, 2), 2)
 
 
 class TestDoubleSemion:

@@ -8,12 +8,11 @@ import pytest
 from stabgames.complexes import (
     CellComplex,
     ChainComplex,
-    _independent_rows,
-    build_torus_2d,
-    build_torus_3d,
+    build_torus,
     cycle_graph,
     dipole_graph,
     dualize,
+    gf2_eliminate,
     gf2_rank,
     plane_graph_complex,
     random_stacked_triangulation,
@@ -55,30 +54,48 @@ def test_gf2_rank_against_naive():
         cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
         assert gf2_rank(rows) == naive_rank(rows, ncols)
         assert gf2_rank(cols) == naive_rank(cols, len(rows)) == naive_rank(rows, ncols)
-        # the kernel keeps row i exactly when it raises the rank of rows[:i]
-        kept = _independent_rows(rows)
+        # row i is kept exactly when it raises the rank of rows[:i]
+        kept, kernel, _ = gf2_eliminate(rows)
         assert kept == tuple(
             i for i in range(len(rows))
             if naive_rank(rows[: i + 1], ncols) > naive_rank(rows[:i], ncols)
         )
+        # the kernel is a basis of the combinations that XOR to zero, and u0
+        # solves the system exactly when the target is in the row span
+        assert len(kernel) == len(rows) - len(kept) == naive_rank(kernel, len(rows))
+        assert all(_combine(rows, u) == 0 for u in kernel)
+        target = rng.getrandbits(ncols)
+        u0 = gf2_eliminate(rows, target)[2]
+        solvable = naive_rank(rows + [target], ncols) == len(kept)
+        assert (u0 is not None) == solvable
+        if solvable:
+            assert _combine(rows, u0) == target
+
+
+def _combine(rows, u):
+    acc = 0
+    for j, row in enumerate(rows):
+        if u >> j & 1:
+            acc ^= row
+    return acc
 
 
 class TestTorusBuilders:
     def test_2d_counts(self):
-        assert build_torus_2d(2).dims() == (4, 8, 4)
-        assert build_torus_2d(3).dims() == (9, 18, 9)
+        assert build_torus(2, 2).dims() == (4, 8, 4)
+        assert build_torus(3, 3).dims() == (9, 18, 9)
 
     def test_3d_counts(self):
-        assert build_torus_3d(2).dims() == (8, 24, 24, 8)
+        assert build_torus(2, 2, 2).dims() == (8, 24, 24, 8)
 
     def test_boundary_squares_to_zero(self):
-        for c in (build_torus_2d(3), build_torus_3d(2)):
+        for c in (build_torus(3, 3), build_torus(2, 2, 2)):
             assert c.to_chain().check_boundary_squares_to_zero()
 
     def test_nonzero_boundary_square_detected(self):
         # the torus with one plaquette's boundary short of an edge: that
         # plaquette's boundary is an open path, whose two end vertices survive
-        chain = build_torus_2d(3).to_chain()
+        chain = build_torus(3, 3).to_chain()
         faces = list(chain.boundary[2])
         faces[4] &= faces[4] - 1
         broken = ChainComplex(chain.dims, chain.boundary[:2] + (tuple(faces),))
@@ -86,16 +103,45 @@ class TestTorusBuilders:
 
     def test_small_l_rejected(self):
         with pytest.raises(ValueError):
-            build_torus_2d(1)
+            build_torus(1, 1)
+        for sizes in ((3,), (2, 2, 2, 2)):
+            with pytest.raises(ValueError):
+                build_torus(*sizes)
+
+    def test_keys_and_boundary_order(self):
+        # a cell's boundary lists its sub-cells in label order, each at the
+        # corner and then one step along the axis it drops (wrapping)
+        c = build_torus(3, 4)
+        assert c.meta == {"lattice": "torus2d", "L": 3, "Lx": 3, "Ly": 4}
+        assert c.cells[1][:3] == (("e", 0, 0, 0), ("e", 0, 0, 1), ("e", 0, 1, 0))
+        assert c.boundary_keys[2][c.index(2, ("p", 2, 3))] == (
+            ("e", 2, 3, 0), ("e", 2, 0, 0), ("e", 2, 3, 1), ("e", 0, 3, 1))
+        c = build_torus(2, 3, 4)
+        assert c.meta == {"lattice": "torus3d", "L": 2, "Lx": 2, "Ly": 3, "Lz": 4}
+        assert build_torus(3, 3, 3).meta == {"lattice": "torus3d", "L": 3}
+        assert c.cells[2][:3] == (("f", 0, 0, 0, 0), ("f", 0, 0, 0, 1), ("f", 0, 0, 0, 2))
+        assert c.boundary_keys[2][c.index(2, ("f", 1, 2, 3, 0))] == (
+            ("e", 1, 2, 3, 1), ("e", 1, 2, 0, 1), ("e", 1, 2, 3, 2), ("e", 1, 0, 3, 2))
+        assert c.boundary_keys[3][c.index(3, ("c", 1, 2, 3))] == (
+            ("f", 1, 2, 3, 0), ("f", 0, 2, 3, 0), ("f", 1, 2, 3, 1),
+            ("f", 1, 0, 3, 1), ("f", 1, 2, 3, 2), ("f", 1, 2, 0, 2))
+        assert [c.to_chain().homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
+
+    def test_equality_ignores_caches(self):
+        c = build_torus(3, 3)
+        assert c == build_torus(3, 3)
+        c.coboundary_indices(0, 0)  # fills the coboundary cache
+        assert c == build_torus(3, 3)
+        assert "_cobound" not in repr(c)
 
 
 class TestHomology:
     def test_torus_2d(self):
-        c = build_torus_2d(3).to_chain()
+        c = build_torus(3, 3).to_chain()
         assert [c.homology_dim(i) for i in range(3)] == [1, 2, 1]
 
     def test_torus_3d(self):
-        c = build_torus_3d(2).to_chain()
+        c = build_torus(2, 2, 2).to_chain()
         assert [c.homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
 
     def test_sphere_complex(self):
@@ -105,7 +151,7 @@ class TestHomology:
 
     def test_cohomology_matches_homology(self, monkeypatch):
         sphere, _ = plane_graph_complex(random_stacked_triangulation(4, seed=1))
-        chains = [cell.to_chain() for cell in (build_torus_2d(2), build_torus_3d(2), sphere)]
+        chains = [cell.to_chain() for cell in (build_torus(2, 2), build_torus(2, 2, 2), sphere)]
         homology = [[c.homology_dim(i) for i in range(len(c.dims))] for c in chains]
 
         def no_boundary_rank(self, k):
@@ -119,9 +165,9 @@ class TestHomology:
 
 class TestEulerCheck:
     def test_tori_have_zero_characteristic(self):
-        assert build_torus_2d(2).to_chain().euler_check()
-        assert build_torus_3d(3).to_chain().euler_check()
-        assert sum((-1) ** i * d for i, d in enumerate(build_torus_3d(2).dims())) == 0
+        assert build_torus(2, 2).to_chain().euler_check()
+        assert build_torus(3, 3, 3).to_chain().euler_check()
+        assert sum((-1) ** i * d for i, d in enumerate(build_torus(2, 2, 2).dims())) == 0
 
     def test_sphere_has_characteristic_two(self):
         p, d = plane_graph_complex(wheel_graph(5))
@@ -132,31 +178,31 @@ class TestEulerCheck:
 
 class TestDualize:
     def test_2d_self_duality(self):
-        c = build_torus_2d(3)
+        c = build_torus(3, 3)
         d = dualize(c)
         assert d.dims() == c.dims()
         assert d.to_chain().homology_dim(1) == 2
 
     def test_3d_counts_swap(self):
-        c = build_torus_3d(2)
+        c = build_torus(2, 2, 2)
         d = dualize(c)
         assert d.dims() == tuple(reversed(c.dims()))
 
     def test_double_dual_restores(self):
-        c = build_torus_3d(2)
+        c = build_torus(2, 2, 2)
         dd = dualize(dualize(c))
         assert dd.dims() == c.dims()
         for k in range(1, 4):
             assert dd.to_chain().boundary_rank(k) == c.to_chain().boundary_rank(k)
 
     def test_dual_homology_equals_primal_cohomology(self):
-        c = build_torus_3d(2)
+        c = build_torus(2, 2, 2)
         d = dualize(c)
         for i in range(4):
             assert d.to_chain().homology_dim(i) == c.to_chain().cohomology_dim(3 - i)
 
     def test_open_complex_rejected(self):
-        c = build_torus_2d(2)
+        c = build_torus(2, 2)
         open_c = CellComplex(c.dim, c.cells, c.boundary_keys, closed=False)
         with pytest.raises(ValueError):
             dualize(open_c)
@@ -208,7 +254,7 @@ class TestPlaneGraphs:
 def test_complex_text_round_trip():
     from stabgames.complexes import complex_from_text, complex_to_text
 
-    c = build_torus_2d(3)
+    c = build_torus(3, 3)
     c2 = complex_from_text(complex_to_text(c))
     assert c2.dims() == c.dims()
     assert c2.to_chain().homology_dim(1) == 2

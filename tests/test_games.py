@@ -257,6 +257,30 @@ class TestCellulationGame:
         assert ev.p_q == 1  # implies every input passed the even-parity assert
 
 
+class TestBlockCellulation3D:
+    # blocks of both 3D toric codes: the composites validate and the codeword
+    # wins every input, over 2^21 (L=4) and 2^33 (L=6) inputs
+    @pytest.mark.parametrize("build", [toric3d_faces, toric3d_edges])
+    @pytest.mark.parametrize("L, blocks", [(4, (2, 2, 2)), (6, (2, 3, 3))])
+    def test_codeword_wins_3d_blocks(self, build, L, blocks):
+        strat = block_cellulation_ops(build(L), *blocks)
+        assert validate(strat.ops).ok
+        ev = cellulation_game_eval(CellulationGame(strat))
+        assert ev.p_q == Fraction(1)
+        assert ev.meta["bits"] == {4: 21, 6: 33}[L]
+
+    @pytest.mark.parametrize("build", [toric3d_faces, toric3d_edges])
+    def test_bad_blocks_rejected(self, build):
+        code = build(4)
+        for blocks in ((2, 2), (2, 2, 3), (2, 2, 4), (0, 2, 2)):
+            with pytest.raises(ValueError):
+                block_cellulation_ops(code, *blocks)
+
+    def test_non_toric_code_rejected(self):
+        with pytest.raises(ValueError):
+            block_cellulation_ops(xcube(4), 2, 2, 2)
+
+
 class TestClassicalMagicSquare:
     def test_d2_and_d4_optimum(self):
         for d in (2, 4):
