@@ -4,6 +4,10 @@ Subcommands build codes, validate strategies, evaluate games and sweep
 deformations; every run writes a JSON record and a CSV table, both stamped
 with the library version, a hash of the effective configuration, and the
 seed.  Outputs are deterministic given the seed.
+
+Each command imports the modules it uses when it runs, so a process pays
+only for its own command: the classical games load neither numpy nor the
+tableau, dense, complex, code or strategy modules.
 """
 
 from __future__ import annotations
@@ -19,37 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .codes import (
-    code_info,
-    double_semion,
-    exchange_statistics,
-    toric2d,
-    toric2d_winding_z_fixers,
-    toric3d_edges,
-    toric3d_faces,
-    xcube,
-)
-from .complexes import build_torus
-from .dense import deform, state_from_group
-from .games import (
-    CellulationGame,
-    cellulation_game_eval,
-    classical_optimum_magic_square,
-    classical_optimum_parity,
-    magic_square_eval,
-    quantum_parity_eval,
-)
-from .strategies import (
-    block_cellulation_ops,
-    ds_magic_square_ops,
-    fan_cellulation_ops,
-    ghz_ops,
-    tc2d_parity_ops,
-    tc3d_1form_ops,
-    tc3d_2form_ops,
-    validate,
-    xcube_ops,
-)
 
 
 def _num(x):
@@ -91,8 +64,9 @@ def _emit(args, cfg: dict, record: dict, csv_rows, csv_header):
     return 0
 
 
-_LATTICE_CODES = {"tc2d": toric2d, "tc3d-faces": toric3d_faces,
-                  "tc3d-edges": toric3d_edges, "xcube": xcube}
+# the codes.py builder of each lattice code kind, looked up when the code is built
+_LATTICE_CODES = {"tc2d": "toric2d", "tc3d-faces": "toric3d_faces",
+                  "tc3d-edges": "toric3d_edges", "xcube": "xcube"}
 # --variant values of each code's parity strategy
 _PARITY_VARIANTS = {"ghz": (), "tc2d": ("contractible", "winding"),
                     "tc3d-faces": (), "tc3d-edges": (), "xcube": ("prism", "cage")}
@@ -119,12 +93,16 @@ def _build_code(args):
         raise ValueError(f"{flag}: only the double-semion code takes --Lx/--Ly, got code {kind!r}")
     if kind == "ghz":
         return None
+    from . import codes
+
     if kind == "double-semion":
-        return double_semion(args.Lx or args.L, args.Ly or args.L)
-    return _LATTICE_CODES[kind](args.L)
+        return codes.double_semion(args.Lx or args.L, args.Ly or args.L)
+    return getattr(codes, _LATTICE_CODES[kind])(args.L)
 
 
 def _build_strategy(args, code):
+    from .strategies import ghz_ops, tc2d_parity_ops, tc3d_1form_ops, tc3d_2form_ops, xcube_ops
+
     if args.code not in _PARITY_VARIANTS:
         raise ValueError(f"no parity strategy for code {args.code!r}")
     variants = _PARITY_VARIANTS[args.code]
@@ -149,6 +127,8 @@ def _build_strategy(args, code):
 
 
 def cmd_code_info(args):
+    from .codes import code_info
+
     code = _build_code(args)
     if code is None:
         raise ValueError("code info needs a concrete code kind")
@@ -162,6 +142,8 @@ def cmd_code_info(args):
 
 
 def cmd_complex_info(args):
+    from .complexes import build_torus
+
     cell = build_torus(*[args.L] * (2 if args.lattice == "torus2d" else 3))
     chain = cell.to_chain()
     hom = [chain.homology_dim(i) for i in range(len(chain.dims))]
@@ -177,6 +159,8 @@ def cmd_complex_info(args):
 
 
 def cmd_strategy_validate(args):
+    from .strategies import validate
+
     _resolve(args, ["L"] if args.code == "ghz" else [], "the ghz code has no lattice size", L=3)
     code = _build_code(args)
     ops = _build_strategy(args, code)
@@ -204,10 +188,15 @@ def cmd_game_parity(args):
     cfg = {"command": "game parity", "code": args.code, "L": args.L, "P": args.P,
            "classical": args.classical, "variant": args.variant}
     if args.classical:
+        from .games import classical_optimum_parity
+
         opt, witness = classical_optimum_parity(args.P)
         record = {"p_cl": _num(opt), "witness": witness}
         rows = [[args.P, float(opt), f"{opt.numerator}/{opt.denominator}"]]
         return _emit(args, cfg, record, rows, ["P", "p_cl", "p_cl_exact"])
+    from .games import quantum_parity_eval
+    from .strategies import validate
+
     code = _build_code(args)
     ops = _build_strategy(args, code)
     report = validate(ops)
@@ -234,6 +223,10 @@ def _parse_blocks(text: str):
 
 
 def cmd_game_cellulation(args):
+    from .codes import toric2d
+    from .games import CellulationGame, cellulation_game_eval
+    from .strategies import block_cellulation_ops, fan_cellulation_ops
+
     _resolve(args, ["blocks"] if args.fan else [], "the fan cellulation has no blocks",
              blocks="2x2")
     bx, by = _parse_blocks(args.blocks)
@@ -254,6 +247,8 @@ def cmd_game_magic_square(args):
     cfg = {"command": "game magic-square", "d": args.d, "classical": args.classical,
            "Lx": args.Lx, "Ly": args.Ly}
     if args.classical:
+        from .games import classical_optimum_magic_square
+
         opt, witness = classical_optimum_magic_square(args.d)
         record = {"p_cl": _num(opt), "witness": {k: [list(t) for t in v] for k, v in witness.items()}}
         rows = [[args.d, float(opt), f"{opt.numerator}/{opt.denominator}"]]
@@ -262,6 +257,10 @@ def cmd_game_magic_square(args):
         raise ValueError(
             f"--d: the quantum magic square runs on the d=4 double-semion code, got {args.d}"
         )
+    from .codes import double_semion, exchange_statistics
+    from .games import magic_square_eval
+    from .strategies import ds_magic_square_ops
+
     code = double_semion(args.Lx, args.Ly)
     ms = ds_magic_square_ops(code)
     rep = magic_square_eval(ms)
@@ -330,6 +329,11 @@ def cmd_sweep_deformation(args):
             " (the option parser drops a bare '--' value; give that sector in --config)"
         )
     thetas = _parse_thetas(args.thetas)
+    from .codes import toric2d, toric2d_winding_z_fixers
+    from .dense import deform, state_from_group
+    from .games import quantum_parity_eval
+    from .strategies import tc2d_parity_ops
+
     code = toric2d(args.L)
     ops = tc2d_parity_ops(code, args.P)
     fixers = [

@@ -81,6 +81,8 @@ class ChainComplex:
 
     dims: Tuple[int, ...]
     boundary: Tuple[Tuple[int, ...], ...]
+    # rank of each boundary map, filled on first use, so left out of equality and repr
+    _ranks: Dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.boundary) != len(self.dims):
@@ -97,7 +99,9 @@ class ChainComplex:
         """Rank of the boundary map C_k -> C_{k-1}; zero map outside range."""
         if k < 1 or k > self.top_dim:
             return 0
-        return gf2_rank(self.boundary[k])
+        if k not in self._ranks:
+            self._ranks[k] = gf2_rank(self.boundary[k])
+        return self._ranks[k]
 
     def homology_dim(self, i: int) -> int:
         """dim H_i = dim ker d_i - rank d_{i+1} over GF(2)."""
@@ -156,9 +160,16 @@ class CellComplex:
 
     def __post_init__(self):
         self._index = tuple({key: i for i, key in enumerate(level)} for level in self.cells)
-        chain = self.to_chain()
-        if not chain.check_boundary_squares_to_zero():
-            raise ValueError("boundary of boundary is nonzero")
+        # boundary of boundary = 0: over the boundaries of a cell's boundary
+        # cells, every lower cell occurs an even number of times
+        below: List[Tuple[int, ...]] = []
+        for k in range(1, self.dim + 1):
+            level = [self.boundary_indices(k, i) for i in range(len(self.cells[k]))]
+            for idx in level if k > 1 else ():
+                met = sorted(low for j in idx for low in below[j])
+                if met[0::2] != met[1::2]:
+                    raise ValueError("boundary of boundary is nonzero")
+            below = level
 
     def index(self, k: int, key: CellKey) -> int:
         return self._index[k][key]

@@ -20,16 +20,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .complexes import _bits, _transpose, gf2_eliminate
-from .dense import DenseState, dense_expectation
 from .pauli import PauliOperator
-from .strategies import CellulationStrategy, CompositeOperatorSet
-from .tableau import StabilizerGroup
 from .weyl import WeylOperator, commutation_phase, dagger, w_multiply
+
+if TYPE_CHECKING:  # the engine modules load numpy; they are imported where a game needs them
+    from .dense import DenseState
+    from .strategies import CellulationStrategy, CompositeOperatorSet
+    from .tableau import StabilizerGroup
 
 Number = Union[Fraction, float]
 
@@ -81,34 +80,40 @@ class StrategyEvaluation:
 
 
 def classical_optimum_parity(p: int) -> Tuple[Fraction, Dict]:
-    """Exact optimum over deterministic strategies, via a Walsh-Hadamard transform.
+    """Exact optimum over deterministic strategies, in closed form.
 
     A strategy is a pair of bits per player, y_i(x) = a_i xor (c_i and x);
     the win count depends only on (xor of a_i, the c vector), so the classes
     cover all 4^P deterministic strategies.  With f(m) = (-1)^(|m|/2) on
-    even-weight inputs m and 0 on odd ones, the unnormalised transform
-    W(c) = sum_m (-1)^(c.m) f(m) gives wins(c, a) = (2^(P-1) + (-1)^a W(c)) / 2
-    for every class at once.  The witness is the lowest c with maximal |W(c)|,
-    with a = 0 when W(c) >= 0: the lowest class index 2c + a among the optima.
+    even-weight inputs m and 0 on odd ones, the unnormalised Walsh-Hadamard
+    transform W(c) = sum_m (-1)^(c.m) f(m) gives
+    wins(c, a) = (2^(P-1) + (-1)^a W(c)) / 2 for every class at once.
+
+    f(m) = Re(i^|m|), so the sum factorises over the players:
+    W(c) = Re prod_j (1 + (-1)^(c_j) i) = Re[(1+i)^(P-k) (1-i)^k] with
+    k = |c|, and 1 - i = (1+i)(-i) gives W(c) = Re[(1+i)^P (-i)^k].  W
+    depends on k alone, so it is read off P + 1 rotations by -i of the
+    Gaussian integer (1+i)^P, all exact.  The witness is the lowest c with
+    maximal |W(c)|: the lowest c of weight k is 2^k - 1, so it is that c for
+    the smallest maximising k, with a = 0 when W(c) >= 0 (the lowest class
+    index 2c + a among the optima).
     """
     if p < 3:
         raise ValueError("parity game needs at least 3 players")
     if p > 20:
         raise ValueError("exact optimum capped at P = 20")
-    weight = np.zeros(1, dtype=np.int64)
-    for _ in range(p):  # popcount of every index m < 2^P
-        weight = np.concatenate([weight, weight + 1])
-    w = np.where(weight % 2 == 0, 1 - 2 * ((weight // 2) % 2), 0)
-    for k in range(p):  # in-place butterflies over bit k
-        v = w.reshape(-1, 2, 1 << k)
-        lo = v[:, 0].copy()
-        v[:, 0] += v[:, 1]
-        v[:, 1] = lo - v[:, 1]
-    c = int(np.argmax(np.abs(w)))
-    a_total = 0 if w[c] >= 0 else 1
+    x, y = 1, 0  # x + iy = (1+i)^P
+    for _ in range(p):
+        x, y = x - y, x + y
+    best_k, best_w = 0, x
+    for k in range(1, p + 1):
+        x, y = y, -x  # times -i: now x = W(c) for |c| = k
+        if abs(x) > abs(best_w):
+            best_k, best_w = k, x
+    a_total = 0 if best_w >= 0 else 1
     half = 1 << (p - 1)
-    wins = (half + abs(int(w[c]))) // 2
-    strategy = {"a": [a_total] + [0] * (p - 1), "c": [(c >> i) & 1 for i in range(p)]}
+    wins = (half + abs(best_w)) // 2
+    strategy = {"a": [a_total] + [0] * (p - 1), "c": [1] * best_k + [0] * (p - best_k)}
     return Fraction(wins, half), strategy
 
 
@@ -184,6 +189,8 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     - sum_i a_i b_i mod 2 is a GF(2) quadratic in u too, so it is even at
       every input when it is even at the points read here.
     """
+    from .complexes import _bits
+
     n = ops.n
     odd_cross = False
 
@@ -238,6 +245,9 @@ def _score_inputs(
     are Fractions and p_q is one Fraction of their integer total; on a dense
     state <O> is a float, input by input.
     """
+    from .complexes import _bits
+    from .dense import DenseState, dense_expectation
+
     exact = not isinstance(resource, DenseState)
     if exact:
         r0, step, rho, _ = _sign_form(ops, resource, exps_of, m)
@@ -289,6 +299,8 @@ def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
       N_j N_k^T + N_k N_j^T to the edges (zero on the diagonal mod 2).
     So S is 0 or +-2^r, r the number of variables and pairs summed out.
     """
+    from .complexes import _bits
+
     adj = list(adj)
     alive = (1 << len(adj)) - 1
     power = 0
@@ -341,6 +353,8 @@ def _exact_value(
       f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
       at those points, and S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``).
     """
+    from .complexes import gf2_eliminate
+
     r0, step, rho, odd_cross = _sign_form(ops, group, exps_of, m)
     if odd_cross:
         raise ValueError("odd a.b parity: stabilizer commutation violated")
@@ -409,6 +423,8 @@ class CellulationGame:
     z_basis: Tuple[int, ...] = field(init=False)  # independent coarse (p-1)-cells
 
     def __post_init__(self):
+        from .complexes import _transpose, gf2_eliminate
+
         strat = self.strategy
         chain, p = strat.coarse.to_chain(), strat.p
         self.x_basis = gf2_eliminate(chain.boundary[p + 1])[0]
@@ -447,6 +463,8 @@ def cellulation_game_eval(
     inputs, which reduces the game to the parity game on suitable
     cellulations.
     """
+    from .dense import DenseState
+
     ops = game.strategy.ops
     res = resource if resource is not None else ops.resource
     bits = len(game.x_basis) + (0 if restrict_unit_z else len(game.z_basis))

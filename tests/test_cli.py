@@ -1,9 +1,15 @@
 """CLI tests: subcommands, outputs, determinism, error handling."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import stabgames
 from stabgames.cli import main
 
 
@@ -452,3 +458,37 @@ def test_game_cellulation_blocks_from_config(tmp_path):
     record, _ = run(["game", "cellulation", "--L", "6", "--config", str(cfg)], tmp_path, "cb")
     assert record["config"]["blocks"] == "3x3"
     assert record["p_q"]["fraction"] == "1/1"
+
+
+def test_classical_games_load_no_engine(tmp_path):
+    # a fresh interpreter, as for every CLI run: the classical games must not
+    # pay for numpy or the engine modules, and the package's names still resolve
+    script = textwrap.dedent(f"""
+        import sys
+        import stabgames.cli
+
+        for args in (["game", "parity", "--classical", "--P", "12"],
+                     ["game", "magic-square", "--classical", "--d", "4"]):
+            assert stabgames.cli.main(args + ["--outdir", {str(tmp_path)!r}]) == 0
+        heavy = ["numpy", "stabgames.tableau", "stabgames.dense", "stabgames.complexes",
+                 "stabgames.strategies", "stabgames.codes"]
+        loaded = [m for m in heavy if m in sys.modules]
+        assert not loaded, loaded
+
+        import stabgames
+        for name in stabgames.__all__:
+            assert getattr(stabgames, name) is not None, name
+        from stabgames import dense, weyl
+        assert dense.state_from_group and weyl.w_multiply
+        try:
+            stabgames.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("unknown names must raise AttributeError")
+    """)
+    src = str(Path(stabgames.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "game_parity.json").read_text())["p_cl"]["fraction"] == "33/64"

@@ -101,6 +101,22 @@ class TestTorusBuilders:
         broken = ChainComplex(chain.dims, chain.boundary[:2] + (tuple(faces),))
         assert not broken.check_boundary_squares_to_zero()
 
+    def test_broken_cell_complex_rejected(self):
+        # the same short plaquette, given by keys: CellComplex refuses it
+        c = build_torus(3, 3)
+        plaquette = c.boundary_keys[2][4]
+
+        def with_plaquette(keys):
+            faces = c.boundary_keys[2][:4] + (keys,) + c.boundary_keys[2][5:]
+            return CellComplex(2, c.cells, c.boundary_keys[:2] + (faces,), closed=True)
+
+        with pytest.raises(ValueError, match="boundary of boundary"):
+            with_plaquette(plaquette[1:])
+        # a boundary cell listed twice cancels, as in the boundary masks
+        with pytest.raises(ValueError, match="boundary of boundary"):
+            with_plaquette(plaquette + plaquette[:1])
+        assert with_plaquette(plaquette + plaquette[:1] * 2).to_chain() == c.to_chain()
+
     def test_small_l_rejected(self):
         with pytest.raises(ValueError):
             build_torus(1, 1)
@@ -133,6 +149,20 @@ class TestTorusBuilders:
         c.coboundary_indices(0, 0)  # fills the coboundary cache
         assert c == build_torus(3, 3)
         assert "_cobound" not in repr(c)
+
+    def test_chain_ranks_each_boundary_once(self, monkeypatch):
+        import stabgames.complexes as complexes
+
+        calls = []
+        rank = complexes.gf2_rank
+        monkeypatch.setattr(complexes, "gf2_rank", lambda rows: calls.append(rows) or rank(rows))
+        chain = build_torus(3, 3, 3).to_chain()
+        assert [chain.homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
+        assert chain.euler_check()
+        assert len(calls) == 3  # one per boundary map d_1, d_2, d_3
+        assert chain == build_torus(3, 3, 3).to_chain()
+        assert hash(chain) == hash(build_torus(3, 3, 3).to_chain())
+        assert "_ranks" not in repr(chain)
 
 
 class TestHomology:

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,26 @@ def _reference_parity_scan(p):
     return Fraction(wins, 1 << (p - 1)), strategy
 
 
+def _reference_walsh_hadamard(p):
+    """The former numpy transform: W(c) for every class c at once, with
+    f(m) = (-1)^(|m|/2) on even-weight inputs m and 0 on odd ones."""
+    weight = np.zeros(1, dtype=np.int64)
+    for _ in range(p):  # popcount of every index m < 2^P
+        weight = np.concatenate([weight, weight + 1])
+    w = np.where(weight % 2 == 0, 1 - 2 * ((weight // 2) % 2), 0)
+    for k in range(p):  # in-place butterflies over bit k
+        v = w.reshape(-1, 2, 1 << k)
+        lo = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        v[:, 1] = lo - v[:, 1]
+    c = int(np.argmax(np.abs(w)))
+    a_total = 0 if w[c] >= 0 else 1
+    half = 1 << (p - 1)
+    wins = (half + abs(int(w[c]))) // 2
+    strategy = {"a": [a_total] + [0] * (p - 1), "c": [(c >> i) & 1 for i in range(p)]}
+    return Fraction(wins, half), strategy
+
+
 def _reference_square_scan(d):
     """The former scan over B's strategies, recomputing A's best rows for each."""
     rows = _valid_rows(d, 0)
@@ -127,6 +148,10 @@ class TestClassicalParity:
     @pytest.mark.parametrize("p", range(3, 13))
     def test_matches_reference_scan(self, p):
         assert classical_optimum_parity(p) == _reference_parity_scan(p)
+
+    @pytest.mark.parametrize("p", range(3, 21))
+    def test_matches_reference_walsh_hadamard(self, p):
+        assert classical_optimum_parity(p) == _reference_walsh_hadamard(p)
 
     def test_tight_bound_through_p20(self):
         for p in range(3, 21):
