@@ -7,7 +7,9 @@ seed.  Outputs are deterministic given the seed.
 
 Each command imports the modules it uses when it runs, so a process pays
 only for its own command: the classical games load neither numpy nor the
-tableau, dense, complex, code or strategy modules.
+tableau, dense, complex, code or strategy modules, and the commands on
+qubit codes load no numpy: only the double-semion (Weyl) groups and the
+dense deformation sweep need it.
 """
 
 from __future__ import annotations
@@ -194,6 +196,8 @@ def cmd_game_parity(args):
         record = {"p_cl": _num(opt), "witness": witness}
         rows = [[args.P, float(opt), f"{opt.numerator}/{opt.denominator}"]]
         return _emit(args, cfg, record, rows, ["P", "p_cl", "p_cl_exact"])
+    if args.P > 20:  # per_input holds every one of the 2^(P-1) inputs
+        raise ValueError(f"--P: the quantum parity game is capped at P = 20, got {args.P}")
     from .games import quantum_parity_eval
     from .strategies import validate
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 CellKey = Hashable
 
 
@@ -260,9 +258,12 @@ def build_torus(*sizes: int) -> CellComplex:
     if min(sizes) < 2:
         raise ValueError("torus needs L >= 2")
     positions = list(product(*(range(n) for n in sizes)))
-    grid = np.arange(len(positions)).reshape(sizes)
+    index = {pos: i for i, pos in enumerate(positions)}
     # step[a][i]: index of the position one step along axis a from position i
-    step = [np.roll(grid, -1, axis=a).ravel().tolist() for a in range(D)]
+    step = [
+        [index[pos[:a] + ((pos[a] + 1) % n,) + pos[a + 1 :]] for pos in positions]
+        for a, n in enumerate(sizes)
+    ]
     shapes = [
         sorted(combinations(range(D), k), key=lambda axes: _label(D, axes)) for k in range(D + 1)
     ]

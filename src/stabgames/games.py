@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 from .pauli import PauliOperator
 from .weyl import WeylOperator, commutation_phase, dagger, w_multiply
 
-if TYPE_CHECKING:  # the engine modules load numpy; they are imported where a game needs them
+if TYPE_CHECKING:  # imported where a game needs them; only dense loads numpy
     from .dense import DenseState
     from .strategies import CellulationStrategy, CompositeOperatorSet
     from .tableau import StabilizerGroup
@@ -228,6 +228,24 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     return r0, step, rho, odd_cross
 
 
+def _is_exact(resource: Union[StabilizerGroup, DenseState]) -> bool:
+    """True for a stabilizer group, scored exactly, and False for a dense
+    state, scored in floats; TypeError for any other resource.  The dense
+    module, and with it numpy, is imported only when the resource is no
+    stabilizer group."""
+    from .tableau import StabilizerGroup
+
+    if isinstance(resource, StabilizerGroup):
+        return True
+    from .dense import DenseState
+
+    if isinstance(resource, DenseState):
+        return False
+    raise TypeError(
+        f"resource must be a StabilizerGroup or a DenseState, got {type(resource).__name__}"
+    )
+
+
 def _score_inputs(
     ops: CompositeOperatorSet,
     resource: Union[StabilizerGroup, DenseState],
@@ -246,9 +264,8 @@ def _score_inputs(
     state <O> is a float, input by input.
     """
     from .complexes import _bits
-    from .dense import DenseState, dense_expectation
 
-    exact = not isinstance(resource, DenseState)
+    exact = _is_exact(resource)
     if exact:
         r0, step, rho, _ = _sign_form(ops, resource, exps_of, m)
 
@@ -259,6 +276,8 @@ def _score_inputs(
                 r ^= step[j]
             return 0 if r or k & 1 else 1 - (k & 2)
     else:
+        from .dense import dense_expectation
+
         def sign(bits, exps, cross):
             return dense_expectation(resource, _collective(ops, exps)).real
     per_input: Dict[Tuple, Number] = {}
@@ -463,8 +482,6 @@ def cellulation_game_eval(
     inputs, which reduces the game to the parity game on suitable
     cellulations.
     """
-    from .dense import DenseState
-
     ops = game.strategy.ops
     res = resource if resource is not None else ops.resource
     bits = len(game.x_basis) + (0 if restrict_unit_z else len(game.z_basis))
@@ -472,11 +489,11 @@ def cellulation_game_eval(
     def exps_of(u: Tuple[int, ...]) -> List[Tuple[int, int]]:
         return game.exponents(u, restrict_unit_z)
 
-    if isinstance(res, DenseState):
+    if _is_exact(res):
+        per_input, p_q = {}, _exact_value(ops, res, exps_of, bits)
+    else:
         inputs = itertools.product((0, 1), repeat=bits)
         per_input, p_q, _ = _score_inputs(ops, res, exps_of, bits, inputs)
-    else:
-        per_input, p_q = {}, _exact_value(ops, res, exps_of, bits)
     return StrategyEvaluation(per_input, p_q, meta={"bits": bits, "restrict_unit_z": restrict_unit_z})
 
 

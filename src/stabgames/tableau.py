@@ -26,7 +26,8 @@ when d has zero divisors (d=4 here); they serve every d > 2 and are the
 reference the packed qubit path is tested against.  Rows are one int64
 array of exponents (column c < n is x_c, column n + j is z_j) with a Z_2d
 phase vector, and every row operation is a vectorised update of that
-array.  Commutation is checked once, with the symplectic Gram matrix
+array; numpy is imported when the first Weyl group is built, so qubit work
+never loads it.  Commutation is checked once, with the symplectic Gram matrix
 X Z^T - Z X^T mod d.  Powers come in closed form,
 (w^f X^x Z^z)^m = w^(m f + m(m-1) z.x) X^(m x) Z^(m z) for any integer m
 (de Beaudrap, arXiv:1102.3354), so clearing a pivot column from every row
@@ -49,13 +50,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .complexes import _bits
 from .pauli import PauliOperator
 from .weyl import WeylOperator
+
+if TYPE_CHECKING:  # numpy is imported where a Weyl group first needs it
+    import numpy as np
 
 AnyOperator = Union[PauliOperator, WeylOperator]
 
@@ -99,6 +101,8 @@ def _all_commute(e: np.ndarray, d: int, n: int) -> bool:
     The symplectic Gram matrix is taken one row at a time, against the later
     rows and over that row's support only, where its terms can be nonzero,
     so the scratch stays one column of the matrix."""
+    import numpy as np
+
     x, z = e[:, :n], e[:, n:]
     for i in range(len(e) - 1):
         sx, sz = np.flatnonzero(x[i]), np.flatnonzero(z[i])
@@ -124,6 +128,8 @@ def _howell(
     that zero-divisor pivots append.  Returns the canonical rows' exponents
     and phases in pivot order and the (column, pivot value) list.  Raises
     ValueError if the rows generate a nontrivial scalar."""
+    import numpy as np
+
     cap, dd = len(e), 2 * d
     pending = np.zeros(cap, dtype=bool)
     pending[:g] = True
@@ -223,6 +229,8 @@ class StabilizerGroup:
         if qubit:
             self._build_packed(gens)
         else:
+            import numpy as np
+
             # Weyl groups: canonical rows as exponent array and phase vector
             d, n, g = self.d, self.n, len(gens)
             # every zero-divisor pivot appends at most one row and there are
@@ -382,6 +390,8 @@ class StabilizerGroup:
         if self._packed is not None:
             v, ph = self._reduce_packed(cur.x | cur.z << n, cur.phase)
             return PauliOperator(n, v & ((1 << n) - 1), v >> n, ph)
+        import numpy as np
+
         e, f = self._reduce_weyl(np.array(cur.x + cur.z, dtype=np.int64), cur.phase)
         return WeylOperator(self.d, n, tuple(e[:n].tolist()), tuple(e[n:].tolist()), f)
 
@@ -393,6 +403,8 @@ class StabilizerGroup:
             v, ph = self._reduce_packed(cur.x | cur.z << self.n, cur.phase)
             # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
             return Expectation("definite", 2, ph) if not v else Expectation("logical", 2)
+        import numpy as np
+
         d, n = self.d, self.n
         vec = np.array(cur.x + cur.z, dtype=np.int64)
         rows = self._rows_e

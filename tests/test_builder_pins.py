@@ -94,9 +94,11 @@ BUILDERS = {
     "wheel": lambda: serialize_operator_set(wheel_embedding(tc2d(7))[0]),
     "ds-magic-square-8x10": lambda: _magic_square_text(8, 10),
     "ds-operators": _ds_operators_text,
+    "complex-torus2d-2x2": lambda: complex_to_text(build_torus(2, 2)),
     "complex-torus2d-3x3": lambda: complex_to_text(build_torus(3, 3)),
     "complex-torus2d-3x4": lambda: complex_to_text(build_torus(3, 4)),
     "complex-torus3d-3": lambda: complex_to_text(build_torus(3, 3, 3)),
+    "complex-torus3d-2x3x4": lambda: complex_to_text(build_torus(2, 3, 4)),
     "code-tc3d-faces-3": lambda: _code_text(toric3d_faces(3)),
     "code-tc3d-edges-3": lambda: _code_text(toric3d_edges(3)),
     "code-xcube-3": lambda: _code_text(xcube(3)),
@@ -106,8 +108,10 @@ PINS = {
     "code-tc3d-edges-3": "820b901c87263675bfdf02538b68b5f7ba789ef1e411217ff23cfe4508edcd24",
     "code-tc3d-faces-3": "bac9f517ded9d63dcc2d15c02f0a9e3b34c0dc03aee853df0b5a646616f9fad6",
     "code-xcube-3": "559580a8b80778522da9adade105acaff3ea287714318ba669f4e0329306172d",
+    "complex-torus2d-2x2": "88b9415f20d7997d15a16c0f63fee2118f9fa17a259767c2dbfb3867484c30a9",
     "complex-torus2d-3x3": "c21eb46294d65dabff4ff84a2390f011c257dc31bdf84c7c45529fe0d713d56b",
     "complex-torus2d-3x4": "da0a0b78e2b41cc9ff2cc6e2bb3c0f4cc1079eefc735696fe9a808c8c4dbef8e",
+    "complex-torus3d-2x3x4": "93c312ab5719328d1989ebe36ca2312544fa65d35b4a57753beca0cd9ecb349e",
     "complex-torus3d-3": "eb6065d8c07e10720a2a91cc48bb2b4a4d5cd1a2809fe4f099da8766a9a8e834",
     "cellulation-blocks-2x3": "fbd1e6123a4d23df7ff13235890a8bf174d6d7e6e295b3c4659b815373144435",
     "cellulation-blocks-3x3": "caa5310671f1cf40cb0d4d63b5886b3d722ddad7fcb047d71d82c37e9e61626b",

@@ -460,10 +460,18 @@ def test_game_cellulation_blocks_from_config(tmp_path):
     assert record["p_q"]["fraction"] == "1/1"
 
 
+def _run_python(script, *argv, timeout=None):
+    """Run script in a fresh interpreter that imports this stabgames."""
+    src = str(Path(stabgames.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_classical_games_load_no_engine(tmp_path):
     # a fresh interpreter, as for every CLI run: the classical games must not
     # pay for numpy or the engine modules, and the package's names still resolve
-    script = textwrap.dedent(f"""
+    script = f"""
         import sys
         import stabgames.cli
 
@@ -486,9 +494,55 @@ def test_classical_games_load_no_engine(tmp_path):
             pass
         else:
             raise AssertionError("unknown names must raise AttributeError")
-    """)
-    src = str(Path(stabgames.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    """
+    proc = _run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "game_parity.json").read_text())["p_cl"]["fraction"] == "33/64"
+
+
+def test_qubit_commands_load_no_numpy(tmp_path):
+    # the qubit codes are scored by the packed GF(2) tableau in Python ints;
+    # only Weyl groups and the dense oracle need numpy
+    script = f"""
+        import sys
+        import stabgames.cli
+
+        for args in (["game", "parity", "--code", "tc2d", "--L", "4", "--P", "3"],
+                     ["code", "info", "--kind", "tc2d", "--L", "4"],
+                     ["strategy", "validate", "--code", "xcube", "--L", "3"],
+                     ["game", "cellulation", "--L", "6", "--blocks", "3x3"]):
+            assert stabgames.cli.main(args + ["--outdir", {str(tmp_path)!r}]) == 0, args
+        loaded = [m for m in ("numpy", "stabgames.dense") if m in sys.modules]
+        assert not loaded, loaded
+    """
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "game_parity.json").read_text())["p_q"]["fraction"] == "1/1"
+    assert json.loads((tmp_path / "strategy_validate.json").read_text())["ok"]
+    assert json.loads((tmp_path / "game_cellulation.json").read_text())["p_q"]["fraction"] == "1/1"
+
+
+@pytest.mark.parametrize("args", [
+    ["--P", "21"],
+    ["--code", "tc2d", "--L", "32", "--P", "24"],
+    ["--code", "xcube", "--L", "3", "--P", "21"],
+])
+def test_quantum_parity_caps_players(tmp_path, args):
+    # every one of the 2^(P-1) inputs is scored and written, so P = 24 would
+    # run for minutes: the cap is checked before any code is built, and the
+    # run is a subprocess under a timeout so that a missing cap cannot hang
+    script = """
+        import sys
+        import stabgames.cli
+
+        def unbuilt(args):
+            raise AssertionError("code built before the --P check")
+
+        stabgames.cli._build_code = unbuilt
+        sys.exit(stabgames.cli.main(sys.argv[1:]))
+    """
+    proc = _run_python(script, "game", "parity", *args, "--outdir", str(tmp_path), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --P: "), proc.stderr
+    assert "P = 20" in proc.stderr
+    assert not list(tmp_path.iterdir())

@@ -206,6 +206,10 @@ class TestQuantumParity:
         assert ev.p_q == pytest.approx(1.0, abs=1e-10)
         assert ev.mermin == pytest.approx(4.0, abs=1e-10)
 
+    def test_unknown_resource_type_raises(self):
+        with pytest.raises(TypeError, match="StabilizerGroup or a DenseState, got list"):
+            quantum_parity_eval(ghz_ops(3), resource=[1, 2])
+
     def test_deformed_resource_interpolates(self):
         ops = ghz_ops(3)
         state = state_from_group(ops.code.group)
@@ -274,6 +278,11 @@ class TestCellulationGame:
         parity_ev = quantum_parity_eval(tc2d_parity_ops(code, 3))
         assert parity_ev.p_q == ev.p_q
         assert set(parity_ev.per_input.values()) == {1}
+
+    def test_unknown_resource_type_raises(self):
+        game = CellulationGame(block_cellulation_ops(toric2d(4), 2, 2))
+        with pytest.raises(TypeError, match="StabilizerGroup or a DenseState, got list"):
+            cellulation_game_eval(game, resource=[1, 2])
 
     def test_even_cross_parity_asserted(self):
         code = toric2d(4)
