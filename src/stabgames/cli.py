@@ -8,8 +8,8 @@ seed.  Outputs are deterministic given the seed.
 Each command imports the modules it uses when it runs, so a process pays
 only for its own command: the classical games load neither numpy nor the
 tableau, dense, complex, code or strategy modules, and the commands on
-qubit codes load no numpy: only the double-semion (Weyl) groups and the
-dense deformation sweep need it.
+qubit and double-semion codes load no numpy: only the dense deformation
+sweep needs it.
 """
 
 from __future__ import annotations

@@ -23,17 +23,17 @@ phase of two rows is counted with int.bit_count.
 Weyl groups (generators given as WeylOperator, any d, including d=2) are
 kept in Howell normal form over Z_d, which is what membership testing needs
 when d has zero divisors (d=4 here); they serve every d > 2 and are the
-reference the packed qubit path is tested against.  Rows are one int64
-array of exponents (column c < n is x_c, column n + j is z_j) with a Z_2d
-phase vector, and every row operation is a vectorised update of that
-array; numpy is imported when the first Weyl group is built, so qubit work
-never loads it.  Commutation is checked once, with the symplectic Gram matrix
-X Z^T - Z X^T mod d.  Powers come in closed form,
+reference the packed qubit path is tested against.  A row is a list of 2n
+Python-int exponents (column c < n is x_c, column n + j is z_j) with a Z_2d
+phase.  Commutation is checked once, with the symplectic Gram matrix
+X Z^T - Z X^T mod d summed site by site.  Powers come in closed form,
 (w^f X^x Z^z)^m = w^(m f + m(m-1) z.x) X^(m x) Z^(m z) for any integer m
-(de Beaudrap, arXiv:1102.3354), so clearing a pivot column from every row
-whose entry is a nonzero multiple of the pivot is one array update.  The
-pivot of a column is the first pending row with the smallest gcd(e, d);
-a zero-divisor pivot p with entry g appends p^(d/g) to the pending rows
+(de Beaudrap, arXiv:1102.3354), so clearing a pivot column from a row is one
+product with a power of the pivot row, which touches only the pivot row's
+nonzero entries: the double-semion rows stay sparse.  The pivot of a column
+is the first pending row with the smallest gcd(e, d); it clears its column
+from the pending rows and, as far as it can, from the earlier pivot rows,
+and a zero-divisor pivot p with entry g appends p^(d/g) to the pending rows
 (Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
 1998).  The rows, phases and pivots are those of the per-operator
 elimination kept in the test suite as the reference.
@@ -50,14 +50,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .complexes import _bits
 from .pauli import PauliOperator
 from .weyl import WeylOperator
-
-if TYPE_CHECKING:  # numpy is imported where a Weyl group first needs it
-    import numpy as np
 
 AnyOperator = Union[PauliOperator, WeylOperator]
 
@@ -95,95 +93,108 @@ def _is_prime_power(d: int) -> bool:
     return d == 1
 
 
-def _all_commute(e: np.ndarray, d: int, n: int) -> bool:
-    """Whether every pair of rows commutes: X Z^T - Z X^T = 0 mod d.
-
-    The symplectic Gram matrix is taken one row at a time, against the later
-    rows and over that row's support only, where its terms can be nonzero,
-    so the scratch stays one column of the matrix."""
-    import numpy as np
-
-    x, z = e[:, :n], e[:, n:]
-    for i in range(len(e) - 1):
-        sx, sz = np.flatnonzero(x[i]), np.flatnonzero(z[i])
-        gram = z[i + 1 :, sx] @ x[i, sx] - x[i + 1 :, sz] @ z[i, sz]
-        if (gram % d).any():
-            return False
-    return True
+# A Weyl row and what products with its powers read: exponents, phase, (column,
+# entry) of each nonzero entry, (z_j column, x_j) of each nonzero x_j, and z.x
+_Row = Tuple[List[int], int, List[Tuple[int, int]], List[Tuple[int, int]], int]
+# per site j: (x_j, z_j) -> indices of the rows with those exponents at j
+_Sites = List[Dict[Tuple[int, int], List[int]]]
 
 
-def _power(e: np.ndarray, f: int, m: int, d: int, n: int) -> Tuple[np.ndarray, int]:
-    """(exponents, phase) of (w^f X^x Z^z)^m; m may be negative."""
-    zx = int(e[n:] @ e[:n])
-    return (m * e) % d, (m * f + m * (m - 1) * zx) % (2 * d)
+def _row(e: List[int], f: int, n: int) -> _Row:
+    sv = list(zip(compress(range(2 * n), e), filter(None, e)))
+    xv = [(c + n, v) for c, v in sv if c < n]
+    return e, f, sv, xv, sum(v * e[c] for c, v in xv)
+
+
+def _times_power(e: List[int], f: int, row: _Row, m: int, d: int) -> int:
+    """The phase of (w^f X^x Z^z) row^m, whose exponents overwrite e; m may be
+    negative.  Only the row's nonzero columns are touched."""
+    _, rf, sv, xv, zx = row
+    cross = 0
+    for c, v in xv:
+        cross += e[c] * v
+    for c, v in sv:
+        e[c] = (e[c] + m * v) % d
+    return (f + m * rf + m * (m - 1) * zx + 2 * m * cross) % (2 * d)
+
+
+def _sites(es: List[List[int]], n: int) -> _Sites:
+    sites: _Sites = [{} for _ in range(n)]
+    for k, e in enumerate(es):
+        for j in {c % n for c in compress(range(2 * n), e)}:
+            sites[j].setdefault((e[j], e[j + n]), []).append(k)
+    return sites
+
+
+def _all_commute(sites: _Sites, d: int, g: int) -> bool:
+    """Whether all g rows commute pairwise: X Z^T - Z X^T = 0 mod d, summed over
+    the sites, where rows with equal exponents commute and are not paired."""
+    gram: Dict[int, int] = {}  # i * g + k -> entry (i, k), i < k, of the Gram matrix
+    for site in sites:
+        kinds = list(site.items())
+        for a, ((x, z), rows) in enumerate(kinds):
+            for (x2, z2), rows2 in kinds[a + 1 :]:
+                c = (x * z2 - z * x2) % d
+                if not c:
+                    continue
+                for i in rows:
+                    for k in rows2:
+                        if i < k:
+                            gram[i * g + k] = gram.get(i * g + k, 0) + c
+                        else:
+                            gram[k * g + i] = gram.get(k * g + i, 0) - c
+    return not any(v % d for v in gram.values())
 
 
 def _howell(
-    e: np.ndarray, f: np.ndarray, g: int, d: int, n: int
-) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int]]]:
-    """Howell normal form over Z_d, with exact Z_2d phases, of the g rows at
-    the top of the exponent buffer e and phase buffer f.
-
-    The buffers are worked on in place; their rows below g take the rows
-    that zero-divisor pivots append.  Returns the canonical rows' exponents
-    and phases in pivot order and the (column, pivot value) list.  Raises
-    ValueError if the rows generate a nontrivial scalar."""
-    import numpy as np
-
-    cap, dd = len(e), 2 * d
-    pending = np.zeros(cap, dtype=bool)
-    pending[:g] = True
-    used = g
+    es: List[List[int]], fs: List[int], d: int, n: int
+) -> Tuple[List[_Row], List[Tuple[int, int]]]:
+    """The canonical rows and (column, pivot value) list, in pivot order, of
+    the rows with exponents es and phases fs, which are worked on in place.
+    Raises ValueError if the rows generate a nontrivial scalar."""
+    pending = list(range(len(es)))
     done: List[int] = []
     pivots: List[Tuple[int, int]] = []
     for col in range(2 * n):
-        live = np.flatnonzero(pending[:used])
-        if not live.size:
-            break
         # the first pending row with the "most invertible" entry at col
-        gcds = np.gcd(e[live, col], d)
-        k = int(np.argmin(gcds))
-        pval = int(gcds[k])
-        if pval == d:
+        p, pval, hits = -1, d, []
+        for r in pending:
+            v = es[r][col]
+            if v:
+                hits.append(r)
+                g = math.gcd(v, d)
+                if g < pval:
+                    p, pval = r, g
+        if p < 0:
             continue
-        p = int(live[k])
-        pending[p] = False
-        entry = int(e[p, col])
-        scale = pow(entry // pval, -1, d // pval)
-        if scale != 1:
-            e[p], f[p] = _power(e[p], int(f[p]), scale, d, n)
-        if pval == 1:
-            if _power(e[p], int(f[p]), d, d, n)[1]:
-                raise ValueError("inconsistent group: nontrivial scalar generated")
-        else:
-            # zero-divisor pivot: keep the span closed under p^(d/pval)
-            extra, phase = _power(e[p], int(f[p]), d // pval, d, n)
-            if extra.any():
-                e[used], f[used] = extra, phase
-                pending[used] = True
-                used += 1
-            elif phase:
-                raise ValueError("inconsistent group: nontrivial scalar generated")
-        # every other row r becomes r * p^(-q), q = entry // pval; an entry
-        # that is not a multiple of pval is cleared as far as possible
-        q = e[:used, col] // pval
-        q[p] = 0
-        sel = np.flatnonzero(q)
-        if sel.size:
-            m = -q[sel]
-            row = e[p]
-            zx = int(row[n:] @ row[:n])
-            cross = e[sel, n:] @ row[:n]
-            f[sel] = (f[sel] + m * int(f[p]) + m * (m - 1) * zx + 2 * m * cross) % dd
-            e[sel] = (e[sel] + m[:, None] * row) % d
+        pending.remove(p)
+        hits.remove(p)
+        piv = _row(es[p], fs[p], n)
+        scale = pow(es[p][col] // pval, -1, d // pval)
+        if scale != 1:  # p^scale = p * p^(scale - 1)
+            fs[p] = _times_power(es[p], fs[p], piv, scale - 1, d)
+            piv = _row(es[p], fs[p], n)
+        # keep the span closed under p^(d/pval), a scalar when pval = 1
+        extra = [0] * (2 * n)
+        phase = _times_power(extra, 0, piv, d // pval, d)
+        if any(extra):
+            pending.append(len(es))
+            es.append(extra)
+            fs.append(phase)
+        elif phase:
+            raise ValueError("inconsistent group: nontrivial scalar generated")
+        # every other row becomes r * p^(-q), q = entry // pval: this clears
+        # col in the pending rows and in the pivot rows as far as it can
+        for r in hits + [r for r in done if es[r][col] >= pval]:
+            fs[r] = _times_power(es[r], fs[r], piv, -(es[r][col] // pval), d)
         done.append(p)
         pivots.append((col, pval))
-    for r in np.flatnonzero(pending[:used]):
-        if e[r].any():
+    for r in pending:
+        if any(es[r]):
             raise ValueError("canonicalization failed to clear a row")
-        if f[r]:
+        if fs[r]:
             raise ValueError("inconsistent group: nontrivial scalar generated")
-    return e[done], f[done], pivots
+    return [_row(es[r], fs[r], n) for r in done], pivots
 
 
 class StabilizerGroup:
@@ -229,20 +240,11 @@ class StabilizerGroup:
         if qubit:
             self._build_packed(gens)
         else:
-            import numpy as np
-
-            # Weyl groups: canonical rows as exponent array and phase vector
-            d, n, g = self.d, self.n, len(gens)
-            # every zero-divisor pivot appends at most one row and there are
-            # at most 2n pivots; np.zeros leaves the rows never written unmapped
-            e = np.zeros((g + 2 * n, 2 * n), dtype=np.int64)
-            f = np.zeros(g + 2 * n, dtype=np.int64)
-            for i, op in enumerate(gens):
-                e[i], f[i] = op.x + op.z, op.phase
-            if not _all_commute(e[:g], d, n):
+            es = [list(op.x + op.z) for op in gens]
+            self._sites = _sites(es, self.n)
+            if not _all_commute(self._sites, self.d, len(es)):
                 raise ValueError("generators do not commute")
-            self._rows_e, self._rows_f, self.pivots = _howell(e, f, g, d, n)
-            self._rows_zx = (self._rows_e[:, n:] * self._rows_e[:, :n]).sum(axis=1).tolist()
+            self._canon, self.pivots = _howell(es, [op.phase for op in gens], self.d, self.n)
 
     # -- packed GF(2) tableau (qubit groups) -----------------------------
 
@@ -318,18 +320,14 @@ class StabilizerGroup:
             m = v & pivmask
         return v, ph & 3
 
-    def _reduce_weyl(self, e: np.ndarray, f: int) -> Tuple[np.ndarray, int]:
-        """(e, f) times row^(-q) for each pivot whose column entry is q times
-        the pivot value, in pivot order."""
-        d, n = self.d, self.n
-        rows = self._rows_e
-        for (col, pval), row, rf, rzx in zip(self.pivots, rows, self._rows_f.tolist(), self._rows_zx):
-            q, rem = divmod(int(e[col]), pval)
+    def _reduce_weyl(self, e: List[int], f: int) -> int:
+        """The phase of (e, f) times row^(-q) for each pivot whose column entry
+        is q times the pivot value, in pivot order; e is reduced in place."""
+        for (col, pval), row in zip(self.pivots, self._canon):
+            q, rem = divmod(e[col], pval)
             if q and not rem:
-                m = -q
-                f = (f + m * rf + m * (m - 1) * rzx + 2 * m * int(e[n:] @ row[:n])) % (2 * d)
-                e = (e + m * row) % d
-        return e, f
+                f = _times_power(e, f, row, -q, self.d)
+        return f
 
     # -- queries ---------------------------------------------------------
 
@@ -341,10 +339,9 @@ class StabilizerGroup:
         list, so a caller cannot change the group through it."""
         if self._rows is None:
             if self._packed is None:
-                n = self.n
+                d, n = self.d, self.n
                 self._rows = [
-                    WeylOperator(self.d, n, tuple(r[:n].tolist()), tuple(r[n:].tolist()), int(ph))
-                    for r, ph in zip(self._rows_e, self._rows_f)
+                    WeylOperator(d, n, tuple(e[:n]), tuple(e[n:]), f) for e, f, *_ in self._canon
                 ]
             else:
                 self._rows = self._canonical_packed()
@@ -374,13 +371,13 @@ class StabilizerGroup:
         return dim.bit_length() - 1
 
     def _coerce(self, op: AnyOperator) -> AnyOperator:
-        """op in the group's row type, checked against its register."""
+        """op in the group's row type, checked against its register and d."""
         if op.n != self.n:
             raise ValueError("register mismatch")
+        if (op.d if isinstance(op, WeylOperator) else 2) != self.d:
+            raise ValueError("dimension mismatch")
         if self._packed is not None:
-            if isinstance(op, WeylOperator):
-                return op.to_pauli()
-            return op
+            return op.to_pauli() if isinstance(op, WeylOperator) else op
         return _as_weyl(op)
 
     def reduce(self, op: AnyOperator) -> AnyOperator:
@@ -390,10 +387,9 @@ class StabilizerGroup:
         if self._packed is not None:
             v, ph = self._reduce_packed(cur.x | cur.z << n, cur.phase)
             return PauliOperator(n, v & ((1 << n) - 1), v >> n, ph)
-        import numpy as np
-
-        e, f = self._reduce_weyl(np.array(cur.x + cur.z, dtype=np.int64), cur.phase)
-        return WeylOperator(self.d, n, tuple(e[:n].tolist()), tuple(e[n:].tolist()), f)
+        e = list(cur.x + cur.z)
+        f = self._reduce_weyl(e, cur.phase)
+        return WeylOperator(self.d, n, tuple(e[:n]), tuple(e[n:]), f)
 
     def expectation(self, op: AnyOperator) -> Expectation:
         cur = self._coerce(op)
@@ -403,15 +399,19 @@ class StabilizerGroup:
             v, ph = self._reduce_packed(cur.x | cur.z << self.n, cur.phase)
             # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
             return Expectation("definite", 2, ph) if not v else Expectation("logical", 2)
-        import numpy as np
-
-        d, n = self.d, self.n
-        vec = np.array(cur.x + cur.z, dtype=np.int64)
-        rows = self._rows_e
-        if ((rows[:, :n] @ vec[n:] - rows[:, n:] @ vec[:n]) % d).any():
+        d = self.d
+        gram: Dict[int, int] = {}
+        for j, (x, z) in enumerate(zip(cur.x, cur.z)):
+            if x or z:
+                for (xk, zk), rows in self._sites[j].items():
+                    c = xk * z - zk * x
+                    for k in rows:
+                        gram[k] = gram.get(k, 0) + c
+        if any(v % d for v in gram.values()):
             return Expectation("zero", d)
-        e, f = self._reduce_weyl(vec, cur.phase)
-        return Expectation("logical", d) if e.any() else Expectation("definite", d, f)
+        e = list(cur.x + cur.z)
+        f = self._reduce_weyl(e, cur.phase)
+        return Expectation("logical", d) if any(e) else Expectation("definite", d, f)
 
     def fix_sector(self, logicals: Iterable[AnyOperator]) -> "StabilizerGroup":
         """Enlarge the group by commuting operators, pinning their eigenvalues.

@@ -1,11 +1,14 @@
-"""Byte-level pins on every strategy builder's output, and on the torus
-complexes and 3D codes those builders start from.
+"""Byte-level pins on every strategy builder's output, on the torus
+complexes and 3D codes those builders start from, and on the canonical rows
+of a double-semion group.
 
 Each case serializes one builder's operators (the standard text form of every
-composite, in order, plus the header or meta), one complex (its text dump) or
-one code (its group's text export plus the generator labels) and compares its
+composite, in order, plus the header or meta), one complex (its text dump),
+one code (its group's text export plus the generator labels) or one group's
+canonical form (rows, pivots and ground-space dimension) and compares its
 SHA-256 with a recorded digest.  Refactors of the lattice walks, routes, cut
-choices and cell layouts must leave these digests unchanged.
+choices, cell layouts and the Howell kernel must leave these digests
+unchanged.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import pytest
 
 from stabgames.codes import (
     double_semion,
+    ds_fixed_group,
     ds_vertex_loop,
     ds_winding_fixers,
     toric2d,
@@ -56,6 +60,17 @@ def _ds_operators_text():
     return double_semion(4, 4).group.export_text() + "\n" + "\n".join(op.to_text() for op in ops)
 
 
+def _ds_canonical_text():
+    """The canonical rows, pivots and ground-space dimension of the 8x10
+    double-semion group and of its winding-fixed group."""
+    code = double_semion(8, 10)
+    parts = []
+    for group in (code.group, ds_fixed_group(code)):
+        parts += [r.to_text() for r in group.rows]
+        parts += [repr(group.pivots), str(group.ground_space_dim())]
+    return "\n".join(parts)
+
+
 def _code_text(code):
     labels = "\n".join(repr(lab) for lab, _ in code.labeled_generators)
     return code.group.export_text() + "\n" + labels
@@ -94,6 +109,7 @@ BUILDERS = {
     "wheel": lambda: serialize_operator_set(wheel_embedding(tc2d(7))[0]),
     "ds-magic-square-8x10": lambda: _magic_square_text(8, 10),
     "ds-operators": _ds_operators_text,
+    "ds-canonical-rows-8x10": _ds_canonical_text,
     "complex-torus2d-2x2": lambda: complex_to_text(build_torus(2, 2)),
     "complex-torus2d-3x3": lambda: complex_to_text(build_torus(3, 3)),
     "complex-torus2d-3x4": lambda: complex_to_text(build_torus(3, 4)),
@@ -117,6 +133,7 @@ PINS = {
     "cellulation-blocks-3x3": "caa5310671f1cf40cb0d4d63b5886b3d722ddad7fcb047d71d82c37e9e61626b",
     "cellulation-fan": "12dd2e4086d4c2c6df1f7b2c52a2a14d631a43cb4849221b252dd17ce350acc2",
     "cycle-dipole-P5": "06eddcd378ba499669a93250518969cbb864486221d9ab3f54685724b664df29",
+    "ds-canonical-rows-8x10": "57eb34352fc1797bdc59ff428b8ba67a573f6bd38a8c204823f5292984c0b408",
     "ds-magic-square-8x10": "291513c190620ec91153725662c18ba57cecaa496e91a072a60cd72aac62308c",
     "ds-operators": "ab0fcc7c891123e342215c95026c65bf5cb51677791feebd46fafb14a9258efe",
     "ghz-P5": "750a291289e8970b5a1d00805c4a902010ead85f66ce31a2dd5c953518155444",

@@ -502,7 +502,7 @@ def test_classical_games_load_no_engine(tmp_path):
 
 def test_qubit_commands_load_no_numpy(tmp_path):
     # the qubit codes are scored by the packed GF(2) tableau in Python ints;
-    # only Weyl groups and the dense oracle need numpy
+    # only the dense oracle needs numpy
     script = f"""
         import sys
         import stabgames.cli
@@ -520,6 +520,26 @@ def test_qubit_commands_load_no_numpy(tmp_path):
     assert json.loads((tmp_path / "game_parity.json").read_text())["p_q"]["fraction"] == "1/1"
     assert json.loads((tmp_path / "strategy_validate.json").read_text())["ok"]
     assert json.loads((tmp_path / "game_cellulation.json").read_text())["p_q"]["fraction"] == "1/1"
+
+
+def test_weyl_commands_load_no_numpy(tmp_path):
+    # Weyl groups keep their Howell rows in Python ints too, so the
+    # double-semion commands load neither numpy nor the dense oracle
+    script = f"""
+        import sys
+        import stabgames.cli
+
+        for args in (["game", "magic-square", "--Lx", "8", "--Ly", "10"],
+                     ["code", "info", "--kind", "double-semion", "--L", "4"]):
+            assert stabgames.cli.main(args + ["--outdir", {str(tmp_path)!r}]) == 0, args
+        loaded = [m for m in ("numpy", "stabgames.dense") if m in sys.modules]
+        assert not loaded, loaded
+    """
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "game_magic-square.json").read_text())
+    assert record["p_q"]["fraction"] == "1/1"
+    assert json.loads((tmp_path / "code_info.json").read_text())["info"]["kind"] == "double_semion"
 
 
 @pytest.mark.parametrize("args", [

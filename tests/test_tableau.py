@@ -91,7 +91,7 @@ def assert_paths_agree(gens, n, probes):
 # -- reference Weyl kernel: one WeylOperator per row operation ---------------
 #
 # The former per-operator Howell elimination, kept as the reference the
-# vectorised kernel is tested against.  Powers are taken by repeated squaring
+# row kernel is tested against.  Powers are taken by repeated squaring
 # (negative ones through the adjoint), not by the closed form the library uses.
 
 
@@ -174,10 +174,13 @@ def _reference_expectation(rows, pivots, op):
 
 
 def weyl_ops(d, n):
-    """Random Weyl operators on n qudits; about half of them have only even
-    exponents, which at d = 4 makes zero-divisor pivots."""
-    def build(even, x, z, phase):
-        k = 2 if even and d == 4 else 1
+    """Random Weyl operators on n qudits; when d = p^k with k > 1, about half
+    of them have only exponents divisible by p, which makes zero-divisor
+    pivots (at d = 8, pivot values 2 and 4)."""
+    p = next(p for p in range(2, d + 1) if d % p == 0)
+
+    def build(divisible, x, z, phase):
+        k = p if divisible and p < d else 1
         return WeylOperator(d, n, tuple(k * v for v in x), tuple(k * v for v in z), phase)
 
     exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
@@ -191,8 +194,8 @@ def _unit_power(op):
 
 @st.composite
 def weyl_cases(draw):
-    """(d, n, candidate generators, probe operators) at d = 2, 3, 4."""
-    d = draw(st.sampled_from([2, 3, 4]))
+    """(d, n, candidate generators, probe operators) at d = 2, 3, 4, 8, 9."""
+    d = draw(st.sampled_from([2, 3, 4, 8, 9]))
     n = draw(st.integers(1, 4))
     gens = draw(st.lists(weyl_ops(d, n), max_size=2 * n))
     return d, n, gens, draw(st.lists(weyl_ops(d, n), min_size=1, max_size=4))
@@ -213,7 +216,7 @@ def _weyl_group(gens, d, n):
 
 
 def assert_matches_reference(gens, d, n, probes):
-    """The vectorised kernel and the reference agree on acceptance and its
+    """The library's row kernel and the reference agree on acceptance and its
     error message, rows, phases, pivots, reduce and expectation."""
     want = _reference_canonicalize(gens, d, n)
     group, got = _weyl_group(gens, d, n)
@@ -355,6 +358,22 @@ class TestExpectation:
         for g, op in ((qubits, P("i^0 Z0", 3)), (ququarts, WeylOperator.single(4, 3, 0, 0, 1))):
             for query in (g.expectation, g.reduce, lambda o: g.fix_sector([o])):
                 with pytest.raises(ValueError, match="register mismatch"):
+                    query(op)
+
+    def test_dimension_mismatch(self):
+        # a query of another d is rejected, not read as an operator of the group's d
+        qubits = StabilizerGroup([P("i^0 Z0", 1)])
+        ququarts = StabilizerGroup([WeylOperator(4, 1, (1,), (0,), 0)])
+        qutrits = StabilizerGroup([WeylOperator(3, 1, (1,), (0,), 0)])
+        cases = [
+            (ququarts, WeylOperator(3, 1, (1,), (0,), 0)),
+            (ququarts, P("i^0 X0", 1)),
+            (qutrits, WeylOperator(4, 1, (1,), (0,), 0)),
+            (qubits, WeylOperator(3, 1, (0,), (1,), 0)),
+        ]
+        for g, op in cases:
+            for query in (g.expectation, g.reduce, lambda o: g.fix_sector([o])):
+                with pytest.raises(ValueError, match="dimension mismatch"):
                     query(op)
 
 
