@@ -49,7 +49,11 @@ class DenseState:
 
 
 def _check_size(d: int, n: int) -> None:
-    if d**n > MAX_AMPLITUDES:
+    if d < 2 or n < 0:
+        raise ValueError(f"no state of size {d}^{n}: the dense bound needs d >= 2 and n >= 0")
+    # with d >= 2 every n above the bound's bit length exceeds it, so d**n is
+    # computed only for small n
+    if n > MAX_AMPLITUDES.bit_length() or d**n > MAX_AMPLITUDES:
         raise ValueError(f"state of size {d}^{n} exceeds the dense bound")
 
 
@@ -360,8 +364,9 @@ def load_state(path) -> DenseState:
         dtype = _DUMP_DTYPES.get(f.read(6))
         if dtype is None:
             raise ValueError("not a dense-state dump")
-        d, n = np.frombuffer(f.read(8), dtype=np.int32)
+        d, n = map(int, np.frombuffer(f.read(8), dtype=np.int32))
+        _check_size(d, n)  # before d**n amplitudes are counted
         amps = np.frombuffer(f.read(), dtype=dtype).astype(complex)
-    if len(amps) != int(d) ** int(n):
+    if len(amps) != d**n:
         raise ValueError("truncated dense-state dump")
-    return DenseState(int(d), int(n), amps)
+    return DenseState(d, n, amps)

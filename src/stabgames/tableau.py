@@ -4,6 +4,12 @@ phase, expectation values, ground-space dimension, sector fixing.
 Rows are genuine group elements, so every "row operation" is an operator
 product and phases are exact by construction.
 
+Every group keeps one commutation index: for each site j, the generators
+with exponents (x_j, z_j) there.  An operator commutes with the group iff,
+for every generator k, x_k z - z_k x summed over the operator's own sites is
+0 mod d.  A group is built by adjoining its generators to the empty group;
+fix_sector adjoins the fixers to a copy of the group in the same way.
+
 Qubit groups (generators given as PauliOperator) live in a packed GF(2)
 tableau.  Each row is one int v = x | z << n, so column c < n is x_c and
 column n + j is z_j, plus an exact i-power phase.  Generators are inserted
@@ -14,29 +20,25 @@ clears the lowest pivot bit of the operator until none is left; every
 nonzero element of the span carries a pivot bit and the group element that
 clears them is unique, so the residual and its phase are those of any other
 basis of the group.  The fully reduced canonical rows are back-substituted
-only when ``rows`` is first read, and cached.  Commutation is read from
-column bitsets over the generators: bit k of xc[j] (zc[j]) says generator k
-has X (Z) on site j, so an operator commutes with the group iff the XOR of
-xc[j] over its z-support and zc[j] over its x-support is 0.  The product
-phase of two rows is counted with int.bit_count.
+only when ``rows`` is first read, and cached.  The product phase of two rows
+is counted with int.bit_count.
 
 Weyl groups (generators given as WeylOperator, any d, including d=2) are
 kept in Howell normal form over Z_d, which is what membership testing needs
 when d has zero divisors (d=4 here); they serve every d > 2 and are the
 reference the packed qubit path is tested against.  A row is a list of 2n
 Python-int exponents (column c < n is x_c, column n + j is z_j) with a Z_2d
-phase.  Commutation is checked once, with the symplectic Gram matrix
-X Z^T - Z X^T mod d summed site by site.  Powers come in closed form,
-(w^f X^x Z^z)^m = w^(m f + m(m-1) z.x) X^(m x) Z^(m z) for any integer m
-(de Beaudrap, arXiv:1102.3354), so clearing a pivot column from a row is one
-product with a power of the pivot row, which touches only the pivot row's
-nonzero entries: the double-semion rows stay sparse.  The pivot of a column
-is the first pending row with the smallest gcd(e, d); it clears its column
-from the pending rows and, as far as it can, from the earlier pivot rows,
-and a zero-divisor pivot p with entry g appends p^(d/g) to the pending rows
-(Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
-1998).  The rows, phases and pivots are those of the per-operator
-elimination kept in the test suite as the reference.
+phase.  Powers come in closed form, (w^f X^x Z^z)^m =
+w^(m f + m(m-1) z.x) X^(m x) Z^(m z) for any integer m (de Beaudrap,
+arXiv:1102.3354), so clearing a pivot column from a row is one product with
+a power of the pivot row, which touches only the pivot row's nonzero
+entries: the double-semion rows stay sparse.  The pivot of a column is the
+first pending row with the smallest gcd(e, d); it clears its column from
+the pending rows and, as far as it can, from the earlier pivot rows, and a
+zero-divisor pivot p with entry g appends p^(d/g) to the pending rows
+(Storjohann & Mulders, "Fast algorithms for linear algebra modulo N", 1998).
+The rows, phases and pivots are those of the per-operator elimination kept
+in the test suite as the reference.
 
 Expectation values of an operator O in the stabilized space come in three
 kinds: Definite (a root of unity, when O is a phase times a group element),
@@ -48,9 +50,11 @@ explicit; degenerate resource states make the distinction load-bearing.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .complexes import _bits
@@ -96,8 +100,7 @@ def _is_prime_power(d: int) -> bool:
 # A Weyl row and what products with its powers read: exponents, phase, (column,
 # entry) of each nonzero entry, (z_j column, x_j) of each nonzero x_j, and z.x
 _Row = Tuple[List[int], int, List[Tuple[int, int]], List[Tuple[int, int]], int]
-# per site j: (x_j, z_j) -> indices of the rows with those exponents at j
-_Sites = List[Dict[Tuple[int, int], List[int]]]
+_Kinds = Dict[Tuple[int, int], List[int]]  # at one site: (x_j, z_j) -> generators
 
 
 def _row(e: List[int], f: int, n: int) -> _Row:
@@ -118,17 +121,31 @@ def _times_power(e: List[int], f: int, row: _Row, m: int, d: int) -> int:
     return (f + m * rf + m * (m - 1) * zx + 2 * m * cross) % (2 * d)
 
 
-def _sites(es: List[List[int]], n: int) -> _Sites:
-    sites: _Sites = [{} for _ in range(n)]
-    for k, e in enumerate(es):
-        for j in {c % n for c in compress(range(2 * n), e)}:
-            sites[j].setdefault((e[j], e[j + n]), []).append(k)
-    return sites
+def _support(op: AnyOperator) -> List[Tuple[int, int, int]]:
+    """(j, x_j, z_j) for each site j where op is not the identity."""
+    x, z = op.x, op.z
+    if isinstance(op, PauliOperator):
+        return [(j, x >> j & 1, z >> j & 1) for j in _bits(x | z)]
+    return [(j, x[j], z[j]) for j in compress(range(op.n), map(or_, x, z))]
 
 
-def _all_commute(sites: _Sites, d: int, g: int) -> bool:
-    """Whether all g rows commute pairwise: X Z^T - Z X^T = 0 mod d, summed over
-    the sites, where rows with equal exponents commute and are not paired."""
+def _commutes(sites: List[_Kinds], support: List[Tuple[int, int, int]], d: int) -> bool:
+    """Whether the operator with this support commutes with every generator
+    in the index: x_k z - z_k x summed over the operator's sites is 0 mod d."""
+    gram: Dict[int, int] = {}  # k -> entry k of the operator's Gram row
+    for j, x, z in support:
+        for (xk, zk), ks in sites[j].items():
+            c = xk * z - zk * x
+            if c:
+                for k in ks:
+                    gram[k] = gram.get(k, 0) + c
+    return not any(v % d for v in gram.values())
+
+
+def _all_commute(sites: Iterable[_Kinds], d: int, g: int) -> bool:
+    """Whether all the indexed generators, numbered below g, commute pairwise:
+    X Z^T - Z X^T = 0 mod d, summed over the sites, where generators with
+    equal exponents commute and are not paired."""
     gram: Dict[int, int] = {}  # i * g + k -> entry (i, k), i < k, of the Gram matrix
     for site in sites:
         kinds = list(site.items())
@@ -212,9 +229,9 @@ class StabilizerGroup:
             first = gens[0]
             self.d = 2 if isinstance(first, PauliOperator) else first.d
             self.n = first.n
+        elif d is None or n is None:
+            raise ValueError("empty group needs explicit d and n")
         else:
-            if d is None or n is None:
-                raise ValueError("empty group needs explicit d and n")
             self.d, self.n = d, n
         if d is not None and d != self.d:
             raise ValueError("dimension mismatch with generators")
@@ -232,43 +249,46 @@ class StabilizerGroup:
                 raise ValueError("generator register size mismatch")
             if isinstance(g, WeylOperator) and g.d != self.d:
                 raise ValueError("generator dimension mismatch")
-        self.generators = tuple(gens)
+        self.generators: Tuple[AnyOperator, ...] = ()
+        self._sites: List[_Kinds] = [{}] * self.n  # per site; see _extend
         # qubit groups: pivot column -> (packed echelon row, i-power phase)
-        self._packed: Optional[Dict[int, Tuple[int, int]]] = None
-        self._rows: Optional[List[AnyOperator]] = None  # canonical rows, on first read
+        self._packed: Optional[Dict[int, Tuple[int, int]]] = {} if qubit else None
+        self._pivmask = 0
+        self._canon: List[_Row] = []  # Weyl groups: canonical rows
         self.pivots: List[Tuple[int, int]] = []  # (column, pivot value)
-        if qubit:
-            self._build_packed(gens)
-        else:
-            es = [list(op.x + op.z) for op in gens]
-            self._sites = _sites(es, self.n)
-            if not _all_commute(self._sites, self.d, len(es)):
-                raise ValueError("generators do not commute")
-            self._canon, self.pivots = _howell(es, [op.phase for op in gens], self.d, self.n)
+        self._extend(gens)
 
-    # -- packed GF(2) tableau (qubit groups) -----------------------------
-
-    def _build_packed(self, gens: Sequence[PauliOperator]) -> None:
-        n = self.n
-        xc = [0] * n
-        zc = [0] * n
-        for k, g in enumerate(gens):
-            bit = 1 << k
-            for j in _bits(g.x):
-                xc[j] |= bit
-            for j in _bits(g.z):
-                zc[j] |= bit
-        self._xc, self._zc = xc, zc
-        for g in gens:
-            if self._anticommuting(g.x, g.z):
-                raise ValueError("generators do not commute")
-        # Forward pass: each generator is reduced by the rows so far and
-        # kept, pivot on its lowest bit, unless it reduces to a scalar.  All
-        # products are of commuting elements, so their phases do not depend on
-        # the order in which rows are combined.
-        self._packed, self._pivmask = {}, 0
-        for g in gens:
-            v, ph = self._reduce_packed(g.x | g.z << n, g.phase)
+    def _extend(self, ops: Sequence[AnyOperator]) -> None:
+        """Adjoin ops, of the group's row type and each commuting with the
+        group, to the generators.  The sites the ops touch get new dicts in a
+        new index list, and the echelon grows on a copy, so extending a copy
+        of a group leaves the group as it was."""
+        first, d, n = len(self.generators), self.d, self.n
+        new: Dict[int, _Kinds] = {}
+        for k, op in enumerate(ops, first):
+            for j, x, z in _support(op):
+                new.setdefault(j, {}).setdefault((x, z), []).append(k)
+        if not _all_commute(new.values(), d, first + len(ops)):
+            raise ValueError("generators do not commute")
+        self._sites = sites = list(self._sites)
+        for j, kinds in new.items():
+            old = sites[j]
+            if old:
+                kinds = {**old, **{key: old.get(key, []) + ks for key, ks in kinds.items()}}
+            sites[j] = kinds
+        self.generators += tuple(ops)
+        self._rows: Optional[List[AnyOperator]] = None  # canonical rows, on first read
+        if self._packed is None:
+            es = [list(e) for e, *_ in self._canon] + [list(op.x + op.z) for op in ops]
+            fs = [f for _, f, *_ in self._canon] + [op.phase for op in ops]
+            self._canon, self.pivots = _howell(es, fs, d, n)
+            return
+        # Forward pass: each op is reduced by the rows so far and kept, pivot on
+        # its lowest bit, unless it reduces to a scalar.  The products are of
+        # commuting elements, so their phases do not depend on the row order.
+        self._packed = packed = dict(self._packed)
+        for op in ops:
+            v, ph = self._reduce_packed(op.x | op.z << n, op.phase)
             if not v:
                 if ph:
                     raise ValueError("inconsistent group: nontrivial scalar generated")
@@ -277,9 +297,11 @@ class StabilizerGroup:
             if (ph - ((v >> n) & v).bit_count()) & 1:
                 raise ValueError("inconsistent group: nontrivial scalar generated")
             c = (v & -v).bit_length() - 1
-            self._packed[c] = (v, ph)
+            packed[c] = (v, ph)
             self._pivmask |= 1 << c
-        self.pivots = [(c, 1) for c in sorted(self._packed)]
+        self.pivots = [(c, 1) for c in sorted(packed)]
+
+    # -- packed GF(2) tableau (qubit groups) -----------------------------
 
     def _canonical_packed(self) -> List[PauliOperator]:
         """The fully reduced rows in pivot order, by back-substitution from
@@ -297,16 +319,6 @@ class StabilizerGroup:
         mask = (1 << n) - 1
         rows = (done[c] for c, _ in self.pivots)
         return [PauliOperator(n, v & mask, v >> n, ph) for v, ph in rows]
-
-    def _anticommuting(self, x: int, z: int) -> int:
-        """Bitset of the generators that anticommute with X^x Z^z."""
-        xc, zc = self._xc, self._zc
-        acc = 0
-        for j in _bits(z):
-            acc ^= xc[j]
-        for j in _bits(x):
-            acc ^= zc[j]
-        return acc
 
     def _reduce_packed(self, v: int, ph: int) -> Tuple[int, int]:
         """(v, ph) times the row of its lowest pivot bit, until v carries no
@@ -393,22 +405,13 @@ class StabilizerGroup:
 
     def expectation(self, op: AnyOperator) -> Expectation:
         cur = self._coerce(op)
+        d = self.d
+        if not _commutes(self._sites, _support(cur), d):
+            return Expectation("zero", d)
         if self._packed is not None:
-            if self._anticommuting(cur.x, cur.z):
-                return Expectation("zero", 2)
             v, ph = self._reduce_packed(cur.x | cur.z << self.n, cur.phase)
             # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
-            return Expectation("definite", 2, ph) if not v else Expectation("logical", 2)
-        d = self.d
-        gram: Dict[int, int] = {}
-        for j, (x, z) in enumerate(zip(cur.x, cur.z)):
-            if x or z:
-                for (xk, zk), rows in self._sites[j].items():
-                    c = xk * z - zk * x
-                    for k in rows:
-                        gram[k] = gram.get(k, 0) + c
-        if any(v % d for v in gram.values()):
-            return Expectation("zero", d)
+            return Expectation("logical", 2) if v else Expectation("definite", 2, ph)
         e = list(cur.x + cur.z)
         f = self._reduce_weyl(e, cur.phase)
         return Expectation("logical", d) if any(e) else Expectation("definite", d, f)
@@ -418,6 +421,8 @@ class StabilizerGroup:
 
         Each operator is adjoined exactly as given (with its phase), so to fix
         a sector to an eigenvalue other than +1 the caller scales it first.
+        A copy of the group adjoins them as a build adjoins its generators; the
+        canonical form is unique, so its rows, phases and pivots are a build's.
         """
         fixers = []
         for lg in logicals:
@@ -428,14 +433,8 @@ class StabilizerGroup:
             if e.kind == "definite" and e.phase_exp % (2 * self.d) != 0:
                 raise ValueError("sector fixer already in group with a different phase")
             fixers.append(lg)
-        # The canonical form of a group is unique, so any generating set gives
-        # the same rows, phases and pivots.  A qubit group is rebuilt from its
-        # generators: the packed build pays per set bit, and canonical rows
-        # are denser than local generators.  A Weyl group extends its
-        # canonical rows, which are fewer than its generators.
-        base = self.generators if self._packed is not None else self.rows
-        fixed = StabilizerGroup(list(base) + fixers, d=self.d, n=self.n)
-        fixed.generators = self.generators + tuple(fixers)
+        fixed = copy.copy(self)
+        fixed._extend(fixers)
         return fixed
 
     # -- text io -----------------------------------------------------------

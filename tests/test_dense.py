@@ -574,3 +574,14 @@ def test_blocked_kernel_matches_full_vector(d, n):
         applied = apply_operator(state, op).amps
         assert np.allclose(applied, _reference_apply(state, op).amps, rtol=0, atol=1e-12)
         assert abs(dense_expectation(state, op) - np.vdot(state.amps, applied)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(1, 5), (0, 3), (2, -1), (3, 10**6)])
+def test_state_dump_header_is_checked_before_use(tmp_path, d, n):
+    # a header outside the dense bound is refused before d**n is computed
+    from stabgames.dense import load_state
+
+    path = tmp_path / "state.bin"
+    path.write_bytes(b"DSTV2\x00" + np.array([d, n], dtype=np.int32).tobytes() + bytes(16))
+    with pytest.raises(ValueError, match="dense bound"):
+        load_state(path)

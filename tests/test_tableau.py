@@ -405,22 +405,54 @@ class TestFixSector:
     @given(st.integers(1, 5).flatmap(
         lambda n: st.tuples(st.just(n), stabilizer_generators(n), st.lists(paulis(n), max_size=3))))
     def test_matches_rebuild_on_qubits(self, case):
-        # fixing a sector rebuilds a qubit group from its generators and the
-        # fixers; an independent build must give the same group, or fail
+        # fixing a sector extends the group's echelon by the fixers; a build
+        # from the generators and the fixers must give the same group, or fail
+        # with the same message
         n, gens, probes = case
         base = StabilizerGroup(gens, d=2, n=n)
         fixers = [p if p.is_hermitian() else p.scale_i(1) for p in probes]
         fixers = [p for p in fixers if base.expectation(p).kind != "zero"]
-        rebuilt = build(gens + fixers, n)
         try:
             fixed = base.fix_sector(fixers)
-        except ValueError:
-            assert rebuilt is None
+        except ValueError as exc:
+            got = str(exc)
+            if "sector fixer" in got:  # rejected by the pre-checks
+                assert build(gens + fixers, n) is None
+                return
+        else:
+            assert fixed.generators == tuple(gens + fixers)
+            got = (fixed.rows, fixed.pivots)
+        try:
+            rebuilt = StabilizerGroup(gens + fixers, d=2, n=n)
+        except ValueError as exc:
+            assert got == str(exc)
             return
-        assert fixed.generators == tuple(gens + fixers)
-        assert fixed.rows == rebuilt.rows and fixed.pivots == rebuilt.pivots
+        assert got == (rebuilt.rows, rebuilt.pivots)
         for probe in probes:
             assert fixed.reduce(probe) == rebuilt.reduce(probe)
+            assert fixed.expectation(probe) == rebuilt.expectation(probe)
+
+    @pytest.mark.parametrize("weyl", [False, True], ids=["packed", "weyl"])
+    def test_anticommuting_fixers_raise(self, weyl):
+        # X0X1 and Z0 each commute with Z0Z1, but not with each other
+        conv = WeylOperator.from_pauli if weyl else (lambda op: op)
+        g = StabilizerGroup([conv(P("i^0 Z0 Z1", 2))])
+        with pytest.raises(ValueError, match="generators do not commute"):
+            g.fix_sector([conv(P("i^0 X0 X1", 2)), conv(P("i^0 Z0", 2))])
+
+    @pytest.mark.parametrize("weyl", [False, True], ids=["packed", "weyl"])
+    def test_parent_and_siblings_are_untouched(self, weyl):
+        conv = WeylOperator.from_pauli if weyl else (lambda op: op)
+        zz, xx, z0 = (conv(P(f"i^0 {t}", 2)) for t in ("Z0 Z1", "X0 X1", "Z0"))
+        g = StabilizerGroup([zz])
+        fixed = g.fix_sector([xx])
+        assert g.expectation(z0).kind == "logical" and g.expectation(xx).kind == "logical"
+        assert fixed.expectation(z0).kind == "zero" and fixed.expectation(xx).is_definite(0)
+        # sectors fixed from one group share no rows with each other or with it
+        minus = g.fix_sector([conv(P("i^2 X0 X1", 2))])
+        g.fix_sector([z0])
+        assert fixed.expectation(xx).is_definite(0) and minus.expectation(xx).is_definite(2)
+        assert g.rows == StabilizerGroup([zz]).rows and g.rank == 1
 
 
 class TestQuditGroups:
@@ -512,7 +544,11 @@ class TestWeylKernel:
         else:
             assert list(map(_as_w, fixed.generators)) == gens + fixers
             got = ([_as_w(r) for r in fixed.rows], fixed.pivots)
-        assert got == _weyl_group(gens + fixers, d, n)[1]
+        rebuilt, want = _weyl_group(gens + fixers, d, n)
+        assert got == want
+        if rebuilt is not None:
+            for probe in probes:
+                assert fixed.expectation(probe) == rebuilt.expectation(probe)
 
     def test_fix_sector_extends_canonical_rows_on_double_semion(self):
         from stabgames.codes import double_semion, ds_winding_fixers
@@ -525,6 +561,15 @@ class TestWeylKernel:
         assert fixed.export_text() == "\n".join(
             g.to_text() for g in list(code.group.generators) + fixers
         )
+
+    def test_fix_sector_leaves_the_canonical_rows_unbuilt(self):
+        # the fixers extend the canonical exponent rows; the operator rows
+        # of the parent are never built
+        from stabgames.codes import double_semion, ds_winding_fixers
+
+        code = double_semion(4, 4)
+        code.group.fix_sector(ds_winding_fixers(code))
+        assert code.group._rows is None
 
 
 def test_text_round_trip():
