@@ -6,10 +6,11 @@ with the library version, a hash of the effective configuration, and the
 seed.  Outputs are deterministic given the seed.
 
 Each command imports the modules it uses when it runs, so a process pays
-only for its own command: the classical games load neither numpy nor the
-tableau, dense, complex, code or strategy modules, and the commands on
-qubit and double-semion codes load no numpy: only the dense deformation
-sweep needs it.
+only for its own command: the classical games load the games module and no
+other part of the engine (not even the Pauli and Weyl operators), and the
+commands on qubit and double-semion codes load no numpy: only the dense
+deformation sweep needs it.  The package's records are plain classes, so no
+command imports dataclasses (nor the inspect, ast and dis modules it loads).
 """
 
 from __future__ import annotations
@@ -207,12 +208,16 @@ def cmd_game_parity(args):
     if not report.ok:
         raise ValueError(f"strategy failed validation: {report.problems[:2]}")
     ev = quantum_parity_eval(ops)
+    # each input's label (its P bits as digits) and float are made once, and
+    # the rows reuse them: labels of one length sort as the bit tuples do
+    label = "%d" * args.P
+    per_input = {label % k: float(v) for k, v in ev.per_input.items()}
     record = {
         "p_q": _num(ev.p_q),
         "mermin": None if ev.mermin is None else _num(ev.mermin),
-        "per_input": {"".join(map(str, k)): float(v) for k, v in ev.per_input.items()},
+        "per_input": per_input,
     }
-    rows = [["".join(map(str, k)), float(v)] for k, v in sorted(ev.per_input.items())]
+    rows = [[k, per_input[k]] for k in sorted(per_input)]
     rows.append(["average", float(ev.p_q)])
     return _emit(args, cfg, record, rows, ["input", "win_probability"])
 

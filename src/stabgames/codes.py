@@ -7,9 +7,9 @@ with its string operators and exchange-statistics extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import _Record
 from .complexes import CellComplex, build_torus
 from .pauli import PauliOperator
 from .tableau import StabilizerGroup
@@ -18,16 +18,32 @@ from .weyl import WeylOperator, ordered_w_product, w_multiply
 LabeledGenerator = Tuple[Tuple, object]
 
 
-@dataclass
-class CodeInstance:
-    kind: str
-    d: int
-    n: int
-    group: StabilizerGroup
-    labeled_generators: Tuple[LabeledGenerator, ...]
-    cell: Optional[CellComplex] = None
-    qubit_degree: Optional[int] = None  # degree of the cells carrying qubits
-    meta: Dict = field(default_factory=dict)
+class CodeInstance(_Record):
+    """A stabilizer code: its group, labeled generators and, for lattice
+    codes, the cell complex and the degree of the cells carrying qubits."""
+
+    __slots__ = _fields = ("kind", "d", "n", "group", "labeled_generators", "cell",
+                           "qubit_degree", "meta")
+
+    def __init__(
+        self,
+        kind: str,
+        d: int,
+        n: int,
+        group: StabilizerGroup,
+        labeled_generators: Tuple[LabeledGenerator, ...],
+        cell: Optional[CellComplex] = None,
+        qubit_degree: Optional[int] = None,
+        meta: Optional[Dict] = None,
+    ):
+        self.kind = kind
+        self.d = d
+        self.n = n
+        self.group = group
+        self.labeled_generators = labeled_generators
+        self.cell = cell
+        self.qubit_degree = qubit_degree
+        self.meta = {} if meta is None else meta
 
     def qubit_index(self, key) -> int:
         return self.cell.index(self.qubit_degree, key)
@@ -211,11 +227,13 @@ def _ds_edge_keys(Lx: int, Ly: int) -> List[Tuple]:
     return [("e", x, y, o) for x in range(Lx) for y in range(Ly) for o in (0, 1)]
 
 
-@dataclass
-class _DsLattice:
-    Lx: int
-    Ly: int
-    index: Dict[Tuple, int]
+class _DsLattice(_Record):
+    __slots__ = _fields = ("Lx", "Ly", "index")
+
+    def __init__(self, Lx: int, Ly: int, index: Dict[Tuple, int]):
+        self.Lx = Lx
+        self.Ly = Ly
+        self.index = index
 
     def h(self, x: int, y: int) -> int:
         """Horizontal edge from (x, y) to (x+1, y)."""

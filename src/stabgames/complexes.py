@@ -10,22 +10,16 @@ tracing and validated through Euler's formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+from . import _Frozen, _Record
+from .pauli import _bits
 
 CellKey = Hashable
 
 
 # -- GF(2) linear algebra on bit-packed rows --------------------------------
-
-
-def _bits(v: int) -> Iterator[int]:
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 def gf2_eliminate(
@@ -72,22 +66,24 @@ def _transpose(rows: Sequence[int], ncols: int) -> List[int]:
 # -- chain complexes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(_Frozen):
     """dims[k] = number of k-cells; boundary[k][i] = bitmask of (k-1)-cells
     on the boundary of the i-th k-cell (boundary[0] is all zeros)."""
 
-    dims: Tuple[int, ...]
-    boundary: Tuple[Tuple[int, ...], ...]
-    # rank of each boundary map, filled on first use, so left out of equality and repr
-    _ranks: Dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("dims", "boundary")
+    # _ranks: rank of each boundary map, filled on first use, so left out of
+    # equality and repr
+    __slots__ = (*_fields, "_ranks")
 
-    def __post_init__(self):
-        if len(self.boundary) != len(self.dims):
+    def __init__(self, dims: Tuple[int, ...], boundary: Tuple[Tuple[int, ...], ...]):
+        if len(boundary) != len(dims):
             raise ValueError("boundary list must match dims")
-        for k, rows in enumerate(self.boundary):
-            if len(rows) != self.dims[k]:
+        for k, rows in enumerate(boundary):
+            if len(rows) != dims[k]:
                 raise ValueError(f"boundary[{k}] has wrong length")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "_ranks", {})
 
     @property
     def top_dim(self) -> int:
@@ -142,21 +138,28 @@ class ChainComplex:
 # -- geometric cell complexes -------------------------------------------------
 
 
-@dataclass
-class CellComplex:
+class CellComplex(_Record):
     """Cells carry hashable keys (lattice coordinates for torus builds)."""
 
-    dim: int
-    cells: Tuple[Tuple[CellKey, ...], ...]
-    boundary_keys: Tuple[Tuple[Tuple[CellKey, ...], ...], ...]
-    closed: bool
-    meta: Dict = field(default_factory=dict)
-    # caches derived from the cells, so left out of equality and repr
-    _index: Tuple[Dict[CellKey, int], ...] = field(default=None, init=False, repr=False, compare=False)
-    _cobound: Tuple[Dict[int, Tuple[int, ...]], ...] = field(
-        default=None, init=False, repr=False, compare=False)
+    _fields = ("dim", "cells", "boundary_keys", "closed", "meta")
+    # _index and _cobound: caches derived from the cells, so left out of
+    # equality and repr
+    __slots__ = (*_fields, "_index", "_cobound")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        dim: int,
+        cells: Tuple[Tuple[CellKey, ...], ...],
+        boundary_keys: Tuple[Tuple[Tuple[CellKey, ...], ...], ...],
+        closed: bool,
+        meta: Optional[Dict] = None,
+    ):
+        self.dim = dim
+        self.cells = cells
+        self.boundary_keys = boundary_keys
+        self.closed = closed
+        self.meta = {} if meta is None else meta
+        self._cobound = None
         self._index = tuple({key: i for i, key in enumerate(level)} for level in self.cells)
         # boundary of boundary = 0: over the boundaries of a cell's boundary
         # cells, every lower cell occurs an even number of times
@@ -294,21 +297,27 @@ def build_torus(*sizes: int) -> CellComplex:
 # -- plane graphs ---------------------------------------------------------------
 
 
-@dataclass
-class PlaneGraph:
+class PlaneGraph(_Record):
     """Graph with a rotation system.
 
     edges[i] = (u, v); rotation[vertex] = cyclic list of darts leaving it,
     a dart being (edge_id, end) with end 0 when the dart leaves edges[i][0].
     Faces are derived by tracing and cached; the embedding must be genus 0.
+    A _faces argument is accepted and replaced by the traced faces.
     """
 
-    vertices: Tuple[Hashable, ...]
-    edges: Tuple[Tuple[Hashable, Hashable], ...]
-    rotation: Dict[Hashable, List[Tuple[int, int]]]
-    _faces: Tuple[Tuple[Tuple[int, int], ...], ...] = None
+    __slots__ = _fields = ("vertices", "edges", "rotation", "_faces")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        vertices: Tuple[Hashable, ...],
+        edges: Tuple[Tuple[Hashable, Hashable], ...],
+        rotation: Dict[Hashable, List[Tuple[int, int]]],
+        _faces: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None,
+    ):
+        self.vertices = vertices
+        self.edges = edges
+        self.rotation = rotation
         for i, (u, v) in enumerate(self.edges):
             if u == v:
                 raise ValueError(f"self-loop at edge {i}")

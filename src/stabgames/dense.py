@@ -21,11 +21,11 @@ the seed's orbit under the X rows, without a pass over the whole register.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from . import _Record
 from .pauli import PauliOperator, SiteFactor
 from .tableau import StabilizerGroup, _as_weyl
 from .weyl import WeylOperator, w_power
@@ -35,11 +35,16 @@ MAX_AMPLITUDES = 1 << 22
 AnyOperator = Union[PauliOperator, WeylOperator]
 
 
-@dataclass
-class DenseState:
-    d: int
-    n: int
-    amps: np.ndarray  # complex, length d**n, unit norm
+class DenseState(_Record):
+    """State vector of n qudits of dimension d: amps is complex, of length
+    d**n and unit norm."""
+
+    __slots__ = _fields = ("d", "n", "amps")
+
+    def __init__(self, d: int, n: int, amps: np.ndarray):
+        self.d = d
+        self.n = n
+        self.amps = amps
 
     def copy(self) -> "DenseState":
         return DenseState(self.d, self.n, self.amps.copy())

@@ -18,31 +18,30 @@ for the players' exponents (a_i, b_i).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .pauli import PauliOperator
-from .weyl import WeylOperator, commutation_phase, dagger, w_multiply
+from . import _Frozen, _Record
 
-if TYPE_CHECKING:  # imported where a game needs them; only dense loads numpy
+if TYPE_CHECKING:  # imported where a game needs them, so the classical games load none
     from .dense import DenseState
+    from .pauli import PauliOperator
     from .strategies import CellulationStrategy, CompositeOperatorSet
     from .tableau import StabilizerGroup
 
 Number = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
-class ParityGame:
+class ParityGame(_Frozen):
     """P cooperating players; input bits have even parity, outputs must sum
     (mod 2) to half the input sum."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p < 3:
+    def __init__(self, p: int):
+        if p < 3:
             raise ValueError("parity game needs at least 3 players")
+        object.__setattr__(self, "p", p)
 
     def valid_inputs(self) -> List[Tuple[int, ...]]:
         out = []
@@ -56,24 +55,27 @@ class ParityGame:
         return 1 if (sum(bits) // 2) % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
-class MagicSquareGame:
+class MagicSquareGame(_Frozen):
     """Two players fill a 3x3 grid with integers mod d (d even): row sums 0,
     column sums d/2, and the shared cell must agree."""
 
-    d: int
+    __slots__ = _fields = ("d",)
 
-    def __post_init__(self):
-        if self.d % 2:
+    def __init__(self, d: int):
+        if d % 2:
             raise ValueError("magic-square game needs even qudit dimension")
+        object.__setattr__(self, "d", d)
 
 
-@dataclass
-class StrategyEvaluation:
-    per_input: Dict[Tuple, Number]
-    p_q: Number
-    mermin: Optional[Number] = None
-    meta: Dict = field(default_factory=dict)
+class StrategyEvaluation(_Record):
+    __slots__ = _fields = ("per_input", "p_q", "mermin", "meta")
+
+    def __init__(self, per_input: Dict[Tuple, Number], p_q: Number,
+                 mermin: Optional[Number] = None, meta: Optional[Dict] = None):
+        self.per_input = per_input
+        self.p_q = p_q
+        self.mermin = mermin
+        self.meta = {} if meta is None else meta
 
 
 # -- classical parity baseline -----------------------------------------------------
@@ -138,6 +140,8 @@ _WINS = {1: Fraction(1), 0: Fraction(1, 2), -1: Fraction(0)}  # win for t*s
 def _collective(ops: CompositeOperatorSet, exps: Sequence[Tuple[int, int]]) -> PauliOperator:
     """O = prod_i i^{a_i b_i} X_i^{a_i} Z_i^{b_i} in player order (the last
     player's factor applied first), for (a_i, b_i) in exps."""
+    from .pauli import PauliOperator
+
     x = z = ph = 0
     for i, (a, b) in enumerate(exps):
         if a or b:
@@ -189,7 +193,8 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     - sum_i a_i b_i mod 2 is a GF(2) quadratic in u too, so it is even at
       every input when it is even at the points read here.
     """
-    from .complexes import _bits
+    from .pauli import _bits
+    from .weyl import WeylOperator
 
     n = ops.n
     odd_cross = False
@@ -263,7 +268,7 @@ def _score_inputs(
     are Fractions and p_q is one Fraction of their integer total; on a dense
     state <O> is a float, input by input.
     """
-    from .complexes import _bits
+    from .pauli import _bits
 
     exact = _is_exact(resource)
     if exact:
@@ -318,7 +323,7 @@ def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
       N_j N_k^T + N_k N_j^T to the edges (zero on the diagonal mod 2).
     So S is 0 or +-2^r, r the number of variables and pairs summed out.
     """
-    from .complexes import _bits
+    from .pauli import _bits
 
     adj = list(adj)
     alive = (1 << len(adj)) - 1
@@ -432,19 +437,19 @@ def quantum_parity_eval(
 # -- cellulation game -------------------------------------------------------------------
 
 
-@dataclass
-class CellulationGame:
+class CellulationGame(_Record):
     """Inputs are bits on independent coarse boundary/coboundary generators;
-    each player measures i^{ab} X^a Z^b with incidence-derived exponents."""
+    each player measures i^{ab} X^a Z^b with incidence-derived exponents.
+    x_basis (independent coarse (p+1)-cells) and z_basis (independent coarse
+    (p-1)-cells) are computed from the strategy."""
 
-    strategy: CellulationStrategy
-    x_basis: Tuple[int, ...] = field(init=False)  # independent coarse (p+1)-cells
-    z_basis: Tuple[int, ...] = field(init=False)  # independent coarse (p-1)-cells
+    _fields = ("strategy", "x_basis", "z_basis")
+    __slots__ = (*_fields, "_a_bits", "_b_bits")
 
-    def __post_init__(self):
+    def __init__(self, strategy: CellulationStrategy):
         from .complexes import _transpose, gf2_eliminate
 
-        strat = self.strategy
+        self.strategy = strat = strategy
         chain, p = strat.coarse.to_chain(), strat.p
         self.x_basis = gf2_eliminate(chain.boundary[p + 1])[0]
         # row v of the transposed boundary: the p-cells whose boundary holds v
@@ -563,6 +568,8 @@ def magic_square_score(d: int, a_rows, b_cols) -> Fraction:
 
 def _ms_unitaries(x_op, z_op):
     """U1 = Z^dag, U2 = X^2, U3 = X Z X for one effective ququart."""
+    from .weyl import dagger, w_multiply
+
     return {
         1: dagger(z_op),
         2: w_multiply(x_op, x_op),
@@ -573,6 +580,8 @@ def _ms_unitaries(x_op, z_op):
 def _ms_table_entries(us1, us2):
     """The nine grid operators, entry[row][col], acting on one player's two
     effective ququarts (index 1 and 2)."""
+    from .weyl import dagger, w_multiply
+
     u1, u2, u3 = us1[1], us1[2], us1[3]
     v1, v2, v3 = us2[1], us2[2], us2[3]
     return {
@@ -588,15 +597,27 @@ def _ms_table_entries(us1, us2):
     }
 
 
-@dataclass
-class MagicSquareReport:
-    row_identities: List[Tuple[bool, int]]
-    col_identities: List[Tuple[bool, int]]
-    cell_constraints: Dict[Tuple[int, int], Tuple[str, Optional[int]]]
-    commuting_rows: bool
-    commuting_cols: bool
-    p_q: Fraction
-    problems: List[str]
+class MagicSquareReport(_Record):
+    __slots__ = _fields = ("row_identities", "col_identities", "cell_constraints",
+                           "commuting_rows", "commuting_cols", "p_q", "problems")
+
+    def __init__(
+        self,
+        row_identities: List[Tuple[bool, int]],
+        col_identities: List[Tuple[bool, int]],
+        cell_constraints: Dict[Tuple[int, int], Tuple[str, Optional[int]]],
+        commuting_rows: bool,
+        commuting_cols: bool,
+        p_q: Fraction,
+        problems: List[str],
+    ):
+        self.row_identities = row_identities
+        self.col_identities = col_identities
+        self.cell_constraints = cell_constraints
+        self.commuting_rows = commuting_rows
+        self.commuting_cols = commuting_cols
+        self.p_q = p_q
+        self.problems = problems
 
 
 def magic_square_eval(msops, resource: Optional[StabilizerGroup] = None) -> MagicSquareReport:
@@ -609,6 +630,8 @@ def magic_square_eval(msops, resource: Optional[StabilizerGroup] = None) -> Magi
     +1 on the resource, which is what makes the players agree on the shared
     cell.  p_q is the fraction of the nine inputs won.
     """
+    from .weyl import commutation_phase, dagger, w_multiply
+
     res = resource if resource is not None else msops.resource
     d = msops.code.d
     us_a1 = _ms_unitaries(msops.a_x[0], msops.a_z[0])

@@ -13,8 +13,9 @@ phaseless fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
+
+from . import _Frozen
 
 # A single-site factor: (site index, letter), letter in "XYZ".
 SiteFactor = Tuple[int, str]
@@ -23,23 +24,41 @@ _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # Y = i X Z, so a bare "Y" letter carries an extra i.
 _LETTER_PHASE = {"X": 0, "Y": 1, "Z": 0}
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class PauliOperator:
-    """Canonical-form Pauli string: i^phase * prod X^x Z^z."""
 
-    n: int
-    x: int
-    z: int
-    phase: int  # exponent of i, mod 4
+def _bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
-    def __post_init__(self):
-        if self.n < 0:
+
+class PauliOperator(_Frozen):
+    """Canonical-form Pauli string: i^phase * prod X^x Z^z, phase mod 4."""
+
+    __slots__ = _fields = ("n", "x", "z", "phase")
+
+    def __init__(self, n: int, x: int, z: int, phase: int):
+        if n < 0:
             raise ValueError("negative register size")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+        mask = (1 << n) - 1
+        if x & ~mask or z & ~mask:
             raise ValueError("support outside register")
-        object.__setattr__(self, "phase", self.phase % 4)
+        _set(self, "n", n)
+        _set(self, "x", x)
+        _set(self, "z", z)
+        _set(self, "phase", phase % 4)
+
+    # spelled out, not inherited: the generic _values() makes == and hash 3-5x slower
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.x, self.z, self.phase) == (other.n, other.x, other.z, other.phase)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.x, self.z, self.phase))
 
     @staticmethod
     def identity(n: int) -> "PauliOperator":

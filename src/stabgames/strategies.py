@@ -16,35 +16,48 @@ re-derives them from scratch:
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import _Frozen, _Record
 from .codes import CodeInstance
 from .complexes import CellComplex, PlaneGraph, build_torus
 from .pauli import PauliOperator, SiteFactor, commutes, multiply, ordered_product
 from .tableau import StabilizerGroup
 
 
-@dataclass(frozen=True)
-class Constraint:
-    kind: str  # "X" or "Z"
-    indices: Tuple[int, ...]
-    phase_exp: int  # expected i-exponent of the definite expectation
-    label: str = ""
+class Constraint(_Frozen):
+    """The product of the players' X (kind "X") or Z (kind "Z") operators
+    over indices, expected definite with i-exponent phase_exp."""
+
+    __slots__ = _fields = ("kind", "indices", "phase_exp", "label")
+
+    def __init__(self, kind: str, indices: Tuple[int, ...], phase_exp: int, label: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "phase_exp", phase_exp)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass
-class CompositeOperatorSet:
-    code: CodeInstance
-    resource: StabilizerGroup
-    pairs: List[Tuple[Tuple[SiteFactor, ...], Tuple[SiteFactor, ...]]]
-    constraints: List[Constraint]
-    meta: Dict = field(default_factory=dict)
-    # per player, i^{ab} X^a Z^b indexed [a][b]; built once from pairs
-    _table: List = field(init=False, repr=False, compare=False)
+class CompositeOperatorSet(_Record):
+    _fields = ("code", "resource", "pairs", "constraints", "meta")
+    # _table: per player, i^{ab} X^a Z^b indexed [a][b]; built once from
+    # pairs, so left out of equality and repr
+    __slots__ = (*_fields, "_table")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        code: CodeInstance,
+        resource: StabilizerGroup,
+        pairs: List[Tuple[Tuple[SiteFactor, ...], Tuple[SiteFactor, ...]]],
+        constraints: List[Constraint],
+        meta: Optional[Dict] = None,
+    ):
+        self.code = code
+        self.resource = resource
+        self.pairs = pairs
+        self.constraints = constraints
+        self.meta = {} if meta is None else meta
         one = PauliOperator.identity(self.n)
         self._table = []
         for xf, zf in self.pairs:
@@ -75,14 +88,29 @@ class CompositeOperatorSet:
         return self._table[i][x_exp][z_exp]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    commutation_ok: bool
-    commutation_matrix: List[List[bool]]  # entry [i][j]: X_i anticommutes with Z_j
-    hermitian_ok: bool
-    constraint_results: List[Tuple[Constraint, str, Optional[int]]]
-    problems: List[str]
+class ValidationReport(_Record):
+    """Outcome of validate; commutation_matrix[i][j] says whether X_i
+    anticommutes with Z_j, and constraint_results holds (constraint, kind,
+    phase) per constraint."""
+
+    __slots__ = _fields = ("ok", "commutation_ok", "commutation_matrix", "hermitian_ok",
+                           "constraint_results", "problems")
+
+    def __init__(
+        self,
+        ok: bool,
+        commutation_ok: bool,
+        commutation_matrix: List[List[bool]],
+        hermitian_ok: bool,
+        constraint_results: List[Tuple[Constraint, str, Optional[int]]],
+        problems: List[str],
+    ):
+        self.ok = ok
+        self.commutation_ok = commutation_ok
+        self.commutation_matrix = commutation_matrix
+        self.hermitian_ok = hermitian_ok
+        self.constraint_results = constraint_results
+        self.problems = problems
 
 
 def validate(ops: CompositeOperatorSet) -> ValidationReport:
@@ -616,14 +644,16 @@ def wheel_embedding(code: CodeInstance) -> Tuple[CompositeOperatorSet, Stabilize
 # -- coarse cellulation strategies --------------------------------------------------
 
 
-@dataclass
-class CellulationStrategy:
+class CellulationStrategy(_Record):
     """Composite pairs indexed by the p-cells of a coarse cellulation, plus the
     incidence data the cellulation game consumes."""
 
-    ops: CompositeOperatorSet
-    coarse: CellComplex
-    p: int
+    __slots__ = _fields = ("ops", "coarse", "p")
+
+    def __init__(self, ops: CompositeOperatorSet, coarse: CellComplex, p: int):
+        self.ops = ops
+        self.coarse = coarse
+        self.p = p
 
     @property
     def players(self) -> int:
@@ -783,22 +813,34 @@ def fan_cellulation_ops(code: CodeInstance, center: Tuple[int, int] = (2, 2)) ->
 # -- double-semion magic-square operators ----------------------------------------------
 
 
-@dataclass
-class MagicSquareOperators:
+class MagicSquareOperators(_Record):
     """Two effective ququart pairs per player, realized as semion-string arcs.
 
-    Player A measures with (x_ops[0], z_ops[0]) and (x_ops[1], z_ops[1]);
-    player B with the partner arcs.  Within each pair Z X = i X Z exactly;
-    across players everything commutes and the supports are disjoint.
+    Player A measures with (a_x[0], a_z[0]) and (a_x[1], a_z[1]), one
+    WeylOperator per effective qudit; player B with the partner arcs.  Within
+    each pair Z X = i X Z exactly; across players everything commutes and the
+    supports are disjoint.
     """
 
-    code: CodeInstance
-    resource: StabilizerGroup
-    a_x: List  # WeylOperator per effective qudit
-    a_z: List
-    b_x: List
-    b_z: List
-    meta: Dict = field(default_factory=dict)
+    __slots__ = _fields = ("code", "resource", "a_x", "a_z", "b_x", "b_z", "meta")
+
+    def __init__(
+        self,
+        code: CodeInstance,
+        resource: StabilizerGroup,
+        a_x: List,
+        a_z: List,
+        b_x: List,
+        b_z: List,
+        meta: Optional[Dict] = None,
+    ):
+        self.code = code
+        self.resource = resource
+        self.a_x = a_x
+        self.a_z = a_z
+        self.b_x = b_x
+        self.b_z = b_z
+        self.meta = {} if meta is None else meta
 
 
 def _ds_dual_ring(vertex_region) -> List[Tuple[int, int]]:

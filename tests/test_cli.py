@@ -522,6 +522,43 @@ def test_qubit_commands_load_no_numpy(tmp_path):
     assert json.loads((tmp_path / "game_cellulation.json").read_text())["p_q"]["fraction"] == "1/1"
 
 
+def test_commands_load_no_dataclass_machinery(tmp_path):
+    # the records are plain classes, so no command pays for dataclasses and
+    # the inspect, ast and dis modules it imports; the classical game loads
+    # only the games module from the engine
+    script = f"""
+        import sys
+        import stabgames.cli
+
+        def run(*args):
+            assert stabgames.cli.main([*args, "--outdir", {str(tmp_path)!r}, "--tag", args[1]]) == 0
+
+        run("game", "parity", "--classical", "--P", "12")
+        package = sorted(m for m in sys.modules if m.split(".")[0] == "stabgames")
+        assert package == ["stabgames", "stabgames.cli", "stabgames.games"], package
+        run("game", "parity", "--code", "tc2d", "--L", "4", "--P", "3")
+        run("game", "magic-square", "--Lx", "8", "--Ly", "10")
+        loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+        assert not loaded, loaded
+    """
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "parity.json").read_text())["p_q"]["fraction"] == "1/1"
+    assert json.loads((tmp_path / "magic-square.json").read_text())["p_q"]["fraction"] == "1/1"
+
+
+def test_dense_loads_no_complexes():
+    # the dense oracle's job imports the tableau, which takes its bit helper
+    # from pauli: the cell-complex module stays unloaded
+    proc = _run_python("""
+        import sys
+        import stabgames.dense
+
+        assert "stabgames.complexes" not in sys.modules
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_weyl_commands_load_no_numpy(tmp_path):
     # Weyl groups keep their Howell rows in Python ints too, so the
     # double-semion commands load neither numpy nor the dense oracle

@@ -1,7 +1,6 @@
 """Game-level tests: classical baselines, quantum evaluations, cellulation
 games, magic square."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -41,6 +40,7 @@ from stabgames.games import (
 )
 from stabgames.strategies import (
     CompositeOperatorSet,
+    MagicSquareOperators,
     block_cellulation_ops,
     ds_magic_square_ops,
     fan_cellulation_ops,
@@ -370,7 +370,8 @@ class TestMagicSquareQuantum:
         # A's second Z and B's second X replaced by the first X and Z: rows 0
         # and 2 and column 2 fail, every commutation problem is listed before
         # every product problem, and the cells come last
-        broken = dataclasses.replace(ms, a_z=[ms.a_z[0], ms.a_x[0]], b_x=[ms.b_x[0], ms.b_z[0]])
+        broken = MagicSquareOperators(ms.code, ms.resource, ms.a_x, [ms.a_z[0], ms.a_x[0]],
+                                      [ms.b_x[0], ms.b_z[0]], ms.b_z, ms.meta)
         rep = magic_square_eval(broken)
         assert rep.row_identities == [(False, 2), (True, 0), (False, 4)]
         assert rep.col_identities == [(True, 4), (True, 4), (False, 2)]
