@@ -7,8 +7,8 @@ dense state-vector oracle for small systems.
 
 The names below are imported from their modules on first use (PEP 562), so
 importing the package, or a light module of it, does not load numpy.  Nor
-does any work on stabilizer groups, qubit or Weyl (qudit): only the dense
-oracle imports numpy.
+does any work on stabilizer groups, qubit or Weyl (qudit), nor their exact
+dense states: only float amplitudes need numpy.
 """
 
 import importlib

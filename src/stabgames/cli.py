@@ -8,9 +8,10 @@ seed.  Outputs are deterministic given the seed.
 Each command imports the modules it uses when it runs, so a process pays
 only for its own command: the classical games load the games module and no
 other part of the engine (not even the Pauli and Weyl operators), and the
-commands on qubit and double-semion codes load no numpy: only the dense
-deformation sweep needs it.  The package's records are plain classes, so no
-command imports dataclasses (nor the inspect, ast and dis modules it loads).
+commands on qubit and double-semion codes load no numpy: only the deformed
+states of the dense sweep need it.  The package's records are plain classes,
+so no command imports dataclasses (nor the inspect, ast and dis modules it
+loads).
 """
 
 from __future__ import annotations

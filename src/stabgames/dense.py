@@ -1,33 +1,39 @@
-"""Exact dense state-vector engine for small registers.
+"""Exact dense oracle for small registers, bounded at d^n <= 2**22 basis states.
 
-Ground truth for the tableau: builds stabilizer states, applies
-non-stabilizer deformations, and evaluates arbitrary operator expectations.
-Bounded at d^n <= 2**22 amplitudes.
+Ground truth for the tableau.  A stabilizer state has one magnitude on its
+support and a phase in Z_2d on each basis state there (Dehaene & De Moor,
+quant-ph/0304125; Hostens, Dehaene & De Moor, quant-ph/0408190).  So
+``state_from_group`` keeps the whole register as 2d bitsets in Python ints,
+its phase planes: bit q of plane k is set when amplitude q is
+w^k / sqrt(N), with w = exp(i*pi/d), N the size of the support and site 0
+the most significant digit of q.  An operator w^f X^x Z^z moves |q> in
+plane k to |q + x> in plane k + f + 2 z.q: the planes are split by the
+classes z.q mod d and shifted digit by digit, with masks cached per
+register (``_mask``).  ``dense_expectation`` and ``exact_expectation`` then
+count, over all d^n basis states, the overlaps c_e of psi with O psi at
+each phase difference e in Z_2d.  <O> = sum_e c_e w^e / N, and
+``exact_expectation`` decides it from c in integers, reduced modulo the
+cyclotomic polynomial Phi_2d.  None of this loads numpy.
 
-One kernel applies every operator, for every d: ``_operator_blocks`` splits
-w^f X^x Z^z into a factor on the first half of the sites and one on the
-rest, builds each half's source offsets and Z exponents (at most
-d^ceil(n/2) entries), and produces O|psi> in blocks of rows of the
-(d^m, d^(n-m)) grid, each gathered through the outer sum of the two halves'
-offsets and multiplied in place by its row and column roots.
-``apply_operator`` copies the blocks into its output, and
-``dense_expectation`` sums each block against psi as it goes, so neither
-builds a full-size gather index.  ``state_from_group`` accepts a seed
-basis state only if every X-free canonical row fixes it (an integer check,
-so a seed outside the support costs no dense work) and builds the state on
-the seed's orbit under the X rows, without a pass over the whole register.
+numpy is imported only where floats are needed: ``DenseState.amps`` (built
+from the planes when first read), ``deform``, ``apply_operator``,
+``save_state``, ``load_state``, and the expectations on states without
+planes, such as deformed or loaded ones.  On those float states one kernel
+applies every operator (``_operator_blocks``): it splits w^f X^x Z^z into a
+factor on each half of the sites and produces O|psi> in blocks, so no
+full-size gather index is built.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from . import _Record
-from .pauli import PauliOperator, SiteFactor
-from .tableau import StabilizerGroup, _as_weyl
+from .pauli import PauliOperator, SiteFactor, ordered_product
+from .tableau import Expectation, StabilizerGroup, _as_weyl
 from .weyl import WeylOperator, w_power
 
 MAX_AMPLITUDES = 1 << 22
@@ -37,20 +43,57 @@ AnyOperator = Union[PauliOperator, WeylOperator]
 
 class DenseState(_Record):
     """State vector of n qudits of dimension d: amps is complex, of length
-    d**n and unit norm."""
+    d**n and unit norm.
 
-    __slots__ = _fields = ("d", "n", "amps")
+    A state from ``state_from_group`` holds its phase planes in ``planes``
+    and its support size in ``support``, and builds amps from them when amps
+    is first read; any other state has planes None.  Assigning amps drops
+    the planes."""
 
-    def __init__(self, d: int, n: int, amps: np.ndarray):
+    __slots__ = ("d", "n", "planes", "support", "_amps")
+    _fields = ("d", "n", "amps")
+
+    def __init__(self, d: int, n: int, amps):
         self.d = d
         self.n = n
-        self.amps = amps
+        self.planes = self.support = None
+        self._amps = amps
+
+    @property
+    def amps(self):
+        if self._amps is None:
+            self._amps = _amplitudes(self.d, self.n, self.planes)
+        return self._amps
+
+    @amps.setter
+    def amps(self, amps):
+        self._amps = amps
+        self.planes = self.support = None
 
     def copy(self) -> "DenseState":
-        return DenseState(self.d, self.n, self.amps.copy())
+        out = DenseState(self.d, self.n, None if self._amps is None else self._amps.copy())
+        out.planes, out.support = self.planes, self.support
+        return out
 
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.amps))
+
+
+def _amplitudes(d: int, n: int, planes: Sequence[int]):
+    """The unit vector with amplitude w^k on the bits of plane k."""
+    import numpy as np
+
+    size = d**n
+    amps = np.zeros(size, dtype=complex)
+    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
+    for k, plane in enumerate(planes):
+        if plane:
+            raw = np.frombuffer(plane.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+            amps[np.unpackbits(raw, count=size, bitorder="little").view(bool)] = roots[k]
+    amps /= np.linalg.norm(amps)
+    return amps
 
 
 def _check_size(d: int, n: int) -> None:
@@ -62,6 +105,153 @@ def _check_size(d: int, n: int) -> None:
         raise ValueError(f"state of size {d}^{n} exceeds the dense bound")
 
 
+# ---------------------------------------------------------------------------
+# Phase planes: exact states as bitsets over the register
+# ---------------------------------------------------------------------------
+
+_MASKS: dict = {}
+
+
+def _mask(d: int, n: int, j: int, lo: int, hi: int) -> int:
+    """Bitset of the basis indices whose digit j is in range(lo, hi).
+
+    Digit j has stride s = d^(n-1-j), so the pattern is a run of (hi - lo) s
+    ones every d s bits, doubled until it covers the register; cached."""
+    key = (d, n, j, lo, hi)
+    mask = _MASKS.get(key)
+    if mask is None:
+        s, size = d ** (n - 1 - j), d**n
+        mask, period = ((1 << (hi - lo) * s) - 1) << lo * s, d * s
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        mask = _MASKS[key] = mask & ((1 << size) - 1)
+    return mask
+
+
+def _classes(d: int, n: int, z: Sequence[int]) -> list:
+    """The bitsets C_c of the basis indices q with z.q = c mod d, for c < d."""
+    classes = [(1 << d**n) - 1] + [0] * (d - 1)
+    if d == 2:  # the odd class is the sum of the sites' digit-1 masks
+        for j, b in enumerate(z):
+            if b:
+                classes[1] ^= _mask(2, n, j, 1, 2)
+        classes[0] ^= classes[1]
+        return classes
+    for j, b in enumerate(z):
+        if b:
+            split = [0] * d
+            for v in range(d):
+                digit = _mask(d, n, j, v, v + 1)
+                for c, part in enumerate(classes):
+                    if part:
+                        split[(c + b * v) % d] |= part & digit
+            classes = split
+    return classes
+
+
+def _act(d: int, n: int, planes: Sequence[int], w: WeylOperator, classes: Sequence[int]) -> list:
+    """The planes of w^f X^x Z^z psi, given the classes of z: |q> in plane k
+    goes to |q + x>, digit-wise mod d, in plane k + f + 2 z.q."""
+    m = 2 * d
+    out = [0] * m
+    for k, plane in enumerate(planes):
+        if plane:
+            for c, part in enumerate(classes):
+                if part:
+                    out[(k + w.phase + 2 * c) % m] |= plane & part
+    for j, a in enumerate(w.x):
+        if a:
+            s = d ** (n - 1 - j)
+            low = _mask(d, n, j, 0, d - a)  # digits that do not wrap
+            for k, plane in enumerate(out):
+                if plane:
+                    kept = plane & low
+                    out[k] = kept << a * s | (plane ^ kept) >> (d - a) * s
+    return out
+
+
+def _counts(state: DenseState, op: AnyOperator) -> list:
+    """c_e = #{q : psi_q != 0 and (O psi)_q / psi_q = w^e} for e in Z_2d,
+    over the whole register, so <psi|O|psi> = sum_e c_e w^e / N."""
+    w = _as_weyl(op)
+    if w.n != state.n or w.d != state.d:
+        raise ValueError("operator register mismatch")
+    d, n, planes = state.d, state.n, state.planes
+    moved = _act(d, n, planes, w, _classes(d, n, w.z))
+    counts = []
+    for e in range(2 * d):
+        both = 0
+        for k, plane in enumerate(planes):
+            if plane:
+                # the planes are disjoint, so one popcount per e
+                both |= plane & moved[(k + e) % (2 * d)]
+        counts.append(both.bit_count())
+    return counts
+
+
+_CYCLOTOMIC: dict = {}
+
+
+def _divmod_poly(a: Sequence[int], b: Sequence[int]):
+    """Quotient and remainder of integer polynomials, lowest coefficient
+    first; b is monic."""
+    rem, deg = list(a), len(b) - 1
+    quot = [0] * max(0, len(rem) - deg)
+    for i in reversed(range(len(quot))):
+        quot[i] = c = rem[i + deg]
+        if c:
+            for t, bt in enumerate(b):
+                rem[i + t] -= c * bt
+    return quot, rem[:deg]
+
+
+def _cyclotomic(m: int) -> list:
+    """Coefficients of the m-th cyclotomic polynomial, lowest first:
+    x^m - 1 divided by every Phi_k with k a proper divisor of m."""
+    phi = _CYCLOTOMIC.get(m)
+    if phi is None:
+        phi = [-1] + [0] * (m - 1) + [1]
+        for k in range(1, m):
+            if m % k == 0:
+                phi = _divmod_poly(phi, _cyclotomic(k))[0]
+        _CYCLOTOMIC[m] = phi
+    return phi
+
+
+def _reduced(counts: Sequence[int], d: int) -> list:
+    """sum_e c_e w^e as r_j, the coefficients of w^j for j < deg Phi_2d: the
+    count polynomial modulo Phi_2d, the minimal polynomial of w.  So
+    sum_e c_e w^e = 0 exactly when r = 0; for d = 2 and 4, r_j = c_j - c_(j+d)."""
+    return _divmod_poly(counts, _cyclotomic(2 * d))[1]
+
+
+def exact_expectation(state: DenseState, op: AnyOperator) -> Expectation:
+    """<psi|O|psi> on a state from ``state_from_group``, decided in integers.
+
+    Definite with phase k when every basis state of the support overlaps at
+    the one phase difference k (c_k = N: since sum_e c_e <= N, the only way
+    for |sum_e c_e w^e| to reach N), Zero when the counts' sum over the
+    powers of w vanishes (``_reduced``); anything else is no expectation of
+    a Weyl operator on a stabilizer state, and raises ValueError."""
+    if state.planes is None:
+        raise ValueError("exact expectations need the phase planes of a state_from_group state")
+    counts = _counts(state, op)
+    hits = [e for e, c in enumerate(counts) if c]
+    if len(hits) == 1 and counts[hits[0]] == state.support:
+        return Expectation("definite", state.d, hits[0])
+    if not any(_reduced(counts, state.d)):
+        return Expectation("zero", state.d)
+    raise ValueError(
+        f"overlap counts {counts} on a support of {state.support}: neither 0 nor a root of unity"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Float states: one block kernel
+# ---------------------------------------------------------------------------
+
+
 def _half_tables(d: int, xs: Sequence[int], zs: Sequence[int]):
     """Source offsets and Z exponents over one block of sites.
 
@@ -69,6 +259,8 @@ def _half_tables(d: int, xs: Sequence[int], zs: Sequence[int]):
     the block index of q - x, digit-wise mod d, and e = z.(q - x) mod d.  One
     outer sum over the digits, last site first, builds both.
     """
+    import numpy as np
+
     digits = np.arange(d)
     src = np.zeros(1, dtype=np.intp)
     e = np.zeros(1, dtype=np.intp)
@@ -105,6 +297,8 @@ def _operator_blocks(state: DenseState, op: AnyOperator):
     amplitudes start .. start + block.size - 1 of O|psi>, in one buffer that
     the next block reuses.
     """
+    import numpy as np
+
     w = _as_weyl(op)
     if w.n != state.n or w.d != state.d:
         raise ValueError("operator register mismatch")
@@ -118,11 +312,12 @@ def _operator_blocks(state: DenseState, op: AnyOperator):
     col_roots = np.exp(1j * np.pi * (2 * e_lo) / d)
     step = min(rows, max(1, _BLOCK // cols))
     buf = np.empty((step, cols), dtype=complex)
+    amps = state.amps
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         block = buf[: r1 - r0]
         # every offset is in range, so "clip" only spares take a buffered copy
-        state.amps.take(np.add.outer(src_hi[r0:r1], src_lo), out=block, mode="clip")
+        amps.take(np.add.outer(src_hi[r0:r1], src_lo), out=block, mode="clip")
         block *= row_roots[r0:r1, None]
         block *= col_roots
         yield r0 * cols, block
@@ -130,6 +325,8 @@ def _operator_blocks(state: DenseState, op: AnyOperator):
 
 def apply_operator(state: DenseState, op: AnyOperator) -> DenseState:
     """Apply w^f X^x Z^z to the state, block by block (``_operator_blocks``)."""
+    import numpy as np
+
     out = np.empty(state.amps.size, dtype=complex)
     for start, block in _operator_blocks(state, op):
         out[start : start + block.size] = block.ravel()
@@ -137,31 +334,45 @@ def apply_operator(state: DenseState, op: AnyOperator) -> DenseState:
 
 
 def dense_expectation(state: DenseState, op: Union[AnyOperator, Sequence[SiteFactor]]) -> complex:
-    """Exact <psi|O|psi>; accepts an operator or an ordered site-factor list.
+    """<psi|O|psi>, summed over the whole register; accepts an operator or an
+    ordered site-factor list, taken as their ``ordered_product``.
 
-    For one operator, each block of O|psi> is summed against the same
+    A state with phase planes gives sum_j r_j w^j / N from the reduced
+    overlap counts (``_reduced``), so a vanishing expectation is exactly 0.
+    On a float state each block of O|psi> is summed against the same
     amplitudes of psi as it is gathered, so no full-size vector is built."""
-    if isinstance(op, (PauliOperator, WeylOperator)):
-        amps = state.amps
+    if not isinstance(op, (PauliOperator, WeylOperator)):
+        op = ordered_product(op, state.n)
+    if state.planes is not None:
         total = 0j
-        for start, block in _operator_blocks(state, op):
-            total += np.vdot(amps[start : start + block.size], block)
-        return complex(total)
-    cur = state
-    for site, letter in op:
-        cur = apply_operator(cur, PauliOperator.single(state.n, site, letter))
-    return complex(np.vdot(state.amps, cur.amps))
+        for j, r in enumerate(_reduced(_counts(state, op), state.d)):
+            if r:
+                total += r * cmath.exp(1j * cmath.pi * j / state.d)
+        return total / state.support
+    import numpy as np
+
+    amps = state.amps
+    total = 0j
+    for start, block in _operator_blocks(state, op):
+        total += np.vdot(amps[start : start + block.size], block)
+    return complex(total)
+
+
+# ---------------------------------------------------------------------------
+# States of stabilizer groups
+# ---------------------------------------------------------------------------
 
 
 def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> DenseState:
-    """The group's state, projected from a computational basis state |q0>.
+    """The group's state, projected from a computational basis state |q0>,
+    as phase planes.
 
     The group together with any sector fixers must single out a unique state
     (ground_space_dim == 1); otherwise whichever state the seed happens to
     project to would be an arbitrary choice and we refuse to guess.  By
     default q0 is a basis state of the state's support (``_support_seed``);
-    given ``seeds`` are tried in order, each in range(d^n), and q0 is the
-    first in the support.
+    given ``seeds`` are tried in order, each an integer in range(d^n), and
+    q0 is the first in the support.
 
     The canonical rows with pivot column >= n carry no X; call their product
     of per-row sums P_Z, and that of the other (X) rows P_X.  Each per-row sum
@@ -175,17 +386,14 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
     support, and 0 otherwise: a seed is accepted or rejected by that integer
     check alone.
 
-    P_X|q0> is then built on the orbit of q0, never touching another
-    amplitude.  An X row r = w^f X^x Z^z maps |p> to w^(f + 2 z.p) |p + x>.
-    Expanding prod_i sum_{k < ord_i} r_i^k |q0> row by row, in row order,
-    keeps a list of basis indices with Z_2d phase exponents: each row turns
-    the list into its ord_i shifted copies, so it ends with prod_i ord_i
-    entries, the product of the per-row sums of the former full-register
-    projection.  That is at most d^n: each ord_i divides d, since the group
-    holds no scalar but I, and at most n rows carry X.  At d = 4 a row's power can be X-free (X^2 Z, squared, is
-    Z^2 up to phase), so an index can recur; the entries are added into the
-    amplitudes and the result normalised once.  The global phase is that of
-    the projection: every factor is positive.
+    P_X|q0> is then the orbit of q0 under the X rows, built row by row in
+    row order: each row r = w^f X^x Z^z of order ord adds r^k of the planes
+    so far for k < ord (``_act``).  Two products of row powers that reach
+    the same index differ by an X-free element of the group, which fixes
+    every state of the support, so they reach it with the same phase, and
+    every index of the orbit is reached equally often: the planes hold the
+    normalised projection, with q0 in plane 0 (every factor is positive).
+    An index reached with two phases raises ValueError.
     """
     d, n = group.d, group.n
     _check_size(d, n)
@@ -198,77 +406,44 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
     n_x = sum(1 for col, _ in group.pivots if col < n)
     if seeds is None:
         seeds = [_support_seed(group, rows)]
-    m = n // 2
-    cols = d ** (n - m)
-    # z.q mod d of every X-free row, over the two halves of q
-    zero_hi, zero_lo = (0,) * m, (0,) * (n - m)
-    z_rows = rows[n_x:]
-    fixes_hi = np.array([_half_tables(d, zero_hi, r.z[:m])[1] for r in z_rows]).reshape(-1, d**m)
-    fixes_lo = np.array([_half_tables(d, zero_lo, r.z[m:])[1] for r in z_rows]).reshape(-1, cols)
-    phases = np.array([r.phase for r in z_rows], dtype=np.intp)
+    size = d**n
     for seed in seeds:
-        if not 0 <= seed < d**n:
-            raise ValueError(f"seed {seed} is not a basis state index in range({d**n})")
-        hi, lo = divmod(seed, cols)
-        if ((phases + 2 * (fixes_hi[:, hi] + fixes_lo[:, lo])) % (2 * d)).any():
-            continue
-        amps = _orbit_amplitudes(d, n, seed, rows[:n_x])
-        nrm = np.linalg.norm(amps)
-        if nrm < 1e-9:
-            continue
-        amps /= nrm
-        return DenseState(d, n, amps)
+        try:
+            q0 = operator.index(seed)
+        except TypeError:
+            q0 = -1
+        if not 0 <= q0 < size:
+            raise ValueError(f"seed {seed!r} is not a basis state index in range({size})")
+        digits, q = [0] * n, q0
+        for j in reversed(range(n)):
+            q, digits[j] = divmod(q, d)
+        # every X-free row w^f Z^z fixes |q0>: f + 2 z.q0 = 0 mod 2d
+        if not any((r.phase + 2 * sum(map(operator.mul, r.z, digits))) % (2 * d)
+                   for r in rows[n_x:]):
+            return _orbit_state(d, n, q0, rows[:n_x])
     raise ValueError("projector annihilated every seed state tried")
 
 
-def _orbit_amplitudes(d: int, n: int, q0: int, x_rows: Sequence[WeylOperator]) -> np.ndarray:
-    """prod_i sum_{k < ord_i} r_i^k |q0> over the given rows, unnormalised.
-
-    Entries are kept as the two halves of the basis index, so that each
-    shift is one lookup per half in the tables ``_half_tables`` builds for
-    x = -x_i: entry p holds p + x_i and z_i.(p + x_i), and
-    w^(f + 2 z.p) = w^(f - 2 z.x + 2 z.(p + x)).  Phase exponents stay
-    below 8d before each reduction mod 2d, so they are kept in the smallest
-    integer type that holds that; the halves are joined into one index
-    before the amplitudes are allocated, and the entries are added into them
-    ``_BLOCK`` at a time: the orbit lists are the largest arrays besides the
-    amplitudes.
-    """
-    orders = [_row_order(r, d) for r in x_rows]
-    total = math.prod(orders)
-    m = n // 2
-    cols = d ** (n - m)
-    hi = np.empty(total, dtype=np.intp)
-    lo = np.empty(total, dtype=np.intp)
-    phase = np.empty(total, dtype=np.min_scalar_type(-8 * d))
-    hi[0], lo[0] = divmod(q0, cols)
-    phase[0] = 0
-    count = 1
-    for row, order in zip(x_rows, orders):
-        neg = [-a % d for a in row.x]
-        to_hi, e_hi = _half_tables(d, neg[:m], row.z[:m])
-        to_lo, e_lo = _half_tables(d, neg[m:], row.z[m:])
-        e_hi, e_lo = (2 * e_hi).astype(phase.dtype), (2 * e_lo).astype(phase.dtype)
-        shift = (row.phase - 2 * sum(a * b for a, b in zip(row.x, row.z))) % (2 * d)
-        for k in range(1, order):
-            src, dst = slice((k - 1) * count, k * count), slice(k * count, (k + 1) * count)
-            np.add(phase[src], shift, out=phase[dst])
-            phase[dst] += e_hi.take(hi[src])
-            phase[dst] += e_lo.take(lo[src])
-            phase[dst] %= 2 * d
-            # the tables' entries are in range, so "clip" only spares a copy
-            to_hi.take(hi[src], out=hi[dst], mode="clip")
-            to_lo.take(lo[src], out=lo[dst], mode="clip")
-        count *= order
-    hi *= cols
-    hi += lo  # now the whole basis index
-    del lo  # before the amplitudes are allocated
-    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
-    amps = np.zeros(d**n, dtype=complex)
-    for start in range(0, total, _BLOCK):
-        part = slice(start, start + _BLOCK)
-        np.add.at(amps, hi[part], roots.take(phase[part]))
-    return amps
+def _orbit_state(d: int, n: int, q0: int, x_rows: Sequence[WeylOperator]) -> DenseState:
+    """The planes of prod_i sum_{k < ord_i} r_i^k |q0>, each index once."""
+    planes = [0] * (2 * d)
+    planes[0] = 1 << q0
+    for row in x_rows:
+        classes = _classes(d, n, row.z)
+        power = planes
+        for _ in range(_row_order(row, d) - 1):
+            power = _act(d, n, power, row, classes)
+            support = 0
+            for plane in planes:
+                support |= plane
+            for k, plane in enumerate(power):
+                if plane & (support ^ planes[k]):
+                    raise ValueError("the orbit reaches a basis state with two phases")
+            planes = [a | b for a, b in zip(planes, power)]
+    state = DenseState(d, n, None)
+    state.planes = tuple(planes)
+    state.support = sum(plane.bit_count() for plane in planes)
+    return state
 
 
 def _support_seed(group: StabilizerGroup, rows: Sequence[WeylOperator]) -> int:
@@ -302,9 +477,16 @@ def _row_order(op: AnyOperator, d: int) -> int:
     return m0 * (2 * d // math.gcd(2 * d, phi))
 
 
-def _z_weights(count: Sequence[int]) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Deformations and dumps (floats)
+# ---------------------------------------------------------------------------
+
+
+def _z_weights(count: Sequence[int]):
     """sum_j count[j] * (-1)^(q_j) for every q over a block of sites, the
     first site most significant."""
+    import numpy as np
+
     weights = np.zeros(1)
     for c in count:
         weights = np.add.outer(weights, [c, -c]).ravel()
@@ -314,9 +496,19 @@ def _z_weights(count: Sequence[int]) -> np.ndarray:
 def deform(
     state: DenseState, family: str, theta: float, sites: Sequence[int] = None
 ) -> DenseState:
-    """Apply exp(theta * sum_site P_site) and renormalize (P = Z or X, d=2)."""
+    """Apply exp(theta * sum_site P_site) and renormalize (P = Z or X, d=2).
+
+    Each family is applied up to a positive factor that keeps every
+    amplitude at most the largest input amplitude, so no theta overflows:
+    the Z field multiplies by exp(theta * (weight - top)), with top the
+    largest theta * weight on the support, and the X field takes cosh and
+    sinh times exp(-|theta|).  A norm that is not finite is refused."""
+    import numpy as np
+
     if state.d != 2:
         raise ValueError("deformations implemented for qubit registers only")
+    if not math.isfinite(theta):
+        raise ValueError(f"deformation angle must be finite, got {theta!r}")
     if sites is None:
         sites = range(state.n)
     cur = state.amps  # neither family writes to the given state
@@ -328,12 +520,15 @@ def deform(
         for j in sites:
             count[j] += 1
         m = n // 2
-        weights = np.add.outer(_z_weights(count[:m]), _z_weights(count[m:])).ravel()
-        cur = cur * np.exp(theta * weights)
+        expo = theta * np.add.outer(_z_weights(count[:m]), _z_weights(count[m:])).ravel()
+        expo -= np.max(expo, where=cur != 0, initial=-np.inf)
+        cur = cur * np.exp(np.minimum(expo, 0, out=expo))  # <= 0 off the support too
     elif family.lower() in ("x", "x-field"):
         # exp(theta X_j) = ch + sh X_j pairs each amplitude with the one that
-        # differs in site j: the middle axis of the (2^j, 2, 2^(n-1-j)) view
-        ch, sh = np.cosh(theta), np.sinh(theta)
+        # differs in site j: the middle axis of the (2^j, 2, 2^(n-1-j)) view;
+        # times exp(-|theta|), ch = 1 - t/2 and |sh| = t/2, t = 1 - exp(-2|theta|)
+        t = -math.expm1(-2 * abs(theta))
+        ch, sh = 1 - t / 2, math.copysign(t / 2, theta)
         cur = cur.copy()
         for j in sites:
             pair = cur.reshape(1 << j, 2, -1)
@@ -345,12 +540,14 @@ def deform(
     else:
         raise ValueError(f"unknown deformation family {family!r}")
     nrm = np.linalg.norm(cur)
+    if not math.isfinite(nrm):
+        raise ValueError(f"deformation gave a state of norm {nrm}")
     if nrm < 1e-14:
         raise ValueError("deformation annihilated the state")
     return DenseState(2, n, cur / nrm)
 
 
-_DUMP_DTYPES = {b"DSTV1\x00": np.complex64, b"DSTV2\x00": np.complex128}
+_DUMP_DTYPES = {b"DSTV1\x00": "complex64", b"DSTV2\x00": "complex128"}
 
 
 def save_state(state: DenseState, path) -> None:
@@ -358,6 +555,8 @@ def save_state(state: DenseState, path) -> None:
 
     load_state also reads the older DSTV1 dumps, which hold complex64.
     """
+    import numpy as np
+
     with open(path, "wb") as f:
         f.write(b"DSTV2\x00")
         f.write(np.array([state.d, state.n], dtype=np.int32).tobytes())
@@ -365,6 +564,8 @@ def save_state(state: DenseState, path) -> None:
 
 
 def load_state(path) -> DenseState:
+    import numpy as np
+
     with open(path, "rb") as f:
         dtype = _DUMP_DTYPES.get(f.read(6))
         if dtype is None:

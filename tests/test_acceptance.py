@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 summary.  Every tolerance is pinned here.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -27,7 +28,7 @@ from stabgames.complexes import (
     plane_graph_complex,
     random_stacked_triangulation,
 )
-from stabgames.dense import deform, dense_expectation, state_from_group
+from stabgames.dense import deform, dense_expectation, exact_expectation, state_from_group
 from stabgames.games import (
     CellulationGame,
     ParityGame,
@@ -298,6 +299,10 @@ def test_criterion_10_oracle_equivalence():
         rng = random.Random(2026)
         max_err = 0.0
         pairs = 0
+        # the exact query meets both kinds on both registers, and d = 4
+        # phases other than 0 and 4
+        kinds = collections.Counter()
+        phases = set()
 
         def random_group(n, d):
             gens = []
@@ -346,6 +351,8 @@ def test_criterion_10_oracle_equivalence():
             for _ in range(25):
                 op = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
                 tab = g.expectation(op)
+                assert exact_expectation(state, op) == tab
+                kinds[tab.kind, 2] += 1
                 dense_val = dense_expectation(state, op)
                 want = tab.value if tab.kind == "definite" else 0.0
                 max_err = max(max_err, abs(dense_val - want))
@@ -363,12 +370,17 @@ def test_criterion_10_oracle_equivalence():
                     tuple(rng.randrange(4) for _ in range(n)),
                     2 * rng.randrange(4))
                 tab = g.expectation(op)
+                assert exact_expectation(state, op) == tab
+                kinds[tab.kind, 4] += 1
+                phases.add(tab.phase_exp if tab.kind == "definite" else None)
                 dense_val = dense_expectation(state, op)
                 want = tab.value if tab.kind == "definite" else 0.0
                 max_err = max(max_err, abs(dense_val - want))
                 pairs += 1
         assert pairs >= 10000
         assert max_err <= 1e-10, max_err
+        assert all(kinds[k, d] for k in ("definite", "zero") for d in (2, 4)), kinds
+        assert phases & {1, 2, 3, 5, 6, 7}, phases
         assert time.time() - t0 < 120
 
 

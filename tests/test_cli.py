@@ -248,6 +248,21 @@ def test_sweep_deformation_l3_every_sector(tmp_path, sector):
     assert record["sweep"][1]["p_q"] < 1.0
 
 
+@pytest.mark.parametrize("family", ["z", "x"])
+def test_sweep_at_large_angles_writes_no_nan(tmp_path, family):
+    # exp(theta * weight) and cosh/sinh overflowed at theta = 50 and 400;
+    # deform now scales them, so every row is a probability
+    record, csv = run(
+        ["sweep", "deformation", "--L", "2", "--family", family, "--thetas", "0,2,50,400"],
+        tmp_path, family,
+    )
+    text = (tmp_path / f"{family}.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert "nan" not in csv and "inf" not in csv
+    assert [row["theta"] for row in record["sweep"]] == [0, 2, 50, 400]
+    assert all(0.5 <= row["p_q"] <= 1 for row in record["sweep"])
+
+
 # p_q and mermin of `sweep deformation --L 3 --thetas 0,0.2` at theta = 0.2,
 # recorded before the dense kernel split each operator over two half registers
 L3_SWEEP_AT_0_2 = {
@@ -364,6 +379,9 @@ def test_unset_options_record_their_defaults(tmp_path, args, expected):
 # support orbit and expectations summed block by block: their floats moved in
 # the last digits (at most 1.8e-15; the theta = 0 row reads
 # 0.9999999999999999 and 3.999999999999999, against 1.0 and 4.000000000000001).
+# They were re-recorded again when the undeformed state became exact phase
+# planes, so the theta = 0 row reads exactly 1.0 and 4.0, and deform came to
+# scale its factors against overflow: the other rows moved by at most 7.1e-15.
 SCORED_RUN_DIGESTS = {
     "parity-tc2d-L32-P12": (
         ["game", "parity", "--code", "tc2d", "--L", "32", "--P", "12"],
@@ -379,8 +397,8 @@ SCORED_RUN_DIGESTS = {
         "49ef775e1b02b1bb173d67cbf1bdebfaba2da97312510a53a49f36456050411d"),
     "sweep-z": (
         ["sweep", "deformation", "--L", "2", "--family", "z"],
-        "2243624fed4d321e6cd40c44f86b98e8e129007514ef26582ebeabccf8bc7c88",
-        "e9ec311cbc44a08f051a7ecd31352b395d787e525e2a3515106810f95b3600ee"),
+        "e624813263d1a054fbcf7a405112e0d1f6bcd17af16ebe481420514d244199c7",
+        "0054c87c9723cc864e7f7e6849d3bbcd1438eeb442e487fc6bea913f0bda2033"),
     "cellulation": (
         ["game", "cellulation"],
         "159060101c2c4932abb128b59a84ff2310e83e66f69bdf3c979366e7182a98a0",
@@ -395,8 +413,8 @@ SCORED_RUN_DIGESTS = {
         "a8fa3c23bf6563bedb100faab5173a031099772391911cda3273ac0584dd9ce4"),
     "sweep-x": (
         ["sweep", "deformation", "--L", "2", "--family", "x", "--sector", "++"],
-        "1f9d55581d557d0e15e5e1a0b34f1e52de5b97170236ce49dbde029a0ee45ed4",
-        "35c48983550f8e55e82ea5b75763f505aa79c34535062c58827064073d38d757"),
+        "42069daa68d649eef5633c544baab449c2f326cb353334ecf11890e9d139b623",
+        "71e71070ed327d4d454d1ffda0e031acfc34b021de475d8c414bf4ffe269ae02"),
 }
 
 

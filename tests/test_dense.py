@@ -1,22 +1,33 @@
 """Dense oracle tests: projector construction, expectations, deformations."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import stabgames
+from stabgames.codes import toric2d, toric2d_winding_z_fixers
 from stabgames.dense import (
     DenseState,
+    _counts,
+    _cyclotomic,
+    _orbit_state,
     _row_order,
     apply_operator,
     deform,
     dense_expectation,
+    exact_expectation,
     state_from_group,
 )
 from stabgames.pauli import PauliOperator, multiply, ordered_product
-from stabgames.tableau import StabilizerGroup, _as_weyl
+from stabgames.tableau import Expectation, StabilizerGroup, _as_weyl
 from stabgames.weyl import WeylOperator, w_multiply, w_power
 
 
@@ -224,13 +235,16 @@ class TestDeform:
 
 
 def _reference_z_deform(state, theta, sites):
-    """The former Z-field deformation: one full-register pass per site."""
+    """The Z-field deformation with the weights summed in one full-register
+    pass per site, scaled like deform's by the largest exponent on the support."""
     n = state.n
     weights = np.zeros(1 << n)
     for j in sites:
         bit = (np.arange(1 << n) >> (n - 1 - j)) & 1
         weights += 1.0 - 2.0 * bit
-    cur = state.amps * np.exp(theta * weights)
+    expo = theta * weights
+    expo -= expo[state.amps != 0].max()
+    cur = state.amps * np.exp(np.minimum(expo, 0))
     return cur / np.linalg.norm(cur)
 
 
@@ -284,6 +298,23 @@ def test_x_field_matches_reference(data):
     got = deform(state, "x", theta, sites).amps
     assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(state.amps, before)  # the update works on a copy
+
+
+@pytest.mark.parametrize("family", ["z", "x"])
+@pytest.mark.parametrize("theta", [50.0, 400.0, -400.0])
+def test_deformation_stays_finite_at_large_angles(family, theta):
+    # exp(theta * weight) and cosh(theta)^n overflow here: deform scales
+    # them first, so the state is finite and of unit norm, with no
+    # RuntimeWarning (which the test configuration turns into an error)
+    code = toric2d(2)
+    wz1, wz2 = toric2d_winding_z_fixers(code)
+    base = state_from_group(code.group.fix_sector([wz1, wz2.scale_i(2)]))
+    out = deform(base, family, theta)
+    assert np.isfinite(out.amps).all()
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            deform(base, family, bad)
 
 
 def test_state_dump_round_trip(tmp_path):
@@ -386,7 +417,11 @@ def test_apply_operator_matches_reference(case):
     assert (got.d, got.n) == (state.d, state.n)
     assert np.allclose(got.amps, _reference_apply(state, op).amps, rtol=0, atol=1e-12)
     if factors is not None:
-        assert abs(dense_expectation(state, op) - dense_expectation(state, factors)) < 1e-12
+        # a factor list is their ordered product: the first factor acts first
+        cur = state
+        for site, letter in factors:
+            cur = apply_operator(cur, PauliOperator.single(state.n, site, letter))
+        assert abs(dense_expectation(state, factors) - np.vdot(state.amps, cur.amps)) < 1e-12
 
 
 def test_apply_operator_rejects_other_register():
@@ -550,7 +585,102 @@ def test_state_from_group_matches_full_register_projection(case):
     assert np.allclose(got.amps, want.amps, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("seeds, bad", [([-1], -1), ([8], 8), ([3, 8], 8), ([1 << 40], 1 << 40)])
+def _query_ops(rng, group, count=12):
+    """Operators on the group's register, alternating products of random
+    powers of the generators times a random power of w (definite on the
+    state) with uniformly random ones (mostly zero); Pauli operators for
+    qubits."""
+    d, n = group.d, group.n
+    gens = [_as_weyl(g) for g in group.generators]
+    ops = []
+    for i in range(count):
+        if i % 2 == 0:
+            op = WeylOperator.identity(d, n)
+            for g in gens:
+                op = w_multiply(op, w_power(g, rng.randrange(d)))
+            op = op.scale_w(rng.randrange(2 * d))
+        else:
+            op = WeylOperator(d, n, [rng.randrange(d) for _ in range(n)],
+                              [rng.randrange(d) for _ in range(n)], rng.randrange(2 * d))
+        ops.append(op.to_pauli() if d == 2 else op)
+    return ops
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seeded_groups(), st.integers(0, 2**32 - 1))
+def test_exact_expectation_matches_tableau(case, seed):
+    # no tolerance: Expectation records compare kind, d and phase exponent
+    group, seeds = case
+    state = state_from_group(group, seeds)
+    floats = DenseState(group.d, group.n, state.amps)  # the same state without planes
+    for op in _query_ops(random.Random(seed), group):
+        want = group.expectation(op)
+        assert exact_expectation(state, op) == want
+        assert abs(dense_expectation(state, op) - want.value) < 1e-12
+        assert abs(dense_expectation(floats, op) - want.value) < 1e-10
+
+
+def test_exact_expectation_on_qutrits():
+    # Phi_6 = x^2 - x + 1 is not x^d + 1: the reduction is the general one
+    rng = random.Random(37)
+    kinds = set()
+    for _ in range(60):
+        g = random_commuting_group(rng, rng.randrange(1, 5), d=3)
+        if g is None or g.ground_space_dim() != 1:
+            continue
+        state = state_from_group(g)
+        for op in _query_ops(rng, g):
+            want = g.expectation(op)
+            assert exact_expectation(state, op) == want
+            assert abs(dense_expectation(state, op) - want.value) < 1e-12
+            kinds.add(want.kind)
+    assert kinds == {"definite", "zero"}
+
+
+def test_cyclotomic_polynomials():
+    assert _cyclotomic(4) == [1, 0, 1]
+    assert _cyclotomic(6) == [1, -1, 1]
+    assert _cyclotomic(8) == [1, 0, 0, 0, 1]
+    assert _cyclotomic(12) == [1, 0, -1, 0, 1]
+    assert _cyclotomic(18) == [1, 0, 0, -1, 0, 0, 1]
+
+
+def test_zero_is_decided_after_the_cyclotomic_reduction():
+    # every basis state overlaps, at phases that cancel: <+|Z|+> on a qubit,
+    # <Z> and <Z^2> on the ququart state fixed by X
+    plus = state_from_group(StabilizerGroup([P("i^0 X0", 1)]))
+    z = P("i^0 Z0", 1)
+    assert _counts(plus, z) == [1, 0, 1, 0]
+    assert exact_expectation(plus, z) == Expectation("zero", 2)
+    assert dense_expectation(plus, z) == 0
+    fourier = state_from_group(StabilizerGroup([WeylOperator(4, 1, (1,), (0,), 0)]))
+    for b, counts in ((1, [1, 0, 1, 0, 1, 0, 1, 0]), (2, [2, 0, 0, 0, 2, 0, 0, 0])):
+        op = WeylOperator(4, 1, (0,), (b,), 0)
+        assert _counts(fourier, op) == counts
+        assert exact_expectation(fourier, op) == Expectation("zero", 4)
+        assert dense_expectation(fourier, op) == 0
+
+
+def test_exact_expectation_needs_phase_planes():
+    plus = state_from_group(StabilizerGroup([P("i^0 X0", 1)]))
+    with pytest.raises(ValueError, match="phase planes"):
+        exact_expectation(DenseState(2, 1, plus.amps), P("i^0 Z0", 1))
+    deformed = deform(plus, "z", 0.1)
+    assert deformed.planes is None
+    with pytest.raises(ValueError, match="phase planes"):
+        exact_expectation(deformed, P("i^0 Z0", 1))
+
+
+def test_orbit_refuses_a_basis_state_with_two_phases():
+    # X and -X cannot both fix a state: |1> is reached as +|1> and as -|1>
+    x = WeylOperator(2, 1, (1,), (0,), 0)
+    assert _orbit_state(2, 1, 0, [x]).planes == (0b11, 0, 0, 0)
+    with pytest.raises(ValueError, match="two phases"):
+        _orbit_state(2, 1, 0, [x, x.scale_w(2)])
+
+
+@pytest.mark.parametrize("seeds, bad", [([-1], -1), ([8], 8), ([3, 8], 8), ([1 << 40], 1 << 40),
+                                        ([0.0], r"0\.0"), (["0"], "'0'")])
 def test_seed_outside_the_register_is_refused(seeds, bad):
     gens = [PauliOperator.from_support(3, "X", range(3))]
     gens += [PauliOperator.from_support(3, "Z", [i, i + 1]) for i in range(2)]
@@ -585,3 +715,39 @@ def test_state_dump_header_is_checked_before_use(tmp_path, d, n):
     path.write_bytes(b"DSTV2\x00" + np.array([d, n], dtype=np.int32).tobytes() + bytes(16))
     with pytest.raises(ValueError, match="dense bound"):
         load_state(path)
+
+
+def test_exact_oracle_loads_no_numpy():
+    # states from state_from_group and their expectations are Python ints
+    # only: an 18-qubit cluster state (support: the whole register) and a
+    # 6-ququart one, 25 random queries each
+    script = """
+        import random, sys
+        from stabgames.dense import dense_expectation, exact_expectation, state_from_group
+        from stabgames.tableau import StabilizerGroup
+        from stabgames.weyl import WeylOperator
+
+        rng = random.Random(5)
+        for d, n in ((2, 18), (4, 6)):
+            gens = []
+            for j in range(n):
+                z = [0] * n
+                z[(j - 1) % n] = z[(j + 1) % n] = 1
+                x = [int(k == j) for k in range(n)]
+                gens.append(WeylOperator(d, n, x, z, 0))
+            group = StabilizerGroup([g.to_pauli() for g in gens] if d == 2 else gens)
+            state = state_from_group(group)
+            for _ in range(25):
+                op = WeylOperator(d, n, [rng.randrange(d) for _ in range(n)],
+                                  [rng.randrange(d) for _ in range(n)], rng.randrange(2 * d))
+                op = op.to_pauli() if d == 2 else op
+                want = group.expectation(op)
+                assert exact_expectation(state, op) == want
+                assert abs(dense_expectation(state, op) - want.value) < 1e-12
+        assert "numpy" not in sys.modules
+    """
+    src = str(Path(stabgames.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
