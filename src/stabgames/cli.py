@@ -7,11 +7,11 @@ seed.  Outputs are deterministic given the seed.
 
 Each command imports the modules it uses when it runs, so a process pays
 only for its own command: the classical games load the games module and no
-other part of the engine (not even the Pauli and Weyl operators), and the
-commands on qubit and double-semion codes load no numpy: only the deformed
-states of the dense sweep need it.  The package's records are plain classes,
-so no command imports dataclasses (nor the inspect, ast and dis modules it
-loads).
+other part of the engine (not even the Pauli and Weyl operators), a quantum
+game loads only the strategy family it plays, and the commands on qubit and
+double-semion codes load no numpy: only the deformed states of the dense
+sweep need it.  The package's records are plain classes, so no command
+imports dataclasses (nor the inspect, ast and dis modules it loads).
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _check_tag(tag: str) -> None:
+    """Refuse a --tag that is no plain file name in --outdir: the empty tag,
+    "." and "..", and any tag holding a path separator.  The outputs are the
+    tag with ".json" and ".csv" appended, so dots in a tag are kept."""
+    if tag in ("", ".", "..") or any(sep and sep in tag for sep in (os.sep, os.altsep)):
+        raise ValueError(f"--tag must be a file name, not empty, '.', '..' or a path; got {tag!r}")
+
+
 def _emit(args, cfg: dict, record: dict, csv_rows, csv_header):
     outdir = Path(args.outdir or os.environ.get("STABGAMES_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -53,9 +61,8 @@ def _emit(args, cfg: dict, record: dict, csv_rows, csv_header):
         "seed": args.seed,
     }
     record = {**stamp, **record}
-    base = outdir / (args.tag or cfg["command"].replace(" ", "_"))
-    json_path = base.with_suffix(".json")
-    csv_path = base.with_suffix(".csv")
+    base = str(outdir / (cfg["command"].replace(" ", "_") if args.tag is None else args.tag))
+    json_path, csv_path = base + ".json", base + ".csv"
     with open(json_path, "w") as f:
         json.dump(record, f, indent=2, default=str)
         f.write("\n")
@@ -64,7 +71,7 @@ def _emit(args, cfg: dict, record: dict, csv_rows, csv_header):
         for row in csv_rows:
             f.write(",".join(str(v) for v in row) + "\n")
     print(json.dumps({k: record[k] for k in ("config_hash", "version")}
-                     | {"json": str(json_path), "csv": str(csv_path)}))
+                     | {"json": json_path, "csv": csv_path}))
     return 0
 
 
@@ -105,8 +112,6 @@ def _build_code(args):
 
 
 def _build_strategy(args, code):
-    from .strategies import ghz_ops, tc2d_parity_ops, tc3d_1form_ops, tc3d_2form_ops, xcube_ops
-
     if args.code not in _PARITY_VARIANTS:
         raise ValueError(f"no parity strategy for code {args.code!r}")
     variants = _PARITY_VARIANTS[args.code]
@@ -115,15 +120,26 @@ def _build_strategy(args, code):
         raise ValueError(
             f"--variant: the {args.code} strategy takes {takes}, got {args.variant!r}"
         )
+    # each family's module is imported only by the code that plays it
     if args.code == "ghz":
+        from .strategies import ghz_ops
+
         ops = ghz_ops(args.P)
     elif args.code == "tc2d":
+        from .parity2d import tc2d_parity_ops
+
         ops = tc2d_parity_ops(code, args.P, winding=args.variant == "winding")
     elif args.code == "tc3d-faces":
+        from .parity3d import tc3d_1form_ops
+
         ops = tc3d_1form_ops(code)
     elif args.code == "tc3d-edges":
+        from .parity3d import tc3d_2form_ops
+
         ops = tc3d_2form_ops(code)
     else:
+        from .parity3d import xcube_ops
+
         ops = xcube_ops(code, args.variant or "prism")
     if ops.players != args.P:
         raise ValueError(f"--P: the {args.code} strategy has {ops.players} players, got {args.P}")
@@ -235,7 +251,7 @@ def _parse_blocks(text: str):
 def cmd_game_cellulation(args):
     from .codes import toric2d
     from .games import CellulationGame, cellulation_game_eval
-    from .strategies import block_cellulation_ops, fan_cellulation_ops
+    from .cellulation import block_cellulation_ops, fan_cellulation_ops
 
     _resolve(args, ["blocks"] if args.fan else [], "the fan cellulation has no blocks",
              blocks="2x2")
@@ -269,7 +285,7 @@ def cmd_game_magic_square(args):
         )
     from .codes import double_semion, exchange_statistics
     from .games import magic_square_eval
-    from .strategies import ds_magic_square_ops
+    from .semion import ds_magic_square_ops
 
     code = double_semion(args.Lx, args.Ly)
     ms = ds_magic_square_ops(code)
@@ -342,7 +358,7 @@ def cmd_sweep_deformation(args):
     from .codes import toric2d, toric2d_winding_z_fixers
     from .dense import deform, state_from_group
     from .games import quantum_parity_eval
-    from .strategies import tc2d_parity_ops
+    from .parity2d import tc2d_parity_ops
 
     code = toric2d(args.L)
     ops = tc2d_parity_ops(code, args.P)
@@ -513,6 +529,8 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         _apply_config(parser, args, raw)
     try:
+        if args.tag is not None:
+            _check_tag(args.tag)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

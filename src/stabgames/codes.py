@@ -1,19 +1,21 @@
-"""Concrete stabilizer resource states.
-
-Homological CSS codes from chain complexes, plus direct constructions of the
-2D/3D toric codes, the X-cube model, and the qudit (d=4) double-semion model
-with its string operators and exchange-statistics extraction.
+"""Concrete stabilizer resource states: homological CSS codes, the 2D/3D
+toric codes and the X-cube model on cubical tori, and the qudit (d=4) double
+semion with its string operators and exchange statistics.  The torus builder
+is imported by the lattice codes when they run, so the double semion loads
+no cell complexes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import _Record
-from .complexes import CellComplex, build_torus
 from .pauli import PauliOperator
 from .tableau import StabilizerGroup
 from .weyl import WeylOperator, ordered_w_product, w_multiply
+
+if TYPE_CHECKING:
+    from .complexes import CellComplex
 
 LabeledGenerator = Tuple[Tuple, object]
 
@@ -118,6 +120,8 @@ def homological_css(cell: CellComplex, p: int) -> CodeInstance:
 
 def toric2d(L: int) -> CodeInstance:
     """2D toric code: qubits on edges, Z stars on vertices, X loops on plaquettes."""
+    from .complexes import build_torus
+
     code = homological_css(build_torus(L, L), 1)
     code.kind = "toric2d"
     code.meta["L"] = L
@@ -127,6 +131,8 @@ def toric2d(L: int) -> CodeInstance:
 def toric3d_faces(L: int) -> CodeInstance:
     """3D toric code with qubits on faces: Z stabilizers on edges (elementary
     dual loops), X stabilizers on cubes (elementary membranes)."""
+    from .complexes import build_torus
+
     code = homological_css(build_torus(L, L, L), 2)
     code.kind = "toric3d_faces"
     code.meta["L"] = L
@@ -136,6 +142,8 @@ def toric3d_faces(L: int) -> CodeInstance:
 def toric3d_edges(L: int) -> CodeInstance:
     """Dual 3D toric code with qubits on edges: Z stars on vertices, X loops
     on faces."""
+    from .complexes import build_torus
+
     code = homological_css(build_torus(L, L, L), 1)
     code.kind = "toric3d_edges"
     code.meta["L"] = L
@@ -184,6 +192,8 @@ def xcube(L: int) -> CodeInstance:
     A cube term is the union of the edges on its faces' boundaries; the
     vertex term (v, mu) is the set of edges in v's coboundary whose axis is
     not mu."""
+    from .complexes import build_torus
+
     if L < 2:
         raise ValueError("X-cube needs L >= 2")
     cell = build_torus(L, L, L)
@@ -218,6 +228,38 @@ def xcube_membrane(code: CodeInstance, z_level: int, x_range, y_range) -> PauliO
         for y in range(*y_range):
             support.append(code.qubit_index(("e", x % L, y % L, z_level % L, 2)))
     return PauliOperator.from_support(code.n, "X", support)
+
+
+# -- plaquette regions (the 2D toric strategies and the double-semion loops) ------
+
+
+def _region_boundary_walk(cells: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Counterclockwise closed vertex walk around a plaquette region, its
+    first vertex repeated at the end.
+
+    Coordinates are unreduced plane coordinates; plaquette (x, y) has corner
+    vertices (x, y) .. (x + 1, y + 1).
+    """
+    region = set(cells)
+    directed = {}  # vertex -> next vertex, region on the left
+    for (x, y) in region:
+        if (x, y - 1) not in region:  # south edge: walk east
+            directed[(x, y)] = (x + 1, y)
+        if (x, y + 1) not in region:  # north edge: walk west
+            directed[(x + 1, y + 1)] = (x, y + 1)
+        if (x - 1, y) not in region:  # west edge: walk south
+            directed[(x, y + 1)] = (x, y)
+        if (x + 1, y) not in region:  # east edge: walk north
+            directed[(x + 1, y)] = (x + 1, y + 1)
+    start = min(directed)
+    walk = [start]
+    while True:
+        walk.append(directed[walk[-1]])
+        if walk[-1] == start:
+            break
+    if len(walk) - 1 != len(directed):
+        raise ValueError("region boundary is not a single cycle")
+    return walk
 
 
 # -- double semion (d = 4) ---------------------------------------------------------

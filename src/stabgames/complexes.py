@@ -1,11 +1,9 @@
-"""Chain complexes over GF(2), geometric cellulations, and plane graphs.
+"""Chain complexes over GF(2) and the cubical torus cellulation.
 
 ChainComplex is the linear-algebra object (cell counts plus boundary
 matrices); CellComplex keeps the geometric cell keys so that codes and
-strategies can address cells by lattice coordinates.  Plane graphs are
-given as rotation systems (cyclic order of outgoing darts at each vertex),
-the minimal unambiguous planar-embedding format; faces are derived by
-tracing and validated through Euler's formula.
+strategies can address cells by lattice coordinates.  Plane graphs live with
+the strategies that embed them, in `cellulation`.
 """
 
 from __future__ import annotations
@@ -294,214 +292,6 @@ def build_torus(*sizes: int) -> CellComplex:
     return CellComplex(D, tuple(cells), tuple(boundary), closed=True, meta=meta)
 
 
-# -- plane graphs ---------------------------------------------------------------
-
-
-class PlaneGraph(_Record):
-    """Graph with a rotation system.
-
-    edges[i] = (u, v); rotation[vertex] = cyclic list of darts leaving it,
-    a dart being (edge_id, end) with end 0 when the dart leaves edges[i][0].
-    Faces are derived by tracing and cached; the embedding must be genus 0.
-    A _faces argument is accepted and replaced by the traced faces.
-    """
-
-    __slots__ = _fields = ("vertices", "edges", "rotation", "_faces")
-
-    def __init__(
-        self,
-        vertices: Tuple[Hashable, ...],
-        edges: Tuple[Tuple[Hashable, Hashable], ...],
-        rotation: Dict[Hashable, List[Tuple[int, int]]],
-        _faces: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None,
-    ):
-        self.vertices = vertices
-        self.edges = edges
-        self.rotation = rotation
-        for i, (u, v) in enumerate(self.edges):
-            if u == v:
-                raise ValueError(f"self-loop at edge {i}")
-        darts = {(i, end) for i in range(len(self.edges)) for end in (0, 1)}
-        seen = set()
-        for v, ds in self.rotation.items():
-            for d in ds:
-                i, end = d
-                if self.edges[i][end] != v:
-                    raise ValueError(f"dart {d} does not leave vertex {v}")
-                seen.add(d)
-        if seen != darts:
-            raise ValueError("rotation system must cover every dart exactly once")
-        self._faces = self._trace_faces()
-        if len(self.vertices) - len(self.edges) + len(self._faces) != 2:
-            raise ValueError("rotation system is not a genus-0 (plane) embedding")
-
-    def _next_dart(self, dart: Tuple[int, int]) -> Tuple[int, int]:
-        i, end = dart
-        head = self.edges[i][1 - end]
-        rev = (i, 1 - end)
-        ring = self.rotation[head]
-        pos = ring.index(rev)
-        return ring[(pos + 1) % len(ring)]
-
-    def _trace_faces(self):
-        remaining = {(i, end) for i in range(len(self.edges)) for end in (0, 1)}
-        faces = []
-        while remaining:
-            start = min(remaining)
-            cyc = []
-            d = start
-            while True:
-                cyc.append(d)
-                remaining.discard(d)
-                d = self._next_dart(d)
-                if d == start:
-                    break
-            faces.append(tuple(cyc))
-        return tuple(faces)
-
-    @property
-    def faces(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        return self._faces
-
-    def face_edge_sets(self) -> List[Tuple[int, ...]]:
-        return [tuple(sorted({i for (i, _) in f})) for f in self._faces]
-
-    def edge_faces(self) -> List[Tuple[int, int]]:
-        """For each edge, the pair of face indices on its two sides."""
-        where: Dict[Tuple[int, int], int] = {}
-        for fi, f in enumerate(self._faces):
-            for d in f:
-                where[d] = fi
-        return [(where[(i, 0)], where[(i, 1)]) for i in range(len(self.edges))]
-
-    def dual_is_loopless(self) -> bool:
-        return all(a != b for a, b in self.edge_faces())
-
-
-def cycle_graph(p: int) -> PlaneGraph:
-    """Cycle with p vertices and p edges; dual is the dipole graph."""
-    if p < 2:
-        raise ValueError("cycle needs >= 2 edges")
-    verts = tuple(range(p))
-    edges = tuple((i, (i + 1) % p) for i in range(p))
-    rotation = {}
-    for v in verts:
-        incoming = ((v - 1) % p, 1)
-        outgoing = (v, 0)
-        rotation[v] = [outgoing, incoming]
-    return PlaneGraph(verts, edges, rotation)
-
-
-def dipole_graph(p: int) -> PlaneGraph:
-    """Two vertices joined by p parallel edges; dual is the cycle graph."""
-    if p < 2:
-        raise ValueError("dipole needs >= 2 edges")
-    verts = (0, 1)
-    edges = tuple((0, 1) for _ in range(p))
-    rotation = {
-        0: [(i, 0) for i in range(p)],
-        1: [(i, 1) for i in reversed(range(p))],
-    }
-    return PlaneGraph(verts, edges, rotation)
-
-
-def wheel_graph(k: int) -> PlaneGraph:
-    """Hub 0 joined to a k-cycle of rim vertices; self-dual for every k."""
-    if k < 3:
-        raise ValueError("wheel needs k >= 3 spokes")
-    verts = tuple(range(k + 1))
-    spokes = [(0, 1 + i) for i in range(k)]
-    rim = [(1 + i, 1 + (i + 1) % k) for i in range(k)]
-    edges = tuple(spokes + rim)
-    rotation = {0: [(i, 0) for i in range(k)]}
-    for i in range(k):
-        v = 1 + i
-        rotation[v] = [(i, 1), (k + (i - 1) % k, 1), (k + i, 0)]
-    return PlaneGraph(verts, edges, rotation)
-
-
-def random_stacked_triangulation(n_inserts: int, seed: int) -> PlaneGraph:
-    """Random maximal plane graph grown by repeated vertex-in-triangle stacking."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    verts: List[Hashable] = [0, 1, 2]
-    edges: List[Tuple[Hashable, Hashable]] = [(0, 1), (1, 2), (2, 0)]
-    rotation: Dict[Hashable, List[Tuple[int, int]]] = {
-        0: [(0, 0), (2, 1)],
-        1: [(1, 0), (0, 1)],
-        2: [(2, 0), (1, 1)],
-    }
-    for _ in range(n_inserts):
-        g = PlaneGraph(tuple(verts), tuple(edges), {v: list(d) for v, d in rotation.items()})
-        face = rng.choice(g.faces)
-        if len(face) != 3:
-            continue
-        w = len(verts)
-        verts.append(w)
-        new_ids = []
-        corner_darts = []
-        for d in face:
-            i, end = d
-            corner = edges[i][end]
-            new_ids.append(len(edges))
-            edges.append((w, corner))
-            corner_darts.append((d, corner))
-        rotation[w] = [(ei, 0) for ei in reversed(new_ids)]
-        for (d, corner), ei in zip(corner_darts, new_ids):
-            ring = rotation[corner]
-            pos = ring.index(d)
-            ring.insert(pos, (ei, 1))
-    return PlaneGraph(tuple(verts), tuple(edges), rotation)
-
-
-def plane_graph_complex(g: PlaneGraph) -> Tuple[CellComplex, CellComplex]:
-    """Sphere-like 2-complexes of a plane graph and of its geometric dual.
-
-    Includes the unbounded face, so both complexes are cellulations of S^2;
-    the face counts satisfy F + F* - 2 = E.
-    """
-    if not g.dual_is_loopless():
-        raise ValueError("geometric dual has a self-loop (bridge in the graph)")
-    face_sets = g.face_edge_sets()
-    primal = CellComplex(
-        2,
-        (
-            tuple(("v", v) for v in g.vertices),
-            tuple(("e", i) for i in range(len(g.edges))),
-            tuple(("f", i) for i in range(len(face_sets))),
-        ),
-        (
-            tuple(() for _ in g.vertices),
-            tuple((("v", u), ("v", v)) for (u, v) in g.edges),
-            tuple(tuple(("e", i) for i in fs) for fs in face_sets),
-        ),
-        closed=True,
-        meta={"kind": "plane_graph", "faces": len(face_sets)},
-    )
-    edge_faces = g.edge_faces()
-    vert_edges = {v: [] for v in g.vertices}
-    for i, (u, v) in enumerate(g.edges):
-        vert_edges[u].append(i)
-        vert_edges[v].append(i)
-    dual = CellComplex(
-        2,
-        (
-            tuple(("f", i) for i in range(len(face_sets))),
-            tuple(("e", i) for i in range(len(g.edges))),
-            tuple(("v", v) for v in g.vertices),
-        ),
-        (
-            tuple(() for _ in face_sets),
-            tuple((("f", a), ("f", b)) for (a, b) in edge_faces),
-            tuple(tuple(("e", i) for i in vert_edges[v]) for v in g.vertices),
-        ),
-        closed=True,
-        meta={"kind": "plane_graph_dual", "faces": len(g.vertices)},
-    )
-    return primal, dual
-
-
 # -- text formats ------------------------------------------------------------------
 
 
@@ -550,38 +340,3 @@ def complex_from_text(text: str) -> CellComplex:
         closed=closed,
     )
 
-
-def plane_graph_to_text(g: PlaneGraph) -> str:
-    """`edge i: u v` lines then `vertex v: dart list` rotation lines."""
-    lines = []
-    for i, (u, v) in enumerate(g.edges):
-        lines.append(f"edge {i}: {u!r} {v!r}")
-    for v in g.vertices:
-        darts = " ".join(f"{i}.{end}" for (i, end) in g.rotation[v])
-        lines.append(f"vertex {v!r}: {darts}")
-    return "\n".join(lines) + "\n"
-
-
-def plane_graph_from_text(text: str) -> PlaneGraph:
-    import ast
-
-    edges: List[Tuple[Hashable, Hashable]] = []
-    rotation: Dict[Hashable, List[Tuple[int, int]]] = {}
-    vertices: List[Hashable] = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        head, _, rest = ln.partition(":")
-        if head.startswith("edge"):
-            u, v = rest.split()
-            edges.append((ast.literal_eval(u), ast.literal_eval(v)))
-        else:
-            v = ast.literal_eval(head[len("vertex "):])
-            vertices.append(v)
-            darts = []
-            for tok in rest.split():
-                i, end = tok.split(".")
-                darts.append((int(i), int(end)))
-            rotation[v] = darts
-    return PlaneGraph(tuple(vertices), tuple(edges), rotation)

@@ -26,7 +26,8 @@ from . import _Frozen, _Record
 if TYPE_CHECKING:  # imported where a game needs them, so the classical games load none
     from .dense import DenseState
     from .pauli import PauliOperator
-    from .strategies import CellulationStrategy, CompositeOperatorSet
+    from .cellulation import CellulationStrategy
+    from .strategies import CompositeOperatorSet
     from .tableau import StabilizerGroup
 
 Number = Union[Fraction, float]
@@ -523,6 +524,8 @@ def classical_optimum_magic_square(d: int) -> Tuple[Fraction, Dict]:
     B's (d^2)^3 strategies are then scanned in order, each scoring the sum of
     its three table entries; the first strict maximum is the witness.
     """
+    if d < 2:
+        raise ValueError(f"magic-square game needs d >= 2, got d = {d}")
     if d % 2:
         raise ValueError("game undefined for odd d (column target d/2)")
     if d > 4:

@@ -12,6 +12,14 @@ from fractions import Fraction
 
 import pytest
 
+from stabgames.cellulation import (
+    block_cellulation_ops,
+    cycle_dipole_embedding,
+    fan_cellulation_ops,
+    plane_graph_complex,
+    random_stacked_triangulation,
+    wheel_embedding,
+)
 from stabgames.codes import (
     double_semion,
     ds_fixed_group,
@@ -23,11 +31,7 @@ from stabgames.codes import (
     toric3d_faces,
     xcube,
 )
-from stabgames.complexes import (
-    build_torus,
-    plane_graph_complex,
-    random_stacked_triangulation,
-)
+from stabgames.complexes import build_torus
 from stabgames.dense import deform, dense_expectation, exact_expectation, state_from_group
 from stabgames.games import (
     CellulationGame,
@@ -39,20 +43,11 @@ from stabgames.games import (
     magic_square_eval,
     quantum_parity_eval,
 )
+from stabgames.parity2d import tc2d_parity_ops
+from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
 from stabgames.pauli import PauliOperator, multiply, twist_product
-from stabgames.strategies import (
-    block_cellulation_ops,
-    cycle_dipole_embedding,
-    ds_magic_square_ops,
-    fan_cellulation_ops,
-    ghz_ops,
-    tc2d_parity_ops,
-    tc3d_1form_ops,
-    tc3d_2form_ops,
-    validate,
-    wheel_embedding,
-    xcube_ops,
-)
+from stabgames.semion import ds_magic_square_ops
+from stabgames.strategies import ghz_ops, validate
 from stabgames.tableau import StabilizerGroup
 from stabgames.weyl import WeylOperator
 

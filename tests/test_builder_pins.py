@@ -17,6 +17,12 @@ from functools import lru_cache
 
 import pytest
 
+from stabgames.cellulation import (
+    block_cellulation_ops,
+    cycle_dipole_embedding,
+    fan_cellulation_ops,
+    wheel_embedding,
+)
 from stabgames.codes import (
     double_semion,
     ds_fixed_group,
@@ -28,20 +34,10 @@ from stabgames.codes import (
     xcube,
 )
 from stabgames.complexes import build_torus, complex_to_text
-from stabgames.strategies import (
-    block_cellulation_ops,
-    cycle_dipole_embedding,
-    deform_arc,
-    ds_magic_square_ops,
-    fan_cellulation_ops,
-    ghz_ops,
-    serialize_operator_set,
-    tc2d_parity_ops,
-    tc3d_1form_ops,
-    tc3d_2form_ops,
-    wheel_embedding,
-    xcube_ops,
-)
+from stabgames.parity2d import deform_arc, tc2d_parity_ops
+from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
+from stabgames.semion import ds_magic_square_ops
+from stabgames.strategies import ghz_ops, serialize_operator_set
 
 tc2d = lru_cache(maxsize=None)(toric2d)  # each size built once for all cases
 

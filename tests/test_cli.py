@@ -78,6 +78,27 @@ def test_outputs_byte_identical_for_same_config(tmp_path):
     assert a1 == a2 and c1 == c2
 
 
+def test_dotted_tags_write_their_own_files(tmp_path):
+    # the outputs append .json and .csv to the tag: a dot in it is kept, so
+    # two runs with dotted tags write four files
+    run(["game", "parity", "--classical", "--P", "3"], tmp_path, "sweep-theta0.1")
+    run(["game", "parity", "--classical", "--P", "4"], tmp_path, "sweep-theta0.2")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "sweep-theta0.1.csv", "sweep-theta0.1.json", "sweep-theta0.2.csv", "sweep-theta0.2.json"]
+    assert json.loads((tmp_path / "sweep-theta0.1.json").read_text())["config"]["P"] == 3
+    assert json.loads((tmp_path / "sweep-theta0.2.json").read_text())["config"]["P"] == 4
+
+
+@pytest.mark.parametrize("tag", ["", ".", "..", "sub/run", "../run", "/tmp/run"])
+def test_tags_that_are_no_file_name_are_refused(tmp_path, capsys, tag):
+    out = tmp_path / "out"
+    rc = main(["game", "parity", "--classical", "--P", "3", "--outdir", str(out), "--tag", tag])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tag") and "\n" not in err.strip()
+    assert not out.exists()
+
+
 def test_invalid_config_errors(tmp_path, capsys):
     rc = main(["game", "parity", "--code", "nosuch", "--outdir", str(tmp_path)])
     assert rc == 1
@@ -201,6 +222,15 @@ def test_quantum_magic_square_rejects_other_d(tmp_path, capsys):
     rc = main(["game", "magic-square", "--d", "6", "--outdir", str(tmp_path)])
     assert rc == 1
     assert "--d" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_classical_magic_square_refuses_d_below_two(tmp_path, capsys, d):
+    rc = main(["game", "magic-square", "--classical", "--d", d, "--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "d >= 2" in err and "\n" not in err.strip()
     assert not list(tmp_path.iterdir())
 
 
@@ -497,7 +527,7 @@ def test_classical_games_load_no_engine(tmp_path):
                      ["game", "magic-square", "--classical", "--d", "4"]):
             assert stabgames.cli.main(args + ["--outdir", {str(tmp_path)!r}]) == 0
         heavy = ["numpy", "stabgames.tableau", "stabgames.dense", "stabgames.complexes",
-                 "stabgames.strategies", "stabgames.codes"]
+                 "stabgames.strategies", "stabgames.codes", *{FAMILIES!r}]
         loaded = [m for m in heavy if m in sys.modules]
         assert not loaded, loaded
 
@@ -565,14 +595,46 @@ def test_commands_load_no_dataclass_machinery(tmp_path):
     assert json.loads((tmp_path / "magic-square.json").read_text())["p_q"]["fraction"] == "1/1"
 
 
+# the strategy families, one module each
+FAMILIES = ("stabgames.parity2d", "stabgames.parity3d", "stabgames.cellulation", "stabgames.semion")
+
+
+@pytest.mark.parametrize("commands, unloaded", [
+    ([["game", "magic-square", "--Lx", "8", "--Ly", "10"],
+      ["code", "info", "--kind", "double-semion", "--L", "4"]],
+     ["stabgames.complexes", "stabgames.strategies", "stabgames.parity2d",
+      "stabgames.parity3d", "stabgames.cellulation"]),
+    ([["game", "parity", "--code", "tc2d", "--L", "4", "--P", "3"]],
+     ["stabgames.parity3d", "stabgames.cellulation", "stabgames.semion"]),
+    ([["strategy", "validate", "--code", "xcube", "--L", "3"]],
+     ["stabgames.parity2d", "stabgames.cellulation", "stabgames.semion"]),
+], ids=["double-semion", "tc2d", "xcube"])
+def test_commands_load_only_their_strategy_family(tmp_path, commands, unloaded):
+    # a fresh interpreter per case: each command compiles its own strategy
+    # family, and the double semion needs no cell complex nor the qubit records
+    script = f"""
+        import sys
+        import stabgames.cli
+
+        for args in {commands!r}:
+            assert stabgames.cli.main(args + ["--outdir", {str(tmp_path)!r}]) == 0, args
+        loaded = [m for m in {unloaded!r} if m in sys.modules]
+        assert not loaded, loaded
+    """
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dense_loads_no_complexes():
     # the dense oracle's job imports the tableau, which takes its bit helper
     # from pauli: the cell-complex module stays unloaded
-    proc = _run_python("""
+    proc = _run_python(f"""
         import sys
         import stabgames.dense
 
         assert "stabgames.complexes" not in sys.modules
+        loaded = [m for m in {FAMILIES!r} if m in sys.modules]
+        assert not loaded, loaded
     """)
     assert proc.returncode == 0, proc.stderr
 

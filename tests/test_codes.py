@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from stabgames.cellulation import plane_graph_complex, random_stacked_triangulation
 from stabgames.codes import (
     double_semion,
     ds_fixed_group,
@@ -21,7 +22,7 @@ from stabgames.codes import (
     xcube,
     xcube_membrane,
 )
-from stabgames.complexes import build_torus, plane_graph_complex, random_stacked_triangulation
+from stabgames.complexes import build_torus
 from stabgames.dense import dense_expectation, state_from_group
 from stabgames.pauli import PauliOperator, multiply
 from stabgames.tableau import StabilizerGroup

@@ -5,18 +5,20 @@ import random
 import numpy as np
 import pytest
 
+from stabgames.cellulation import (
+    cycle_graph,
+    dipole_graph,
+    plane_graph_complex,
+    random_stacked_triangulation,
+    wheel_graph,
+)
 from stabgames.complexes import (
     CellComplex,
     ChainComplex,
     build_torus,
-    cycle_graph,
-    dipole_graph,
     dualize,
     gf2_eliminate,
     gf2_rank,
-    plane_graph_complex,
-    random_stacked_triangulation,
-    wheel_graph,
 )
 
 
@@ -266,13 +268,13 @@ class TestPlaneGraphs:
             assert p.dims()[2] + d.dims()[2] - 2 == len(g.edges)
 
     def test_self_loop_rejected(self):
-        from stabgames.complexes import PlaneGraph
+        from stabgames.cellulation import PlaneGraph
 
         with pytest.raises(ValueError):
             PlaneGraph((0,), ((0, 0),), {0: [(0, 0), (0, 1)]})
 
     def test_bridge_rejected_by_dual(self):
-        from stabgames.complexes import PlaneGraph
+        from stabgames.cellulation import PlaneGraph
 
         # path graph: its single edge is a bridge, dual has a self-loop
         g = PlaneGraph((0, 1), ((0, 1),), {0: [(0, 0)], 1: [(0, 1)]})
@@ -292,7 +294,7 @@ def test_complex_text_round_trip():
 
 
 def test_plane_graph_text_round_trip():
-    from stabgames.complexes import plane_graph_from_text, plane_graph_to_text
+    from stabgames.cellulation import plane_graph_from_text, plane_graph_to_text
 
     g = wheel_graph(5)
     g2 = plane_graph_from_text(plane_graph_to_text(g))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabgames.cellulation import block_cellulation_ops, fan_cellulation_ops
 from stabgames.codes import (
     CodeInstance,
     double_semion,
@@ -38,20 +39,11 @@ from stabgames.games import (
     magic_square_score,
     quantum_parity_eval,
 )
-from stabgames.strategies import (
-    CompositeOperatorSet,
-    MagicSquareOperators,
-    block_cellulation_ops,
-    ds_magic_square_ops,
-    fan_cellulation_ops,
-    ghz_ops,
-    tc2d_parity_ops,
-    tc3d_1form_ops,
-    tc3d_2form_ops,
-    validate,
-    xcube_ops,
-)
+from stabgames.parity2d import tc2d_parity_ops
+from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
 from stabgames.pauli import PauliOperator, multiply
+from stabgames.semion import MagicSquareOperators, ds_magic_square_ops
+from stabgames.strategies import CompositeOperatorSet, ghz_ops, validate
 from stabgames.tableau import StabilizerGroup
 from stabgames.weyl import WeylOperator
 from tests_matrix_helpers import stabilizer_generators
@@ -335,6 +327,12 @@ class TestClassicalMagicSquare:
             classical_optimum_magic_square(3)
         with pytest.raises(ValueError):
             MagicSquareGame(3)
+
+    @pytest.mark.parametrize("d", (0, -2))
+    def test_d_below_two_rejected(self, d):
+        # even, but no game: the row scan would be empty
+        with pytest.raises(ValueError, match="d >= 2"):
+            classical_optimum_magic_square(d)
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stabgames.cellulation import CellulationStrategy, PlaneGraph, block_cellulation_ops
 from stabgames.codes import CodeInstance, _DsLattice, toric2d
-from stabgames.complexes import CellComplex, ChainComplex, PlaneGraph
+from stabgames.complexes import CellComplex, ChainComplex
 from stabgames.dense import DenseState
 from stabgames.games import (
     CellulationGame,
@@ -25,14 +26,8 @@ from stabgames.games import (
     StrategyEvaluation,
 )
 from stabgames.pauli import PauliOperator
-from stabgames.strategies import (
-    CellulationStrategy,
-    CompositeOperatorSet,
-    Constraint,
-    MagicSquareOperators,
-    ValidationReport,
-    block_cellulation_ops,
-)
+from stabgames.semion import MagicSquareOperators
+from stabgames.strategies import CompositeOperatorSet, Constraint, ValidationReport
 from stabgames.tableau import Expectation, StabilizerGroup
 from stabgames.weyl import WeylOperator
 

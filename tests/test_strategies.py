@@ -5,6 +5,13 @@ import random
 
 import pytest
 
+from stabgames.cellulation import (
+    block_cellulation_ops,
+    cycle_dipole_embedding,
+    fan_cellulation_ops,
+    plane_graph_embedding,
+    wheel_embedding,
+)
 from stabgames.codes import (
     double_semion,
     loop_operator,
@@ -14,23 +21,11 @@ from stabgames.codes import (
     toric3d_faces,
     xcube,
 )
+from stabgames.parity2d import deform_arc, tc2d_parity_ops
+from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
 from stabgames.pauli import PauliOperator, commutes, multiply, ordered_product, twist_product
-from stabgames.strategies import (
-    CompositeOperatorSet,
-    block_cellulation_ops,
-    cycle_dipole_embedding,
-    deform_arc,
-    ds_magic_square_ops,
-    fan_cellulation_ops,
-    ghz_ops,
-    plane_graph_embedding,
-    tc2d_parity_ops,
-    tc3d_1form_ops,
-    tc3d_2form_ops,
-    validate,
-    wheel_embedding,
-    xcube_ops,
-)
+from stabgames.semion import ds_magic_square_ops
+from stabgames.strategies import CompositeOperatorSet, ghz_ops, validate
 from stabgames.tableau import StabilizerGroup
 
 
@@ -196,7 +191,7 @@ class TestEmbeddings:
         # map every cycle edge to the same path: the crossing pattern breaks
         code = toric2d(6)
         base = tc2d_parity_ops(code, 3)
-        from stabgames.complexes import cycle_graph
+        from stabgames.cellulation import cycle_graph
 
         g = cycle_graph(3)
         key = lambda idx: code.cell.cells[1][idx]
