@@ -228,45 +228,6 @@ def plane_graph_complex(g: PlaneGraph) -> Tuple[CellComplex, CellComplex]:
     return primal, dual
 
 
-# -- plane-graph text format ----------------------------------------------------
-
-
-def plane_graph_to_text(g: PlaneGraph) -> str:
-    """`edge i: u v` lines then `vertex v: dart list` rotation lines."""
-    lines = []
-    for i, (u, v) in enumerate(g.edges):
-        lines.append(f"edge {i}: {u!r} {v!r}")
-    for v in g.vertices:
-        darts = " ".join(f"{i}.{end}" for (i, end) in g.rotation[v])
-        lines.append(f"vertex {v!r}: {darts}")
-    return "\n".join(lines) + "\n"
-
-
-def plane_graph_from_text(text: str) -> PlaneGraph:
-    import ast
-
-    edges: List[Tuple[Hashable, Hashable]] = []
-    rotation: Dict[Hashable, List[Tuple[int, int]]] = {}
-    vertices: List[Hashable] = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        head, _, rest = ln.partition(":")
-        if head.startswith("edge"):
-            u, v = rest.split()
-            edges.append((ast.literal_eval(u), ast.literal_eval(v)))
-        else:
-            v = ast.literal_eval(head[len("vertex "):])
-            vertices.append(v)
-            darts = []
-            for tok in rest.split():
-                i, end = tok.split(".")
-                darts.append((int(i), int(end)))
-            rotation[v] = darts
-    return PlaneGraph(tuple(vertices), tuple(edges), rotation)
-
-
 # -- plane-graph embeddings ------------------------------------------------------
 
 

@@ -107,7 +107,8 @@ def _build_code(args):
     from . import codes
 
     if kind == "double-semion":
-        return codes.double_semion(args.Lx or args.L, args.Ly or args.L)
+        lx, ly = (args.L if v is None else v for v in (args.Lx, args.Ly))
+        return codes.double_semion(lx, ly)
     return getattr(codes, _LATTICE_CODES[kind])(args.L)
 
 

@@ -292,7 +292,7 @@ def build_torus(*sizes: int) -> CellComplex:
     return CellComplex(D, tuple(cells), tuple(boundary), closed=True, meta=meta)
 
 
-# -- text formats ------------------------------------------------------------------
+# -- text dump -----------------------------------------------------------------------
 
 
 def complex_to_text(c: CellComplex) -> str:
@@ -308,35 +308,3 @@ def complex_to_text(c: CellComplex) -> str:
         for bnd in c.boundary_keys[k]:
             lines.append("; ".join(repr(key) for key in bnd))
     return "\n".join(lines) + "\n"
-
-
-def complex_from_text(text: str) -> CellComplex:
-    import ast
-
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    dim = int(lines[0].split()[1])
-    closed = bool(int(lines[1].split()[1]))
-    cells: List[List[CellKey]] = [[] for _ in range(dim + 1)]
-    boundary: List[List[Tuple[CellKey, ...]]] = [[] for _ in range(dim + 1)]
-    section = None
-    for ln in lines[2:]:
-        if ln.startswith("cells["):
-            section = ("cells", int(ln[6:-1]))
-            continue
-        if ln.startswith("boundary["):
-            section = ("boundary", int(ln[9:-1]))
-            continue
-        kind, k = section
-        if kind == "cells":
-            cells[k].append(ast.literal_eval(ln))
-        else:
-            parts = [p for p in ln.split("; ") if p]
-            boundary[k].append(tuple(ast.literal_eval(p) for p in parts))
-    boundary[0] = [() for _ in cells[0]]
-    return CellComplex(
-        dim,
-        tuple(tuple(level) for level in cells),
-        tuple(tuple(level) for level in boundary),
-        closed=closed,
-    )
-

@@ -16,12 +16,11 @@ each phase difference e in Z_2d.  <O> = sum_e c_e w^e / N, and
 cyclotomic polynomial Phi_2d.  None of this loads numpy.
 
 numpy is imported only where floats are needed: ``DenseState.amps`` (built
-from the planes when first read), ``deform``, ``apply_operator``,
-``save_state``, ``load_state``, and the expectations on states without
-planes, such as deformed or loaded ones.  On those float states one kernel
-applies every operator (``_operator_blocks``): it splits w^f X^x Z^z into a
-factor on each half of the sites and produces O|psi> in blocks, so no
-full-size gather index is built.
+from the planes when first read), ``deform``, ``apply_operator``, and the
+expectations on states without planes, such as deformed ones.  On those
+float states one kernel applies every operator (``_operator_blocks``): it
+splits w^f X^x Z^z into a factor on each half of the sites and produces
+O|psi> in blocks, so no full-size gather index is built.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ class DenseState(_Record):
 
     A state from ``state_from_group`` holds its phase planes in ``planes``
     and its support size in ``support``, and builds amps from them when amps
-    is first read; any other state has planes None.  Assigning amps drops
-    the planes."""
+    is first read; any other state has planes None."""
 
     __slots__ = ("d", "n", "planes", "support", "_amps")
     _fields = ("d", "n", "amps")
@@ -64,16 +62,6 @@ class DenseState(_Record):
         if self._amps is None:
             self._amps = _amplitudes(self.d, self.n, self.planes)
         return self._amps
-
-    @amps.setter
-    def amps(self, amps):
-        self._amps = amps
-        self.planes = self.support = None
-
-    def copy(self) -> "DenseState":
-        out = DenseState(self.d, self.n, None if self._amps is None else self._amps.copy())
-        out.planes, out.support = self.planes, self.support
-        return out
 
     def norm(self) -> float:
         import numpy as np
@@ -478,7 +466,7 @@ def _row_order(op: AnyOperator, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Deformations and dumps (floats)
+# Deformations (floats)
 # ---------------------------------------------------------------------------
 
 
@@ -545,34 +533,3 @@ def deform(
     if nrm < 1e-14:
         raise ValueError("deformation annihilated the state")
     return DenseState(2, n, cur / nrm)
-
-
-_DUMP_DTYPES = {b"DSTV1\x00": "complex64", b"DSTV2\x00": "complex128"}
-
-
-def save_state(state: DenseState, path) -> None:
-    """Binary dump: magic, d, n, then the amplitudes as complex128 (lossless).
-
-    load_state also reads the older DSTV1 dumps, which hold complex64.
-    """
-    import numpy as np
-
-    with open(path, "wb") as f:
-        f.write(b"DSTV2\x00")
-        f.write(np.array([state.d, state.n], dtype=np.int32).tobytes())
-        f.write(state.amps.astype(np.complex128).tobytes())
-
-
-def load_state(path) -> DenseState:
-    import numpy as np
-
-    with open(path, "rb") as f:
-        dtype = _DUMP_DTYPES.get(f.read(6))
-        if dtype is None:
-            raise ValueError("not a dense-state dump")
-        d, n = map(int, np.frombuffer(f.read(8), dtype=np.int32))
-        _check_size(d, n)  # before d**n amplitudes are counted
-        amps = np.frombuffer(f.read(), dtype=dtype).astype(complex)
-    if len(amps) != d**n:
-        raise ValueError("truncated dense-state dump")
-    return DenseState(d, n, amps)

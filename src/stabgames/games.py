@@ -63,8 +63,10 @@ class MagicSquareGame(_Frozen):
     __slots__ = _fields = ("d",)
 
     def __init__(self, d: int):
+        if d < 2:
+            raise ValueError(f"magic-square game needs d >= 2, got d = {d}")
         if d % 2:
-            raise ValueError("magic-square game needs even qudit dimension")
+            raise ValueError("game undefined for odd d (column target d/2)")
         object.__setattr__(self, "d", d)
 
 
@@ -524,10 +526,7 @@ def classical_optimum_magic_square(d: int) -> Tuple[Fraction, Dict]:
     B's (d^2)^3 strategies are then scanned in order, each scoring the sum of
     its three table entries; the first strict maximum is the witness.
     """
-    if d < 2:
-        raise ValueError(f"magic-square game needs d >= 2, got d = {d}")
-    if d % 2:
-        raise ValueError("game undefined for odd d (column target d/2)")
+    MagicSquareGame(d)  # refuses d < 2 and odd d
     if d > 4:
         raise ValueError("exhaustive search capped at d = 4")
     rows = _valid_rows(d, 0)
@@ -546,6 +545,7 @@ def classical_optimum_magic_square(d: int) -> Tuple[Fraction, Dict]:
 
 def lifted_qubit_square_strategy(d: int) -> Dict:
     """The optimal d=2 tables scaled by d/2: wins 8 of 9 for every even d."""
+    MagicSquareGame(d)
     base, w2 = classical_optimum_magic_square(2)
     s = d // 2
     return {
@@ -555,6 +555,7 @@ def lifted_qubit_square_strategy(d: int) -> Dict:
 
 
 def magic_square_score(d: int, a_rows, b_cols) -> Fraction:
+    MagicSquareGame(d)
     wins = 0
     for r in range(3):
         if sum(a_rows[r]) % d != 0:

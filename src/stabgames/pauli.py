@@ -131,6 +131,8 @@ class PauliOperator(_Frozen):
 
     @staticmethod
     def from_text(text: str, n: int) -> "PauliOperator":
+        """Parse the form ``to_text`` writes: an optional i^k, then at most one
+        X, Y or Z per site.  Anything else raises ValueError."""
         phase = 0
         x = z = 0
         y_count = 0
@@ -139,8 +141,12 @@ class PauliOperator(_Frozen):
                 phase = int(tok[2:]) % 4
                 continue
             letter, site = tok[0].upper(), int(tok[1:])
+            if letter not in _LETTER_XZ:
+                raise ValueError(f"bad token {tok!r}: the letter must be X, Y or Z")
             if not 0 <= site < n:
                 raise ValueError(f"site {site} outside register of size {n}")
+            if ((x | z) >> site) & 1:
+                raise ValueError(f"site {site} given twice in {text!r}")
             xb, zb = _LETTER_XZ[letter]
             x |= xb << site
             z |= zb << site

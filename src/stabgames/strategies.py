@@ -213,41 +213,3 @@ def serialize_operator_set(ops: CompositeOperatorSet) -> str:
         lines.append(f"X{i} " + ops.x_op(i).to_text())
         lines.append(f"Z{i} " + ops.z_op(i).to_text())
     return "\n".join(lines) + "\n"
-
-
-def deserialize_operator_set(text: str, code: CodeInstance,
-                             resource: Optional[StabilizerGroup] = None) -> CompositeOperatorSet:
-    """Rebuild an operator set serialized by serialize_operator_set.
-
-    Each composite becomes one single-site factor per support site, with the
-    letter (X, Y or Z) read off the operator's own x/z bits; these factors
-    commute, so their order is not observable.  Qubit sets only: a header
-    with d != 2, or an operator whose text phase its factors do not
-    reproduce, raises ValueError instead of coming back changed.
-    """
-    import json as _json
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = _json.loads(lines[0])
-    if header["d"] != 2:
-        raise ValueError(f"operator sets deserialize for qubit codes only, got d={header['d']}")
-    if header["n"] != code.n:
-        raise ValueError("register size mismatch")
-    letters = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}  # (x bit, z bit) -> factor
-    factors: Dict[str, Tuple[SiteFactor, ...]] = {}
-    for ln in lines[1:]:
-        tag, body = ln.split(" ", 1)
-        op = PauliOperator.from_text(body, code.n)
-        seq = tuple((s, letters[(op.x >> s) & 1, (op.z >> s) & 1]) for s in op.support())
-        if ordered_product(seq, code.n) != op:
-            raise ValueError(f"{tag}: phase of {body!r} is not reproduced by its site factors")
-        factors[tag] = seq
-    pairs = [(factors[f"X{i}"], factors[f"Z{i}"]) for i in range(header["players"])]
-    constraints = [
-        Constraint(c["kind"], tuple(c["indices"]), c["phase_exp"], c.get("label", ""))
-        for c in header["constraints"]
-    ]
-    return CompositeOperatorSet(
-        code, resource if resource is not None else code.group, pairs, constraints,
-        meta=dict(header.get("meta", {})),
-    )

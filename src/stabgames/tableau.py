@@ -452,25 +452,5 @@ class StabilizerGroup:
         fixed._extend(fixers)
         return fixed
 
-    # -- text io -----------------------------------------------------------
-
     def export_text(self) -> str:
         return "\n".join(g.to_text() for g in self.generators)
-
-    @staticmethod
-    def import_text(text: str, d: int, n: int) -> "StabilizerGroup":
-        gens: List[AnyOperator] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if d == 2 and "w^" not in line:
-                gens.append(PauliOperator.from_text(line, n))
-            else:
-                gens.append(WeylOperator.from_text(line, d, n))
-        return StabilizerGroup(gens, d=d, n=n)
-
-
-def canonicalize(group: StabilizerGroup) -> StabilizerGroup:
-    """Return a group rebuilt from its canonical rows (idempotent)."""
-    return StabilizerGroup(group.rows or [], d=group.d, n=group.n)

@@ -109,28 +109,6 @@ class WeylOperator(_Frozen):
                 parts.append(f"Z{j}^{self.z[j]}")
         return " ".join(parts)
 
-    @staticmethod
-    def from_text(text: str, d: int, n: int) -> "WeylOperator":
-        phase = 0
-        xs = [0] * n
-        zs = [0] * n
-        for tok in text.split():
-            if tok.startswith("w^"):
-                phase = int(tok[2:])
-                continue
-            body, _, exp = tok.partition("^")
-            e = int(exp) if exp else 1
-            letter, site = body[0].upper(), int(body[1:])
-            if not 0 <= site < n:
-                raise ValueError(f"site {site} outside register of size {n}")
-            if letter == "X":
-                xs[site] = (xs[site] + e) % d
-            elif letter == "Z":
-                zs[site] = (zs[site] + e) % d
-            else:
-                raise ValueError(f"bad token {tok!r}")
-        return WeylOperator(d, n, tuple(xs), tuple(zs), phase)
-
 
 def w_multiply(p: WeylOperator, q: WeylOperator) -> WeylOperator:
     """Canonical form of the matrix product p*q (q applied first)."""

@@ -106,6 +106,17 @@ def test_invalid_config_errors(tmp_path, capsys):
     assert err.startswith("error:") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("sizes", [["--Lx", "0", "--Ly", "0"], ["--Lx", "0"], ["--Ly", "0"]],
+                         ids=["both-0", "Lx-0", "Ly-0"])
+def test_code_info_refuses_small_double_semion(tmp_path, capsys, sizes):
+    # an explicit size below 2 is refused, not replaced by --L
+    rc = main(["code", "info", "--kind", "double-semion", *sizes, "--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Lx, Ly >= 2" in err and "\n" not in err.strip()
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"P": 4}))

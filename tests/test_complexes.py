@@ -281,23 +281,3 @@ class TestPlaneGraphs:
         assert not g.dual_is_loopless()
         with pytest.raises(ValueError):
             plane_graph_complex(g)
-
-
-def test_complex_text_round_trip():
-    from stabgames.complexes import complex_from_text, complex_to_text
-
-    c = build_torus(3, 3)
-    c2 = complex_from_text(complex_to_text(c))
-    assert c2.dims() == c.dims()
-    assert c2.to_chain().homology_dim(1) == 2
-    assert c2.to_chain().check_boundary_squares_to_zero()
-
-
-def test_plane_graph_text_round_trip():
-    from stabgames.cellulation import plane_graph_from_text, plane_graph_to_text
-
-    g = wheel_graph(5)
-    g2 = plane_graph_from_text(plane_graph_to_text(g))
-    assert g2.edges == g.edges
-    assert len(g2.faces) == len(g.faces)
-    assert g2.face_edge_sets() == g.face_edge_sets()

@@ -106,6 +106,12 @@ class TestStateFromGroup:
         with pytest.raises(ValueError):
             state_from_group(g)
 
+    @pytest.mark.parametrize("d, n", [(2, 23), (4, 12), (3, 14), (2, 10**4)])
+    def test_register_beyond_the_dense_bound_rejected(self, d, n):
+        # refused before the ground space or any plane is built
+        with pytest.raises(ValueError, match="exceeds the dense bound"):
+            state_from_group(StabilizerGroup([], d=d, n=n))
+
 
 class TestExpectationAgainstTableau:
     def test_qubit_agreement(self):
@@ -315,41 +321,6 @@ def test_deformation_stays_finite_at_large_angles(family, theta):
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             deform(base, family, bad)
-
-
-def test_state_dump_round_trip(tmp_path):
-    from stabgames.dense import load_state, save_state
-
-    gens = [PauliOperator.from_support(3, "X", range(3))]
-    gens += [PauliOperator.from_support(3, "Z", [i, i + 1]) for i in range(2)]
-    state = state_from_group(StabilizerGroup(gens))
-    path = tmp_path / "state.bin"
-    save_state(state, path)
-    loaded = load_state(path)
-    assert loaded.d == 2 and loaded.n == 3
-    assert np.allclose(loaded.amps, state.amps, atol=1e-6)
-
-
-def test_state_dump_is_lossless_and_reads_v1(tmp_path):
-    from stabgames.dense import load_state, save_state
-
-    rng = np.random.default_rng(5)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = DenseState(2, 3, amps / np.linalg.norm(amps))
-    path = tmp_path / "state.bin"
-    save_state(state, path)
-    loaded = load_state(path)
-    assert loaded.amps.dtype == np.complex128
-    assert loaded.amps.tobytes() == state.amps.tobytes()
-    # a dump in the older complex64 format still loads
-    v1 = tmp_path / "state_v1.bin"
-    v1.write_bytes(
-        b"DSTV1\x00" + np.array([2, 3], dtype=np.int32).tobytes()
-        + state.amps.astype(np.complex64).tobytes()
-    )
-    old = load_state(v1)
-    assert (old.d, old.n) == (2, 3)
-    assert np.array_equal(old.amps, state.amps.astype(np.complex64).astype(complex))
 
 
 @st.composite
@@ -704,17 +675,6 @@ def test_blocked_kernel_matches_full_vector(d, n):
         applied = apply_operator(state, op).amps
         assert np.allclose(applied, _reference_apply(state, op).amps, rtol=0, atol=1e-12)
         assert abs(dense_expectation(state, op) - np.vdot(state.amps, applied)) < 1e-12
-
-
-@pytest.mark.parametrize("d, n", [(1, 5), (0, 3), (2, -1), (3, 10**6)])
-def test_state_dump_header_is_checked_before_use(tmp_path, d, n):
-    # a header outside the dense bound is refused before d**n is computed
-    from stabgames.dense import load_state
-
-    path = tmp_path / "state.bin"
-    path.write_bytes(b"DSTV2\x00" + np.array([d, n], dtype=np.int32).tobytes() + bytes(16))
-    with pytest.raises(ValueError, match="dense bound"):
-        load_state(path)
 
 
 def test_exact_oracle_loads_no_numpy():

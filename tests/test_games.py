@@ -327,12 +327,25 @@ class TestClassicalMagicSquare:
             classical_optimum_magic_square(3)
         with pytest.raises(ValueError):
             MagicSquareGame(3)
+        with pytest.raises(ValueError, match="odd d"):
+            lifted_qubit_square_strategy(3)
+        s = lifted_qubit_square_strategy(2)
+        with pytest.raises(ValueError, match="odd d"):
+            magic_square_score(3, s["a_rows"], s["b_cols"])
 
     @pytest.mark.parametrize("d", (0, -2))
     def test_d_below_two_rejected(self, d):
-        # even, but no game: the row scan would be empty
+        # even, but no game: the row scan would be empty and the column
+        # target d/2 taken modulo 0
         with pytest.raises(ValueError, match="d >= 2"):
             classical_optimum_magic_square(d)
+        with pytest.raises(ValueError, match="d >= 2"):
+            MagicSquareGame(d)
+        with pytest.raises(ValueError, match="d >= 2"):
+            lifted_qubit_square_strategy(d)
+        s = lifted_qubit_square_strategy(2)
+        with pytest.raises(ValueError, match="d >= 2"):
+            magic_square_score(d, s["a_rows"], s["b_cols"])
 
 
 @pytest.fixture(scope="module")

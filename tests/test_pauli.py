@@ -190,6 +190,18 @@ class TestText:
         p = PauliOperator.from_text("i^2 X0 Y3 Z7", 8)
         assert p.to_text() == "i^2 X0 Y3 Z7"
 
+    @pytest.mark.parametrize("text, match", [
+        ("X0 X0", "site 0 given twice"),  # would read as X0, not the identity
+        ("Z0 X0", "site 0 given twice"),  # would read as X0 Z0, though ZX = -XZ
+        ("i^1 X1 Y1", "site 1 given twice"),
+        ("Q0", "must be X, Y or Z"),  # a KeyError before
+        ("X0 I1", "must be X, Y or Z"),
+        ("X2", "outside register"),
+    ])
+    def test_refuses_what_it_would_misread(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            PauliOperator.from_text(text, 2)
+
 
 def test_hermiticity_criterion_matches_oracle():
     rng = random.Random(17)

@@ -220,12 +220,3 @@ class TestMagicSquareUnitaries:
         u1, u2, u3 = self.us[1], self.us[2], self.us[3]
         assert np.allclose(u1 @ u2 @ u3, 1j * np.eye(4), atol=1e-10)
         assert np.allclose(u2 @ u1 @ u3, -1j * np.eye(4), atol=1e-10)
-
-
-def test_text_round_trip():
-    rng = random.Random(4)
-    for _ in range(100):
-        d = rng.choice((2, 4))
-        n = rng.randrange(1, 6)
-        p = random_weyl(rng, d, n)
-        assert WeylOperator.from_text(p.to_text(), d, n) == p
