@@ -5,6 +5,10 @@ deformations; every run writes a JSON record and a CSV table, both stamped
 with the library version, a hash of the effective configuration, and the
 seed.  Outputs are deterministic given the seed.
 
+This module holds the parser, the --config handling and the two game
+commands that have a classical form; ``cli_common`` holds what every
+handler shares, and the handlers that build codes, complexes, strategies or
+dense states live in ``cli_commands``, imported only when one of them runs.
 Each command imports the modules it uses when it runs, so a process pays
 only for its own command: the classical games load the games module and no
 other part of the engine (not even the Pauli and Weyl operators), a quantum
@@ -17,189 +21,10 @@ imports dataclasses (nor the inspect, ast and dis modules it loads).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import math
-import os
-import re
 import sys
-from fractions import Fraction
-from pathlib import Path
 
-from . import __version__
-
-
-def _num(x):
-    """JSON form of a probability: exact fraction string plus float."""
-    if isinstance(x, Fraction):
-        return {"fraction": f"{x.numerator}/{x.denominator}", "float": float(x)}
-    if isinstance(x, complex):
-        return {"float": x.real if abs(x.imag) < 1e-12 else [x.real, x.imag]}
-    return {"float": float(x)}
-
-
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _check_tag(tag: str) -> None:
-    """Refuse a --tag that is no plain file name in --outdir: the empty tag,
-    "." and "..", and any tag holding a path separator.  The outputs are the
-    tag with ".json" and ".csv" appended, so dots in a tag are kept."""
-    if tag in ("", ".", "..") or any(sep and sep in tag for sep in (os.sep, os.altsep)):
-        raise ValueError(f"--tag must be a file name, not empty, '.', '..' or a path; got {tag!r}")
-
-
-def _emit(args, cfg: dict, record: dict, csv_rows, csv_header):
-    outdir = Path(args.outdir or os.environ.get("STABGAMES_OUTDIR", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    stamp = {
-        "version": __version__,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "seed": args.seed,
-    }
-    record = {**stamp, **record}
-    base = str(outdir / (cfg["command"].replace(" ", "_") if args.tag is None else args.tag))
-    json_path, csv_path = base + ".json", base + ".csv"
-    with open(json_path, "w") as f:
-        json.dump(record, f, indent=2, default=str)
-        f.write("\n")
-    with open(csv_path, "w") as f:
-        f.write(",".join(csv_header) + "\n")
-        for row in csv_rows:
-            f.write(",".join(str(v) for v in row) + "\n")
-    print(json.dumps({k: record[k] for k in ("config_hash", "version")}
-                     | {"json": json_path, "csv": csv_path}))
-    return 0
-
-
-# the codes.py builder of each lattice code kind, looked up when the code is built
-_LATTICE_CODES = {"tc2d": "toric2d", "tc3d-faces": "toric3d_faces",
-                  "tc3d-edges": "toric3d_edges", "xcube": "xcube"}
-# --variant values of each code's parity strategy
-_PARITY_VARIANTS = {"ghz": (), "tc2d": ("contractible", "winding"),
-                    "tc3d-faces": (), "tc3d-edges": (), "xcube": ("prism", "cage")}
-
-
-def _resolve(args, ignored, why: str, **defaults) -> None:
-    """Refuse each option named in ignored that was given, as the run would
-    ignore it; then give each option in defaults that was not given (None)
-    its default value."""
-    for dest in ignored:
-        if getattr(args, dest) is not None:
-            raise ValueError(f"--{dest}: {why}")
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
-def _build_code(args):
-    kind = args.code
-    if kind not in ("ghz", "double-semion", *_LATTICE_CODES):
-        raise ValueError(f"unknown code kind {kind!r}")
-    if kind != "double-semion" and (args.Lx is not None or args.Ly is not None):
-        flag = "--Lx" if args.Lx is not None else "--Ly"
-        raise ValueError(f"{flag}: only the double-semion code takes --Lx/--Ly, got code {kind!r}")
-    if kind == "ghz":
-        return None
-    from . import codes
-
-    if kind == "double-semion":
-        lx, ly = (args.L if v is None else v for v in (args.Lx, args.Ly))
-        return codes.double_semion(lx, ly)
-    return getattr(codes, _LATTICE_CODES[kind])(args.L)
-
-
-def _build_strategy(args, code):
-    if args.code not in _PARITY_VARIANTS:
-        raise ValueError(f"no parity strategy for code {args.code!r}")
-    variants = _PARITY_VARIANTS[args.code]
-    if args.variant is not None and args.variant not in variants:
-        takes = "one of " + ", ".join(variants) if variants else "no variant"
-        raise ValueError(
-            f"--variant: the {args.code} strategy takes {takes}, got {args.variant!r}"
-        )
-    # each family's module is imported only by the code that plays it
-    if args.code == "ghz":
-        from .strategies import ghz_ops
-
-        ops = ghz_ops(args.P)
-    elif args.code == "tc2d":
-        from .parity2d import tc2d_parity_ops
-
-        ops = tc2d_parity_ops(code, args.P, winding=args.variant == "winding")
-    elif args.code == "tc3d-faces":
-        from .parity3d import tc3d_1form_ops
-
-        ops = tc3d_1form_ops(code)
-    elif args.code == "tc3d-edges":
-        from .parity3d import tc3d_2form_ops
-
-        ops = tc3d_2form_ops(code)
-    else:
-        from .parity3d import xcube_ops
-
-        ops = xcube_ops(code, args.variant or "prism")
-    if ops.players != args.P:
-        raise ValueError(f"--P: the {args.code} strategy has {ops.players} players, got {args.P}")
-    return ops
-
-
-def cmd_code_info(args):
-    from .codes import code_info
-
-    code = _build_code(args)
-    if code is None:
-        raise ValueError("code info needs a concrete code kind")
-    info = code_info(code)
-    cfg = {"command": "code info", "code": args.code, "L": args.L,
-           "Lx": args.Lx, "Ly": args.Ly}
-    rows = [[info["kind"], info["d"], info["n"], info["rank"],
-             info["redundancies"], info["ground_space_log_dim"]]]
-    header = ["kind", "d", "n", "rank", "redundancies", "ground_space_log_dim"]
-    return _emit(args, cfg, {"info": info}, rows, header)
-
-
-def cmd_complex_info(args):
-    from .complexes import build_torus
-
-    cell = build_torus(*[args.L] * (2 if args.lattice == "torus2d" else 3))
-    chain = cell.to_chain()
-    hom = [chain.homology_dim(i) for i in range(len(chain.dims))]
-    cfg = {"command": "complex info", "lattice": args.lattice, "L": args.L}
-    record = {
-        "dims": list(chain.dims),
-        "homology": hom,
-        "boundary_squares_to_zero": chain.check_boundary_squares_to_zero(),
-        "euler_check": chain.euler_check(),
-    }
-    rows = [[args.lattice, args.L, " ".join(map(str, chain.dims)), " ".join(map(str, hom))]]
-    return _emit(args, cfg, record, rows, ["lattice", "L", "dims", "homology"])
-
-
-def cmd_strategy_validate(args):
-    from .strategies import validate
-
-    _resolve(args, ["L"] if args.code == "ghz" else [], "the ghz code has no lattice size", L=3)
-    code = _build_code(args)
-    ops = _build_strategy(args, code)
-    report = validate(ops)
-    cfg = {"command": "strategy validate", "code": args.code, "L": args.L,
-           "P": args.P, "variant": args.variant}
-    record = {
-        "ok": report.ok,
-        "commutation_ok": report.commutation_ok,
-        "hermitian_ok": report.hermitian_ok,
-        "problems": report.problems,
-        "constraints": [
-            {"label": c.label, "kind": kind, "phase_exp": got}
-            for (c, kind, got) in report.constraint_results
-        ],
-    }
-    rows = [[c.label, kind, got] for (c, kind, got) in report.constraint_results]
-    return _emit(args, cfg, record, rows, ["constraint", "kind", "phase_exp"])
+from .cli_common import _check_tag, _emit, _num, _resolve
 
 
 def cmd_game_parity(args):
@@ -217,7 +42,8 @@ def cmd_game_parity(args):
         return _emit(args, cfg, record, rows, ["P", "p_cl", "p_cl_exact"])
     if args.P > 20:  # per_input holds every one of the 2^(P-1) inputs
         raise ValueError(f"--P: the quantum parity game is capped at P = 20, got {args.P}")
-    from .games import quantum_parity_eval
+    from .cli_commands import _build_code, _build_strategy
+    from .scoring import quantum_parity_eval
     from .strategies import validate
 
     code = _build_code(args)
@@ -240,34 +66,6 @@ def cmd_game_parity(args):
     return _emit(args, cfg, record, rows, ["input", "win_probability"])
 
 
-def _parse_blocks(text: str):
-    """(BX, BY) from a --blocks value of the form BXxBY."""
-    m = re.fullmatch(r"(\d+)x(\d+)", text, re.ASCII)
-    blocks = (int(m[1]), int(m[2])) if m else (0, 0)
-    if min(blocks) < 1:
-        raise ValueError(f"--blocks must be BXxBY with positive integers BX and BY, got {text!r}")
-    return blocks
-
-
-def cmd_game_cellulation(args):
-    from .codes import toric2d
-    from .games import CellulationGame, cellulation_game_eval
-    from .cellulation import block_cellulation_ops, fan_cellulation_ops
-
-    _resolve(args, ["blocks"] if args.fan else [], "the fan cellulation has no blocks",
-             blocks="2x2")
-    bx, by = _parse_blocks(args.blocks)
-    code = toric2d(args.L)
-    strat = fan_cellulation_ops(code) if args.fan else block_cellulation_ops(code, bx, by)
-    ev = cellulation_game_eval(CellulationGame(strat), restrict_unit_z=args.restrict_unit_z)
-    cfg = {"command": "game cellulation", "L": args.L, "blocks": args.blocks,
-           "fan": args.fan, "restrict_unit_z": args.restrict_unit_z}
-    inputs = 1 << ev.meta["bits"]  # every input is scored, by one exact sum
-    record = {"p_q": _num(ev.p_q), "inputs": inputs, "meta": ev.meta}
-    rows = [[args.blocks if not args.fan else "fan", inputs, float(ev.p_q)]]
-    return _emit(args, cfg, record, rows, ["cellulation", "inputs", "p_q"])
-
-
 def cmd_game_magic_square(args):
     _resolve(args, ["Lx", "Ly"] if args.classical else [],
              "the classical magic square has no lattice", Lx=8, Ly=10)
@@ -285,8 +83,7 @@ def cmd_game_magic_square(args):
             f"--d: the quantum magic square runs on the d=4 double-semion code, got {args.d}"
         )
     from .codes import double_semion, exchange_statistics
-    from .games import magic_square_eval
-    from .semion import ds_magic_square_ops
+    from .semion import ds_magic_square_ops, magic_square_eval
 
     code = double_semion(args.Lx, args.Ly)
     ms = ds_magic_square_ops(code)
@@ -304,82 +101,16 @@ def cmd_game_magic_square(args):
     return _emit(args, cfg, record, rows, ["cell", "kind", "phase_exp"])
 
 
-MAX_THETAS = 10_000  # points in one sweep; each is a dense evaluation
+def _deferred(name: str):
+    """The handler cli_commands.<name>, with that module imported only when
+    the handler runs."""
 
+    def run(args):
+        from . import cli_commands
 
-def _parse_thetas(grid: str):
-    """The sweep's angles, from START:STOP:STEP or a comma list.  Values that
-    are not finite numbers and empty grids are refused, and so is a grid of
-    more than MAX_THETAS points, counted before the list is built."""
-    sweep = ":" in grid
-    usage = f"--thetas takes START:STOP:STEP or a comma list of numbers, got {grid!r}"
-    try:
-        values = [float(t) for t in grid.split(":" if sweep else ",")]
-    except ValueError:
-        raise ValueError(usage) from None
-    if sweep and len(values) != 3:
-        raise ValueError(usage)
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"--thetas values must be finite, got {grid!r}")
-    if not sweep:
-        count = len(values)
-    else:
-        start, stop, step = values
-        if not step > 0:
-            raise ValueError(f"--thetas step must be positive, got {grid!r}")
-        span = (stop + 1e-12 - start) / step  # may be inf; the loop below makes
-        if span < 0:  # floor(span) + 1 points, or one more from rounding
-            raise ValueError(f"--thetas grid is empty: start is above stop, got {grid!r}")
-        count = math.floor(min(span, MAX_THETAS)) + 1
-    if count > MAX_THETAS:
-        raise ValueError(f"--thetas grid has more than {MAX_THETAS} points, got {grid!r}")
-    if not sweep:
-        return values
-    out = []
-    t = start
-    while t <= stop + 1e-12:
-        out.append(round(t, 10))
-        if t + step == t:
-            raise ValueError(f"--thetas step is below the float resolution at {t}, got {grid!r}")
-        t += step
-    return out
+        return getattr(cli_commands, name)(args)
 
-
-def cmd_sweep_deformation(args):
-    if args.code != "tc2d":
-        raise ValueError(f"--code: sweep deformation supports only tc2d, got {args.code!r}")
-    signs = {"+": 0, "-": 2}
-    if len(args.sector) != 2 or any(s not in signs for s in args.sector):
-        # argparse strips a bare "--" value, so --sector=-- arrives as []
-        raise ValueError(
-            f"--sector must be two signs from + and -, got {args.sector!r}"
-            " (the option parser drops a bare '--' value; give that sector in --config)"
-        )
-    thetas = _parse_thetas(args.thetas)
-    from .codes import toric2d, toric2d_winding_z_fixers
-    from .dense import deform, state_from_group
-    from .games import quantum_parity_eval
-    from .parity2d import tc2d_parity_ops
-
-    code = toric2d(args.L)
-    ops = tc2d_parity_ops(code, args.P)
-    fixers = [
-        f.scale_i(signs[s])
-        for f, s in zip(toric2d_winding_z_fixers(code), args.sector)
-    ]
-    fixed = code.group.fix_sector(fixers)
-    base_state = state_from_group(fixed)
-    results = []
-    for theta in thetas:
-        state = deform(base_state, args.family, theta) if theta else base_state
-        ev = quantum_parity_eval(ops, resource=state)
-        results.append((theta, float(ev.p_q), None if ev.mermin is None else float(ev.mermin)))
-    cfg = {"command": "sweep deformation", "code": args.code, "L": args.L,
-           "P": args.P, "family": args.family, "thetas": args.thetas,
-           "sector": args.sector}
-    record = {"sweep": [{"theta": t, "p_q": p, "mermin": m} for t, p, m in results]}
-    rows = [[t, p, "" if m is None else m] for t, p, m in results]
-    return _emit(args, cfg, record, rows, ["theta", "p_q", "mermin"])
+    return run
 
 
 def _add_common(sub):
@@ -407,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--Lx", type=int, default=None)
     pi.add_argument("--Ly", type=int, default=None)
     _add_common(pi)
-    pi.set_defaults(func=cmd_code_info)
+    pi.set_defaults(func=_deferred("cmd_code_info"))
 
     c = sub.add_parser("complex", help="cellulation queries")
     csub = c.add_subparsers(dest="subcommand", required=True)
@@ -415,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--lattice", choices=("torus2d", "torus3d"), default="torus2d")
     ci.add_argument("--L", type=int, default=3)
     _add_common(ci)
-    ci.set_defaults(func=cmd_complex_info)
+    ci.set_defaults(func=_deferred("cmd_complex_info"))
 
     s = sub.add_parser("strategy", help="strategy validation")
     ssub = s.add_subparsers(dest="subcommand", required=True)
@@ -427,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--P", type=int, default=3)
     sv.add_argument("--variant", default=None)
     _add_common(sv)
-    sv.set_defaults(func=cmd_strategy_validate)
+    sv.set_defaults(func=_deferred("cmd_strategy_validate"))
 
     g = sub.add_parser("game", help="evaluate games")
     gsub = g.add_subparsers(dest="subcommand", required=True)
@@ -449,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--fan", action="store_true")
     gc.add_argument("--restrict-unit-z", action="store_true")
     _add_common(gc)
-    gc.set_defaults(func=cmd_game_cellulation)
+    gc.set_defaults(func=_deferred("cmd_game_cellulation"))
 
     gm = gsub.add_parser("magic-square")
     gm.add_argument("--d", type=int, default=4)
@@ -471,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--sector", choices=("++", "+-", "-+", "--"), default="+-",
                     help="winding-loop eigenvalue signs of the resource state")
     _add_common(sd)
-    sd.set_defaults(func=cmd_sweep_deformation)
+    sd.set_defaults(func=_deferred("cmd_sweep_deformation"))
 
     return parser
 

@@ -69,7 +69,10 @@ class PauliOperator(_Frozen):
         """One-site X, Y or Z."""
         if not 0 <= site < n:
             raise ValueError(f"site {site} outside register of size {n}")
-        xb, zb = _LETTER_XZ[letter]
+        try:
+            xb, zb = _LETTER_XZ[letter]
+        except KeyError:
+            raise ValueError(f"bad letter {letter!r}: the letter must be X, Y or Z") from None
         return PauliOperator(n, xb << site, zb << site, _LETTER_PHASE[letter])
 
     @staticmethod
@@ -77,7 +80,10 @@ class PauliOperator(_Frozen):
         """Product of the same letter over a set of sites (phase per Y included)."""
         x = z = 0
         count = 0
-        xb, zb = _LETTER_XZ[letter]
+        try:
+            xb, zb = _LETTER_XZ[letter]
+        except KeyError:
+            raise ValueError(f"bad letter {letter!r}: the letter must be X, Y or Z") from None
         for s in sites:
             if not 0 <= s < n:
                 raise ValueError(f"site {s} outside register of size {n}")

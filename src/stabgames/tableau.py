@@ -246,6 +246,8 @@ class StabilizerGroup:
             self.n = first.n
         elif d is None or n is None:
             raise ValueError("empty group needs explicit d and n")
+        elif n < 0:
+            raise ValueError("negative register size")
         else:
             self.d, self.n = d, n
         if d is not None and d != self.d:

@@ -34,19 +34,16 @@ from stabgames.codes import (
 from stabgames.complexes import build_torus
 from stabgames.dense import deform, dense_expectation, exact_expectation, state_from_group
 from stabgames.games import (
-    CellulationGame,
     ParityGame,
-    cellulation_game_eval,
     classical_optimum_magic_square,
     classical_optimum_parity,
     classical_strategy_score,
-    magic_square_eval,
-    quantum_parity_eval,
 )
 from stabgames.parity2d import tc2d_parity_ops
 from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
 from stabgames.pauli import PauliOperator, multiply, twist_product
-from stabgames.semion import ds_magic_square_ops
+from stabgames.scoring import CellulationGame, cellulation_game_eval, quantum_parity_eval
+from stabgames.semion import ds_magic_square_ops, magic_square_eval
 from stabgames.strategies import ghz_ops, validate
 from stabgames.tableau import StabilizerGroup
 from stabgames.weyl import WeylOperator

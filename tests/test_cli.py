@@ -178,7 +178,7 @@ def test_sweep_deformation_sector_from_config(tmp_path):
 
 @pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.1", "0.5:0:-0.1"])
 def test_parse_thetas_rejects_nonpositive_step(grid):
-    from stabgames.cli import _parse_thetas
+    from stabgames.cli_commands import _parse_thetas
 
     with pytest.raises(ValueError, match="step"):
         _parse_thetas(grid)
@@ -200,7 +200,7 @@ def test_sweep_deformation_refuses_bad_thetas(tmp_path, capsys, grid):
 
 
 def test_parse_thetas_caps_the_point_count():
-    from stabgames.cli import MAX_THETAS, _parse_thetas
+    from stabgames.cli_commands import MAX_THETAS, _parse_thetas
 
     assert len(_parse_thetas(f"0:{MAX_THETAS - 1}:1")) == MAX_THETAS
     with pytest.raises(ValueError, match="points"):
@@ -584,7 +584,8 @@ def test_qubit_commands_load_no_numpy(tmp_path):
 def test_commands_load_no_dataclass_machinery(tmp_path):
     # the records are plain classes, so no command pays for dataclasses and
     # the inspect, ast and dis modules it imports; the classical game loads
-    # only the games module from the engine
+    # only the games module from the engine, and of the runner only the
+    # parser and the shared helpers
     script = f"""
         import sys
         import stabgames.cli
@@ -594,7 +595,8 @@ def test_commands_load_no_dataclass_machinery(tmp_path):
 
         run("game", "parity", "--classical", "--P", "12")
         package = sorted(m for m in sys.modules if m.split(".")[0] == "stabgames")
-        assert package == ["stabgames", "stabgames.cli", "stabgames.games"], package
+        assert package == ["stabgames", "stabgames.cli", "stabgames.cli_common",
+                           "stabgames.games"], package
         run("game", "parity", "--code", "tc2d", "--L", "4", "--P", "3")
         run("game", "magic-square", "--Lx", "8", "--Ly", "10")
         loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
@@ -606,23 +608,48 @@ def test_commands_load_no_dataclass_machinery(tmp_path):
     assert json.loads((tmp_path / "magic-square.json").read_text())["p_q"]["fraction"] == "1/1"
 
 
+def test_cli_main_compiles_the_runner_once(tmp_path):
+    # "python -m stabgames.cli" runs cli.py as __main__: a module that
+    # imported stabgames.cli would compile and run it a second time
+    script = f"""
+        import runpy
+        import sys
+
+        sys.argv = ["stabgames.cli", "game", "parity", "--code", "tc2d", "--L", "4", "--P", "3",
+                    "--outdir", {str(tmp_path)!r}]
+        try:
+            runpy.run_module("stabgames.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        assert "stabgames.cli" not in sys.modules
+    """
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "game_parity.json").read_text())["p_q"]["fraction"] == "1/1"
+
+
 # the strategy families, one module each
 FAMILIES = ("stabgames.parity2d", "stabgames.parity3d", "stabgames.cellulation", "stabgames.semion")
 
 
 @pytest.mark.parametrize("commands, unloaded", [
-    ([["game", "magic-square", "--Lx", "8", "--Ly", "10"],
-      ["code", "info", "--kind", "double-semion", "--L", "4"]],
+    ([["game", "magic-square", "--Lx", "8", "--Ly", "10"]],
+     ["stabgames.complexes", "stabgames.strategies", "stabgames.parity2d",
+      "stabgames.parity3d", "stabgames.cellulation", "stabgames.games",
+      "stabgames.scoring", "stabgames.cli_commands"]),
+    ([["code", "info", "--kind", "double-semion", "--L", "4"]],
      ["stabgames.complexes", "stabgames.strategies", "stabgames.parity2d",
       "stabgames.parity3d", "stabgames.cellulation"]),
     ([["game", "parity", "--code", "tc2d", "--L", "4", "--P", "3"]],
      ["stabgames.parity3d", "stabgames.cellulation", "stabgames.semion"]),
     ([["strategy", "validate", "--code", "xcube", "--L", "3"]],
      ["stabgames.parity2d", "stabgames.cellulation", "stabgames.semion"]),
-], ids=["double-semion", "tc2d", "xcube"])
+], ids=["double-semion", "double-semion-code", "tc2d", "xcube"])
 def test_commands_load_only_their_strategy_family(tmp_path, commands, unloaded):
     # a fresh interpreter per case: each command compiles its own strategy
-    # family, and the double semion needs no cell complex nor the qubit records
+    # family, and the double semion needs no cell complex nor the qubit records;
+    # the magic square is verified in its family's module, so it loads no game
+    # module and none of the runner's engine commands
     script = f"""
         import sys
         import stabgames.cli
@@ -683,10 +710,12 @@ def test_quantum_parity_caps_players(tmp_path, args):
         import sys
         import stabgames.cli
 
+        import stabgames.cli_commands
+
         def unbuilt(args):
             raise AssertionError("code built before the --P check")
 
-        stabgames.cli._build_code = unbuilt
+        stabgames.cli_commands._build_code = unbuilt
         sys.exit(stabgames.cli.main(sys.argv[1:]))
     """
     proc = _run_python(script, "game", "parity", *args, "--outdir", str(tmp_path), timeout=60)

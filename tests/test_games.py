@@ -23,26 +23,27 @@ from stabgames.codes import (
 )
 from stabgames.dense import deform, state_from_group
 from stabgames.games import (
-    CellulationGame,
     MagicSquareGame,
     ParityGame,
-    _exact_value,
-    _quadratic_sign_sum,
-    _score_inputs,
     _valid_rows,
-    cellulation_game_eval,
     classical_optimum_magic_square,
     classical_optimum_parity,
     classical_strategy_score,
     lifted_qubit_square_strategy,
-    magic_square_eval,
     magic_square_score,
-    quantum_parity_eval,
 )
 from stabgames.parity2d import tc2d_parity_ops
 from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
 from stabgames.pauli import PauliOperator, multiply
-from stabgames.semion import MagicSquareOperators, ds_magic_square_ops
+from stabgames.scoring import (
+    CellulationGame,
+    _exact_value,
+    _quadratic_sign_sum,
+    _score_inputs,
+    cellulation_game_eval,
+    quantum_parity_eval,
+)
+from stabgames.semion import MagicSquareOperators, ds_magic_square_ops, magic_square_eval
 from stabgames.strategies import CompositeOperatorSet, ghz_ops, validate
 from stabgames.tableau import StabilizerGroup
 from stabgames.weyl import WeylOperator

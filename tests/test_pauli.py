@@ -202,6 +202,15 @@ class TestText:
         with pytest.raises(ValueError, match=match):
             PauliOperator.from_text(text, 2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: PauliOperator.single(2, 0, "Q"),
+        lambda: PauliOperator.from_support(2, "Q", [0, 1]),
+    ], ids=["single", "from_support"])
+    def test_constructors_refuse_an_unknown_letter(self, build):
+        # both raised KeyError: 'Q', where from_text raises ValueError
+        with pytest.raises(ValueError, match="'Q': the letter must be X, Y or Z"):
+            build()
+
 
 def test_hermiticity_criterion_matches_oracle():
     rng = random.Random(17)

@@ -18,15 +18,10 @@ from stabgames.cellulation import CellulationStrategy, PlaneGraph, block_cellula
 from stabgames.codes import CodeInstance, _DsLattice, toric2d
 from stabgames.complexes import CellComplex, ChainComplex
 from stabgames.dense import DenseState
-from stabgames.games import (
-    CellulationGame,
-    MagicSquareGame,
-    MagicSquareReport,
-    ParityGame,
-    StrategyEvaluation,
-)
+from stabgames.games import MagicSquareGame, ParityGame, StrategyEvaluation
 from stabgames.pauli import PauliOperator
-from stabgames.semion import MagicSquareOperators
+from stabgames.scoring import CellulationGame
+from stabgames.semion import MagicSquareOperators, MagicSquareReport
 from stabgames.strategies import CompositeOperatorSet, Constraint, ValidationReport
 from stabgames.tableau import Expectation, StabilizerGroup
 from stabgames.weyl import WeylOperator

@@ -271,6 +271,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             StabilizerGroup([P("i^1 Z0", 2), P("i^0 Z1", 2)])
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_negative_register_raises(self, d):
+        # an empty group with n = -1 was built, with rank 0
+        with pytest.raises(ValueError, match="negative register size"):
+            StabilizerGroup([], d=d, n=-1)
+
 
 class TestGroundSpace:
     def test_ghz_is_unique_state(self):
