@@ -42,10 +42,11 @@ def cmd_game_parity(args):
         return _emit(args, cfg, record, rows, ["P", "p_cl", "p_cl_exact"])
     if args.P > 20:  # per_input holds every one of the 2^(P-1) inputs
         raise ValueError(f"--P: the quantum parity game is capped at P = 20, got {args.P}")
-    from .cli_commands import _build_code, _build_strategy
+    from .cli_commands import _build_code, _build_strategy, _check_strategy
     from .scoring import quantum_parity_eval
     from .strategies import validate
 
+    _check_strategy(args)
     code = _build_code(args)
     ops = _build_strategy(args, code)
     report = validate(ops)

@@ -38,7 +38,9 @@ def _build_code(args):
     return getattr(codes, _LATTICE_CODES[kind])(args.L)
 
 
-def _build_strategy(args, code):
+def _check_strategy(args):
+    """Refuse a code with no parity strategy, or a --variant its strategy does
+    not take; cheap, so it runs before the code is built."""
     if args.code not in _PARITY_VARIANTS:
         raise ValueError(f"no parity strategy for code {args.code!r}")
     variants = _PARITY_VARIANTS[args.code]
@@ -47,6 +49,9 @@ def _build_strategy(args, code):
         raise ValueError(
             f"--variant: the {args.code} strategy takes {takes}, got {args.variant!r}"
         )
+
+
+def _build_strategy(args, code):
     # each family's module is imported only by the code that plays it
     if args.code == "ghz":
         from .strategies import ghz_ops
@@ -109,6 +114,7 @@ def cmd_strategy_validate(args):
     from .strategies import validate
 
     _resolve(args, ["L"] if args.code == "ghz" else [], "the ghz code has no lattice size", L=3)
+    _check_strategy(args)
     code = _build_code(args)
     ops = _build_strategy(args, code)
     report = validate(ops)

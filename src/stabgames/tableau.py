@@ -34,11 +34,17 @@ arXiv:1102.3354), so clearing a pivot column from a row is one product with
 a power of the pivot row, which touches only the pivot row's nonzero
 entries: the double-semion rows stay sparse.  The pivot of a column is the
 first pending row with the smallest gcd(e, d); it clears its column from
-the pending rows and, as far as it can, from the earlier pivot rows, and a
-zero-divisor pivot p with entry g appends p^(d/g) to the pending rows
-(Storjohann & Mulders, "Fast algorithms for linear algebra modulo N", 1998).
-The rows, phases and pivots are those of the per-operator elimination kept
-in the test suite as the reference.
+the pending rows, and a zero-divisor pivot p with entry g appends p^(d/g) to
+the pending rows (Storjohann & Mulders, "Fast algorithms for linear algebra
+modulo N", 1998).  The group keeps those echelon rows.  They have Howell's
+property, so reduction in pivot order takes a member to a scalar, and the
+group holds no nontrivial scalar, so that scalar is the member's phase in
+any basis: expectation and fix_sector reduce against the echelon rows.  The
+canonical rows, in which each pivot has also cleared its column as far as it
+can from the earlier pivot rows, are back-substituted only when ``rows`` or
+``reduce`` first needs them (the residual of a non-member depends on the
+basis), and cached.  Their rows, phases and pivots are those of the
+per-operator elimination kept in the test suite as the reference.
 
 Expectation values of an operator O in the stabilized space come in three
 kinds: Definite (a root of unity, when O is a phase times a group element),
@@ -179,13 +185,17 @@ def _all_commute(sites: Iterable[_Kinds], d: int, g: int) -> bool:
 
 
 def _howell(
-    es: List[List[int]], fs: List[int], d: int, n: int
+    es: List[List[int]], fs: List[int], d: int, n: int, kept: List[_Row]
 ) -> Tuple[List[_Row], List[Tuple[int, int]]]:
-    """The canonical rows and (column, pivot value) list, in pivot order, of
+    """The echelon rows and (column, pivot value) list, in pivot order, of
     the rows with exponents es and phases fs, which are worked on in place.
-    Raises ValueError if the rows generate a nontrivial scalar."""
+    Each pivot clears its column from the pending rows only.  The first rows
+    are the echelon rows kept: es[r] is kept[r]'s own list until the pass
+    first changes it, and a kept row the pass leaves untouched is stored as
+    it was.  Raises ValueError if the rows generate a nontrivial scalar."""
+    rows: List[Optional[_Row]] = [*kept] + [None] * (len(es) - len(kept))
     pending = list(range(len(es)))
-    done: List[int] = []
+    ech: List[_Row] = []
     pivots: List[Tuple[int, int]] = []
     for col in range(2 * n):
         # the first pending row with the "most invertible" entry at col
@@ -201,11 +211,10 @@ def _howell(
             continue
         pending.remove(p)
         hits.remove(p)
-        piv = _row(es[p], fs[p], n)
         scale = pow(es[p][col] // pval, -1, d // pval)
-        if scale != 1:  # p^scale = p * p^(scale - 1)
-            fs[p] = _times_power(es[p], fs[p], piv, scale - 1, d)
-            piv = _row(es[p], fs[p], n)
+        if scale != 1:  # p^scale = p * p^(scale - 1); a kept row is already scaled
+            fs[p] = _times_power(es[p], fs[p], _row(es[p], fs[p], n), scale - 1, d)
+        piv = rows[p] or _row(es[p], fs[p], n)
         # keep the span closed under p^(d/pval), a scalar when pval = 1
         extra = [0] * (2 * n)
         phase = _times_power(extra, 0, piv, d // pval, d)
@@ -213,20 +222,41 @@ def _howell(
             pending.append(len(es))
             es.append(extra)
             fs.append(phase)
+            rows.append(None)
         elif phase:
             raise ValueError("inconsistent group: nontrivial scalar generated")
-        # every other row becomes r * p^(-q), q = entry // pval: this clears
-        # col in the pending rows and in the pivot rows as far as it can
-        for r in hits + [r for r in done if es[r][col] >= pval]:
+        # every pending row with an entry at col becomes r * p^(-q), q = entry // pval
+        for r in hits:
+            if rows[r]:
+                es[r], rows[r] = list(es[r]), None
             fs[r] = _times_power(es[r], fs[r], piv, -(es[r][col] // pval), d)
-        done.append(p)
+        ech.append(piv)
         pivots.append((col, pval))
     for r in pending:
         if any(es[r]):
             raise ValueError("canonicalization failed to clear a row")
         if fs[r]:
             raise ValueError("inconsistent group: nontrivial scalar generated")
-    return [_row(es[r], fs[r], n) for r in done], pivots
+    return ech, pivots
+
+
+def _back_substitute(
+    ech: List[_Row], pivots: List[Tuple[int, int]], d: int, n: int
+) -> List[_Row]:
+    """The canonical rows of the echelon rows ech: in pivot order, each pivot's
+    echelon row clears its column, as far as it can, from the rows before it.
+    A row no product changes is returned as it was."""
+    rows: List[Optional[_Row]] = list(ech)
+    es = [e for e, *_ in ech]
+    fs = [f for _, f, *_ in ech]
+    for k, ((col, pval), piv) in enumerate(zip(pivots, ech)):
+        for r in range(k):
+            q = es[r][col] // pval
+            if q:
+                if rows[r]:
+                    es[r], rows[r] = list(es[r]), None
+                fs[r] = _times_power(es[r], fs[r], piv, -q, d)
+    return [row or _row(e, f, n) for row, e, f in zip(rows, es, fs)]
 
 
 class StabilizerGroup:
@@ -271,7 +301,8 @@ class StabilizerGroup:
         # qubit groups: pivot column -> (packed echelon row, i-power phase)
         self._packed: Optional[Dict[int, Tuple[int, int]]] = {} if qubit else None
         self._pivmask = 0
-        self._canon: List[_Row] = []  # Weyl groups: canonical rows
+        self._ech: List[_Row] = []  # Weyl groups: echelon rows
+        self._canon: Optional[List[_Row]] = None  # and their canonical rows, on first need
         self.pivots: List[Tuple[int, int]] = []  # (column, pivot value)
         self._extend(gens)
 
@@ -296,9 +327,11 @@ class StabilizerGroup:
         self.generators += tuple(ops)
         self._rows: Optional[List[AnyOperator]] = None  # canonical rows, on first read
         if self._packed is None:
-            es = [list(e) for e, *_ in self._canon] + [list(op.x + op.z) for op in ops]
-            fs = [f for _, f, *_ in self._canon] + [op.phase for op in ops]
-            self._canon, self.pivots = _howell(es, fs, d, n)
+            ech = self._ech
+            es = [e for e, *_ in ech] + [list(op.x + op.z) for op in ops]
+            fs = [f for _, f, *_ in ech] + [op.phase for op in ops]
+            self._ech, self.pivots = _howell(es, fs, d, n, ech)
+            self._canon = None
             return
         # Forward pass: each op is reduced by the rows so far and kept, pivot on
         # its lowest bit, unless it reduces to a scalar.  The products are of
@@ -349,10 +382,18 @@ class StabilizerGroup:
             m = v & pivmask
         return v, ph & 3
 
-    def _reduce_weyl(self, e: List[int], f: int) -> int:
+    def _canonical_weyl(self) -> List[_Row]:
+        """The canonical rows, back-substituted on the first call and cached."""
+        if self._canon is None:
+            self._canon = _back_substitute(self._ech, self.pivots, self.d, self.n)
+        return self._canon
+
+    def _reduce_weyl(self, e: List[int], f: int, rows: List[_Row]) -> int:
         """The phase of (e, f) times row^(-q) for each pivot whose column entry
-        is q times the pivot value, in pivot order; e is reduced in place."""
-        for (col, pval), row in zip(self.pivots, self._canon):
+        is q times the pivot value, in pivot order; e is reduced in place.
+        The rows are the echelon or the canonical rows: a member reduces to
+        the same phase against either, a non-member to a residual of its own."""
+        for (col, pval), row in zip(self.pivots, rows):
             q, rem = divmod(e[col], pval)
             if q and not rem:
                 f = _times_power(e, f, row, -q, self.d)
@@ -370,7 +411,8 @@ class StabilizerGroup:
             if self._packed is None:
                 d, n = self.d, self.n
                 self._rows = [
-                    WeylOperator(d, n, tuple(e[:n]), tuple(e[n:]), f) for e, f, *_ in self._canon
+                    WeylOperator(d, n, tuple(e[:n]), tuple(e[n:]), f)
+                    for e, f, *_ in self._canonical_weyl()
                 ]
             else:
                 self._rows = self._canonical_packed()
@@ -417,7 +459,7 @@ class StabilizerGroup:
             v, ph = self._reduce_packed(cur.x | cur.z << n, cur.phase)
             return PauliOperator(n, v & ((1 << n) - 1), v >> n, ph)
         e = list(cur.x + cur.z)
-        f = self._reduce_weyl(e, cur.phase)
+        f = self._reduce_weyl(e, cur.phase, self._canonical_weyl())
         return WeylOperator(self.d, n, tuple(e[:n]), tuple(e[n:]), f)
 
     def expectation(self, op: AnyOperator) -> Expectation:
@@ -430,7 +472,7 @@ class StabilizerGroup:
             # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
             return Expectation("logical", 2) if v else Expectation("definite", 2, ph)
         e = list(cur.x + cur.z)
-        f = self._reduce_weyl(e, cur.phase)
+        f = self._reduce_weyl(e, cur.phase, self._ech)
         return Expectation("logical", d) if any(e) else Expectation("definite", d, f)
 
     def fix_sector(self, logicals: Iterable[AnyOperator]) -> "StabilizerGroup":
@@ -438,8 +480,9 @@ class StabilizerGroup:
 
         Each operator is adjoined exactly as given (with its phase), so to fix
         a sector to an eigenvalue other than +1 the caller scales it first.
-        A copy of the group adjoins them as a build adjoins its generators; the
-        canonical form is unique, so its rows, phases and pivots are a build's.
+        A copy of the group adjoins them to its echelon rows as a build
+        adjoins its generators; the canonical form is unique, so its rows,
+        phases and pivots, when read, are a build's.
         """
         fixers = []
         for lg in logicals:

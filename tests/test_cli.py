@@ -723,3 +723,26 @@ def test_quantum_parity_caps_players(tmp_path, args):
     assert proc.stderr.startswith("error: --P: "), proc.stderr
     assert "P = 20" in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["game", "parity", "--code", "double-semion", "--L", "24"],
+     "error: no parity strategy for code 'double-semion'"),
+    (["game", "parity", "--code", "tc2d", "--L", "200", "--variant", "bogus"],
+     "error: --variant: the tc2d strategy takes one of contractible, winding, got 'bogus'"),
+    (["strategy", "validate", "--code", "double-semion", "--L", "24"],
+     "error: no parity strategy for code 'double-semion'"),
+    (["strategy", "validate", "--code", "xcube", "--L", "12", "--variant", "bogus"],
+     "error: --variant: the xcube strategy takes one of prism, cage, got 'bogus'"),
+], ids=["parity-ds", "parity-variant", "validate-ds", "validate-variant"])
+def test_strategy_arguments_are_refused_before_the_code_is_built(
+        tmp_path, capsys, monkeypatch, args, message):
+    import stabgames.cli_commands
+
+    def unbuilt(args):
+        raise AssertionError("code built before the strategy checks")
+
+    monkeypatch.setattr(stabgames.cli_commands, "_build_code", unbuilt)
+    assert main(args + ["--P", "3", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not list(tmp_path.iterdir())

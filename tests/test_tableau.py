@@ -192,6 +192,16 @@ def _unit_power(op):
     return op if w_power(op, op.d).phase == 0 else op.scale_w(1)
 
 
+def _grow_group(cands, d, n):
+    """A valid group grown greedily from the candidates, as the reference
+    decides."""
+    gens = []
+    for cand in map(_unit_power, cands):
+        if not isinstance(_reference_canonical_rows(gens + [cand], d, n), str):
+            gens.append(cand)
+    return gens
+
+
 @st.composite
 def weyl_cases(draw):
     """(d, n, candidate generators, probe operators) at d = 2, 3, 4, 8, 9."""
@@ -528,11 +538,7 @@ class TestWeylKernel:
     def test_matches_reference(self, case):
         d, n, cands, probes = case
         assert_matches_reference(cands, d, n, probes)
-        # grow a valid group greedily, as the reference decides
-        gens = []
-        for cand in map(_unit_power, cands):
-            if not isinstance(_reference_canonical_rows(gens + [cand], d, n), str):
-                gens.append(cand)
+        gens = _grow_group(cands, d, n)
         member = WeylOperator.identity(d, n)
         for g in gens[::2]:
             member = w_multiply(member, g)
@@ -568,14 +574,65 @@ class TestWeylKernel:
             g.to_text() for g in list(code.group.generators) + fixers
         )
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(weyl_cases())
+    def test_queries_on_unread_rows_match_reference(self, case):
+        # expectation and fix_sector reduce against the echelon rows; a member
+        # and its phase do not depend on the basis, so they match the
+        # reference's canonical rows while the group's own are never built
+        d, n, cands, probes = case
+        gens = _grow_group(cands, d, n)
+        group = StabilizerGroup(gens, d=d, n=n)
+        rows, pivots = _reference_canonical_rows(gens, d, n)
+        member = WeylOperator.identity(d, n)
+        for g in gens[1::2]:
+            member = w_multiply(member, g)
+        for probe in probes + [member, member.scale_w(3)]:
+            e = group.expectation(probe)
+            assert (e.kind, e.phase_exp) == _reference_expectation(rows, pivots, probe)
+        fixers = [p for p in map(_unit_power, probes) if group.expectation(p).kind != "zero"]
+        want = _reference_canonical_rows(gens + fixers, d, n)
+        try:
+            fixed = group.fix_sector(fixers)
+        except ValueError as exc:
+            # the pre-checks refuse a fixer in the group with another phase,
+            # which the reference refuses as a nontrivial scalar
+            assert isinstance(want, str)
+            assert str(exc) == want or "sector fixer" in str(exc)
+        else:
+            assert fixed._canon is None
+            assert ([_as_w(r) for r in fixed.rows], fixed.pivots) == want
+        assert group._canon is None and group._rows is None
+
     def test_fix_sector_leaves_the_canonical_rows_unbuilt(self):
-        # the fixers extend the canonical exponent rows; the operator rows
-        # of the parent are never built
+        # a build, expectations and fix_sector keep the echelon rows only;
+        # the canonical rows are back-substituted when rows or reduce first
+        # needs them
+        from stabgames.codes import double_semion, ds_string, ds_winding_fixers
+
+        code = double_semion(4, 4)
+        group = code.group
+        loop = ds_string(code, "s", [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+        probes = [*group.generators[:3], loop, w_multiply(group.generators[0], loop)]
+        fixed = group.fix_sector(ds_winding_fixers(code))
+        kinds = [(group.expectation(p).kind, fixed.expectation(p).kind) for p in probes]
+        assert ("definite", "definite") in kinds
+        assert group._canon is None and fixed._canon is None
+        assert group._rows is None and fixed._rows is None
+        fixed.reduce(loop)
+        assert fixed._canon is not None and group._canon is None
+
+    def test_parent_rows_do_not_leak_into_a_fixed_group(self):
         from stabgames.codes import double_semion, ds_winding_fixers
 
         code = double_semion(4, 4)
-        code.group.fix_sector(ds_winding_fixers(code))
-        assert code.group._rows is None
+        fixers = ds_winding_fixers(code)
+        gens = list(code.group.generators)
+        parent_rows = code.group.rows  # back-substitutes the parent's rows first
+        fixed = code.group.fix_sector(fixers)
+        assert fixed._canon is None and fixed._rows is None
+        assert (fixed.rows, fixed.pivots) == _reference_canonical_rows(gens + fixers, 4, code.n)
+        assert code.group.rows == parent_rows == StabilizerGroup(gens).rows
 
 
 @pytest.mark.parametrize("weyl", [False, True], ids=["packed", "weyl"])
