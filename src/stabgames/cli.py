@@ -53,17 +53,21 @@ def cmd_game_parity(args):
     if not report.ok:
         raise ValueError(f"strategy failed validation: {report.problems[:2]}")
     ev = quantum_parity_eval(ops)
-    # each input's label (its P bits as digits) and float are made once, and
-    # the rows reuse them: labels of one length sort as the bit tuples do
+    # each input's label (its P bits as digits) is made once, and so is the
+    # float of each distinct win: the wins are a few shared Fractions, looked
+    # up by identity, as hashing a Fraction costs more than converting it.
+    # The rows reuse both; labels of one length sort as the bit tuples do
     label = "%d" * args.P
-    per_input = {label % k: float(v) for k, v in ev.per_input.items()}
+    distinct = {id(w): w for w in ev.per_input.values()}
+    floats = {key: float(w) for key, w in distinct.items()}
+    per_input = {label % k: floats[id(v)] for k, v in ev.per_input.items()}
     record = {
         "p_q": _num(ev.p_q),
         "mermin": None if ev.mermin is None else _num(ev.mermin),
         "per_input": per_input,
     }
-    rows = [[k, per_input[k]] for k in sorted(per_input)]
-    rows.append(["average", float(ev.p_q)])
+    rows = sorted(per_input.items())
+    rows.append(("average", float(ev.p_q)))
     return _emit(args, cfg, record, rows, ["input", "win_probability"])
 
 

@@ -39,10 +39,14 @@ def _build_code(args):
 
 
 def _check_strategy(args):
-    """Refuse a code with no parity strategy, or a --variant its strategy does
-    not take; cheap, so it runs before the code is built."""
+    """Refuse a code with no parity strategy, a --variant its strategy does
+    not take, or fewer than 3 players on the codes whose strategy takes any
+    --P (the 3D codes' strategies have a fixed number of players, checked
+    once they are built); cheap, so it runs before the code is built."""
     if args.code not in _PARITY_VARIANTS:
         raise ValueError(f"no parity strategy for code {args.code!r}")
+    if args.code in ("ghz", "tc2d") and args.P < 3:
+        raise ValueError("parity game needs at least 3 players")
     variants = _PARITY_VARIANTS[args.code]
     if args.variant is not None and args.variant not in variants:
         takes = "one of " + ", ".join(variants) if variants else "no variant"

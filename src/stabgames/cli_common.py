@@ -54,7 +54,7 @@ def _emit(args, cfg: dict, record: dict, csv_rows, csv_header):
     with open(csv_path, "w") as f:
         f.write(",".join(csv_header) + "\n")
         for row in csv_rows:
-            f.write(",".join(str(v) for v in row) + "\n")
+            f.write(",".join(map(str, row)) + "\n")
     print(json.dumps({k: record[k] for k in ("config_hash", "version")}
                      | {"json": json_path, "csv": csv_path}))
     return 0

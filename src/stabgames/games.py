@@ -32,11 +32,13 @@ class ParityGame(_Frozen):
         object.__setattr__(self, "p", p)
 
     def valid_inputs(self) -> List[Tuple[int, ...]]:
-        out = []
-        for bits in itertools.product((0, 1), repeat=self.p):
-            if sum(bits) % 2 == 0:
-                out.append(bits)
-        return out
+        """The 2^(P-1) even-weight inputs in itertools.product order: each
+        prefix of P-1 bits, in that order, with its parity bit appended.  The
+        prefix at index i holds the binary digits of i, so its parity is
+        that of i's popcount."""
+        last = ((0,), (1,))
+        return [bits + last[i.bit_count() & 1]
+                for i, bits in enumerate(itertools.product((0, 1), repeat=self.p - 1))]
 
     def target_sign(self, bits: Sequence[int]) -> int:
         """+1 when half the input sum is even, -1 when odd."""

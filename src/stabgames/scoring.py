@@ -6,11 +6,13 @@ credit for an input whose collective observable has expectation zero (or is
 logical on a degenerate resource) is 1/2: the measured eigenvalue is then
 uniformly random.  On a stabilizer group, each evaluation reads one Z4
 quadratic form in the input bits (``_sign_form``), fixed by 1 + m + m(m-1)/2
-group reductions for m input bits.  The parity game scores every input from
-it; the cellulation game's value over all 2^m inputs is one exponential sum
-of that form, exact for any m (``_exact_value``).  A dense state is scored
-input by input.  In both games the sign that wins input u is i^{sum_i a_i b_i},
-for the players' exponents (a_i, b_i).
+group reductions for m input bits.  The parity game looks every input up in
+one table of that form, filled in one pass over the 2^m inputs with one XOR
+and one popcount per entry (``_outcome_table``); the cellulation game's value
+over all 2^m inputs is one exponential sum of the form, exact for any m
+(``_exact_value``).  A dense state is scored input by input.  In both games
+the sign that wins input u is i^{sum_i a_i b_i}, for the players' exponents
+(a_i, b_i).
 """
 
 from __future__ import annotations
@@ -51,17 +53,26 @@ def _collective(ops: CompositeOperatorSet, exps: Sequence[Tuple[int, int]]) -> P
     return PauliOperator(ops.n, x, z, ph)
 
 
-def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
-               exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
-               m: int) -> Tuple[int, List[int], Callable[[int], int], bool]:
-    """The residual r(u) and i-power rho(u) of every input u in GF(2)^m, from
-    1 + m + m(m-1)/2 reductions, as (r(0), step, rho, odd_cross):
-    r(u) = r(0) xor step[j] for each u_j = 1, rho(u) mod 4 for u given as a
-    bitmask, and whether sum_i a_i b_i is odd at any input.
+def _unit_exponents(
+    exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]], m: int,
+) -> Tuple[List[Tuple[int, int]], List[List[Tuple[int, int]]]]:
+    """The players' (a_i, b_i) at the input 0 and at each unit input e_j."""
+    return exps_of((0,) * m), [exps_of(tuple(int(k == j) for k in range(m))) for j in range(m)]
 
-    exps_of must be affine over GF(2): each player's (a_i, b_i) is a fixed
-    bit, or the parity of some bits of u.  So it is called only at 0 and at
-    each e_j, and the exponents at e_j + e_k are the XOR of those three.
+
+def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
+               base: List[Tuple[int, int]], units: List[List[Tuple[int, int]]],
+               ) -> Tuple[int, List[int], int, List[int], List[int], bool]:
+    """The residual r(u) and i-power rho(u) of every input u in GF(2)^m, from
+    1 + m + m(m-1)/2 reductions, as (r(0), step, c, lin, q2, odd_cross):
+    r(u) = r(0) xor step[j] for each u_j = 1, rho(u) = c + sum_j lin[j] u_j
+    + 2 sum_{k<j} (bit k of q2[j]) u_j u_k mod 4 (``_form_rho``), and
+    whether sum_i a_i b_i is odd at any input.
+
+    base and units are the players' exponents at 0 and at each e_j
+    (``_unit_exponents``) of an affine exps_of: each player's (a_i, b_i) is
+    a fixed bit, or the parity of some bits of u.  So the exponents at
+    e_j + e_k are the XOR of those at 0, e_j and e_k.
     Write O(u) = i^{sum_i a_i b_i} M(u), M(u) = prod_i X_i^{a_i} Z_i^{b_i},
     and let reduce(M(u)) = M(u) g(u) with residual vector r(u) and i-power
     rho(u).
@@ -92,10 +103,10 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     - sum_i a_i b_i mod 2 is a GF(2) quadratic in u too, so it is even at
       every input when it is even at the points read here.
     """
-    from .pauli import _bits
     from .weyl import WeylOperator
 
     n = ops.n
+    m = len(units)
     odd_cross = False
 
     def point(exps: List[Tuple[int, int]]) -> Tuple[int, int]:
@@ -107,8 +118,6 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
             r = r.to_pauli()
         return r.x | r.z << n, r.phase - cross
 
-    base = exps_of((0,) * m)
-    units = [exps_of(tuple(int(k == j) for k in range(m))) for j in range(m)]
     r0, c = point(base)
     single = [point(exps) for exps in units]
     step = [r ^ r0 for r, _ in single]  # change of the residual when u_j flips
@@ -116,20 +125,97 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     q2 = [0] * m  # q_jk / 2 mod 2 for k < j, as a bitset over k
     for j in range(m):
         for k in range(j):
-            # exps_of is affine, so exps(e_j + e_k) = exps(e_j) xor exps(e_k) xor exps(0)
             pair = [(a0 ^ aj ^ ak, b0 ^ bj ^ bk)
                     for (a0, b0), (aj, bj), (ak, bk) in zip(base, units[j], units[k])]
             q = (point(pair)[1] - single[j][1] - single[k][1] + c) % 4
             assert q % 2 == 0, "odd quadratic coefficient in the sign form"
             q2[j] |= (q >> 1) << k
+    return r0, step, c, lin, q2, odd_cross
 
-    def rho(u: int) -> int:
-        k = c
-        for j in _bits(u):
-            k += lin[j] + 2 * (q2[j] & u).bit_count()
-        return k & 3
 
-    return r0, step, rho, odd_cross
+def _form_rho(c: int, lin: List[int], q2: List[int], u: int) -> int:
+    """rho(u) mod 4 of ``_sign_form``'s (c, lin, q2), for u given as a bitmask."""
+    from .pauli import _bits
+
+    k = c
+    for j in _bits(u):
+        k += lin[j] + 2 * (q2[j] & u).bit_count()
+    return k & 3
+
+
+def _reached(r0: int, step: List[int], c: int, lin: List[int]) -> Tuple[List[int], Optional[int]]:
+    """(kernel, u0) of ``gf2_eliminate`` on the rows (step_j, lin_j mod 2)
+    against (r0, c mod 2): the inputs u with r(u) = 0 and rho(u) even are
+    u0 + span(kernel), and none when u0 is None."""
+    from .complexes import gf2_eliminate
+
+    _, kernel, u0 = gf2_eliminate([s << 1 | lj & 1 for s, lj in zip(step, lin)], r0 << 1 | c & 1)
+    return kernel, u0
+
+
+def _table_entry(key: int) -> Optional[Tuple[Fraction, int, int]]:
+    """An input's (win, <O>, 1 + t<O>) from key = x mod 4 + 4 [reached] +
+    8 [bit 1 of rho], with x = sum_i a_i b_i and reached when r = 0 and rho
+    is even; None for odd x.  When reached, <O> = i^{rho + x} and t<O> =
+    i^{rho + 2x} = i^rho; otherwise <O> = 0."""
+    if key & 1:
+        return None
+    ts = (key >> 2 & 1) * (1 - (key >> 2 & 2))
+    return _WINS[ts], ts * (1 - (key & 2)), 1 + ts
+
+
+_TABLE_ENTRIES = [_table_entry(key) for key in range(16)]
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 tuple's bytes to its binary digits
+
+
+def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup,
+                   exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
+                   m: int) -> List[Optional[Tuple[Fraction, int, int]]]:
+    """Every input's ``_table_entry``, indexed by the input's bits read as a
+    binary number with bits[0] the most significant (itertools.product
+    order).
+
+    One pass over the 2^m indices, from ``_sign_form``'s (r0, step, c, lin,
+    q2) and the players' a and b bits; the table doubles once per input
+    bit, and each new entry is its partner's with that bit flipped:
+    - r(u) = 0 with rho(u) even is one affine GF(2) condition, the rows
+      (step_j, lin_j mod 2) against (r0, c mod 2).  Over the independent
+      rows (``_reached``) every row and the target have coordinates
+      of at most m + 1 bits, and so has D(u), their XOR over u's rows and
+      the target: D(u) = 0 exactly when the condition holds.
+    - The players' a and b bits at u, as masks A(u) and B(u), are affine
+      too, and x(u) = sum_i a_i b_i = |A(u) & B(u)|.
+    - D, A and B share one int per entry, so flipping a bit is one XOR,
+      and rho adds lin_j + 2 |q_j & v| for the partner's index v, one
+      popcount; q_j holds the index bits of the j-k pairs with q_jk != 0.
+    """
+    base, units = _unit_exponents(exps_of, m)
+    r0, step, c, lin, q2, _ = _sign_form(ops, group, base, units)
+    kernel, d0 = _reached(r0, step, c, lin)
+    coord = [1 << j for j in range(m)]  # a kept row is its own coordinate
+    for comb in kernel:  # a dependent row j: the kept rows of its combination
+        j = comb.bit_length() - 1
+        coord[j] = comb ^ 1 << j
+    if d0 is None:  # no input reaches the target
+        d0 = 1 << m
+    players, width = len(base), m + 1  # D takes the low m + 1 bits
+
+    def ab(exps: List[Tuple[int, int]]) -> int:  # A | B << players, above D
+        return sum((a | b << players) << i for i, (a, b) in enumerate(exps)) << width
+
+    ab0 = ab(base)
+    table, rho = [d0 | ab0], [c & 3]
+    for bit in range(m):  # index bit `bit` is input bit j
+        j = m - 1 - bit
+        flip, lj = coord[j] | (ab(units[j]) ^ ab0), lin[j]
+        # the partners k > j of j sit on the lower index bits m - 1 - k
+        q = sum((q2[m - 1 - low_bit] >> j & 1) << low_bit for low_bit in range(bit))
+        table += [t ^ flip for t in table]
+        rho += [(r + lj + 2 * (q & v).bit_count()) & 3 for v, r in enumerate(rho)]
+    dmask = (1 << width) - 1
+    return [_TABLE_ENTRIES[(t >> width & t >> width + players).bit_count() & 3
+                           | (r & 2 | ((t & dmask) == 0)) << 2]
+            for t, r in zip(table, rho)]
 
 
 def _is_exact(resource: Union[StabilizerGroup, DenseState]) -> bool:
@@ -158,51 +244,44 @@ def _score_inputs(
     inputs: Iterable[Tuple[int, ...]],
 ) -> Tuple[Dict[Tuple, Number], Number, List[Number]]:
     """Per-input wins, their mean p_q and each input's <O(u)>, for the inputs
-    u in GF(2)^m, where O(u) is the product of the players' i^{ab} X^a Z^b
-    with (a, b) = exps_of(u).
+    u in GF(2)^m given as 0/1 tuples, where O(u) is the product of the
+    players' i^{ab} X^a Z^b with (a, b) = exps_of(u).
 
     The sign that wins is t(u) = i^{x(u)}, x(u) = sum_i a_i b_i, which is real
     only for even x(u) (ValueError otherwise), and the win is (1 + t<O>)/2.
-    On a stabilizer group <O> is the exact sign from ``_sign_form``, the wins
-    are Fractions and p_q is one Fraction of their integer total; on a dense
-    state <O> is a float, input by input.
+    On a stabilizer group every input is looked up in ``_outcome_table``,
+    which is filled for all 2^m inputs at once (so the inputs are meant to
+    be most of them, as in both games): the wins are Fractions and p_q is
+    one Fraction of their integer total.  On a dense state <O> is a float,
+    input by input.
     """
-    from .pauli import _bits
-
-    exact = _is_exact(resource)
-    if exact:
-        r0, step, rho, _ = _sign_form(ops, resource, exps_of, m)
-
-        def sign(bits, exps, cross):
-            u = sum(b << j for j, b in enumerate(bits))
-            r, k = r0, rho(u) + cross
-            for j in _bits(u):
-                r ^= step[j]
-            return 0 if r or k & 1 else 1 - (k & 2)
-    else:
-        from .dense import dense_expectation
-
-        def sign(bits, exps, cross):
-            return dense_expectation(resource, _collective(ops, exps)).real
+    odd = "odd a.b parity: stabilizer commutation violated"
     per_input: Dict[Tuple, Number] = {}
     signs: List[Number] = []
-    halves, total = 0, 0.0
+    if _is_exact(resource):
+        table = _outcome_table(ops, resource, exps_of, m)
+        halves = 0
+        for bits in inputs:
+            entry = table[int(bytes(bits).translate(_DIGITS) or b"0", 2)]
+            if entry is None:
+                raise ValueError(odd)
+            per_input[bits], s, h = entry
+            signs.append(s)
+            halves += h
+        return per_input, Fraction(halves, 2 * len(signs)), signs
+    from .dense import dense_expectation
+
+    total = 0.0
     for bits in inputs:
         exps = exps_of(bits)
         cross = sum(a * b for a, b in exps)
         if cross & 1:
-            raise ValueError("odd a.b parity: stabilizer commutation violated")
-        s = sign(bits, exps, cross)
-        ts = (1 - (cross & 2)) * s
-        if exact:
-            per_input[bits] = _WINS[ts]
-            halves += 1 + ts
-        else:
-            per_input[bits] = win = (1 + ts) / 2
-            total += win
+            raise ValueError(odd)
+        s = dense_expectation(resource, _collective(ops, exps)).real
+        per_input[bits] = win = (1 + (1 - (cross & 2)) * s) / 2
+        total += win
         signs.append(s)
-    p_q = Fraction(halves, 2 * len(signs)) if exact else total / len(signs)
-    return per_input, p_q, signs
+    return per_input, total / len(signs), signs
 
 
 def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
@@ -276,14 +355,10 @@ def _exact_value(
       f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
       at those points, and S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``).
     """
-    from .complexes import gf2_eliminate
-
-    r0, step, rho, odd_cross = _sign_form(ops, group, exps_of, m)
+    r0, step, c, lin, q2, odd_cross = _sign_form(ops, group, *_unit_exponents(exps_of, m))
     if odd_cross:
         raise ValueError("odd a.b parity: stabilizer commutation violated")
-    c = rho(0)
-    rows = [s << 1 | (rho(1 << j) ^ c) & 1 for j, s in enumerate(step)]
-    _, kernel, u0 = gf2_eliminate(rows, r0 << 1 | c & 1)
+    kernel, u0 = _reached(r0, step, c, lin)
     total = 0
     if u0 is not None:
 
@@ -291,7 +366,7 @@ def _exact_value(
             u = u0
             for i in ts:
                 u ^= kernel[i]
-            return rho(u) >> 1
+            return _form_rho(c, lin, q2, u) >> 1
 
         f0 = f()
         single = [f(i) for i in range(len(kernel))]

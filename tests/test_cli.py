@@ -423,7 +423,13 @@ def test_unset_options_record_their_defaults(tmp_path, args, expected):
 # They were re-recorded again when the undeformed state became exact phase
 # planes, so the theta = 0 row reads exactly 1.0 and 4.0, and deform came to
 # scale its factors against overflow: the other rows moved by at most 7.1e-15.
+# parity-ghz-P16 (2^15 inputs) was recorded before the exact parity scorer
+# came to look every input up in one table of the sign form.
 SCORED_RUN_DIGESTS = {
+    "parity-ghz-P16": (
+        ["game", "parity", "--code", "ghz", "--P", "16"],
+        "cffec766f9d9227fd4dd84e7c52bc7e1284a3073998e2f9203315f5290841938",
+        "9e5a04baba4b57788a08db419cf2184fb60a023ccf6183163fd8635a7d4c809e"),
     "parity-tc2d-L32-P12": (
         ["game", "parity", "--code", "tc2d", "--L", "32", "--P", "12"],
         "e00bd051b8fe4cd7bd6ad2e231b18e43741e488dc20c402c65154de1c9dd3fde",
@@ -726,15 +732,24 @@ def test_quantum_parity_caps_players(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["game", "parity", "--code", "double-semion", "--L", "24"],
+    (["game", "parity", "--code", "double-semion", "--L", "24", "--P", "3"],
      "error: no parity strategy for code 'double-semion'"),
-    (["game", "parity", "--code", "tc2d", "--L", "200", "--variant", "bogus"],
+    (["game", "parity", "--code", "tc2d", "--L", "200", "--P", "3", "--variant", "bogus"],
      "error: --variant: the tc2d strategy takes one of contractible, winding, got 'bogus'"),
-    (["strategy", "validate", "--code", "double-semion", "--L", "24"],
+    (["game", "parity", "--code", "tc2d", "--L", "128", "--P", "2"],
+     "error: parity game needs at least 3 players"),
+    (["game", "parity", "--code", "ghz", "--P", "2"],
+     "error: parity game needs at least 3 players"),
+    (["strategy", "validate", "--code", "double-semion", "--L", "24", "--P", "3"],
      "error: no parity strategy for code 'double-semion'"),
-    (["strategy", "validate", "--code", "xcube", "--L", "12", "--variant", "bogus"],
+    (["strategy", "validate", "--code", "xcube", "--L", "12", "--P", "3", "--variant", "bogus"],
      "error: --variant: the xcube strategy takes one of prism, cage, got 'bogus'"),
-], ids=["parity-ds", "parity-variant", "validate-ds", "validate-variant"])
+    (["strategy", "validate", "--code", "tc2d", "--L", "128", "--P", "2"],
+     "error: parity game needs at least 3 players"),
+    (["strategy", "validate", "--code", "ghz", "--P", "2"],
+     "error: parity game needs at least 3 players"),
+], ids=["parity-ds", "parity-variant", "parity-tc2d-P2", "parity-ghz-P2",
+        "validate-ds", "validate-variant", "validate-tc2d-P2", "validate-ghz-P2"])
 def test_strategy_arguments_are_refused_before_the_code_is_built(
         tmp_path, capsys, monkeypatch, args, message):
     import stabgames.cli_commands
@@ -743,6 +758,6 @@ def test_strategy_arguments_are_refused_before_the_code_is_built(
         raise AssertionError("code built before the strategy checks")
 
     monkeypatch.setattr(stabgames.cli_commands, "_build_code", unbuilt)
-    assert main(args + ["--P", "3", "--outdir", str(tmp_path)]) == 1
+    assert main(args + ["--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == message + "\n"
     assert not list(tmp_path.iterdir())

@@ -55,6 +55,11 @@ class TestParityGameStructure:
         for p in (3, 4, 6):
             assert len(ParityGame(p).valid_inputs()) == 2 ** (p - 1)
 
+    @pytest.mark.parametrize("p", range(3, 13))
+    def test_valid_inputs_are_the_even_weight_inputs_in_product_order(self, p):
+        want = [bits for bits in itertools.product((0, 1), repeat=p) if sum(bits) % 2 == 0]
+        assert ParityGame(p).valid_inputs() == want
+
     def test_target_sign(self):
         g = ParityGame(4)
         assert g.target_sign((0, 0, 0, 0)) == 1
