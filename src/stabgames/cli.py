@@ -131,8 +131,17 @@ def _add_workers(sub):
                      help="accepted for compatibility; only 1 is allowed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through add_subparsers every parser under it, that takes
+    a flag only by its full name: --config overrides only the options not
+    given, and it tells them apart by their option strings."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stabgames")
+    parser = _Parser(prog="stabgames")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("code", help="code-level queries")

@@ -140,9 +140,9 @@ class CellComplex(_Record):
     """Cells carry hashable keys (lattice coordinates for torus builds)."""
 
     _fields = ("dim", "cells", "boundary_keys", "closed", "meta")
-    # _index and _cobound: caches derived from the cells, so left out of
+    # _index, _bound and _cobound: derived from the cells, so left out of
     # equality and repr
-    __slots__ = (*_fields, "_index", "_cobound")
+    __slots__ = (*_fields, "_index", "_bound", "_cobound")
 
     def __init__(
         self,
@@ -159,16 +159,19 @@ class CellComplex(_Record):
         self.meta = {} if meta is None else meta
         self._cobound = None
         self._index = tuple({key: i for i, key in enumerate(level)} for level in self.cells)
-        # boundary of boundary = 0: over the boundaries of a cell's boundary
-        # cells, every lower cell occurs an even number of times
-        below: List[Tuple[int, ...]] = []
+        # each cell's boundary as indices of the cells below it; boundary of
+        # boundary = 0: over the boundaries of a cell's boundary cells, every
+        # lower cell occurs an even number of times
+        bound: List[Tuple[Tuple[int, ...], ...]] = [((),) * len(self.cells[0])]
         for k in range(1, self.dim + 1):
-            level = [self.boundary_indices(k, i) for i in range(len(self.cells[k]))]
+            index, keys = self._index[k - 1], self.boundary_keys[k]
+            level = tuple(tuple(index[key] for key in keys[i]) for i in range(len(self.cells[k])))
             for idx in level if k > 1 else ():
-                met = sorted(low for j in idx for low in below[j])
+                met = sorted(low for j in idx for low in bound[k - 1][j])
                 if met[0::2] != met[1::2]:
                     raise ValueError("boundary of boundary is nonzero")
-            below = level
+            bound.append(level)
+        self._bound = tuple(bound)
 
     def index(self, k: int, key: CellKey) -> int:
         return self._index[k][key]
@@ -177,15 +180,15 @@ class CellComplex(_Record):
         return tuple(len(level) for level in self.cells)
 
     def boundary_indices(self, k: int, i: int) -> Tuple[int, ...]:
-        return tuple(self._index[k - 1][key] for key in self.boundary_keys[k][i])
+        return self._bound[k][i]
 
     def coboundary_indices(self, k: int, i: int) -> Tuple[int, ...]:
         """Indices of (k+1)-cells whose boundary contains the i-th k-cell."""
         if self._cobound is None:
             cob: List[Dict[int, List[int]]] = [dict() for _ in range(self.dim + 1)]
             for kk in range(1, self.dim + 1):
-                for ci in range(len(self.cells[kk])):
-                    for low in self.boundary_indices(kk, ci):
+                for ci, lows in enumerate(self._bound[kk]):
+                    for low in lows:
                         cob[kk - 1].setdefault(low, []).append(ci)
             self._cobound = tuple(
                 {i: tuple(v) for i, v in level.items()} for level in cob
@@ -193,17 +196,16 @@ class CellComplex(_Record):
         return self._cobound[k].get(i, ())
 
     def to_chain(self) -> ChainComplex:
-        dims = self.dims()
         boundary: List[Tuple[int, ...]] = [tuple(0 for _ in self.cells[0])]
-        for k in range(1, self.dim + 1):
+        for level in self._bound[1:]:
             rows = []
-            for i in range(dims[k]):
+            for lows in level:
                 mask = 0
-                for key in self.boundary_keys[k][i]:
-                    mask ^= 1 << self._index[k - 1][key]
+                for low in lows:
+                    mask ^= 1 << low
                 rows.append(mask)
             boundary.append(tuple(rows))
-        return ChainComplex(tuple(dims), tuple(boundary))
+        return ChainComplex(self.dims(), tuple(boundary))
 
 
 def dualize(c: CellComplex) -> CellComplex:

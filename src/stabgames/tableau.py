@@ -4,11 +4,14 @@ phase, expectation values, ground-space dimension, sector fixing.
 Rows are genuine group elements, so every "row operation" is an operator
 product and phases are exact by construction.
 
-Every group keeps one commutation index: for each site j, the generators
-with exponents (x_j, z_j) there.  An operator commutes with the group iff,
-for every generator k, x_k z - z_k x summed over the operator's own sites is
-0 mod d.  A group is built by adjoining its generators to the empty group;
-fix_sector adjoins the fixers to a copy of the group in the same way.
+Every group keeps one commutation index: for each site j, a tuple of
+(generator, x_j, z_j) entries, one for each generator that is not the
+identity at j.  An operator commutes with the group iff, for every generator
+k, x_k z - z_k x summed over the operator's own sites is 0 mod d.  That one
+check serves queries, builds and sector fixing.  A group is built by
+adjoining its generators to the empty group, each checked against the ones
+before it; fix_sector adjoins the fixers to a copy of the group in the same
+way.
 
 Qubit groups (generators given as PauliOperator) live in a packed GF(2)
 tableau.  Each row is one int v = x | z << n, so column c < n is x_c and
@@ -121,7 +124,6 @@ def _is_prime_power(d: int) -> bool:
 # A Weyl row and what products with its powers read: exponents, phase, (column,
 # entry) of each nonzero entry, (z_j column, x_j) of each nonzero x_j, and z.x
 _Row = Tuple[List[int], int, List[Tuple[int, int]], List[Tuple[int, int]], int]
-_Kinds = Dict[Tuple[int, int], List[int]]  # at one site: (x_j, z_j) -> generators
 
 
 def _row(e: List[int], f: int, n: int) -> _Row:
@@ -150,37 +152,15 @@ def _support(op: AnyOperator) -> List[Tuple[int, int, int]]:
     return [(j, x[j], z[j]) for j in compress(range(op.n), map(or_, x, z))]
 
 
-def _commutes(sites: List[_Kinds], support: List[Tuple[int, int, int]], d: int) -> bool:
+def _commutes(sites: Sequence[tuple], support: List[Tuple[int, int, int]], d: int) -> bool:
     """Whether the operator with this support commutes with every generator
     in the index: x_k z - z_k x summed over the operator's sites is 0 mod d."""
     gram: Dict[int, int] = {}  # k -> entry k of the operator's Gram row
     for j, x, z in support:
-        for (xk, zk), ks in sites[j].items():
+        for k, xk, zk in sites[j]:
             c = xk * z - zk * x
             if c:
-                for k in ks:
-                    gram[k] = gram.get(k, 0) + c
-    return not any(v % d for v in gram.values())
-
-
-def _all_commute(sites: Iterable[_Kinds], d: int, g: int) -> bool:
-    """Whether all the indexed generators, numbered below g, commute pairwise:
-    X Z^T - Z X^T = 0 mod d, summed over the sites, where generators with
-    equal exponents commute and are not paired."""
-    gram: Dict[int, int] = {}  # i * g + k -> entry (i, k), i < k, of the Gram matrix
-    for site in sites:
-        kinds = list(site.items())
-        for a, ((x, z), rows) in enumerate(kinds):
-            for (x2, z2), rows2 in kinds[a + 1 :]:
-                c = (x * z2 - z * x2) % d
-                if not c:
-                    continue
-                for i in rows:
-                    for k in rows2:
-                        if i < k:
-                            gram[i * g + k] = gram.get(i * g + k, 0) + c
-                        else:
-                            gram[k * g + i] = gram.get(k * g + i, 0) - c
+                gram[k] = gram.get(k, 0) + c
     return not any(v % d for v in gram.values())
 
 
@@ -297,7 +277,8 @@ class StabilizerGroup:
             if isinstance(g, WeylOperator) and g.d != self.d:
                 raise ValueError("generator dimension mismatch")
         self.generators: Tuple[AnyOperator, ...] = ()
-        self._sites: List[_Kinds] = [{}] * self.n  # per site; see _extend
+        # per site j: (generator, x_j, z_j) of each generator not the identity there
+        self._sites: List[tuple] = [()] * self.n
         # qubit groups: pivot column -> (packed echelon row, i-power phase)
         self._packed: Optional[Dict[int, Tuple[int, int]]] = {} if qubit else None
         self._pivmask = 0
@@ -307,23 +288,20 @@ class StabilizerGroup:
         self._extend(gens)
 
     def _extend(self, ops: Sequence[AnyOperator]) -> None:
-        """Adjoin ops, of the group's row type and each commuting with the
-        group, to the generators.  The sites the ops touch get new dicts in a
-        new index list, and the echelon grows on a copy, so extending a copy
-        of a group leaves the group as it was."""
+        """Adjoin ops, of the group's row type, to the generators.  Each op is
+        checked against the generators and the ops before it, and its entries
+        go into new per-site tuples in a copy of the index, which replaces the
+        group's only once every op has passed.  The echelon grows on a copy
+        too, so extending a copy of a group leaves the group as it was."""
         first, d, n = len(self.generators), self.d, self.n
-        new: Dict[int, _Kinds] = {}
+        sites = list(self._sites)
         for k, op in enumerate(ops, first):
-            for j, x, z in _support(op):
-                new.setdefault(j, {}).setdefault((x, z), []).append(k)
-        if not _all_commute(new.values(), d, first + len(ops)):
-            raise ValueError("generators do not commute")
-        self._sites = sites = list(self._sites)
-        for j, kinds in new.items():
-            old = sites[j]
-            if old:
-                kinds = {**old, **{key: old.get(key, []) + ks for key, ks in kinds.items()}}
-            sites[j] = kinds
+            support = _support(op)
+            if not _commutes(sites, support, d):
+                raise ValueError("generators do not commute")
+            for j, x, z in support:
+                sites[j] += ((k, x, z),)
+        self._sites = sites
         self.generators += tuple(ops)
         self._rows: Optional[List[AnyOperator]] = None  # canonical rows, on first read
         if self._packed is None:

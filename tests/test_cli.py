@@ -137,6 +137,21 @@ def test_explicit_flag_overrides_config_file(tmp_path, flag):
     assert record["info"]["n"] == 2 * 5 * 5
 
 
+def test_abbreviated_flag_is_refused(tmp_path, capsys):
+    # --config overrides whatever it does not see given by its full name, so
+    # an abbreviation that argparse accepted would lose to the config silently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "contractible"}))
+    game = ["game", "parity", "--code", "tc2d", "--L", "8", "--P", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main([*game, "--var", "winding", "--config", str(cfg), "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--var" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+    record, _ = run([*game, "--variant", "winding", "--config", str(cfg)], tmp_path, "full")
+    assert record["config"]["variant"] == "winding"
+
+
 def test_game_parity_xcube(tmp_path):
     record, _ = run(
         ["game", "parity", "--code", "xcube", "--L", "3", "--variant", "cage"], tmp_path, "xcg"
