@@ -271,7 +271,9 @@ def _apply_config(parser: argparse.ArgumentParser, args, raw) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     raw = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(raw)
+    args, unknown = parser.parse_known_args(raw)
+    if unknown:  # reported with the usage of the command that refused them
+        _leaf_parser(parser, args).error(f"unrecognized arguments: {' '.join(unknown)}")
     if getattr(args, "config", None):
         _apply_config(parser, args, raw)
     try:

@@ -1,25 +1,30 @@
 """Exact quantum scoring of the parity and coarse-cellulation games.
 
+Both games are scored over all 2^m inputs t of an affine exponent map: each
+player's (a_i, b_i) is a fixed bit or the parity of some bits of t.  The
+cellulation game's inputs are its basis bits; the parity game's even inputs
+are their first P - 1 bits with the parity of those appended.  The sign that
+wins input t is i^{sum_i a_i b_i}.
+
 Quantum evaluations are exact: stabilizer resources give win probabilities
 as rationals, dense resources give floats from exact state vectors.  Win
 credit for an input whose collective observable has expectation zero (or is
 logical on a degenerate resource) is 1/2: the measured eigenvalue is then
 uniformly random.  On a stabilizer group, each evaluation reads one Z4
 quadratic form in the input bits (``_sign_form``), fixed by 1 + m + m(m-1)/2
-group reductions for m input bits.  The parity game looks every input up in
-one table of that form, filled in one pass over the 2^m inputs with one XOR
-and one popcount per entry (``_outcome_table``); the cellulation game's value
-over all 2^m inputs is one exponential sum of the form, exact for any m
-(``_exact_value``).  A dense state is scored input by input.  In both games
-the sign that wins input u is i^{sum_i a_i b_i}, for the players' exponents
-(a_i, b_i).
+group reductions.  The parity game reads every input's outcome from one
+table of that form in itertools.product order, filled in one pass over the
+2^m inputs with one XOR and one popcount per entry (``_outcome_table``); the
+cellulation game's value over all 2^m inputs is one exponential sum of the
+form, exact for any m (``_exact_value``).  A dense state is scored input by
+input.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from . import _Record
 from .games import Number, ParityGame, StrategyEvaluation
@@ -35,7 +40,13 @@ if TYPE_CHECKING:  # imported where they are used, so a stabilizer resource load
 # -- quantum parity evaluation --------------------------------------------------------
 
 
-_WINS = {1: Fraction(1), 0: Fraction(1, 2), -1: Fraction(0)}  # win for t*s
+def _cross(exps: Sequence[Tuple[int, int]]) -> int:
+    """x = sum_i a_i b_i of the players' exponents (a_i, b_i), which must be
+    even, so that the winning sign i^x is real (ValueError otherwise)."""
+    x = sum(a * b for a, b in exps)
+    if x & 1:
+        raise ValueError("odd a.b parity: stabilizer commutation violated")
+    return x
 
 
 def _collective(ops: CompositeOperatorSet, exps: Sequence[Tuple[int, int]]) -> PauliOperator:
@@ -53,26 +64,18 @@ def _collective(ops: CompositeOperatorSet, exps: Sequence[Tuple[int, int]]) -> P
     return PauliOperator(ops.n, x, z, ph)
 
 
-def _unit_exponents(
-    exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]], m: int,
-) -> Tuple[List[Tuple[int, int]], List[List[Tuple[int, int]]]]:
-    """The players' (a_i, b_i) at the input 0 and at each unit input e_j."""
-    return exps_of((0,) * m), [exps_of(tuple(int(k == j) for k in range(m))) for j in range(m)]
-
-
 def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
-               base: List[Tuple[int, int]], units: List[List[Tuple[int, int]]],
-               ) -> Tuple[int, List[int], int, List[int], List[int], bool]:
+               exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]], m: int,
+               ) -> Tuple[int, List[int], int, List[int], List[int]]:
     """The residual r(u) and i-power rho(u) of every input u in GF(2)^m, from
-    1 + m + m(m-1)/2 reductions, as (r(0), step, c, lin, q2, odd_cross):
-    r(u) = r(0) xor step[j] for each u_j = 1, rho(u) = c + sum_j lin[j] u_j
-    + 2 sum_{k<j} (bit k of q2[j]) u_j u_k mod 4 (``_form_rho``), and
-    whether sum_i a_i b_i is odd at any input.
+    1 + m + m(m-1)/2 reductions, as (r(0), step, c, lin, q2):
+    r(u) = r(0) xor step[j] for each u_j = 1 and rho(u) = c + sum_j lin[j]
+    u_j + 2 sum_{k<j} (bit k of q2[j]) u_j u_k mod 4 (``_form_rho``).
+    ValueError (``_cross``) if sum_i a_i b_i is odd at any input.
 
-    base and units are the players' exponents at 0 and at each e_j
-    (``_unit_exponents``) of an affine exps_of: each player's (a_i, b_i) is
-    a fixed bit, or the parity of some bits of u.  So the exponents at
-    e_j + e_k are the XOR of those at 0, e_j and e_k.
+    exps_of is affine: each player's (a_i, b_i) is a fixed bit, or the
+    parity of some bits of u.  So the exponents at e_j + e_k are the XOR of
+    those at 0, e_j and e_k.
     Write O(u) = i^{sum_i a_i b_i} M(u), M(u) = prod_i X_i^{a_i} Z_i^{b_i},
     and let reduce(M(u)) = M(u) g(u) with residual vector r(u) and i-power
     rho(u).
@@ -106,18 +109,16 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
     from .weyl import WeylOperator
 
     n = ops.n
-    m = len(units)
-    odd_cross = False
 
     def point(exps: List[Tuple[int, int]]) -> Tuple[int, int]:
-        nonlocal odd_cross
-        cross = sum(a * b for a, b in exps)
-        odd_cross |= bool(cross & 1)
+        cross = _cross(exps)
         r = group.reduce(_collective(ops, exps))
         if isinstance(r, WeylOperator):
             r = r.to_pauli()
         return r.x | r.z << n, r.phase - cross
 
+    base = exps_of((0,) * m)
+    units = [exps_of(tuple(int(k == j) for k in range(m))) for j in range(m)]
     r0, c = point(base)
     single = [point(exps) for exps in units]
     step = [r ^ r0 for r, _ in single]  # change of the residual when u_j flips
@@ -130,7 +131,7 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
             q = (point(pair)[1] - single[j][1] - single[k][1] + c) % 4
             assert q % 2 == 0, "odd quadratic coefficient in the sign form"
             q2[j] |= (q >> 1) << k
-    return r0, step, c, lin, q2, odd_cross
+    return r0, step, c, lin, q2
 
 
 def _form_rho(c: int, lin: List[int], q2: List[int], u: int) -> int:
@@ -153,44 +154,28 @@ def _reached(r0: int, step: List[int], c: int, lin: List[int]) -> Tuple[List[int
     return kernel, u0
 
 
-def _table_entry(key: int) -> Optional[Tuple[Fraction, int, int]]:
-    """An input's (win, <O>, 1 + t<O>) from key = x mod 4 + 4 [reached] +
-    8 [bit 1 of rho], with x = sum_i a_i b_i and reached when r = 0 and rho
-    is even; None for odd x.  When reached, <O> = i^{rho + x} and t<O> =
-    i^{rho + 2x} = i^rho; otherwise <O> = 0."""
-    if key & 1:
-        return None
-    ts = (key >> 2 & 1) * (1 - (key >> 2 & 2))
-    return _WINS[ts], ts * (1 - (key & 2)), 1 + ts
-
-
-_TABLE_ENTRIES = [_table_entry(key) for key in range(16)]
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 tuple's bytes to its binary digits
-
-
 def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup,
                    exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
-                   m: int) -> List[Optional[Tuple[Fraction, int, int]]]:
-    """Every input's ``_table_entry``, indexed by the input's bits read as a
-    binary number with bits[0] the most significant (itertools.product
-    order).
+                   m: int) -> List[int]:
+    """t(u)<O(u)>, which is 1, 0 or -1, for every input u in GF(2)^m, indexed
+    by u's bits read as a binary number with bits[0] the most significant
+    (itertools.product order).
 
     One pass over the 2^m indices, from ``_sign_form``'s (r0, step, c, lin,
-    q2) and the players' a and b bits; the table doubles once per input
-    bit, and each new entry is its partner's with that bit flipped:
+    q2); the table doubles once per input bit, and each new entry is its
+    partner's with that bit flipped:
     - r(u) = 0 with rho(u) even is one affine GF(2) condition, the rows
       (step_j, lin_j mod 2) against (r0, c mod 2).  Over the independent
       rows (``_reached``) every row and the target have coordinates
       of at most m + 1 bits, and so has D(u), their XOR over u's rows and
       the target: D(u) = 0 exactly when the condition holds.
-    - The players' a and b bits at u, as masks A(u) and B(u), are affine
-      too, and x(u) = sum_i a_i b_i = |A(u) & B(u)|.
-    - D, A and B share one int per entry, so flipping a bit is one XOR,
-      and rho adds lin_j + 2 |q_j & v| for the partner's index v, one
-      popcount; q_j holds the index bits of the j-k pairs with q_jk != 0.
+    - D is one int per entry, so flipping a bit is one XOR, and rho adds
+      lin_j + 2 |q_j & v| for the partner's index v, one popcount; q_j holds
+      the index bits of the j-k pairs with q_jk != 0.
+    - When D(u) = 0, <O(u)> = i^{rho + x} with x = sum_i a_i b_i even, so
+      t<O> = i^{rho + 2x} = i^rho = +-1; otherwise <O(u)> = 0.
     """
-    base, units = _unit_exponents(exps_of, m)
-    r0, step, c, lin, q2, _ = _sign_form(ops, group, base, units)
+    r0, step, c, lin, q2 = _sign_form(ops, group, exps_of, m)
     kernel, d0 = _reached(r0, step, c, lin)
     coord = [1 << j for j in range(m)]  # a kept row is its own coordinate
     for comb in kernel:  # a dependent row j: the kept rows of its combination
@@ -198,24 +183,15 @@ def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup,
         coord[j] = comb ^ 1 << j
     if d0 is None:  # no input reaches the target
         d0 = 1 << m
-    players, width = len(base), m + 1  # D takes the low m + 1 bits
-
-    def ab(exps: List[Tuple[int, int]]) -> int:  # A | B << players, above D
-        return sum((a | b << players) << i for i, (a, b) in enumerate(exps)) << width
-
-    ab0 = ab(base)
-    table, rho = [d0 | ab0], [c & 3]
+    table, rho = [d0], [c & 3]
     for bit in range(m):  # index bit `bit` is input bit j
         j = m - 1 - bit
-        flip, lj = coord[j] | (ab(units[j]) ^ ab0), lin[j]
+        flip, lj = coord[j], lin[j]
         # the partners k > j of j sit on the lower index bits m - 1 - k
         q = sum((q2[m - 1 - low_bit] >> j & 1) << low_bit for low_bit in range(bit))
-        table += [t ^ flip for t in table]
+        table += [d ^ flip for d in table]
         rho += [(r + lj + 2 * (q & v).bit_count()) & 3 for v, r in enumerate(rho)]
-    dmask = (1 << width) - 1
-    return [_TABLE_ENTRIES[(t >> width & t >> width + players).bit_count() & 3
-                           | (r & 2 | ((t & dmask) == 0)) << 2]
-            for t, r in zip(table, rho)]
+    return [0 if d else 1 - (r & 2) for d, r in zip(table, rho)]
 
 
 def _is_exact(resource: Union[StabilizerGroup, DenseState]) -> bool:
@@ -241,47 +217,34 @@ def _score_inputs(
     resource: Union[StabilizerGroup, DenseState],
     exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
     m: int,
-    inputs: Iterable[Tuple[int, ...]],
-) -> Tuple[Dict[Tuple, Number], Number, List[Number]]:
-    """Per-input wins, their mean p_q and each input's <O(u)>, for the inputs
-    u in GF(2)^m given as 0/1 tuples, where O(u) is the product of the
+) -> Tuple[List[Number], Number, Number]:
+    """The wins of all 2^m inputs u in GF(2)^m, in itertools.product order,
+    their mean p_q and sum_u t(u)<O(u)>, where O(u) is the product of the
     players' i^{ab} X^a Z^b with (a, b) = exps_of(u).
 
     The sign that wins is t(u) = i^{x(u)}, x(u) = sum_i a_i b_i, which is real
     only for even x(u) (ValueError otherwise), and the win is (1 + t<O>)/2.
-    On a stabilizer group every input is looked up in ``_outcome_table``,
-    which is filled for all 2^m inputs at once (so the inputs are meant to
-    be most of them, as in both games): the wins are Fractions and p_q is
-    one Fraction of their integer total.  On a dense state <O> is a float,
-    input by input.
+    On a stabilizer group every win is read from ``_outcome_table``: the
+    wins are three shared Fractions, and p_q and the sum are Fractions of
+    counts of its entries.  On a dense state <O> is a float, input by input.
     """
-    odd = "odd a.b parity: stabilizer commutation violated"
-    per_input: Dict[Tuple, Number] = {}
-    signs: List[Number] = []
     if _is_exact(resource):
         table = _outcome_table(ops, resource, exps_of, m)
-        halves = 0
-        for bits in inputs:
-            entry = table[int(bytes(bits).translate(_DIGITS) or b"0", 2)]
-            if entry is None:
-                raise ValueError(odd)
-            per_input[bits], s, h = entry
-            signs.append(s)
-            halves += h
-        return per_input, Fraction(halves, 2 * len(signs)), signs
+        win_of = (Fraction(1, 2), Fraction(1), Fraction(0))  # at t<O> = 0, 1, -1
+        total = table.count(1) - table.count(-1)
+        return [win_of[ts] for ts in table], Fraction((1 << m) + total, 2 << m), Fraction(total)
     from .dense import dense_expectation
 
-    total = 0.0
-    for bits in inputs:
+    wins: List[Number] = []
+    win_total = total = 0.0
+    for bits in itertools.product((0, 1), repeat=m):
         exps = exps_of(bits)
-        cross = sum(a * b for a, b in exps)
-        if cross & 1:
-            raise ValueError(odd)
-        s = dense_expectation(resource, _collective(ops, exps)).real
-        per_input[bits] = win = (1 + (1 - (cross & 2)) * s) / 2
-        total += win
-        signs.append(s)
-    return per_input, total / len(signs), signs
+        cross = _cross(exps)
+        ts = (1 - (cross & 2)) * dense_expectation(resource, _collective(ops, exps)).real
+        wins.append((1 + ts) / 2)
+        win_total += wins[-1]
+        total += ts
+    return wins, win_total / len(wins), total
 
 
 def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
@@ -355,9 +318,7 @@ def _exact_value(
       f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
       at those points, and S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``).
     """
-    r0, step, c, lin, q2, odd_cross = _sign_form(ops, group, *_unit_exponents(exps_of, m))
-    if odd_cross:
-        raise ValueError("odd a.b parity: stabilizer commutation violated")
+    r0, step, c, lin, q2 = _sign_form(ops, group, exps_of, m)
     kernel, u0 = _reached(r0, step, c, lin)
     total = 0
     if u0 is not None:
@@ -390,22 +351,20 @@ def quantum_parity_eval(
     Player i measures X_i on input 0 and Y_i = i X_i Z_i on input 1, so
     (a_i, b_i) = (1, u_i); the collective operator's expectation fixes the
     win probability per input.  For P = 3 the Mermin combination
-    <XXX> - <XYY> - <YXY> - <YYX> is also reported, and p_q equals
+    <XXX> - <XYY> - <YXY> - <YYX> is also reported: it is sum_u t(u)<O(u)>,
+    as t = +1 on XXX and -1 on the XYY-type inputs, so p_q equals
     (1 + mermin/4) / 2 identically.
     """
     p = ops.players
     game = ParityGame(p)
     res = resource if resource is not None else ops.resource
-    inputs = game.valid_inputs()
-    # (a_i, b_i) = (1, u_i), so i^{sum a_i b_i} = i^{|u|} is the target sign
-    per_input, p_q, signs = _score_inputs(
-        ops, res, lambda bits: [(1, b) for b in bits], p, inputs)
-    mermin = None
-    if p == 3:  # + for XXX, - for the three XYY-type inputs
-        mermin = Fraction(0)
-        for bits, s in zip(inputs, signs):
-            mermin += s if sum(bits) == 0 else -s
-    return StrategyEvaluation(per_input, p_q, mermin, meta={"P": p})
+    # an even input is its first P - 1 bits t with their parity appended, so
+    # (a_i, b_i) = (1, u_i) is affine in t, and the target sign is
+    # i^{sum a_i b_i} = i^{|u|}; t in product order is valid_inputs()' order
+    wins, p_q, ts_total = _score_inputs(
+        ops, res, lambda t: [(1, b) for b in t] + [(1, sum(t) & 1)], p - 1)
+    mermin = ts_total if p == 3 else None
+    return StrategyEvaluation(dict(zip(game.valid_inputs(), wins)), p_q, mermin, meta={"P": p})
 
 
 # -- cellulation game -------------------------------------------------------------------
@@ -471,6 +430,6 @@ def cellulation_game_eval(
     if _is_exact(res):
         per_input, p_q = {}, _exact_value(ops, res, exps_of, bits)
     else:
-        inputs = itertools.product((0, 1), repeat=bits)
-        per_input, p_q, _ = _score_inputs(ops, res, exps_of, bits, inputs)
+        wins, p_q, _ = _score_inputs(ops, res, exps_of, bits)
+        per_input = dict(zip(itertools.product((0, 1), repeat=bits), wins))
     return StrategyEvaluation(per_input, p_q, meta={"bits": bits, "restrict_unit_z": restrict_unit_z})

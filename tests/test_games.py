@@ -485,6 +485,20 @@ def test_parity_form_matches_per_input_rule(ops):
     assert quantum_parity_eval(ops, resource=weyl).per_input == wins
 
 
+@pytest.mark.parametrize("family", ["ghz", "tc2d"])
+def test_parity_form_reads_its_free_bits(family, monkeypatch):
+    # the even inputs are affine in their first P - 1 bits, so the sign form
+    # reduces 1 + (P - 1) + (P - 1)(P - 2)/2 = 1 + P(P - 1)/2 points
+    calls = []
+    reduce = StabilizerGroup.reduce
+    monkeypatch.setattr(StabilizerGroup, "reduce", lambda self, op: calls.append(op) or reduce(self, op))
+    for p in range(3, 9):
+        ops = ghz_ops(p) if family == "ghz" else tc2d_parity_ops(toric2d(8), p)
+        calls.clear()
+        assert quantum_parity_eval(ops).p_q == 1
+        assert len(calls) == 1 + p * (p - 1) // 2
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(random_strategies(), st.data())
 def test_cellulation_form_matches_per_input_rule(ops, data):
@@ -537,14 +551,15 @@ def test_cellulation_form_matches_per_input_rule(ops, data):
         with pytest.raises(ValueError, match="odd a.b parity"):
             _exact_value(ops, ops.resource, exps_of, m)
         with pytest.raises(ValueError, match="odd a.b parity"):
-            _score_inputs(ops, ops.resource, exps_of, m, inputs)
+            _score_inputs(ops, ops.resource, exps_of, m)
         return
-    want = [reference_sign(ops, ops.resource, exps_of(bits)) for bits in inputs]
-    wins = {u: Fraction(1 + (1 - (x & 2)) * s, 2) for u, x, s in zip(inputs, crosses, want)}
-    p_q = sum(wins.values()) / len(inputs)
+    # t = +-1 is known, so each input's win fixes its sign <O>
+    ts = [(1 - (x & 2)) * reference_sign(ops, ops.resource, exps_of(bits))
+          for bits, x in zip(inputs, crosses)]
+    wins = [Fraction(1 + t, 2) for t in ts]
+    p_q = sum(wins) / len(inputs)
     assert _exact_value(ops, ops.resource, exps_of, m) == p_q
-    per_input, got_p_q, signs = _score_inputs(ops, ops.resource, exps_of, m, inputs)
-    assert signs == want and per_input == wins and got_p_q == p_q
+    assert _score_inputs(ops, ops.resource, exps_of, m) == (wins, p_q, sum(ts))
     # the same group built on the Weyl path, which reduces to WeylOperators
     weyl = StabilizerGroup([WeylOperator.from_pauli(g) for g in ops.resource.generators],
                            d=2, n=ops.n)
@@ -562,9 +577,8 @@ def test_cellulation_sum_matches_enumeration(blocks, unit_z):
         game = CellulationGame(fan_cellulation_ops(toric2d(5)))
     ev = cellulation_game_eval(game, restrict_unit_z=unit_z)
     bits = ev.meta["bits"]
-    inputs = itertools.product((0, 1), repeat=bits)
     ops = game.strategy.ops
-    _, p_q, _ = _score_inputs(ops, ops.resource, lambda u: game.exponents(u, unit_z), bits, inputs)
+    _, p_q, _ = _score_inputs(ops, ops.resource, lambda u: game.exponents(u, unit_z), bits)
     assert ev.p_q == p_q == 1 and ev.per_input == {}
 
 
@@ -580,8 +594,7 @@ def test_cellulation_sum_matches_enumeration_in_both_l2_sectors():
         fixed = group.fix_sector(fixers)
         ev = cellulation_game_eval(game, resource=fixed)
         bits = ev.meta["bits"]
-        inputs = itertools.product((0, 1), repeat=bits)
-        _, p_q, _ = _score_inputs(game.strategy.ops, fixed, game.exponents, bits, inputs)
+        _, p_q, _ = _score_inputs(game.strategy.ops, fixed, game.exponents, bits)
         assert ev.p_q == p_q == value
 
 
