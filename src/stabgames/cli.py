@@ -56,7 +56,7 @@ def cmd_game_parity(args):
     # each input's label (its P bits as digits) is made once, and so is the
     # float of each distinct win: the wins are a few shared Fractions, looked
     # up by identity, as hashing a Fraction costs more than converting it.
-    # The rows reuse both; labels of one length sort as the bit tuples do
+    # The rows reuse both; per_input is in valid_inputs()' order, which is label order
     label = "%d" * args.P
     distinct = {id(w): w for w in ev.per_input.values()}
     floats = {key: float(w) for key, w in distinct.items()}
@@ -66,7 +66,7 @@ def cmd_game_parity(args):
         "mermin": None if ev.mermin is None else _num(ev.mermin),
         "per_input": per_input,
     }
-    rows = sorted(per_input.items())
+    rows = list(per_input.items())
     rows.append(("average", float(ev.p_q)))
     return _emit(args, cfg, record, rows, ["input", "win_probability"])
 

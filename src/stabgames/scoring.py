@@ -1,30 +1,33 @@
 """Exact quantum scoring of the parity and coarse-cellulation games.
 
-Both games are scored over all 2^m inputs t of an affine exponent map: each
-player's (a_i, b_i) is a fixed bit or the parity of some bits of t.  The
-cellulation game's inputs are its basis bits; the parity game's even inputs
-are their first P - 1 bits with the parity of those appended.  The sign that
-wins input t is i^{sum_i a_i b_i}.
+Both games are scored over all 2^m inputs u of an affine input map
+(``InputMap``): each player's (a_i, b_i) is a fixed bit or the parity of
+some input bits, read from one pair of masks per player.  The cellulation
+game's inputs are its basis bits; the parity game's even inputs are their
+first P - 1 bits with the parity of those appended.  The sign that wins
+input u is i^{sum_i a_i b_i}.
 
 Quantum evaluations are exact: stabilizer resources give win probabilities
 as rationals, dense resources give floats from exact state vectors.  Win
 credit for an input whose collective observable has expectation zero (or is
 logical on a degenerate resource) is 1/2: the measured eigenvalue is then
-uniformly random.  On a stabilizer group, each evaluation reads one Z4
-quadratic form in the input bits (``_sign_form``), fixed by 1 + m + m(m-1)/2
-group reductions.  The parity game reads every input's outcome from one
-table of that form in itertools.product order, filled in one pass over the
-2^m inputs with one XOR and one popcount per entry (``_outcome_table``); the
-cellulation game's value over all 2^m inputs is one exponential sum of the
-form, exact for any m (``_exact_value``).  A dense state is scored input by
-input.
+uniformly random.  Each point walks the players once (``_collective``).  On
+a stabilizer group, each evaluation reads one Z4 quadratic form in the bits
+of u (``_sign_form``), fixed by 1 + m + m(m-1)/2 group reductions.  The
+parity game reads every input's outcome from one table of that form indexed
+by u, filled in one pass over the 2^m inputs with one XOR and one popcount
+per entry (``_outcome_table``); the cellulation game's value over all 2^m
+inputs is one exponential sum of the form, exact for any m
+(``_exact_value``).  A dense state is scored input by input.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from operator import xor
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from . import _Record
 from .games import Number, ParityGame, StrategyEvaluation
@@ -36,46 +39,49 @@ if TYPE_CHECKING:  # imported where they are used, so a stabilizer resource load
     from .strategies import CompositeOperatorSet
     from .tableau import StabilizerGroup
 
+# One (a, b) pair of masks per player over the bits of u | 1 << m: bit m - 1 - k
+# of u is input bit k, so u is the input's index in itertools.product order; bit
+# m is the constant bit; a_i(u) is the parity of a & (u | 1 << m), b_i(u) likewise
+InputMap = List[Tuple[int, int]]
+
 
 # -- quantum parity evaluation --------------------------------------------------------
 
 
-def _cross(exps: Sequence[Tuple[int, int]]) -> int:
-    """x = sum_i a_i b_i of the players' exponents (a_i, b_i), which must be
-    even, so that the winning sign i^x is real (ValueError otherwise)."""
-    x = sum(a * b for a, b in exps)
-    if x & 1:
-        raise ValueError("odd a.b parity: stabilizer commutation violated")
-    return x
-
-
-def _collective(ops: CompositeOperatorSet, exps: Sequence[Tuple[int, int]]) -> PauliOperator:
-    """O = prod_i i^{a_i b_i} X_i^{a_i} Z_i^{b_i} in player order (the last
-    player's factor applied first), for (a_i, b_i) in exps."""
+def _collective(ops: CompositeOperatorSet, amap: InputMap, u: int, m: int,
+                ) -> Tuple[PauliOperator, int]:
+    """(O(u), x(u)) in one pass over the players: O(u) = prod_i i^{a_i b_i}
+    X_i^{a_i} Z_i^{b_i} in player order (the last player's factor applied
+    first), and x(u) = sum_i a_i b_i, which must be even, so that the winning
+    sign i^x is real (ValueError otherwise).  Each (a_i, b_i) is read from
+    the player's masks in amap with two popcounts."""
     from .pauli import PauliOperator
 
-    x = z = ph = 0
-    for i, (a, b) in enumerate(exps):
+    v = u | 1 << m
+    px = pz = ph = x = 0
+    for i, (am, bm) in enumerate(amap):
+        a, b = (am & v).bit_count() & 1, (bm & v).bit_count() & 1
         if a or b:
             op = ops.player_op(i, a, b)
-            ph += op.phase + 2 * (z & op.x).bit_count()
-            x ^= op.x
-            z ^= op.z
-    return PauliOperator(ops.n, x, z, ph)
+            ph += op.phase + 2 * (pz & op.x).bit_count()
+            px ^= op.x
+            pz ^= op.z
+            x += a & b
+    if x & 1:
+        raise ValueError("odd a.b parity: stabilizer commutation violated")
+    return PauliOperator(ops.n, px, pz, ph), x
 
 
-def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
-               exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]], m: int,
+def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap, m: int,
                ) -> Tuple[int, List[int], int, List[int], List[int]]:
     """The residual r(u) and i-power rho(u) of every input u in GF(2)^m, from
-    1 + m + m(m-1)/2 reductions, as (r(0), step, c, lin, q2):
-    r(u) = r(0) xor step[j] for each u_j = 1 and rho(u) = c + sum_j lin[j]
-    u_j + 2 sum_{k<j} (bit k of q2[j]) u_j u_k mod 4 (``_form_rho``).
-    ValueError (``_cross``) if sum_i a_i b_i is odd at any input.
+    1 + m + m(m-1)/2 reductions, as (r(0), step, c, lin, q2), with u_j bit
+    j of u: r(u) = r(0) xor step[j] for each u_j = 1 and rho(u) = c +
+    sum_j lin[j] u_j + 2 sum_{k<j} (bit k of q2[j]) u_j u_k mod 4
+    (``_form_rho``).  ValueError (``_collective``) if sum_i a_i b_i is odd
+    at any input.  The input map is affine by construction, so the points
+    read are u = 0, 1 << j and 1 << j | 1 << k.
 
-    exps_of is affine: each player's (a_i, b_i) is a fixed bit, or the
-    parity of some bits of u.  So the exponents at e_j + e_k are the XOR of
-    those at 0, e_j and e_k.
     Write O(u) = i^{sum_i a_i b_i} M(u), M(u) = prod_i X_i^{a_i} Z_i^{b_i},
     and let reduce(M(u)) = M(u) g(u) with residual vector r(u) and i-power
     rho(u).
@@ -110,25 +116,21 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup,
 
     n = ops.n
 
-    def point(exps: List[Tuple[int, int]]) -> Tuple[int, int]:
-        cross = _cross(exps)
-        r = group.reduce(_collective(ops, exps))
+    def point(u: int) -> Tuple[int, int]:
+        op, x = _collective(ops, amap, u, m)
+        r = group.reduce(op)
         if isinstance(r, WeylOperator):
             r = r.to_pauli()
-        return r.x | r.z << n, r.phase - cross
+        return r.x | r.z << n, r.phase - x
 
-    base = exps_of((0,) * m)
-    units = [exps_of(tuple(int(k == j) for k in range(m))) for j in range(m)]
-    r0, c = point(base)
-    single = [point(exps) for exps in units]
+    r0, c = point(0)
+    single = [point(1 << j) for j in range(m)]
     step = [r ^ r0 for r, _ in single]  # change of the residual when u_j flips
     lin = [rho - c for _, rho in single]
     q2 = [0] * m  # q_jk / 2 mod 2 for k < j, as a bitset over k
     for j in range(m):
         for k in range(j):
-            pair = [(a0 ^ aj ^ ak, b0 ^ bj ^ bk)
-                    for (a0, b0), (aj, bj), (ak, bk) in zip(base, units[j], units[k])]
-            q = (point(pair)[1] - single[j][1] - single[k][1] + c) % 4
+            q = (point(1 << j | 1 << k)[1] - single[j][1] - single[k][1] + c) % 4
             assert q % 2 == 0, "odd quadratic coefficient in the sign form"
             q2[j] |= (q >> 1) << k
     return r0, step, c, lin, q2
@@ -154,15 +156,13 @@ def _reached(r0: int, step: List[int], c: int, lin: List[int]) -> Tuple[List[int
     return kernel, u0
 
 
-def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup,
-                   exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
+def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap,
                    m: int) -> List[int]:
-    """t(u)<O(u)>, which is 1, 0 or -1, for every input u in GF(2)^m, indexed
-    by u's bits read as a binary number with bits[0] the most significant
-    (itertools.product order).
+    """t(u)<O(u)>, which is 1, 0 or -1, for every input u in GF(2)^m,
+    indexed by u (itertools.product order).
 
     One pass over the 2^m indices, from ``_sign_form``'s (r0, step, c, lin,
-    q2); the table doubles once per input bit, and each new entry is its
+    q2); the table doubles once per bit j of u, and each new entry is its
     partner's with that bit flipped:
     - r(u) = 0 with rho(u) even is one affine GF(2) condition, the rows
       (step_j, lin_j mod 2) against (r0, c mod 2).  Over the independent
@@ -170,12 +170,12 @@ def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup,
       of at most m + 1 bits, and so has D(u), their XOR over u's rows and
       the target: D(u) = 0 exactly when the condition holds.
     - D is one int per entry, so flipping a bit is one XOR, and rho adds
-      lin_j + 2 |q_j & v| for the partner's index v, one popcount; q_j holds
-      the index bits of the j-k pairs with q_jk != 0.
+      lin_j + 2 |q2[j] & v| for the partner's index v, one popcount; q2[j]
+      holds the lower index bits k of the j-k pairs with q_jk != 0.
     - When D(u) = 0, <O(u)> = i^{rho + x} with x = sum_i a_i b_i even, so
       t<O> = i^{rho + 2x} = i^rho = +-1; otherwise <O(u)> = 0.
     """
-    r0, step, c, lin, q2 = _sign_form(ops, group, exps_of, m)
+    r0, step, c, lin, q2 = _sign_form(ops, group, amap, m)
     kernel, d0 = _reached(r0, step, c, lin)
     coord = [1 << j for j in range(m)]  # a kept row is its own coordinate
     for comb in kernel:  # a dependent row j: the kept rows of its combination
@@ -184,11 +184,8 @@ def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup,
     if d0 is None:  # no input reaches the target
         d0 = 1 << m
     table, rho = [d0], [c & 3]
-    for bit in range(m):  # index bit `bit` is input bit j
-        j = m - 1 - bit
-        flip, lj = coord[j], lin[j]
-        # the partners k > j of j sit on the lower index bits m - 1 - k
-        q = sum((q2[m - 1 - low_bit] >> j & 1) << low_bit for low_bit in range(bit))
+    for j in range(m):
+        flip, lj, q = coord[j], lin[j], q2[j]
         table += [d ^ flip for d in table]
         rho += [(r + lj + 2 * (q & v).bit_count()) & 3 for v, r in enumerate(rho)]
     return [0 if d else 1 - (r & 2) for d, r in zip(table, rho)]
@@ -215,12 +212,13 @@ def _is_exact(resource: Union[StabilizerGroup, DenseState]) -> bool:
 def _score_inputs(
     ops: CompositeOperatorSet,
     resource: Union[StabilizerGroup, DenseState],
-    exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
+    amap: InputMap,
     m: int,
 ) -> Tuple[List[Number], Number, Number]:
-    """The wins of all 2^m inputs u in GF(2)^m, in itertools.product order,
-    their mean p_q and sum_u t(u)<O(u)>, where O(u) is the product of the
-    players' i^{ab} X^a Z^b with (a, b) = exps_of(u).
+    """The wins of all 2^m inputs u in GF(2)^m, in the order of u (that is
+    itertools.product order), their mean p_q and sum_u t(u)<O(u)>, where
+    O(u) is the product of the players' i^{ab} X^a Z^b with (a, b) read
+    from amap at u.
 
     The sign that wins is t(u) = i^{x(u)}, x(u) = sum_i a_i b_i, which is real
     only for even x(u) (ValueError otherwise), and the win is (1 + t<O>)/2.
@@ -229,7 +227,7 @@ def _score_inputs(
     counts of its entries.  On a dense state <O> is a float, input by input.
     """
     if _is_exact(resource):
-        table = _outcome_table(ops, resource, exps_of, m)
+        table = _outcome_table(ops, resource, amap, m)
         win_of = (Fraction(1, 2), Fraction(1), Fraction(0))  # at t<O> = 0, 1, -1
         total = table.count(1) - table.count(-1)
         return [win_of[ts] for ts in table], Fraction((1 << m) + total, 2 << m), Fraction(total)
@@ -237,10 +235,9 @@ def _score_inputs(
 
     wins: List[Number] = []
     win_total = total = 0.0
-    for bits in itertools.product((0, 1), repeat=m):
-        exps = exps_of(bits)
-        cross = _cross(exps)
-        ts = (1 - (cross & 2)) * dense_expectation(resource, _collective(ops, exps)).real
+    for u in range(1 << m):
+        op, x = _collective(ops, amap, u, m)
+        ts = (1 - (x & 2)) * dense_expectation(resource, op).real
         wins.append((1 + ts) / 2)
         win_total += wins[-1]
         total += ts
@@ -297,7 +294,7 @@ def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
 def _exact_value(
     ops: CompositeOperatorSet,
     group: StabilizerGroup,
-    exps_of: Callable[[Tuple[int, ...]], List[Tuple[int, int]]],
+    amap: InputMap,
     m: int,
 ) -> Fraction:
     """p_q over all 2^m inputs u, exact, from one exponential sum.
@@ -318,7 +315,7 @@ def _exact_value(
       f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
       at those points, and S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``).
     """
-    r0, step, c, lin, q2 = _sign_form(ops, group, exps_of, m)
+    r0, step, c, lin, q2 = _sign_form(ops, group, amap, m)
     kernel, u0 = _reached(r0, step, c, lin)
     total = 0
     if u0 is not None:
@@ -358,11 +355,12 @@ def quantum_parity_eval(
     p = ops.players
     game = ParityGame(p)
     res = resource if resource is not None else ops.resource
-    # an even input is its first P - 1 bits t with their parity appended, so
-    # (a_i, b_i) = (1, u_i) is affine in t, and the target sign is
-    # i^{sum a_i b_i} = i^{|u|}; t in product order is valid_inputs()' order
-    wins, p_q, ts_total = _score_inputs(
-        ops, res, lambda t: [(1, b) for b in t] + [(1, sum(t) & 1)], p - 1)
+    # an even input is its first P - 1 bits with their parity appended, so
+    # (a_i, b_i) = (1, input bit i) is affine in those bits, and the target
+    # sign is i^{sum a_i b_i} = i^{|input|}; u in order is valid_inputs()' order
+    m = p - 1
+    amap = [(1 << m, 1 << (m - 1 - i)) for i in range(m)] + [(1 << m, (1 << m) - 1)]
+    wins, p_q, ts_total = _score_inputs(ops, res, amap, m)
     mermin = ts_total if p == 3 else None
     return StrategyEvaluation(dict(zip(game.valid_inputs(), wins)), p_q, mermin, meta={"P": p})
 
@@ -377,7 +375,7 @@ class CellulationGame(_Record):
     (p-1)-cells) are computed from the strategy."""
 
     _fields = ("strategy", "x_basis", "z_basis")
-    __slots__ = (*_fields, "_a_bits", "_b_bits")
+    __slots__ = (*_fields, "_map")
 
     def __init__(self, strategy: CellulationStrategy):
         from .complexes import _transpose, gf2_eliminate
@@ -387,23 +385,26 @@ class CellulationGame(_Record):
         self.x_basis = gf2_eliminate(chain.boundary[p + 1])[0]
         # row v of the transposed boundary: the p-cells whose boundary holds v
         self.z_basis = gf2_eliminate(_transpose(chain.boundary[p], chain.dims[p - 1]))[0]
-        # per player, the input bits on its incident basis cells: a is their
-        # parity on the (p+1)-cells, b on the (p-1)-cells
-        nx = len(self.x_basis)
-        x_pos = {cell: k for k, cell in enumerate(self.x_basis)}
-        z_pos = {cell: nx + k for k, cell in enumerate(self.z_basis)}
-        players = range(strat.players)
-        self._a_bits = [[x_pos[f] for f in strat.face_incidence(c) if f in x_pos] for c in players]
-        self._b_bits = [[z_pos[v] for v in strat.vertex_incidence(c) if v in z_pos] for c in players]
-
-    def exponents(self, bits: Sequence[int], restrict_unit_z: bool = False) -> List[Tuple[int, int]]:
-        """Each player's (a, b) for the input bits: the x_basis bits come
-        first, then the z_basis bits; with restrict_unit_z every b is 1 and
-        only the x_basis bits are given."""
-        return [
-            (sum(bits[k] for k in ak) % 2, 1 if restrict_unit_z else sum(bits[k] for k in bk) % 2)
-            for ak, bk in zip(self._a_bits, self._b_bits)
+        # the x_basis bits come first, so they are the high bits of u; a is the
+        # parity of the bits on a player's incident (p+1)-cells, b on its
+        # (p-1)-cells, and XOR cancels a cell incident twice
+        nz = len(self.z_basis)
+        x_bit = {cell: 1 << (nz + len(self.x_basis) - 1 - k) for k, cell in enumerate(self.x_basis)}
+        z_bit = {cell: 1 << (nz - 1 - k) for k, cell in enumerate(self.z_basis)}
+        self._map: InputMap = [
+            (reduce(xor, [x_bit.get(f, 0) for f in strat.face_incidence(c)], 0),
+             reduce(xor, [z_bit.get(v, 0) for v in strat.vertex_incidence(c)], 0))
+            for c in range(strat.players)
         ]
+
+    def input_map(self, restrict_unit_z: bool = False) -> Tuple[InputMap, int]:
+        """(map, m): every player's masks over the m input bits, the
+        x_basis bits first, then the z_basis bits.  With restrict_unit_z
+        every b is 1 and only the x_basis bits are inputs."""
+        nx, nz = len(self.x_basis), len(self.z_basis)
+        if restrict_unit_z:
+            return [(a >> nz, 1 << nx) for a, _ in self._map], nx
+        return self._map, nx + nz
 
 
 def cellulation_game_eval(
@@ -422,14 +423,10 @@ def cellulation_game_eval(
     """
     ops = game.strategy.ops
     res = resource if resource is not None else ops.resource
-    bits = len(game.x_basis) + (0 if restrict_unit_z else len(game.z_basis))
-
-    def exps_of(u: Tuple[int, ...]) -> List[Tuple[int, int]]:
-        return game.exponents(u, restrict_unit_z)
-
+    amap, bits = game.input_map(restrict_unit_z)
     if _is_exact(res):
-        per_input, p_q = {}, _exact_value(ops, res, exps_of, bits)
+        per_input, p_q = {}, _exact_value(ops, res, amap, bits)
     else:
-        wins, p_q, _ = _score_inputs(ops, res, exps_of, bits)
+        wins, p_q, _ = _score_inputs(ops, res, amap, bits)
         per_input = dict(zip(itertools.product((0, 1), repeat=bits), wins))
     return StrategyEvaluation(per_input, p_q, meta={"bits": bits, "restrict_unit_z": restrict_unit_z})

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabgames import scoring
 from stabgames.cellulation import block_cellulation_ops, fan_cellulation_ops
 from stabgames.codes import (
     CodeInstance,
@@ -258,7 +259,7 @@ class TestCellulationGame:
         assert exact.p_q == Fraction(1, 2) and exact.per_input == {}
         assert len(ev2.per_input) == 1 << ev2.meta["bits"]
         for bits, win in ev2.per_input.items():
-            exps = game.exponents(bits)
+            exps = incidence_exponents(game, bits)
             cross = sum(a * b for a, b in exps)
             s = reference_sign(strat.ops, flipped, exps)
             assert abs(win - (1 + (1 - (cross & 2)) * s) / 2) < 1e-10
@@ -436,6 +437,27 @@ def test_parity_eval_invariant_under_player_relabeling():
 # -- the quadratic form against the per-input rule -------------------------------
 
 
+def read_map(amap, m, u):
+    """Every player's (a_i, b_i) at input u of an InputMap."""
+    v = u | 1 << m
+    return [((a & v).bit_count() & 1, (b & v).bit_count() & 1) for a, b in amap]
+
+
+def incidence_exponents(game, bits, unit_z=False):
+    """A cellulation game's exponents at the input bits, from the incidences:
+    a is the parity of the bits on a player's incident x_basis cells, b of
+    those on its z_basis cells, or 1 with unit z; the x_basis bits come
+    first."""
+    strat, nx = game.strategy, len(game.x_basis)
+
+    def parity(cells, basis, offset):
+        return sum(bits[offset + basis.index(c)] for c in cells if c in basis) % 2
+
+    return [(parity(strat.face_incidence(c), game.x_basis, 0),
+             1 if unit_z else parity(strat.vertex_incidence(c), game.z_basis, nx))
+            for c in range(strat.players)]
+
+
 def reference_sign(ops, group, exps):
     """The former per-input rule: <O> for the product of the players'
     i^{ab} X^a Z^b in player order, from one expectation; +1 or -1 when
@@ -499,11 +521,27 @@ def test_parity_form_reads_its_free_bits(family, monkeypatch):
         assert len(calls) == 1 + p * (p - 1) // 2
 
 
+@pytest.mark.parametrize("p", range(3, 11))
+def test_parity_map_expands_to_the_valid_inputs(p, monkeypatch):
+    # the input map quantum_parity_eval scores, read at every u, gives
+    # (a_i, b_i) = (1, bit i) of the u-th valid input
+    seen = []
+    score = scoring._score_inputs
+    monkeypatch.setattr(scoring, "_score_inputs",
+                        lambda ops, res, amap, m: seen.append((amap, m)) or score(ops, res, amap, m))
+    assert quantum_parity_eval(ghz_ops(p)).p_q == 1
+    [(amap, m)] = seen
+    assert m == p - 1
+    for u, bits in enumerate(ParityGame(p).valid_inputs()):
+        assert read_map(amap, m, u) == [(1, b) for b in bits]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(random_strategies(), st.data())
 def test_cellulation_form_matches_per_input_rule(ops, data):
     # a_i is the parity of some of the first nx bits, b_i of some of the
-    # other bits, or 1 with unit z; the target is i^{sum_i a_i b_i}.
+    # other bits, or of none with unit z, each plus a drawn constant bit; the
+    # target is i^{sum_i a_i b_i}.
     # - Unshared masks make that sum odd at some input in most draws, and
     #   both scorings must refuse those.
     # - Shared masks give players 2i and 2i + 1 the same ones (and an odd
@@ -532,38 +570,43 @@ def test_cellulation_form_matches_per_input_rule(ops, data):
     m = rng.randrange(11)
     unit_z = rng.random() < 0.5
     nx = m if unit_z else rng.randint(0, m)
-    a_masks = [rng.getrandbits(nx) for _ in range(ops.players)]
-    b_masks = [rng.getrandbits(m - nx) << nx for _ in range(ops.players)]
+    # masks over the input bits k (bit k) and the constant bit (bit m)
+    a_masks = [rng.getrandbits(nx) | rng.getrandbits(1) << m for _ in range(ops.players)]
+    b_masks = [rng.getrandbits(m - nx) << nx | rng.getrandbits(1) << m for _ in range(ops.players)]
     if shared != "none":
         a_masks = [a_masks[i & ~1] if i | 1 < ops.players else 0 for i in range(ops.players)]
         b_masks = [b_masks[i & ~1] for i in range(ops.players)]
 
     def parity(mask, bits):
-        return sum(bits[k] for k in range(m) if mask >> k & 1) % 2
+        return (sum(bits[k] for k in range(m) if mask >> k & 1) + (mask >> m)) % 2
 
-    def exps_of(bits):
-        return [(parity(am, bits), 1 if unit_z else parity(bm, bits))
-                for am, bm in zip(a_masks, b_masks)]
+    def exps_of(bits):  # the per-input reference
+        return [(parity(am, bits), parity(bm, bits)) for am, bm in zip(a_masks, b_masks)]
+
+    def to_u(mask):  # the same mask as an InputMap's: input bit k is bit m - 1 - k of u
+        return sum(1 << (m - 1 - k) for k in range(m) if mask >> k & 1) | mask >> m << m
+
+    amap = [(to_u(am), to_u(bm)) for am, bm in zip(a_masks, b_masks)]
 
     inputs = list(itertools.product((0, 1), repeat=m))
     crosses = [sum(a * b for a, b in exps_of(u)) for u in inputs]
     if any(x & 1 for x in crosses):
         with pytest.raises(ValueError, match="odd a.b parity"):
-            _exact_value(ops, ops.resource, exps_of, m)
+            _exact_value(ops, ops.resource, amap, m)
         with pytest.raises(ValueError, match="odd a.b parity"):
-            _score_inputs(ops, ops.resource, exps_of, m)
+            _score_inputs(ops, ops.resource, amap, m)
         return
     # t = +-1 is known, so each input's win fixes its sign <O>
     ts = [(1 - (x & 2)) * reference_sign(ops, ops.resource, exps_of(bits))
           for bits, x in zip(inputs, crosses)]
     wins = [Fraction(1 + t, 2) for t in ts]
     p_q = sum(wins) / len(inputs)
-    assert _exact_value(ops, ops.resource, exps_of, m) == p_q
-    assert _score_inputs(ops, ops.resource, exps_of, m) == (wins, p_q, sum(ts))
+    assert _exact_value(ops, ops.resource, amap, m) == p_q
+    assert _score_inputs(ops, ops.resource, amap, m) == (wins, p_q, sum(ts))
     # the same group built on the Weyl path, which reduces to WeylOperators
     weyl = StabilizerGroup([WeylOperator.from_pauli(g) for g in ops.resource.generators],
                            d=2, n=ops.n)
-    assert _exact_value(ops, weyl, exps_of, m) == p_q
+    assert _exact_value(ops, weyl, amap, m) == p_q
 
 
 @pytest.mark.parametrize("blocks, unit_z", [
@@ -578,7 +621,13 @@ def test_cellulation_sum_matches_enumeration(blocks, unit_z):
     ev = cellulation_game_eval(game, restrict_unit_z=unit_z)
     bits = ev.meta["bits"]
     ops = game.strategy.ops
-    _, p_q, _ = _score_inputs(ops, ops.resource, lambda u: game.exponents(u, unit_z), bits)
+    amap, m = game.input_map(unit_z)
+    assert m == bits
+    # the map is affine, so its values at 0 and at each unit input fix it
+    for u in [0] + [1 << j for j in range(m)]:
+        assert read_map(amap, m, u) == incidence_exponents(
+            game, [u >> (m - 1 - k) & 1 for k in range(m)], unit_z)
+    _, p_q, _ = _score_inputs(ops, ops.resource, amap, m)
     assert ev.p_q == p_q == 1 and ev.per_input == {}
 
 
@@ -594,7 +643,7 @@ def test_cellulation_sum_matches_enumeration_in_both_l2_sectors():
         fixed = group.fix_sector(fixers)
         ev = cellulation_game_eval(game, resource=fixed)
         bits = ev.meta["bits"]
-        _, p_q, _ = _score_inputs(game.strategy.ops, fixed, game.exponents, bits)
+        _, p_q, _ = _score_inputs(game.strategy.ops, fixed, *game.input_map())
         assert ev.p_q == p_q == value
 
 

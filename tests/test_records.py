@@ -74,7 +74,8 @@ CASES = {
 }
 FROZEN = [name for name, (_, _, frozen) in CASES.items() if frozen]
 # caches filled on construction or first use, outside equality and repr
-HIDDEN = {"ChainComplex": "_ranks", "CellComplex": "_index", "CompositeOperatorSet": "_table"}
+HIDDEN = {"ChainComplex": "_ranks", "CellComplex": "_index", "CompositeOperatorSet": "_table",
+          "CellulationGame": "_map"}
 # fields derived from the rest of the state, which refuse assignment
 DERIVED = {"DenseState": "amps"}
 
@@ -228,7 +229,8 @@ def test_keywords_and_defaults():
     assert StrategyEvaluation({}, 1, meta={"P": 3}).meta == {"P": 3}
     game = CellulationGame(strategy=STRATEGY)
     assert game.x_basis == game.z_basis == (0, 1, 2)
-    assert game.exponents([0] * 6) == [(0, 0)] * STRATEGY.players
+    amap, m = game.input_map()
+    assert m == 6 and len(amap) == STRATEGY.players and all(not (a | b) >> m for a, b in amap)
     assert ParityGame(p=3) == ParityGame(3) and MagicSquareGame(d=2) == MagicSquareGame(2)
     with pytest.raises(ValueError):
         ParityGame(2)
