@@ -13,7 +13,7 @@ phaseless fast path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from . import _Frozen
 
@@ -27,12 +27,15 @@ _LETTER_PHASE = {"X": 0, "Y": 1, "Z": 0}
 _set = object.__setattr__
 
 
-def _bits(v: int) -> Iterator[int]:
+def _bits(v: int) -> List[int]:
     """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
+    out = []
+    while v:  # from the top: one big-int temporary per bit fewer than v & -v
+        j = v.bit_length() - 1
+        out.append(j)
+        v ^= 1 << j
+    out.reverse()
+    return out
 
 
 class PauliOperator(_Frozen):
@@ -43,8 +46,8 @@ class PauliOperator(_Frozen):
     def __init__(self, n: int, x: int, z: int, phase: int):
         if n < 0:
             raise ValueError("negative register size")
-        mask = (1 << n) - 1
-        if x & ~mask or z & ~mask:
+        # x >> n is 0 exactly when 0 <= x < 2^n, and costs no n-bit temporaries
+        if x >> n or z >> n:
             raise ValueError("support outside register")
         _set(self, "n", n)
         _set(self, "x", x)
@@ -78,8 +81,7 @@ class PauliOperator(_Frozen):
     @staticmethod
     def from_support(n: int, letter: str, sites: Iterable[int]) -> "PauliOperator":
         """Product of the same letter over a set of sites (phase per Y included)."""
-        x = z = 0
-        count = 0
+        v = count = 0  # one mask over the sites, shared by x and z
         try:
             xb, zb = _LETTER_XZ[letter]
         except KeyError:
@@ -87,10 +89,9 @@ class PauliOperator(_Frozen):
         for s in sites:
             if not 0 <= s < n:
                 raise ValueError(f"site {s} outside register of size {n}")
-            x |= xb << s
-            z |= zb << s
+            v |= 1 << s
             count += 1
-        return PauliOperator(n, x, z, _LETTER_PHASE[letter] * count)
+        return PauliOperator(n, v if xb else 0, v if zb else 0, _LETTER_PHASE[letter] * count)
 
     def support(self) -> List[int]:
         v = self.x | self.z

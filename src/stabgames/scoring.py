@@ -339,6 +339,17 @@ def _exact_value(
     return Fraction((1 << m) + total, 1 << (m + 1))
 
 
+def parity_input_map(p: int) -> Tuple[InputMap, int]:
+    """The P-player parity game's input map and its m = P - 1 free bits.
+
+    An even input is its first P - 1 bits with their parity appended, so
+    (a_i, b_i) = (1, input bit i) is affine in those bits, and the target
+    sign is i^{sum a_i b_i} = i^{|input|}; u in order is valid_inputs()' order.
+    """
+    m = p - 1
+    return [(1 << m, 1 << (m - 1 - i)) for i in range(m)] + [(1 << m, (1 << m) - 1)], m
+
+
 def quantum_parity_eval(
     ops: CompositeOperatorSet,
     resource: Optional[Union[StabilizerGroup, DenseState]] = None,
@@ -355,12 +366,7 @@ def quantum_parity_eval(
     p = ops.players
     game = ParityGame(p)
     res = resource if resource is not None else ops.resource
-    # an even input is its first P - 1 bits with their parity appended, so
-    # (a_i, b_i) = (1, input bit i) is affine in those bits, and the target
-    # sign is i^{sum a_i b_i} = i^{|input|}; u in order is valid_inputs()' order
-    m = p - 1
-    amap = [(1 << m, 1 << (m - 1 - i)) for i in range(m)] + [(1 << m, (1 << m) - 1)]
-    wins, p_q, ts_total = _score_inputs(ops, res, amap, m)
+    wins, p_q, ts_total = _score_inputs(ops, res, *parity_input_map(p))
     mermin = ts_total if p == 3 else None
     return StrategyEvaluation(dict(zip(game.valid_inputs(), wins)), p_q, mermin, meta={"P": p})
 

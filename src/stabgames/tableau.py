@@ -4,14 +4,19 @@ phase, expectation values, ground-space dimension, sector fixing.
 Rows are genuine group elements, so every "row operation" is an operator
 product and phases are exact by construction.
 
-Every group keeps one commutation index: for each site j, a tuple of
-(generator, x_j, z_j) entries, one for each generator that is not the
-identity at j.  An operator commutes with the group iff, for every generator
-k, x_k z - z_k x summed over the operator's own sites is 0 mod d.  That one
-check serves queries, builds and sector fixing.  A group is built by
-adjoining its generators to the empty group, each checked against the ones
-before it; fix_sector adjoins the fixers to a copy of the group in the same
-way.
+Every group keeps a commutation index, and one check against it serves
+queries, builds and sector fixing.  A group is built by adjoining its
+generators to the empty group, each checked against the ones before it;
+fix_sector adjoins the fixers to a copy of the group in the same way.  A
+qubit group's index holds, for each site j, the tuple of generators with X
+at j and the tuple of those with Z at j.  An operator anticommutes with
+generator k iff k is left after symmetric-differencing the Z tuples at the
+operator's X sites and the X tuples at its Z sites (a Y site counts as both),
+so the check reads the operator's sites once from its packed x and z.  A
+Weyl group's index holds, for each site j, a (generator, x_j, z_j) entry for
+each generator that is not the identity at j; an operator commutes with the
+group iff, for every generator k, x_k z - z_k x summed over the operator's
+own sites is 0 mod d.
 
 Qubit groups (generators given as PauliOperator) live in a packed GF(2)
 tableau.  Each row is one int v = x | z << n, so column c < n is x_c and
@@ -63,7 +68,7 @@ import copy
 import math
 from itertools import compress
 from operator import or_
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import _Frozen
 from .pauli import PauliOperator, _bits
@@ -144,17 +149,36 @@ def _times_power(e: List[int], f: int, row: _Row, m: int, d: int) -> int:
     return (f + m * rf + m * (m - 1) * zx + 2 * m * cross) % (2 * d)
 
 
-def _support(op: AnyOperator) -> List[Tuple[int, int, int]]:
+def _qubit_sites(
+    sites: Sequence[Tuple[int, ...]], op: PauliOperator
+) -> Optional[Tuple[List[int], List[int]]]:
+    """op's X sites and Z sites, or None if op anticommutes with a generator
+    in the qubit index (sites[j]: the generators with X at j; sites[n + j]:
+    those with Z at j).  op anticommutes with exactly the generators it meets
+    at an odd number of X-against-Z sites (a Y is both), which are those left
+    after symmetric-differencing the Z tuples at op's X sites and the X
+    tuples at its Z sites."""
+    n = op.n
+    xs, zs = _bits(op.x), _bits(op.z)
+    odd: Set[int] = set()
+    flip = odd.symmetric_difference_update
+    for j in xs:
+        flip(sites[n + j])
+    for j in zs:
+        flip(sites[j])
+    return None if odd else (xs, zs)
+
+
+def _support(op: WeylOperator) -> List[Tuple[int, int, int]]:
     """(j, x_j, z_j) for each site j where op is not the identity."""
     x, z = op.x, op.z
-    if isinstance(op, PauliOperator):
-        return [(j, x >> j & 1, z >> j & 1) for j in _bits(x | z)]
     return [(j, x[j], z[j]) for j in compress(range(op.n), map(or_, x, z))]
 
 
 def _commutes(sites: Sequence[tuple], support: List[Tuple[int, int, int]], d: int) -> bool:
     """Whether the operator with this support commutes with every generator
-    in the index: x_k z - z_k x summed over the operator's sites is 0 mod d."""
+    in the Weyl index: x_k z - z_k x summed over the operator's sites is 0
+    mod d."""
     gram: Dict[int, int] = {}  # k -> entry k of the operator's Gram row
     for j, x, z in support:
         for k, xk, zk in sites[j]:
@@ -277,8 +301,10 @@ class StabilizerGroup:
             if isinstance(g, WeylOperator) and g.d != self.d:
                 raise ValueError("generator dimension mismatch")
         self.generators: Tuple[AnyOperator, ...] = ()
-        # per site j: (generator, x_j, z_j) of each generator not the identity there
-        self._sites: List[tuple] = [()] * self.n
+        # qubit groups, per packed column c < 2n: the generators with X at site
+        # c (c < n) or with Z at site c - n; Weyl groups, per site j:
+        # (generator, x_j, z_j) of each generator not the identity there
+        self._sites: List[tuple] = [()] * (2 * self.n if qubit else self.n)
         # qubit groups: pivot column -> (packed echelon row, i-power phase)
         self._packed: Optional[Dict[int, Tuple[int, int]]] = {} if qubit else None
         self._pivmask = 0
@@ -294,17 +320,27 @@ class StabilizerGroup:
         group's only once every op has passed.  The echelon grows on a copy
         too, so extending a copy of a group leaves the group as it was."""
         first, d, n = len(self.generators), self.d, self.n
+        qubit = self._packed is not None
         sites = list(self._sites)
         for k, op in enumerate(ops, first):
-            support = _support(op)
-            if not _commutes(sites, support, d):
-                raise ValueError("generators do not commute")
-            for j, x, z in support:
-                sites[j] += ((k, x, z),)
+            if qubit:
+                xz = _qubit_sites(sites, op)
+                if xz is None:
+                    raise ValueError("generators do not commute")
+                for j in xz[0]:
+                    sites[j] += (k,)
+                for j in xz[1]:
+                    sites[n + j] += (k,)
+            else:
+                support = _support(op)
+                if not _commutes(sites, support, d):
+                    raise ValueError("generators do not commute")
+                for j, x, z in support:
+                    sites[j] += ((k, x, z),)
         self._sites = sites
         self.generators += tuple(ops)
         self._rows: Optional[List[AnyOperator]] = None  # canonical rows, on first read
-        if self._packed is None:
+        if not qubit:
             ech = self._ech
             es = [e for e, *_ in ech] + [list(op.x + op.z) for op in ops]
             fs = [f for _, f, *_ in ech] + [op.phase for op in ops]
@@ -443,12 +479,14 @@ class StabilizerGroup:
     def expectation(self, op: AnyOperator) -> Expectation:
         cur = self._coerce(op)
         d = self.d
-        if not _commutes(self._sites, _support(cur), d):
-            return Expectation("zero", d)
         if self._packed is not None:
+            if _qubit_sites(self._sites, cur) is None:
+                return Expectation("zero", 2)
             v, ph = self._reduce_packed(cur.x | cur.z << self.n, cur.phase)
             # PauliOperator phases are i-exponents = exp(i*pi/2) exponents
             return Expectation("logical", 2) if v else Expectation("definite", 2, ph)
+        if not _commutes(self._sites, _support(cur), d):
+            return Expectation("zero", d)
         e = list(cur.x + cur.z)
         f = self._reduce_weyl(e, cur.phase, self._ech)
         return Expectation("logical", d) if any(e) else Expectation("definite", d, f)

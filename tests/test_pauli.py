@@ -212,6 +212,14 @@ class TestText:
             build()
 
 
+@pytest.mark.parametrize("x, z", [(8, 0), (0, 8), (-1, 0), (0, -4), (1 << 70, 0), (0, 7 | 1 << 64)])
+def test_bits_outside_the_register_are_refused(x, z):
+    # a negative int has every bit above the register set
+    with pytest.raises(ValueError, match="support outside register"):
+        PauliOperator(3, x, z, 0)
+    PauliOperator(3, x & 7, z & 7, 0)  # the bits inside the register are accepted
+
+
 def test_hermiticity_criterion_matches_oracle():
     rng = random.Random(17)
     for _ in range(200):

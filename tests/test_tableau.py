@@ -46,6 +46,20 @@ def as_pauli(op):
     return op.to_pauli() if isinstance(op, WeylOperator) else op
 
 
+def canonical_form(group):
+    """The group's canonical rows, as (x, z, phase), and its pivots."""
+    return [(r.x, r.z, r.phase) for r in map(as_pauli, group.rows)], group.pivots
+
+
+def fixed_form(group, fixer):
+    """canonical_form of the group with fixer's sector fixed, or None if
+    fix_sector refuses the fixer."""
+    try:
+        return canonical_form(group.fix_sector([fixer]))
+    except ValueError:
+        return None
+
+
 def canonical_reduce(group, op):
     """Reduction by the canonical rows: op times every row whose pivot bit
     op carries.  Each canonical row carries no other row's pivot bit, so the
@@ -75,10 +89,7 @@ def assert_paths_agree(gens, n, probes):
     assert (gq is None) == (gw is None)
     if gq is None:
         return
-    assert [(r.x, r.z, r.phase) for r in gq.rows] == [
-        (p.x, p.z, p.phase) for p in map(as_pauli, gw.rows)
-    ]
-    assert gq.pivots == gw.pivots
+    assert canonical_form(gq) == canonical_form(gw)
     assert gq.ground_space_dim() == gw.ground_space_dim()
     for probe in probes:
         eq, ew = gq.expectation(probe), gw.expectation(WeylOperator.from_pauli(probe))
@@ -503,6 +514,10 @@ class TestQuditGroups:
     @example((1, [P("i^0 X0", 1), P("i^0 Z0", 1)], [P("i^0 X0", 1)]))  # non-commuting
     @example((1, [P("i^0 Z0", 1), P("i^2 Z0", 1)], [P("i^0 Z0", 1)]))  # -I
     @example((1, [P("i^1 Z0", 1)], [P("i^0 Z0", 1)]))  # non-Hermitian i*Z0
+    # X against Z at two sites commutes, at three it does not; Y on Y commutes
+    @example((2, [P("i^0 Z0 Z1", 2), P("i^0 X0 X1", 2)], [P("i^0 X0 X1", 2)]))
+    @example((3, [P("i^0 Z0 Z1 Z2", 3), P("i^0 X0 X1 X2", 3)], [P("i^0 X0 X1 X2", 3)]))
+    @example((2, [P("i^0 Y0", 2), P("i^0 Y0 Z1", 2)], [P("i^0 Y0 Z1", 2), P("i^0 Y0 X1", 2)]))
     def test_pauli_and_weyl_paths_agree_at_d2(self, case):
         n, cands, probes = case
         assert_paths_agree(cands, n, probes)
@@ -517,6 +532,19 @@ class TestQuditGroups:
         for g in gens[::2]:
             member = multiply(member, g)
         assert_paths_agree(gens, n, probes + [member, member.scale_i(2)])
+        # the probes as queries of the first generator's group, and as sector
+        # fixers of it and of the whole group: on either path the fixed group
+        # is the one a build from the generators and the fixer gives, or both
+        # refuse the fixer
+        assert_paths_agree(gens[:1], n, probes)
+        for head in (gens[:1], gens):
+            for probe in probes:
+                fixer = probe if probe.is_hermitian() else probe.scale_i(1)
+                want = build(head + [fixer], n)
+                want = None if want is None else canonical_form(want)
+                for conv in (as_pauli, WeylOperator.from_pauli):
+                    group = build([conv(g) for g in head], n)
+                    assert fixed_form(group, conv(fixer)) == want
 
     def test_toric_code_packed_rows_match_weyl_path(self):
         gens = list(toric2d(6).group.generators)
