@@ -13,7 +13,12 @@ register (``_mask``).  ``dense_expectation`` and ``exact_expectation`` then
 count, over all d^n basis states, the overlaps c_e of psi with O psi at
 each phase difference e in Z_2d.  <O> = sum_e c_e w^e / N, and
 ``exact_expectation`` decides it from c in integers, reduced modulo the
-cyclotomic polynomial Phi_2d.  None of this loads numpy.
+cyclotomic polynomial Phi_2d.  For qubits the counts come from the support
+and two phase bits, not the four planes (``_qubit_counts``): the support is
+translated first, and when it misses its translate every count is 0 and no
+phase bit is moved; otherwise the translated phase bits are subtracted on
+the overlap and four popcounts give c.  Every other d moves all 2d planes
+(``_plane_counts``).  None of this loads numpy.
 
 numpy is imported only where floats are needed: ``DenseState.amps`` (built
 from the planes when first read), ``deform``, ``apply_operator``, and the
@@ -117,15 +122,22 @@ def _mask(d: int, n: int, j: int, lo: int, hi: int) -> int:
     return mask
 
 
+def _odd_class(n: int, z: Sequence[int]) -> int:
+    """Bitset of the qubit basis indices q with z.q odd: the sum of the
+    sites' digit-1 masks."""
+    odd = 0
+    for j, b in enumerate(z):
+        if b:
+            odd ^= _mask(2, n, j, 1, 2)
+    return odd
+
+
 def _classes(d: int, n: int, z: Sequence[int]) -> list:
     """The bitsets C_c of the basis indices q with z.q = c mod d, for c < d."""
+    if d == 2:
+        odd = _odd_class(n, z)
+        return [odd ^ ((1 << (1 << n)) - 1), odd]
     classes = [(1 << d**n) - 1] + [0] * (d - 1)
-    if d == 2:  # the odd class is the sum of the sites' digit-1 masks
-        for j, b in enumerate(z):
-            if b:
-                classes[1] ^= _mask(2, n, j, 1, 2)
-        classes[0] ^= classes[1]
-        return classes
     for j, b in enumerate(z):
         if b:
             split = [0] * d
@@ -165,7 +177,14 @@ def _counts(state: DenseState, op: AnyOperator) -> list:
     w = _as_weyl(op)
     if w.n != state.n or w.d != state.d:
         raise ValueError("operator register mismatch")
-    d, n, planes = state.d, state.n, state.planes
+    if state.d == 2:
+        return _qubit_counts(state.n, state.planes, w)
+    return _plane_counts(state.d, state.n, state.planes, w)
+
+
+def _plane_counts(d: int, n: int, planes: Sequence[int], w: WeylOperator) -> list:
+    """``_counts`` for every d, from the planes of O psi (``_act``); the
+    reference for ``_qubit_counts``."""
     moved = _act(d, n, planes, w, _classes(d, n, w.z))
     counts = []
     for e in range(2 * d):
@@ -175,6 +194,45 @@ def _counts(state: DenseState, op: AnyOperator) -> list:
                 # the planes are disjoint, so one popcount per e
                 both |= plane & moved[(k + e) % (2 * d)]
         counts.append(both.bit_count())
+    return counts
+
+
+def _flipped(bits: int, flips: Sequence) -> int:
+    """A qubit bitset with bit q moved to q ^ x, given the (stride, digit-0
+    mask) of every site of x: one mask-and-shift per site, as in ``_act``."""
+    for s, low in flips:
+        kept = bits & low
+        bits = kept << s | (bits ^ kept) >> s
+    return bits
+
+
+def _qubit_counts(n: int, planes: Sequence[int], w: WeylOperator) -> list:
+    """``_counts`` for d = 2, from three bitsets: the support S and the phase
+    bits B0 = P1|P3 and B1 = P2|P3 of the planes.
+
+    O = i^f X^x Z^z takes the phase k(q) of psi_q to k(q) + f + 2 z.q at
+    q ^ x, so at p the overlap's phase difference is
+    k(p ^ x) - k(p) + 2 z.p + f + 2 z.x mod 4, on R = S & T(S), T the
+    translation by x.  R empty means no overlap at all, and then no phase
+    bit is moved.  Otherwise T(B0) and T(B1) are subtracted from B0 and B1
+    on R with one borrow, the odd class of z.p adds 2, and four popcounts
+    give the counts of T(k) - k + 2 z.p, relabelled by f + 2 z.x."""
+    p0, p1, p2, p3 = planes
+    flips = [(1 << n - 1 - j, _mask(2, n, j, 0, 1)) for j, a in enumerate(w.x) if a]
+    support = p0 | p1 | p2 | p3
+    both = support & _flipped(support, flips)
+    if not both:
+        return [0, 0, 0, 0]
+    a0, a1 = p1 | p3, p2 | p3
+    t0, t1 = _flipped(a0, flips), _flipped(a1, flips)
+    d0 = (t0 ^ a0) & both
+    d1 = (t1 ^ a1 ^ (a0 & ~t0) ^ _odd_class(n, w.z)) & both
+    c3 = (d0 & d1).bit_count()
+    c1, c2 = d0.bit_count() - c3, d1.bit_count() - c3
+    shift = w.phase + 2 * sum(map(operator.and_, w.x, w.z))
+    counts = [0] * 4
+    for e, c in enumerate((both.bit_count() - c1 - c2 - c3, c1, c2, c3)):
+        counts[(e + shift) % 4] = c
     return counts
 
 
@@ -484,7 +542,8 @@ def _z_weights(count: Sequence[int]):
 def deform(
     state: DenseState, family: str, theta: float, sites: Sequence[int] = None
 ) -> DenseState:
-    """Apply exp(theta * sum_site P_site) and renormalize (P = Z or X, d=2).
+    """Apply exp(theta * sum_site P_site) and renormalize (P = Z or X, d=2);
+    a site may repeat, and each must be in range(n).
 
     Each family is applied up to a positive factor that keeps every
     amplitude at most the largest input amplitude, so no theta overflows:
@@ -497,10 +556,12 @@ def deform(
         raise ValueError("deformations implemented for qubit registers only")
     if not math.isfinite(theta):
         raise ValueError(f"deformation angle must be finite, got {theta!r}")
-    if sites is None:
-        sites = range(state.n)
-    cur = state.amps  # neither family writes to the given state
     n = state.n
+    sites = range(n) if sites is None else list(sites)
+    for j in sites:
+        if not 0 <= j < n:
+            raise ValueError(f"site {j} outside register of size {n}")
+    cur = state.amps  # neither family writes to the given state
     if family.lower() in ("z", "z-field"):
         # the weight of |q> is sum_site (-1)^(q_site); it splits over the two
         # halves of the register like the operators in apply_operator

@@ -19,6 +19,8 @@ from stabgames.dense import (
     _counts,
     _cyclotomic,
     _orbit_state,
+    _plane_counts,
+    _qubit_counts,
     _row_order,
     apply_operator,
     deform,
@@ -238,6 +240,14 @@ class TestDeform:
             anti += dense_expectation(self.state, multiply(zj, m)).real
             anti += dense_expectation(self.state, multiply(m, zj)).real
         assert fd == pytest.approx(anti - 2 * exp_a * exp_m, abs=1e-6)
+
+    @pytest.mark.parametrize("family", ["z", "x"])
+    @pytest.mark.parametrize("site", [-1, -3, 3, 7])
+    def test_site_outside_the_register_is_refused(self, family, site):
+        # -1 used to deform site n - 1 (Z) or fail on a negative shift (X),
+        # and n or more an index or reshape error
+        with pytest.raises(ValueError, match=rf"site {site} outside register of size 3"):
+            deform(self.state, family, 0.3, sites=[0, site])
 
 
 def _reference_z_deform(state, theta, sites):
@@ -589,6 +599,50 @@ def test_exact_expectation_matches_tableau(case, seed):
         assert exact_expectation(state, op) == want
         assert abs(dense_expectation(state, op) - want.value) < 1e-12
         assert abs(dense_expectation(floats, op) - want.value) < 1e-10
+
+
+def test_exact_expectation_matches_tableau_on_18_qubits():
+    # the oracle benchmark's largest register: 2^18-bit planes, with
+    # definite, zero and empty-overlap queries among the 24
+    group = _conjugated_z_group(random.Random(18), 18)
+    state = state_from_group(group)
+    kinds, empty = set(), 0
+    for op in _query_ops(random.Random(30), group, count=24):
+        want = group.expectation(op)
+        assert exact_expectation(state, op) == want
+        assert abs(dense_expectation(state, op) - want.value) < 1e-12
+        kinds.add(want.kind)
+        empty += _counts(state, op) == [0, 0, 0, 0]
+    assert kinds == {"definite", "zero"} and empty
+
+
+@st.composite
+def qubit_plane_sets(draw):
+    """(n, planes): a seeded stabilizer state's planes on 1..10 qubits, or
+    four arbitrary disjoint planes on 0..8 qubits, which need not be the
+    planes of any stabilizer state (label -1: off the support)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        group = _conjugated_z_group(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+        return n, state_from_group(group).planes
+    n = draw(st.integers(0, 8))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=1 << n, max_size=1 << n))
+    return n, tuple(sum(1 << q for q, k in enumerate(labels) if k == p) for p in range(4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_qubit_counts_match_plane_counts(data):
+    n, planes = data.draw(qubit_plane_sets())
+    kind = data.draw(st.sampled_from(["identity", "x", "z", "y-heavy", "any"]))
+    bits = st.integers(0, (1 << n) - 1)
+    x = data.draw(bits) if kind in ("x", "y-heavy", "any") else 0
+    z = data.draw(bits) if kind in ("z", "any") else 0
+    if kind == "y-heavy":
+        z = x | data.draw(bits)  # Y on every X site
+    for phase in range(4):
+        w = _as_weyl(PauliOperator(n, x, z, phase))
+        assert _qubit_counts(n, planes, w) == _plane_counts(2, n, planes, w)
 
 
 def test_exact_expectation_on_qutrits():

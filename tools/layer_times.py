@@ -19,9 +19,16 @@ Layers:
                      group (qubit path) and on the 8x10 double semion
                      (Weyl path): seeded products of two generators
                      (definite) and single-site operators (mostly zero)
+  pauli.*, weyl.*    one batch of multiplies, and of commutation checks,
+                     over seeded pairs of generators: Pauli for tc2d L=32,
+                     Weyl for the 8x10 double semion
   fix_sector.*       the 8x10 double semion's two winding fixers
   parity.*           the sign form, and the whole outcome table (sign form
                      included), of game parity --code tc2d --L 32 --P 12
+  dense.*            the dense oracle at n=18: state_from_group on one
+                     seeded random stabilizer state of the oracle benchmark
+                     (perfbench.workloads), and dense_expectation over its
+                     25 queries (group products and uniform random Paulis)
   scale.*            toric2d(128) in a child interpreter: its build time,
                      and its peak RSS from the child's rusage
 """
@@ -42,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 7  # timed calls per layer; the toric2d(128) child runs REPEATS // 2 times
 QUERIES = 256  # of each kind, per expectation batch
+PAIRS = 4096  # per multiply or commutation batch
 CHILD = (
     "import time; from stabgames.codes import toric2d; "
     "t = time.perf_counter(); toric2d(128); print(time.perf_counter() - t)"
@@ -77,6 +85,23 @@ def _expectations(group, queries):
     return lambda: [group.expectation(q) for q in queries]
 
 
+def _pairwise(fn, gens, rng):
+    pairs = [(rng.choice(gens), rng.choice(gens)) for _ in range(PAIRS)]
+    return lambda: [fn(p, q) for p, q in pairs]
+
+
+def _oracle_state(n):
+    """An oracle-benchmark stabilizer state on n qubits: its group, support
+    seed and query operators, from the benchmark's own input generator."""
+    from stabgames.pauli import PauliOperator
+    from stabgames.tableau import StabilizerGroup
+    from perfbench.workloads import random_qubit_state
+
+    s = random_qubit_state(random.Random(30), n)
+    group = StabilizerGroup([PauliOperator(n, *g) for g in s["gens"]], d=2, n=n)
+    return group, [s["seed"]], [PauliOperator(n, *o) for o in s["ops"]]
+
+
 def _tc2d_parity(code):
     from stabgames.parity2d import tc2d_parity_ops
     from stabgames.scoring import parity_input_map
@@ -103,9 +128,9 @@ def _scale(src):
 
 def layers(src):
     """{layer: (unit, values)}, one value per repeat."""
-    from stabgames import codes, scoring
-    from stabgames.pauli import PauliOperator, multiply
-    from stabgames.weyl import WeylOperator, w_multiply
+    from stabgames import codes, dense, scoring
+    from stabgames.pauli import PauliOperator, commutes, multiply
+    from stabgames.weyl import WeylOperator, commutation_phase, w_multiply
 
     out = {}
     tc = codes.toric2d(32)
@@ -122,6 +147,13 @@ def layers(src):
     out["expectation.qubit-tc2d-L32"] = ("ms", _timed(_expectations(tc.group, qs)))
     qs = _queries(ds, w_multiply, lambda j: WeylOperator.single(4, ds.n, j, 1, 0), rng)
     out["expectation.weyl-ds-8x10"] = ("ms", _timed(_expectations(ds.group, qs)))
+    for name, fn, code in (
+        ("pauli.multiply-tc2d-L32", multiply, tc),
+        ("pauli.commutes-tc2d-L32", commutes, tc),
+        ("weyl.w_multiply-ds-8x10", w_multiply, ds),
+        ("weyl.commutation_phase-ds-8x10", commutation_phase, ds),
+    ):
+        out[name] = ("ms", _timed(_pairwise(fn, code.group.generators, rng)))
     fixers = codes.ds_winding_fixers(ds)
     out["fix_sector.ds-8x10"] = ("ms", _timed(lambda: ds.group.fix_sector(fixers)))
     args = _tc2d_parity(tc)
@@ -130,6 +162,10 @@ def layers(src):
         ("parity.outcome-table-tc2d-L32-P12", scoring._outcome_table),
     ):
         out[name] = ("ms", _timed(lambda: fn(*args)))
+    group, seeds, ops = _oracle_state(18)
+    out["dense.state-n18"] = ("ms", _timed(lambda: dense.state_from_group(group, seeds)))
+    state = dense.state_from_group(group, seeds)
+    out["dense.counts-n18"] = ("ms", _timed(lambda: [dense.dense_expectation(state, op) for op in ops]))
     build, rss = _scale(src)
     out["scale.toric2d-128-build"] = ("ms", build)
     out["scale.toric2d-128-peak-rss"] = ("MB", rss)
@@ -144,6 +180,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
+    sys.path.append(str(ROOT))  # for perfbench.workloads, the oracle inputs' generator
     result = {}
     for name, (unit, values) in layers(src).items():
         med = statistics.median(values)
