@@ -439,7 +439,11 @@ def block_cellulation_ops(code: CodeInstance, *blocks: int) -> CellulationStrate
     )
 
 
-def fan_cellulation_ops(code: CodeInstance, center: Tuple[int, int] = (2, 2)) -> CellulationStrategy:
+# the fan's central vertex; the fan spans x in cx - 2..cx + 1 and y in cy - 2..cy + 1
+_FAN_CENTER = (2, 2)
+
+
+def fan_cellulation_ops(code: CodeInstance) -> CellulationStrategy:
     """Three-ray fan cellulation (two vertices, three edges, three lens faces).
 
     The composite X_i are edge-disjoint direct paths from a central vertex to
@@ -452,7 +456,7 @@ def fan_cellulation_ops(code: CodeInstance, center: Tuple[int, int] = (2, 2)) ->
     L = code.meta["L"]
     if L < 5:
         raise ValueError("fan cellulation needs L >= 5")
-    cx, cy = center
+    cx, cy = _FAN_CENTER
     h = lambda x, y: ("e", x % L, y % L, 0)
     v = lambda x, y: ("e", x % L, y % L, 1)
     # rays from center (cx, cy) to outer vertex (cx, cy-2)

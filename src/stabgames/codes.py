@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import _Record
-from .pauli import PauliOperator
+from .pauli import PauliOperator, commutes
 from .tableau import StabilizerGroup
-from .weyl import WeylOperator, ordered_w_product, w_multiply
+from .weyl import WeylOperator, commutation_phase, ordered_w_product, w_multiply
 
 if TYPE_CHECKING:
     from .complexes import CellComplex
@@ -55,9 +55,6 @@ class CodeInstance(_Record):
 
     def violations(self, op, label_head: Optional[str] = None) -> List[Tuple]:
         """Labels of generators that fail to commute with op."""
-        from .weyl import commutation_phase
-        from .pauli import commutes
-
         out = []
         for lab, g in self.labeled_generators:
             if label_head is not None and lab[0] != label_head:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from numbers import Integral
 from typing import Iterable, Sequence, Union
 
 from . import _Record
@@ -61,6 +62,17 @@ class DenseState(_Record):
         self.n = n
         self.planes = self.support = None
         self._amps = amps
+
+    def __eq__(self, other):
+        # states with planes compare them exactly, with no numpy; any other
+        # pair compares amplitudes, which elementwise == cannot decide alone
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.planes is not None and other.planes is not None:
+            return (self.d, self.n, self.planes, self.support) == (other.d, other.n, other.planes, other.support)
+        import numpy as np
+
+        return self.d == other.d and self.n == other.n and np.array_equal(self.amps, other.amps)
 
     @property
     def amps(self):
@@ -543,7 +555,7 @@ def deform(
     state: DenseState, family: str, theta: float, sites: Sequence[int] = None
 ) -> DenseState:
     """Apply exp(theta * sum_site P_site) and renormalize (P = Z or X, d=2);
-    a site may repeat, and each must be in range(n).
+    a site may repeat, and each must be an integer (not a bool) in range(n).
 
     Each family is applied up to a positive factor that keeps every
     amplitude at most the largest input amplitude, so no theta overflows:
@@ -559,6 +571,8 @@ def deform(
     n = state.n
     sites = range(n) if sites is None else list(sites)
     for j in sites:
+        if isinstance(j, bool) or not isinstance(j, Integral):
+            raise ValueError(f"site {j!r} is not an integer")
         if not 0 <= j < n:
             raise ValueError(f"site {j} outside register of size {n}")
     cur = state.amps  # neither family writes to the given state

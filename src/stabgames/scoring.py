@@ -13,12 +13,14 @@ credit for an input whose collective observable has expectation zero (or is
 logical on a degenerate resource) is 1/2: the measured eigenvalue is then
 uniformly random.  Each point walks the players once (``_collective``).  On
 a stabilizer group, each evaluation reads one Z4 quadratic form in the bits
-of u (``_sign_form``), fixed by 1 + m + m(m-1)/2 group reductions.  The
-parity game reads every input's outcome from one table of that form indexed
-by u, filled in one pass over the 2^m inputs with one XOR and one popcount
-per entry (``_outcome_table``); the cellulation game's value over all 2^m
-inputs is one exponential sum of the form, exact for any m
-(``_exact_value``).  A dense state is scored input by input.
+of u (``_sign_form``), fixed by 1 + m + m(m-1)/2 group reductions, and both
+games read the inputs they can win from it once (``_reached_form``): the
+affine set A = u0 + span K where O(u) is +-1 times a group element, found
+by one GF(2) solve, and the sign (-1)^f there, f a GF(2) quadratic on span
+K.  The parity game reads every input's outcome from one table indexed by
+u, 0 off A and filled by one walk over A (``_outcome_table``); the
+cellulation game's value over all 2^m inputs is one exponential sum of f,
+exact for any m (``_exact_value``).  A dense state is scored input by input.
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from operator import xor
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from . import _Record
+from .complexes import _transpose, gf2_eliminate
 from .games import Number, ParityGame, StrategyEvaluation
+from .pauli import PauliOperator, _bits
+from .tableau import StabilizerGroup
+from .weyl import WeylOperator
 
-if TYPE_CHECKING:  # imported where they are used, so a stabilizer resource loads no dense module
+if TYPE_CHECKING:  # the dense module is imported where it is used, so a stabilizer resource loads no numpy
     from .dense import DenseState
-    from .pauli import PauliOperator
     from .cellulation import CellulationStrategy
     from .strategies import CompositeOperatorSet
-    from .tableau import StabilizerGroup
 
 # One (a, b) pair of masks per player over the bits of u | 1 << m: bit m - 1 - k
 # of u is input bit k, so u is the input's index in itertools.product order; bit
@@ -55,8 +59,6 @@ def _collective(ops: CompositeOperatorSet, amap: InputMap, u: int, m: int,
     first), and x(u) = sum_i a_i b_i, which must be even, so that the winning
     sign i^x is real (ValueError otherwise).  Each (a_i, b_i) is read from
     the player's masks in amap with two popcounts."""
-    from .pauli import PauliOperator
-
     v = u | 1 << m
     px = pz = ph = x = 0
     for i, (am, bm) in enumerate(amap):
@@ -112,8 +114,6 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap
     - sum_i a_i b_i mod 2 is a GF(2) quadratic in u too, so it is even at
       every input when it is even at the points read here.
     """
-    from .weyl import WeylOperator
-
     n = ops.n
 
     def point(u: int) -> Tuple[int, int]:
@@ -138,22 +138,57 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap
 
 def _form_rho(c: int, lin: List[int], q2: List[int], u: int) -> int:
     """rho(u) mod 4 of ``_sign_form``'s (c, lin, q2), for u given as a bitmask."""
-    from .pauli import _bits
-
     k = c
     for j in _bits(u):
         k += lin[j] + 2 * (q2[j] & u).bit_count()
     return k & 3
 
 
-def _reached(r0: int, step: List[int], c: int, lin: List[int]) -> Tuple[List[int], Optional[int]]:
-    """(kernel, u0) of ``gf2_eliminate`` on the rows (step_j, lin_j mod 2)
-    against (r0, c mod 2): the inputs u with r(u) = 0 and rho(u) even are
-    u0 + span(kernel), and none when u0 is None."""
-    from .complexes import gf2_eliminate
+def _reached_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap, m: int,
+                  ) -> Optional[Tuple[int, List[int], int, int, List[int]]]:
+    """The inputs u with t(u)<O(u)> != 0, and its sign on them, as (u0,
+    kernel, f0, alpha, adj), or None when there are none: they are A =
+    u0 + span(kernel), and t<O> = (-1)^{f(t)} at u = u0 + sum_i t_i
+    kernel[i], for the GF(2) quadratic f of ``_quadratic_sign_sum``'s
+    (f0, alpha, adj).
 
+    From ``_sign_form``'s (r0, step, c, lin, q2), with the sign that wins
+    t(u) = i^{x(u)}, x(u) = sum_i a_i b_i even:
+    - If r(u) = 0, <O(u)> = i^{rho(u) + x(u)} and i^{2x} = 1, so t<O> =
+      i^{rho(u)}: +-1 for even rho(u), and 0 for odd rho(u) as for
+      r(u) != 0 (``_sign_form``).  So A holds the inputs with r(u) = 0 and
+      rho(u) even.
+    - Every q_jk is even, so rho mod 2 = c + sum_j l_j u_j is affine, and A
+      solves one GF(2) linear system (``gf2_eliminate``): the step vectors
+      with l_j mod 2 appended, against r(0) with c mod 2 appended.  A is
+      empty or u0 + span(K).
+    - On u = u0 + K t, rho is again a Z4 polynomial of degree <= 2 in t (an
+      XOR read as an integer is quadratic), and all its values are even, so
+      are its coefficients (read at 0, e_i and e_i + e_k).  So
+      f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
+      at those points.
+    """
+    r0, step, c, lin, q2 = _sign_form(ops, group, amap, m)
     _, kernel, u0 = gf2_eliminate([s << 1 | lj & 1 for s, lj in zip(step, lin)], r0 << 1 | c & 1)
-    return kernel, u0
+    if u0 is None:
+        return None
+
+    def f(*ts: int) -> int:
+        u = u0
+        for i in ts:
+            u ^= kernel[i]
+        return _form_rho(c, lin, q2, u) >> 1
+
+    f0 = f()
+    single = [f(i) for i in range(len(kernel))]
+    alpha = sum((fi ^ f0) << i for i, fi in enumerate(single))
+    adj = [0] * len(kernel)
+    for i in range(len(kernel)):
+        for k in range(i):
+            if f(i, k) ^ single[i] ^ single[k] ^ f0:
+                adj[i] |= 1 << k
+                adj[k] |= 1 << i
+    return u0, kernel, f0, alpha, adj
 
 
 def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap,
@@ -161,34 +196,24 @@ def _outcome_table(ops: CompositeOperatorSet, group: StabilizerGroup, amap: Inpu
     """t(u)<O(u)>, which is 1, 0 or -1, for every input u in GF(2)^m,
     indexed by u (itertools.product order).
 
-    One pass over the 2^m indices, from ``_sign_form``'s (r0, step, c, lin,
-    q2); the table doubles once per bit j of u, and each new entry is its
-    partner's with that bit flipped:
-    - r(u) = 0 with rho(u) even is one affine GF(2) condition, the rows
-      (step_j, lin_j mod 2) against (r0, c mod 2).  Over the independent
-      rows (``_reached``) every row and the target have coordinates
-      of at most m + 1 bits, and so has D(u), their XOR over u's rows and
-      the target: D(u) = 0 exactly when the condition holds.
-    - D is one int per entry, so flipping a bit is one XOR, and rho adds
-      lin_j + 2 |q2[j] & v| for the partner's index v, one popcount; q2[j]
-      holds the lower index bits k of the j-k pairs with q_jk != 0.
-    - When D(u) = 0, <O(u)> = i^{rho + x} with x = sum_i a_i b_i even, so
-      t<O> = i^{rho + 2x} = i^rho = +-1; otherwise <O(u)> = 0.
+    Every entry is 0 but those of A = u0 + span(kernel) (``_reached_form``),
+    which is walked once: the list of its points doubles once per kernel
+    row i, each new point its partner t with t_i set, and f(t + e_i) =
+    f(t) + alpha_i + |adj[i] & t| mod 2, one popcount, since t has no bit
+    at or above i.  The entry at u = u0 + K t is (-1)^{f(t)}.
     """
-    r0, step, c, lin, q2 = _sign_form(ops, group, amap, m)
-    kernel, d0 = _reached(r0, step, c, lin)
-    coord = [1 << j for j in range(m)]  # a kept row is its own coordinate
-    for comb in kernel:  # a dependent row j: the kept rows of its combination
-        j = comb.bit_length() - 1
-        coord[j] = comb ^ 1 << j
-    if d0 is None:  # no input reaches the target
-        d0 = 1 << m
-    table, rho = [d0], [c & 3]
-    for j in range(m):
-        flip, lj, q = coord[j], lin[j], q2[j]
-        table += [d ^ flip for d in table]
-        rho += [(r + lj + 2 * (q & v).bit_count()) & 3 for v, r in enumerate(rho)]
-    return [0 if d else 1 - (r & 2) for d, r in zip(table, rho)]
+    table = [0] * (1 << m)
+    form = _reached_form(ops, group, amap, m)
+    if form is not None:
+        u0, kernel, f0, alpha, adj = form
+        us, fs = [u0], [f0]
+        for i, (k, ai) in enumerate(zip(kernel, adj)):
+            a = alpha >> i & 1
+            us += [u ^ k for u in us]
+            fs += [f ^ a ^ (ai & t).bit_count() & 1 for t, f in enumerate(fs)]
+        for u, f in zip(us, fs):
+            table[u] = 1 - 2 * f
+    return table
 
 
 def _is_exact(resource: Union[StabilizerGroup, DenseState]) -> bool:
@@ -196,8 +221,6 @@ def _is_exact(resource: Union[StabilizerGroup, DenseState]) -> bool:
     state, scored in floats; TypeError for any other resource.  The dense
     module, and with it numpy, is imported only when the resource is no
     stabilizer group."""
-    from .tableau import StabilizerGroup
-
     if isinstance(resource, StabilizerGroup):
         return True
     from .dense import DenseState
@@ -229,7 +252,7 @@ def _score_inputs(
     if _is_exact(resource):
         table = _outcome_table(ops, resource, amap, m)
         win_of = (Fraction(1, 2), Fraction(1), Fraction(0))  # at t<O> = 0, 1, -1
-        total = table.count(1) - table.count(-1)
+        total = sum(table)
         return [win_of[ts] for ts in table], Fraction((1 << m) + total, 2 << m), Fraction(total)
     from .dense import dense_expectation
 
@@ -261,8 +284,6 @@ def _quadratic_sign_sum(f0: int, alpha: int, adj: List[int]) -> int:
       N_j N_k^T + N_k N_j^T to the edges (zero on the diagonal mod 2).
     So S is 0 or +-2^r, r the number of variables and pairs summed out.
     """
-    from .pauli import _bits
-
     adj = list(adj)
     alive = (1 << len(adj)) - 1
     power = 0
@@ -299,43 +320,14 @@ def _exact_value(
 ) -> Fraction:
     """p_q over all 2^m inputs u, exact, from one exponential sum.
 
-    The sign that wins is t(u) = i^{x(u)}, x(u) = sum_i a_i b_i, and x(u)
-    must be even (ValueError otherwise; ``_sign_form`` checks it).
-    - If r(u) = 0, <O(u)> = i^{rho(u) + x(u)} and i^{2x} = 1, so t<O> =
-      i^{rho(u)}: the win is (1 + [r(u) = 0] Re i^{rho(u)}) / 2, and
-      p_q = (2^m + S) / 2^{m+1}, S = sum_{u in A} (-1)^{rho(u)/2}, where A
-      holds the inputs with r(u) = 0 and rho(u) even.
-    - Every q_jk is even, so rho mod 2 = c + sum_j l_j u_j is affine, and A
-      solves one GF(2) linear system: the step vectors with l_j mod 2
-      appended, XORed to r(0) with c mod 2 appended.  A is empty or
-      u0 + span(K).
-    - On u = u0 + K t, rho is again a Z4 polynomial of degree <= 2 in t (an
-      XOR read as an integer is quadratic), and all its values are even, so
-      are its coefficients (read at 0, e_i and e_i + e_k).  So
-      f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
-      at those points, and S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``).
+    The win at u is (1 + t(u)<O(u)>) / 2, and t<O> is (-1)^{f(t)} on the
+    inputs u0 + K t of A and 0 off it (``_reached_form``), so p_q =
+    (2^m + S) / 2^{m+1} with S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``),
+    and S = 0 when A is empty.  ValueError if x(u) = sum_i a_i b_i is odd
+    (``_sign_form`` checks it).
     """
-    r0, step, c, lin, q2 = _sign_form(ops, group, amap, m)
-    kernel, u0 = _reached(r0, step, c, lin)
-    total = 0
-    if u0 is not None:
-
-        def f(*ts: int) -> int:
-            u = u0
-            for i in ts:
-                u ^= kernel[i]
-            return _form_rho(c, lin, q2, u) >> 1
-
-        f0 = f()
-        single = [f(i) for i in range(len(kernel))]
-        alpha = sum((fi ^ f0) << i for i, fi in enumerate(single))
-        adj = [0] * len(kernel)
-        for i in range(len(kernel)):
-            for k in range(i):
-                if f(i, k) ^ single[i] ^ single[k] ^ f0:
-                    adj[i] |= 1 << k
-                    adj[k] |= 1 << i
-        total = _quadratic_sign_sum(f0, alpha, adj)
+    form = _reached_form(ops, group, amap, m)
+    total = 0 if form is None else _quadratic_sign_sum(*form[2:])
     return Fraction((1 << m) + total, 1 << (m + 1))
 
 
@@ -384,8 +376,6 @@ class CellulationGame(_Record):
     __slots__ = (*_fields, "_map")
 
     def __init__(self, strategy: CellulationStrategy):
-        from .complexes import _transpose, gf2_eliminate
-
         self.strategy = strat = strategy
         chain, p = strat.coarse.to_chain(), strat.p
         self.x_basis = gf2_eliminate(chain.boundary[p + 1])[0]

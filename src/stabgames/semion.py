@@ -87,9 +87,11 @@ def _pair_geometry_valid(xa, za, xb, zb) -> Optional[Dict]:
 # player A holds the single dual steps A[3:5] and B[0:2], which cross at the
 # corner the two vertex regions share; player B holds the two complements.
 _DS_CUTS = (3, 4, 0, 1)
+# the translation of the second copy of the loops, clear of the first
+_DS_OFFSET2 = (0, 5)
 
 
-def ds_magic_square_ops(code: CodeInstance, offset2: Tuple[int, int] = (0, 5)) -> MagicSquareOperators:
+def ds_magic_square_ops(code: CodeInstance) -> MagicSquareOperators:
     """Construct the two interlocked split dual loops realizing two effective
     ququart pairs shared between the players, then a translated second copy.
 
@@ -109,7 +111,7 @@ def ds_magic_square_ops(code: CodeInstance, offset2: Tuple[int, int] = (0, 5)) -
     ca1, ca2, cb1, cb2 = _DS_CUTS
     resource = ds_fixed_group(code)
     copies = []
-    for dx, dy in ((0, 0), offset2):
+    for dx, dy in ((0, 0), _DS_OFFSET2):
         xa, xb = _ds_arc_ops(code, [(x + dx, y + dy) for (x, y) in ring_a], ca1, ca2)
         za, zb = _ds_arc_ops(code, [(x + dx, y + dy) for (x, y) in ring_b], cb1, cb2)
         fix = _pair_geometry_valid(xa, za, xb, zb)
@@ -138,7 +140,7 @@ def ds_magic_square_ops(code: CodeInstance, offset2: Tuple[int, int] = (0, 5)) -
         a_z=[za, za2],
         b_x=[xb, xb2],
         b_z=[zb, zb2],
-        meta={"cuts": _DS_CUTS, "offset2": offset2, **fix},
+        meta={"cuts": _DS_CUTS, "offset2": _DS_OFFSET2, **fix},
     )
 
 

@@ -13,6 +13,7 @@ expectation with the recorded phase on the resource group.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
@@ -194,8 +195,6 @@ def _xor_reduce(items: List) -> List:
 def serialize_operator_set(ops: CompositeOperatorSet) -> str:
     """JSON header (pairs, constraints, expected phases) followed by one
     operator line per composite, in the standard text form."""
-    import json as _json
-
     header = {
         "players": ops.players,
         "n": ops.n,
@@ -208,7 +207,7 @@ def serialize_operator_set(ops: CompositeOperatorSet) -> str:
         ],
         "meta": {k: v for k, v in ops.meta.items() if isinstance(k, str)},
     }
-    lines = [_json.dumps(header, sort_keys=True, default=str)]
+    lines = [json.dumps(header, sort_keys=True, default=str)]
     for i in range(ops.players):
         lines.append(f"X{i} " + ops.x_op(i).to_text())
         lines.append(f"Z{i} " + ops.z_op(i).to_text())

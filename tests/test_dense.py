@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,6 +30,7 @@ from stabgames.dense import (
     state_from_group,
 )
 from stabgames.pauli import PauliOperator, multiply, ordered_product
+from stabgames.strategies import ghz_ops
 from stabgames.tableau import Expectation, StabilizerGroup, _as_weyl
 from stabgames.weyl import WeylOperator, w_multiply, w_power
 
@@ -248,6 +250,18 @@ class TestDeform:
         # and n or more an index or reshape error
         with pytest.raises(ValueError, match=rf"site {site} outside register of size 3"):
             deform(self.state, family, 0.3, sites=[0, site])
+
+    @pytest.mark.parametrize("family", ["z", "x"])
+    @pytest.mark.parametrize("site", [True, False, 1.0, "1", np.float64(1)])
+    def test_site_that_is_no_integer_is_refused(self, family, site):
+        # True used to deform site 1, and 1.0 failed with a TypeError
+        with pytest.raises(ValueError, match=re.escape(f"site {site!r} is not an integer")):
+            deform(self.state, family, 0.3, sites=[0, site])
+
+    @pytest.mark.parametrize("family", ["z", "x"])
+    def test_numpy_integer_site_is_a_site(self, family):
+        want = deform(self.state, family, 0.3, sites=[1])
+        assert np.array_equal(deform(self.state, family, 0.3, sites=[np.int64(1)]).amps, want.amps)
 
 
 def _reference_z_deform(state, theta, sites):
@@ -668,6 +682,21 @@ def test_cyclotomic_polynomials():
     assert _cyclotomic(8) == [1, 0, 0, 0, 1]
     assert _cyclotomic(12) == [1, 0, -1, 0, 1]
     assert _cyclotomic(18) == [1, 0, 0, -1, 0, 0, 1]
+
+
+def test_states_compare_without_raising():
+    # two states with planes compared their amplitude arrays elementwise, which
+    # raised "truth value of an array ... is ambiguous"; now they compare planes
+    group = ghz_ops(3).resource
+    a, b = state_from_group(group), state_from_group(group)
+    assert a == b and not a != b
+    assert a._amps is None and b._amps is None  # no amplitudes were built
+    assert a != state_from_group(ghz_ops(4).resource)
+    assert a != state_from_group(StabilizerGroup([P(f"i^0 Z{j}", 3) for j in range(3)]))
+    # any other pair compares amplitudes
+    assert a == DenseState(2, 3, b.amps.copy()) and DenseState(2, 3, b.amps.copy()) == a
+    assert a != deform(a, "z", 0.3) and deform(a, "z", 0.3) == deform(b, "z", 0.3)
+    assert a != DenseState(4, 3, b.amps.copy()) and a != DenseState(2, 3, b.amps[:4].copy())
 
 
 def test_zero_is_decided_after_the_cyclotomic_reduction():

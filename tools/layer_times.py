@@ -4,7 +4,8 @@
 
 Times the stabgames under DIR (default: this checkout's ``src``), so one
 copy of the script compares two checkouts; the parity layers read the
-game's input map from ``scoring.parity_input_map``, so DIR must have it.
+game's input map from ``scoring.parity_input_map``, and the cellulation
+layer from ``scoring.CellulationGame.input_map``, so DIR must have both.
 Every layer is called once untimed, then timed REPEATS (7) times with
 ``time.perf_counter`` after a ``gc.collect()``; the inputs are built once,
 outside the timings.  Prints one line per layer, its median and its
@@ -25,6 +26,9 @@ Layers:
   fix_sector.*       the 8x10 double semion's two winding fixers
   parity.*           the sign form, and the whole outcome table (sign form
                      included), of game parity --code tc2d --L 32 --P 12
+  cellulation.*      the exact value of game cellulation --L 12 --blocks 2x2
+                     over its 2^70 inputs: sign form, reached set and
+                     exponential sum
   dense.*            the dense oracle at n=18: state_from_group on one
                      seeded random stabilizer state of the oracle benchmark
                      (perfbench.workloads), and dense_expectation over its
@@ -110,6 +114,14 @@ def _tc2d_parity(code):
     return (ops, ops.resource, *parity_input_map(12))
 
 
+def _tc2d_cellulation(code):
+    from stabgames.cellulation import block_cellulation_ops
+    from stabgames.scoring import CellulationGame
+
+    strat = block_cellulation_ops(code, 2, 2)
+    return (strat.ops, strat.ops.resource, *CellulationGame(strat).input_map())
+
+
 def _scale(src):
     """The child's toric2d(128) build times (ms) and peak RSS (MB)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -162,6 +174,8 @@ def layers(src):
         ("parity.outcome-table-tc2d-L32-P12", scoring._outcome_table),
     ):
         out[name] = ("ms", _timed(lambda: fn(*args)))
+    args = _tc2d_cellulation(codes.toric2d(12))
+    out["cellulation.value-tc2d-L12-2x2"] = ("ms", _timed(lambda: scoring._exact_value(*args)))
     group, seeds, ops = _oracle_state(18)
     out["dense.state-n18"] = ("ms", _timed(lambda: dense.state_from_group(group, seeds)))
     state = dense.state_from_group(group, seeds)
