@@ -11,16 +11,18 @@ Quantum evaluations are exact: stabilizer resources give win probabilities
 as rationals, dense resources give floats from exact state vectors.  Win
 credit for an input whose collective observable has expectation zero (or is
 logical on a degenerate resource) is 1/2: the measured eigenvalue is then
-uniformly random.  Each point walks the players once (``_collective``).  On
-a stabilizer group, each evaluation reads one Z4 quadratic form in the bits
-of u (``_sign_form``), fixed by 1 + m + m(m-1)/2 group reductions, and both
-games read the inputs they can win from it once (``_reached_form``): the
-affine set A = u0 + span K where O(u) is +-1 times a group element, found
-by one GF(2) solve, and the sign (-1)^f there, f a GF(2) quadratic on span
-K.  The parity game reads every input's outcome from one table indexed by
-u, 0 off A and filled by one walk over A (``_outcome_table``); the
-cellulation game's value over all 2^m inputs is one exponential sum of f,
-exact for any m (``_exact_value``).  A dense state is scored input by input.
+uniformly random.  That the sign i^{sum_i a_i b_i} is real at every input
+is read once from the input map (``_check_real_sign``).  Each point walks
+the players once (``_collective``).  On a stabilizer group both games fit
+one sign form (``_reached_form``): the group reductions at u = 0 and at
+each unit input give, by one GF(2) solve, the affine set A = u0 + span K of
+the inputs where O(u) is +-1 times a group element, and reductions at u0,
+u0 + K_i and u0 + K_i + K_k give the GF(2) quadratic f on span K with sign
+(-1)^f there.  The parity game reads every input's outcome from one table
+indexed by u, 0 off A and filled by one walk over A (``_outcome_table``);
+the cellulation game's value over all 2^m inputs is one exponential sum of
+f, exact for any m (``_exact_value``).  A dense state is scored input by
+input.
 """
 
 from __future__ import annotations
@@ -56,9 +58,8 @@ def _collective(ops: CompositeOperatorSet, amap: InputMap, u: int, m: int,
                 ) -> Tuple[PauliOperator, int]:
     """(O(u), x(u)) in one pass over the players: O(u) = prod_i i^{a_i b_i}
     X_i^{a_i} Z_i^{b_i} in player order (the last player's factor applied
-    first), and x(u) = sum_i a_i b_i, which must be even, so that the winning
-    sign i^x is real (ValueError otherwise).  Each (a_i, b_i) is read from
-    the player's masks in amap with two popcounts."""
+    first), and x(u) = sum_i a_i b_i.  Each (a_i, b_i) is read from the
+    player's masks in amap with two popcounts."""
     v = u | 1 << m
     px = pz = ph = x = 0
     for i, (am, bm) in enumerate(amap):
@@ -69,51 +70,75 @@ def _collective(ops: CompositeOperatorSet, amap: InputMap, u: int, m: int,
             px ^= op.x
             pz ^= op.z
             x += a & b
-    if x & 1:
-        raise ValueError("odd a.b parity: stabilizer commutation violated")
     return PauliOperator(ops.n, px, pz, ph), x
 
 
-def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap, m: int,
-               ) -> Tuple[int, List[int], int, List[int], List[int]]:
-    """The residual r(u) and i-power rho(u) of every input u in GF(2)^m, from
-    1 + m + m(m-1)/2 reductions, as (r(0), step, c, lin, q2), with u_j bit
-    j of u: r(u) = r(0) xor step[j] for each u_j = 1 and rho(u) = c +
-    sum_j lin[j] u_j + 2 sum_{k<j} (bit k of q2[j]) u_j u_k mod 4
-    (``_form_rho``).  ValueError (``_collective``) if sum_i a_i b_i is odd
-    at any input.  The input map is affine by construction, so the points
-    read are u = 0, 1 << j and 1 << j | 1 << k.
+def _check_real_sign(amap: InputMap, m: int) -> None:
+    """ValueError unless x(u) = sum_i a_i b_i is even at every input u, so
+    that the winning sign i^{x(u)} is real.
 
-    Write O(u) = i^{sum_i a_i b_i} M(u), M(u) = prod_i X_i^{a_i} Z_i^{b_i},
-    and let reduce(M(u)) = M(u) g(u) with residual vector r(u) and i-power
-    rho(u).
+    With v = u | 1 << m and the masks read as GF(2) vectors, x = v^T M v
+    mod 2 for M = sum_i a_i b_i^T, that is sum_j M_jj v_j + sum_{j<k}
+    (M_jk + M_kj) v_j v_k.  At v_m = 1 this vanishes for every u exactly
+    when M_mm = 0 and, for each j < m, M_jj + M_jm + M_mj = 0 and M_jk +
+    M_kj = 0 for every other k < m: row j of M + M^T is M_jj at bit m.
+    """
+    rows = [0] * (m + 1)  # row j of M: the XOR of the b masks whose a mask holds bit j
+    for a, b in amap:
+        for j in _bits(a):
+            rows[j] ^= b
+    cols = _transpose(rows, m + 1)
+    if rows[m] >> m & 1 or any(r ^ c != (r >> j & 1) << m
+                               for j, (r, c) in enumerate(zip(rows[:m], cols))):
+        raise ValueError("odd a.b parity: stabilizer commutation violated")
+
+
+def _reached_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap, m: int,
+                  ) -> Optional[Tuple[int, List[int], int, int, List[int]]]:
+    """The inputs u with t(u)<O(u)> != 0, and its sign on them, as (u0,
+    kernel, f0, alpha, adj), or None when there are none: they are A =
+    u0 + span(kernel), and t<O> = (-1)^{f(t)} at u = u0 + sum_i t_i
+    kernel[i], for the GF(2) quadratic f of ``_quadratic_sign_sum``'s
+    (f0, alpha, adj).  ValueError if x(u) = sum_i a_i b_i is odd at some
+    input (``_check_real_sign``).
+
+    Write O(u) = i^{x(u)} M(u), M(u) = prod_i X_i^{a_i} Z_i^{b_i}, and let
+    reduce(M(u)) = M(u) g(u) with residual vector r(u) and i-power rho(u).
 
     - r(u) is affine in u: the x|z vector of M(u) is an XOR of the players'
       vectors, and the group element g(u) that clears the pivot bits is
       unique, so its vector depends linearly on that of M(u).
-    - rho(u) mod 4 is a polynomial of degree <= 2 in the bits of u (Dehaene
-      & De Moor, quant-ph/0304125).  Every phase term is an integer phase
-      times one exponent, or twice a GF(2) product of two exponents: the
-      factors' own phases, the 2|z.x'| of each product, and the same for
-      the rows of g(u), whose exponents on the rows are affine in u too.
-      Read as an integer, an exponent that is the XOR of the bits u_j with
-      j in S is sum_S u_j - 2 sum_{j<k in S} u_j u_k (mod 4), and twice a
-      GF(2) product only depends on it mod 2, so no term has degree > 2,
-      and every quadratic coefficient is even.
-    - Such a polynomial is fixed by its values at 0, at each e_j and at each
-      e_j + e_k: rho(u) = c + sum_j l_j u_j + sum_{j<k} q_jk u_j u_k with
-      c = rho(0), l_j = rho(e_j) - c, q_jk = rho(e_j + e_k) - rho(e_j) -
-      rho(e_k) + c, and r(u) = r(0) + sum_j u_j (r(e_j) + r(0)).
-    - If r(u) = 0, M(u) = i^rho g(u) with g(u) in the group, so <O(u)> =
-      i^k, k = rho(u) + sum_i a_i b_i: +1 or -1 for k = 0 or 2 mod 4 and 0
-      for odd k.
-    - If r(u) != 0, O(u) is not a phase times a group element: it
-      anticommutes with some stabilizer (an anticommuting operator never
-      reduces to 0) or it is logical.  Either way the outcome is uniformly
-      random and <O(u)> = 0.
-    - sum_i a_i b_i mod 2 is a GF(2) quadratic in u too, so it is even at
-      every input when it is even at the points read here.
+    - rho(u) mod 4 is a polynomial of degree <= 2 in the bits of u with
+      even quadratic coefficients (Dehaene & De Moor, quant-ph/0304125).
+      Every phase term is an integer phase times one exponent, or twice a
+      GF(2) product of two exponents: the factors' own phases, the
+      2|z.x'| of each product, and the same for the rows of g(u), whose
+      exponents on the rows are affine in u too.  Read as an integer, an
+      exponent that is the XOR of the bits u_j with j in S is sum_S u_j -
+      2 sum_{j<k in S} u_j u_k (mod 4), and twice a GF(2) product only
+      depends on it mod 2.
+    - If r(u) = 0, M(u) = i^rho g(u) with g(u) in the group, and with x(u)
+      even, t<O> = i^{rho(u)}: +-1 for even rho(u), 0 for odd.  If r(u) !=
+      0, O(u) anticommutes with some stabilizer (an anticommuting operator
+      never reduces to 0) or it is logical: the outcome is uniformly random
+      and t<O> = 0.  So A holds the inputs with r(u) = 0 and rho(u) even.
+    - r(u) and rho(u) mod 2 are affine, so the 1 + m reductions at u = 0
+      and at each 1 << j fix them, and A solves one GF(2) linear system
+      (``gf2_eliminate``): the changes of r with those of rho mod 2
+      appended, against r(0) with rho(0) mod 2 appended.  A is empty or
+      u0 + span(K).
+    - On u = u0 + K t, rho is again a Z4 polynomial of degree <= 2 in t,
+      and all its values are even, so are its coefficients.  So f(t) =
+      rho/2 mod 2 is a GF(2) quadratic, fixed by the reductions at u0,
+      u0 + K_i and u0 + K_i + K_k, each reused when it is 0 or a unit
+      input.  A point there that reduces off A contradicts the above:
+      ValueError.
+
+    When A is all of GF(2)^m, u0 = 0 and K holds the unit vectors, so the
+    form takes 1 + m + m(m-1)/2 reductions; an A of dimension k < m takes
+    at most 2 + m + k(k+1)/2, so never more than one extra.
     """
+    _check_real_sign(amap, m)
     n = ops.n
 
     def point(u: int) -> Tuple[int, int]:
@@ -123,53 +148,13 @@ def _sign_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap
             r = r.to_pauli()
         return r.x | r.z << n, r.phase - x
 
-    r0, c = point(0)
-    single = [point(1 << j) for j in range(m)]
-    step = [r ^ r0 for r, _ in single]  # change of the residual when u_j flips
-    lin = [rho - c for _, rho in single]
-    q2 = [0] * m  # q_jk / 2 mod 2 for k < j, as a bitset over k
-    for j in range(m):
-        for k in range(j):
-            q = (point(1 << j | 1 << k)[1] - single[j][1] - single[k][1] + c) % 4
-            assert q % 2 == 0, "odd quadratic coefficient in the sign form"
-            q2[j] |= (q >> 1) << k
-    return r0, step, c, lin, q2
-
-
-def _form_rho(c: int, lin: List[int], q2: List[int], u: int) -> int:
-    """rho(u) mod 4 of ``_sign_form``'s (c, lin, q2), for u given as a bitmask."""
-    k = c
-    for j in _bits(u):
-        k += lin[j] + 2 * (q2[j] & u).bit_count()
-    return k & 3
-
-
-def _reached_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: InputMap, m: int,
-                  ) -> Optional[Tuple[int, List[int], int, int, List[int]]]:
-    """The inputs u with t(u)<O(u)> != 0, and its sign on them, as (u0,
-    kernel, f0, alpha, adj), or None when there are none: they are A =
-    u0 + span(kernel), and t<O> = (-1)^{f(t)} at u = u0 + sum_i t_i
-    kernel[i], for the GF(2) quadratic f of ``_quadratic_sign_sum``'s
-    (f0, alpha, adj).
-
-    From ``_sign_form``'s (r0, step, c, lin, q2), with the sign that wins
-    t(u) = i^{x(u)}, x(u) = sum_i a_i b_i even:
-    - If r(u) = 0, <O(u)> = i^{rho(u) + x(u)} and i^{2x} = 1, so t<O> =
-      i^{rho(u)}: +-1 for even rho(u), and 0 for odd rho(u) as for
-      r(u) != 0 (``_sign_form``).  So A holds the inputs with r(u) = 0 and
-      rho(u) even.
-    - Every q_jk is even, so rho mod 2 = c + sum_j l_j u_j is affine, and A
-      solves one GF(2) linear system (``gf2_eliminate``): the step vectors
-      with l_j mod 2 appended, against r(0) with c mod 2 appended.  A is
-      empty or u0 + span(K).
-    - On u = u0 + K t, rho is again a Z4 polynomial of degree <= 2 in t (an
-      XOR read as an integer is quadratic), and all its values are even, so
-      are its coefficients (read at 0, e_i and e_i + e_k).  So
-      f(t) = rho/2 mod 2 is a GF(2) quadratic polynomial, fixed by its values
-      at those points.
-    """
-    r0, step, c, lin, q2 = _sign_form(ops, group, amap, m)
-    _, kernel, u0 = gf2_eliminate([s << 1 | lj & 1 for s, lj in zip(step, lin)], r0 << 1 | c & 1)
+    # (r(u), rho(u)) at the 1 + m affine points; the points read on A are not
+    # kept, since each pair point would hold one residual of 2n bits
+    affine = {u: point(u) for u in [0] + [1 << j for j in range(m)]}
+    r0, c = affine[0]
+    steps = (affine[1 << j] for j in range(m))
+    _, kernel, u0 = gf2_eliminate([(r ^ r0) << 1 | (rho - c) & 1 for r, rho in steps],
+                                  r0 << 1 | c & 1)
     if u0 is None:
         return None
 
@@ -177,7 +162,10 @@ def _reached_form(ops: CompositeOperatorSet, group: StabilizerGroup, amap: Input
         u = u0
         for i in ts:
             u ^= kernel[i]
-        return _form_rho(c, lin, q2, u) >> 1
+        r, rho = affine[u] if u in affine else point(u)
+        if r or rho & 1:
+            raise ValueError("a point of the reached set reduces off it")
+        return rho >> 1 & 1
 
     f0 = f()
     single = [f(i) for i in range(len(kernel))]
@@ -244,7 +232,8 @@ def _score_inputs(
     from amap at u.
 
     The sign that wins is t(u) = i^{x(u)}, x(u) = sum_i a_i b_i, which is real
-    only for even x(u) (ValueError otherwise), and the win is (1 + t<O>)/2.
+    only for even x(u) (``_check_real_sign``, ValueError otherwise), and the
+    win is (1 + t<O>)/2.
     On a stabilizer group every win is read from ``_outcome_table``: the
     wins are three shared Fractions, and p_q and the sum are Fractions of
     counts of its entries.  On a dense state <O> is a float, input by input.
@@ -256,6 +245,7 @@ def _score_inputs(
         return [win_of[ts] for ts in table], Fraction((1 << m) + total, 2 << m), Fraction(total)
     from .dense import dense_expectation
 
+    _check_real_sign(amap, m)
     wins: List[Number] = []
     win_total = total = 0.0
     for u in range(1 << m):
@@ -324,7 +314,7 @@ def _exact_value(
     inputs u0 + K t of A and 0 off it (``_reached_form``), so p_q =
     (2^m + S) / 2^{m+1} with S = sum_t (-1)^{f(t)} (``_quadratic_sign_sum``),
     and S = 0 when A is empty.  ValueError if x(u) = sum_i a_i b_i is odd
-    (``_sign_form`` checks it).
+    (``_check_real_sign``).
     """
     form = _reached_form(ops, group, amap, m)
     total = 0 if form is None else _quadratic_sign_sum(*form[2:])

@@ -92,15 +92,6 @@ class Expectation(_Frozen):
         _set(self, "d", d)
         _set(self, "phase_exp", phase_exp)
 
-    # spelled out, not inherited: the generic _values() makes == and hash 3-5x slower
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.d, self.phase_exp) == (other.kind, other.d, other.phase_exp)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.d, self.phase_exp))
-
     @property
     def value(self) -> complex:
         if self.kind == "definite":

@@ -47,16 +47,6 @@ class WeylOperator(_Frozen):
         _set(self, "z", tuple([v % d for v in z]))
         _set(self, "phase", phase % (2 * d))
 
-    # spelled out, not inherited: the generic _values() makes == and hash 3-5x slower
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.d, self.n, self.x, self.z, self.phase)
-                    == (other.d, other.n, other.x, other.z, other.phase))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.d, self.n, self.x, self.z, self.phase))
-
     @staticmethod
     def identity(d: int, n: int) -> "WeylOperator":
         return WeylOperator(d, n, (0,) * n, (0,) * n, 0)

@@ -4,13 +4,14 @@ games, magic square."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabgames import scoring
+from stabgames import dense, scoring
 from stabgames.cellulation import block_cellulation_ops, fan_cellulation_ops
 from stabgames.codes import (
     CodeInstance,
@@ -519,6 +520,94 @@ def test_parity_form_reads_its_free_bits(family, monkeypatch):
         calls.clear()
         assert quantum_parity_eval(ops).p_q == 1
         assert len(calls) == 1 + p * (p - 1) // 2
+
+
+@pytest.mark.parametrize("shape, m", [("fan", 3), ("blocks-2x2", 16)])
+def test_cellulation_form_reads_every_pair_once(shape, m, monkeypatch):
+    # a cellulation game wins at every input, so A is all of GF(2)^m with
+    # u0 = 0 and the unit inputs as K: the form reduces 1 + m + m(m - 1)/2
+    # points, which is 137 for the L = 6 2x2 blocks
+    calls = []
+    reduce = StabilizerGroup.reduce
+    monkeypatch.setattr(StabilizerGroup, "reduce", lambda self, op: calls.append(op) or reduce(self, op))
+    code = toric2d(6)
+    strat = fan_cellulation_ops(code) if shape == "fan" else block_cellulation_ops(code, 2, 2)
+    ev = cellulation_game_eval(CellulationGame(strat))
+    assert ev.p_q == 1 and ev.meta["bits"] == m
+    assert len(calls) == 1 + m + m * (m - 1) // 2
+
+
+def test_reached_form_refuses_a_point_off_its_set(monkeypatch):
+    # rho mod 2 is affine, so every point read on A reduces onto A; an
+    # i-power that breaks that at the pair point u = 3 must not pass as a sign
+    collective = scoring._collective
+
+    def skewed(ops, amap, u, m):
+        op, x = collective(ops, amap, u, m)
+        return (op.scale_i(1) if u == 3 else op), x
+
+    monkeypatch.setattr(scoring, "_collective", skewed)
+    with pytest.raises(ValueError, match="reduces off it"):
+        quantum_parity_eval(ghz_ops(4))
+
+
+def test_dense_scoring_checks_the_sign_before_any_expectation(monkeypatch):
+    # x = a_0 b_0 = 1 at every input: the map is refused before the state is read
+    calls = []
+    monkeypatch.setattr(dense, "dense_expectation", lambda *args: calls.append(args) or 0j)
+    ops = ghz_ops(3)
+    state = state_from_group(ops.resource)
+    with pytest.raises(ValueError, match="odd a.b parity"):
+        _score_inputs(ops, state, [(1 << 2, 1 << 2), (0, 0), (0, 0)], 2)
+    assert calls == []
+
+
+@st.composite
+def input_maps(draw, players=None):
+    """(amap, m): m <= 10 input bits and the given number of players, or up
+    to 8, whose masks, the constant bit included, are drawn from a pool of
+    three, so that players often share masks and x(u) is even at every
+    input in many draws."""
+    m = draw(st.integers(0, 10))
+    pool = draw(st.lists(st.integers(0, (2 << m) - 1), min_size=3, max_size=3))
+    masks = st.sampled_from([0] + pool)
+    size = draw(st.integers(0, 8)) if players is None else players
+    return draw(st.lists(st.tuples(masks, masks), min_size=size, max_size=size)), m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(input_maps())
+def test_real_sign_check_matches_brute_force(drawn):
+    amap, m = drawn
+    odd = any(sum(a & b for a, b in read_map(amap, m, u)) & 1 for u in range(1 << m))
+    if odd:
+        with pytest.raises(ValueError, match="odd a.b parity"):
+            scoring._check_real_sign(amap, m)
+    else:
+        scoring._check_real_sign(amap, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_strategies(), st.data())
+def test_reached_form_takes_at_most_one_extra_reduction(ops, data):
+    # 1 + m reductions find A; its sign takes u0, each u0 + K_i and each
+    # u0 + K_i + K_k, reusing the unit inputs, so a full A costs exactly
+    # 1 + m + m(m - 1)/2 and a smaller one at most one reduction more
+    amap, m = data.draw(input_maps(ops.players))
+    try:
+        scoring._check_real_sign(amap, m)
+    except ValueError:
+        return
+    calls = []
+    reduce = StabilizerGroup.reduce
+    with mock.patch.object(StabilizerGroup, "reduce",
+                           lambda self, op: calls.append(op) or reduce(self, op)):
+        form = scoring._reached_form(ops, ops.resource, amap, m)
+    full = 1 + m + m * (m - 1) // 2
+    if form is not None and len(form[1]) == m:
+        assert len(calls) == full
+    else:
+        assert len(calls) <= full + 1
 
 
 @pytest.mark.parametrize("p", range(3, 11))

@@ -4,8 +4,9 @@
 
 Times the stabgames under DIR (default: this checkout's ``src``), so one
 copy of the script compares two checkouts; the parity layers read the
-game's input map from ``scoring.parity_input_map``, and the cellulation
-layer from ``scoring.CellulationGame.input_map``, so DIR must have both.
+game's input map from ``scoring.parity_input_map`` and time
+``scoring._reached_form``, and the cellulation layer reads its map from
+``scoring.CellulationGame.input_map``, so DIR must have all three.
 Every layer is called once untimed, then timed REPEATS (7) times with
 ``time.perf_counter`` after a ``gc.collect()``; the inputs are built once,
 outside the timings.  Prints one line per layer, its median and its
@@ -24,10 +25,11 @@ Layers:
                      over seeded pairs of generators: Pauli for tc2d L=32,
                      Weyl for the 8x10 double semion
   fix_sector.*       the 8x10 double semion's two winding fixers
-  parity.*           the sign form, and the whole outcome table (sign form
-                     included), of game parity --code tc2d --L 32 --P 12
+  parity.*           the reached set and its sign form, and the whole
+                     outcome table (that form included), of game parity
+                     --code tc2d --L 32 --P 12
   cellulation.*      the exact value of game cellulation --L 12 --blocks 2x2
-                     over its 2^70 inputs: sign form, reached set and
+                     over its 2^70 inputs: reached set, sign form and
                      exponential sum
   dense.*            the dense oracle at n=18: state_from_group on one
                      seeded random stabilizer state of the oracle benchmark
@@ -170,7 +172,7 @@ def layers(src):
     out["fix_sector.ds-8x10"] = ("ms", _timed(lambda: ds.group.fix_sector(fixers)))
     args = _tc2d_parity(tc)
     for name, fn in (
-        ("parity.sign-form-tc2d-L32-P12", scoring._sign_form),
+        ("parity.reached-form-tc2d-L32-P12", scoring._reached_form),
         ("parity.outcome-table-tc2d-L32-P12", scoring._outcome_table),
     ):
         out[name] = ("ms", _timed(lambda: fn(*args)))
