@@ -13,9 +13,8 @@ from itertools import product
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from . import _Record
-from .codes import CodeInstance
-from .complexes import CellComplex, build_torus
-from .pauli import PauliOperator
+from .codes import CodeInstance, homological_css
+from .complexes import CellComplex, build_torus, dualize
 from .strategies import CompositeOperatorSet, Constraint, _edge_pair, validate
 from .tableau import StabilizerGroup
 
@@ -182,10 +181,12 @@ def random_stacked_triangulation(n_inserts: int, seed: int) -> PlaneGraph:
 
 
 def plane_graph_complex(g: PlaneGraph) -> Tuple[CellComplex, CellComplex]:
-    """Sphere-like 2-complexes of a plane graph and of its geometric dual.
+    """Sphere 2-complexes of a plane graph and of its geometric dual.
 
     Includes the unbounded face, so both complexes are cellulations of S^2;
-    the face counts satisfy F + F* - 2 = E.
+    the face counts satisfy F + F* - 2 = E.  The dual is `dualize` of the
+    primal: dual 1-cell i joins the two faces on the sides of edge i, and
+    dual 2-cell v is bounded by the edges at vertex v.
     """
     if not g.dual_is_loopless():
         raise ValueError("geometric dual has a self-loop (bridge in the graph)")
@@ -205,27 +206,7 @@ def plane_graph_complex(g: PlaneGraph) -> Tuple[CellComplex, CellComplex]:
         closed=True,
         meta={"kind": "plane_graph", "faces": len(face_sets)},
     )
-    edge_faces = g.edge_faces()
-    vert_edges = {v: [] for v in g.vertices}
-    for i, (u, v) in enumerate(g.edges):
-        vert_edges[u].append(i)
-        vert_edges[v].append(i)
-    dual = CellComplex(
-        2,
-        (
-            tuple(("f", i) for i in range(len(face_sets))),
-            tuple(("e", i) for i in range(len(g.edges))),
-            tuple(("v", v) for v in g.vertices),
-        ),
-        (
-            tuple(() for _ in face_sets),
-            tuple((("f", a), ("f", b)) for (a, b) in edge_faces),
-            tuple(tuple(("e", i) for i in vert_edges[v]) for v in g.vertices),
-        ),
-        closed=True,
-        meta={"kind": "plane_graph_dual", "faces": len(g.vertices)},
-    )
-    return primal, dual
+    return primal, dualize(primal)
 
 
 # -- plane-graph embeddings ------------------------------------------------------
@@ -240,27 +221,20 @@ def plane_graph_embedding(
 
     placement maps each graph edge to a direct-lattice path and each dual
     edge to a dual-lattice path: {"edge": {i: [edge keys]}, "dual": {...}}.
-    Face cycles of the graph and of its dual become the constraint set; the
-    induced effective group on the composite qubits must have full rank N,
-    which is exactly the condition for a uniquely specified embedded state.
+    Face cycles of the graph (X) and of its dual (Z, the edges at each
+    vertex) become the constraint set.  The effective group on the composite
+    qubits is `homological_css` of the sphere complex with qubits on its
+    edges; it must have full rank N, which is exactly the condition for a
+    uniquely specified embedded state.
     """
-    if not g.dual_is_loopless():
-        raise ValueError("graph or its dual has a self-loop")
+    primal, _ = plane_graph_complex(g)
     n_eff = len(g.edges)
     pairs = [_edge_pair(code, placement["edge"][i], placement["dual"][i]) for i in range(n_eff)]
-    constraints = []
-    eff_gens: List[PauliOperator] = []
-    for fi, edge_set in enumerate(g.face_edge_sets()):
-        constraints.append(Constraint("X", tuple(edge_set), 0, f"face{fi}"))
-        eff_gens.append(PauliOperator.from_support(n_eff, "X", edge_set))
-    vert_edges: Dict = {v: [] for v in g.vertices}
-    for i, (u, v) in enumerate(g.edges):
-        vert_edges[u].append(i)
-        vert_edges[v].append(i)
-    for v in g.vertices:
-        constraints.append(Constraint("Z", tuple(vert_edges[v]), 0, f"dualface{v}"))
-        eff_gens.append(PauliOperator.from_support(n_eff, "Z", vert_edges[v]))
-    effective = StabilizerGroup(eff_gens, d=2, n=n_eff)
+    constraints = [Constraint("X", primal.boundary_indices(2, fi), 0, f"face{fi}")
+                   for fi in range(len(primal.cells[2]))]
+    constraints += [Constraint("Z", primal.coboundary_indices(0, vi), 0, f"dualface{v}")
+                    for vi, v in enumerate(g.vertices)]
+    effective = homological_css(primal, 1).group
     if effective.rank != n_eff:
         raise ValueError(
             f"effective group rank {effective.rank} != {n_eff}: embedded state not unique"

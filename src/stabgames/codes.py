@@ -115,36 +115,30 @@ def homological_css(cell: CellComplex, p: int) -> CodeInstance:
     )
 
 
-def toric2d(L: int) -> CodeInstance:
-    """2D toric code: qubits on edges, Z stars on vertices, X loops on plaquettes."""
+def _toric(kind: str, L: int, D: int, p: int) -> CodeInstance:
     from .complexes import build_torus
 
-    code = homological_css(build_torus(L, L), 1)
-    code.kind = "toric2d"
+    code = homological_css(build_torus(*[L] * D), p)
+    code.kind = kind
     code.meta["L"] = L
     return code
+
+
+def toric2d(L: int) -> CodeInstance:
+    """2D toric code: qubits on edges, Z stars on vertices, X loops on plaquettes."""
+    return _toric("toric2d", L, 2, 1)
 
 
 def toric3d_faces(L: int) -> CodeInstance:
     """3D toric code with qubits on faces: Z stabilizers on edges (elementary
     dual loops), X stabilizers on cubes (elementary membranes)."""
-    from .complexes import build_torus
-
-    code = homological_css(build_torus(L, L, L), 2)
-    code.kind = "toric3d_faces"
-    code.meta["L"] = L
-    return code
+    return _toric("toric3d_faces", L, 3, 2)
 
 
 def toric3d_edges(L: int) -> CodeInstance:
     """Dual 3D toric code with qubits on edges: Z stars on vertices, X loops
     on faces."""
-    from .complexes import build_torus
-
-    code = homological_css(build_torus(L, L, L), 1)
-    code.kind = "toric3d_edges"
-    code.meta["L"] = L
-    return code
+    return _toric("toric3d_edges", L, 3, 1)
 
 
 def toric2d_winding_z_fixers(code: CodeInstance) -> List[PauliOperator]:

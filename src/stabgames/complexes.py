@@ -1,9 +1,10 @@
-"""Chain complexes over GF(2) and the cubical torus cellulation.
+"""Cell complexes over GF(2) and the cubical torus cellulation.
 
-ChainComplex is the linear-algebra object (cell counts plus boundary
-matrices); CellComplex keeps the geometric cell keys so that codes and
-strategies can address cells by lattice coordinates.  Plane graphs live with
-the strategies that embed them, in `cellulation`.
+A CellComplex keeps the geometric cell keys, so that codes and strategies
+can address cells by lattice coordinates, and answers its own linear
+algebra: bit-packed boundary and coboundary rows, boundary ranks, homology
+and cohomology.  Plane graphs live with the strategies that embed them, in
+`cellulation`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from . import _Frozen, _Record
-from .pauli import _bits
+from . import _Record
 
 CellKey = Hashable
 
@@ -61,78 +61,6 @@ def _transpose(rows: Sequence[int], ncols: int) -> List[int]:
     return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
 
 
-# -- chain complexes ---------------------------------------------------------
-
-
-class ChainComplex(_Frozen):
-    """dims[k] = number of k-cells; boundary[k][i] = bitmask of (k-1)-cells
-    on the boundary of the i-th k-cell (boundary[0] is all zeros)."""
-
-    _fields = ("dims", "boundary")
-    # _ranks: rank of each boundary map, filled on first use, so left out of
-    # equality and repr
-    __slots__ = (*_fields, "_ranks")
-
-    def __init__(self, dims: Tuple[int, ...], boundary: Tuple[Tuple[int, ...], ...]):
-        if len(boundary) != len(dims):
-            raise ValueError("boundary list must match dims")
-        for k, rows in enumerate(boundary):
-            if len(rows) != dims[k]:
-                raise ValueError(f"boundary[{k}] has wrong length")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "_ranks", {})
-
-    @property
-    def top_dim(self) -> int:
-        return len(self.dims) - 1
-
-    def boundary_rank(self, k: int) -> int:
-        """Rank of the boundary map C_k -> C_{k-1}; zero map outside range."""
-        if k < 1 or k > self.top_dim:
-            return 0
-        if k not in self._ranks:
-            self._ranks[k] = gf2_rank(self.boundary[k])
-        return self._ranks[k]
-
-    def homology_dim(self, i: int) -> int:
-        """dim H_i = dim ker d_i - rank d_{i+1} over GF(2)."""
-        if i < 0 or i > self.top_dim:
-            return 0
-        ker = self.dims[i] - self.boundary_rank(i)
-        return ker - self.boundary_rank(i + 1)
-
-    def cohomology_dim(self, i: int) -> int:
-        # over a field dim H^i = dim H_i; computed independently, from the
-        # transposed boundary matrices
-        if i < 0 or i > self.top_dim:
-            return 0
-        ker = self.dims[i] - self._coboundary_rank(i)
-        return ker - self._coboundary_rank(i - 1)
-
-    def _coboundary_rank(self, k: int) -> int:
-        """Rank of delta_k = boundary_{k+1}^T : C_k -> C_{k+1}."""
-        if k < 0 or k >= self.top_dim:
-            return 0
-        return gf2_rank(_transpose(self.boundary[k + 1], self.dims[k]))
-
-    def check_boundary_squares_to_zero(self) -> bool:
-        for k in range(2, self.top_dim + 1):
-            lower = self.boundary[k - 1]
-            for mask in self.boundary[k]:
-                acc = 0
-                for j in _bits(mask):
-                    acc ^= lower[j]
-                if acc:
-                    return False
-        return True
-
-    def euler_check(self) -> bool:
-        chi_cells = sum((-1) ** i * d for i, d in enumerate(self.dims))
-        chi_hom = sum((-1) ** i * self.homology_dim(i) for i in range(len(self.dims)))
-        return chi_cells == chi_hom
-
-
 # -- geometric cell complexes -------------------------------------------------
 
 
@@ -140,9 +68,10 @@ class CellComplex(_Record):
     """Cells carry hashable keys (lattice coordinates for torus builds)."""
 
     _fields = ("dim", "cells", "boundary_keys", "closed", "meta")
-    # _index, _bound and _cobound: derived from the cells, so left out of
-    # equality and repr
-    __slots__ = (*_fields, "_index", "_bound", "_cobound")
+    # _index, _bound, _cobound and _ranks (the rank of each boundary map,
+    # filled on first use): derived from the cells, so left out of equality
+    # and repr
+    __slots__ = (*_fields, "_index", "_bound", "_cobound", "_ranks")
 
     def __init__(
         self,
@@ -158,6 +87,7 @@ class CellComplex(_Record):
         self.closed = closed
         self.meta = {} if meta is None else meta
         self._cobound = None
+        self._ranks: Dict[int, int] = {}
         self._index = tuple({key: i for i, key in enumerate(level)} for level in self.cells)
         # each cell's boundary as indices of the cells below it; boundary of
         # boundary = 0: over the boundaries of a cell's boundary cells, every
@@ -195,17 +125,56 @@ class CellComplex(_Record):
             )
         return self._cobound[k].get(i, ())
 
-    def to_chain(self) -> ChainComplex:
-        boundary: List[Tuple[int, ...]] = [tuple(0 for _ in self.cells[0])]
-        for level in self._bound[1:]:
-            rows = []
-            for lows in level:
-                mask = 0
-                for low in lows:
-                    mask ^= 1 << low
-                rows.append(mask)
-            boundary.append(tuple(rows))
-        return ChainComplex(self.dims(), tuple(boundary))
+    def boundary_rows(self, k: int) -> List[int]:
+        """Bit-packed boundary of each k-cell over the (k-1)-cells; a cell
+        listed twice cancels."""
+        return [_xor_mask(lows) for lows in self._bound[k]]
+
+    def coboundary_rows(self, k: int) -> List[int]:
+        """Bit-packed coboundary of each k-cell over the (k+1)-cells: the
+        transpose of boundary_rows(k + 1)."""
+        return [_xor_mask(self.coboundary_indices(k, i)) for i in range(len(self.cells[k]))]
+
+    def boundary_rank(self, k: int) -> int:
+        """Rank of the boundary map C_k -> C_{k-1}; zero map outside range."""
+        if k < 1 or k > self.dim:
+            return 0
+        if k not in self._ranks:
+            self._ranks[k] = gf2_rank(self.boundary_rows(k))
+        return self._ranks[k]
+
+    def homology_dim(self, i: int) -> int:
+        """dim H_i = dim ker d_i - rank d_{i+1} over GF(2)."""
+        if i < 0 or i > self.dim:
+            return 0
+        ker = len(self.cells[i]) - self.boundary_rank(i)
+        return ker - self.boundary_rank(i + 1)
+
+    def cohomology_dim(self, i: int) -> int:
+        # over a field dim H^i = dim H_i; computed independently, from the
+        # coboundary rows
+        if i < 0 or i > self.dim:
+            return 0
+        ker = len(self.cells[i]) - self._coboundary_rank(i)
+        return ker - self._coboundary_rank(i - 1)
+
+    def _coboundary_rank(self, k: int) -> int:
+        """Rank of delta_k : C_k -> C_{k+1}."""
+        if k < 0 or k >= self.dim:
+            return 0
+        return gf2_rank(self.coboundary_rows(k))
+
+    def euler_check(self) -> bool:
+        chi_cells = sum((-1) ** i * d for i, d in enumerate(self.dims()))
+        chi_hom = sum((-1) ** i * self.homology_dim(i) for i in range(self.dim + 1))
+        return chi_cells == chi_hom
+
+
+def _xor_mask(indices: Sequence[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask ^= 1 << i
+    return mask
 
 
 def dualize(c: CellComplex) -> CellComplex:

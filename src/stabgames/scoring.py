@@ -367,10 +367,9 @@ class CellulationGame(_Record):
 
     def __init__(self, strategy: CellulationStrategy):
         self.strategy = strat = strategy
-        chain, p = strat.coarse.to_chain(), strat.p
-        self.x_basis = gf2_eliminate(chain.boundary[p + 1])[0]
-        # row v of the transposed boundary: the p-cells whose boundary holds v
-        self.z_basis = gf2_eliminate(_transpose(chain.boundary[p], chain.dims[p - 1]))[0]
+        coarse, p = strat.coarse, strat.p
+        self.x_basis = gf2_eliminate(coarse.boundary_rows(p + 1))[0]
+        self.z_basis = gf2_eliminate(coarse.coboundary_rows(p - 1))[0]
         # the x_basis bits come first, so they are the high bits of u; a is the
         # parity of the bits on a player's incident (p+1)-cells, b on its
         # (p-1)-cells, and XOR cancels a cell incident twice

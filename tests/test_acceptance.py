@@ -192,12 +192,11 @@ def test_criterion_06_homological_counting():
             primal, _ = plane_graph_complex(random_stacked_triangulation(3, seed=seed))
             cases.append((primal, 1))
         for cell, p in cases:
-            chain = cell.to_chain()
-            n = chain.dims[p]
-            dim_bp = chain.boundary_rank(p + 1)
-            dim_bp_co = chain.boundary_rank(p)
-            assert dim_bp + dim_bp_co == n - chain.homology_dim(p)
-            assert chain.euler_check()
+            n = cell.dims()[p]
+            dim_bp = cell.boundary_rank(p + 1)
+            dim_bp_co = cell.boundary_rank(p)
+            assert dim_bp + dim_bp_co == n - cell.homology_dim(p)
+            assert cell.euler_check()
             code = homological_css(cell, p)
             assert code.group.rank == dim_bp + dim_bp_co
         assert time.time() - t0 < 10

@@ -14,7 +14,7 @@ from stabgames.cellulation import (
 )
 from stabgames.complexes import (
     CellComplex,
-    ChainComplex,
+    _transpose,
     build_torus,
     dualize,
     gf2_eliminate,
@@ -90,19 +90,6 @@ class TestTorusBuilders:
     def test_3d_counts(self):
         assert build_torus(2, 2, 2).dims() == (8, 24, 24, 8)
 
-    def test_boundary_squares_to_zero(self):
-        for c in (build_torus(3, 3), build_torus(2, 2, 2)):
-            assert c.to_chain().check_boundary_squares_to_zero()
-
-    def test_nonzero_boundary_square_detected(self):
-        # the torus with one plaquette's boundary short of an edge: that
-        # plaquette's boundary is an open path, whose two end vertices survive
-        chain = build_torus(3, 3).to_chain()
-        faces = list(chain.boundary[2])
-        faces[4] &= faces[4] - 1
-        broken = ChainComplex(chain.dims, chain.boundary[:2] + (tuple(faces),))
-        assert not broken.check_boundary_squares_to_zero()
-
     def test_broken_cell_complex_rejected(self):
         # the same short plaquette, given by keys: CellComplex refuses it
         c = build_torus(3, 3)
@@ -117,7 +104,7 @@ class TestTorusBuilders:
         # a boundary cell listed twice cancels, as in the boundary masks
         with pytest.raises(ValueError, match="boundary of boundary"):
             with_plaquette(plaquette + plaquette[:1])
-        assert with_plaquette(plaquette + plaquette[:1] * 2).to_chain() == c.to_chain()
+        assert with_plaquette(plaquette + plaquette[:1] * 2).boundary_rows(2) == c.boundary_rows(2)
 
     def test_small_l_rejected(self):
         with pytest.raises(ValueError):
@@ -143,7 +130,7 @@ class TestTorusBuilders:
         assert c.boundary_keys[3][c.index(3, ("c", 1, 2, 3))] == (
             ("f", 1, 2, 3, 0), ("f", 0, 2, 3, 0), ("f", 1, 2, 3, 1),
             ("f", 1, 0, 3, 1), ("f", 1, 2, 3, 2), ("f", 1, 2, 0, 2))
-        assert [c.to_chain().homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
+        assert [c.homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
 
     def test_equality_ignores_caches(self):
         c = build_torus(3, 3)
@@ -158,54 +145,82 @@ class TestTorusBuilders:
         calls = []
         rank = complexes.gf2_rank
         monkeypatch.setattr(complexes, "gf2_rank", lambda rows: calls.append(rows) or rank(rows))
-        chain = build_torus(3, 3, 3).to_chain()
-        assert [chain.homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
-        assert chain.euler_check()
+        c = build_torus(3, 3, 3)
+        assert [c.homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
+        assert c.euler_check()
         assert len(calls) == 3  # one per boundary map d_1, d_2, d_3
-        assert chain == build_torus(3, 3, 3).to_chain()
-        assert hash(chain) == hash(build_torus(3, 3, 3).to_chain())
-        assert "_ranks" not in repr(chain)
+        assert c == build_torus(3, 3, 3)
+        assert "_ranks" not in repr(c)
+
+
+def _doubled_edge_torus():
+    # build_torus(3, 4) with one plaquette also listing an edge outside its
+    # boundary twice: the two entries cancel, so the complex is the same
+    c = build_torus(3, 4)
+    faces = list(c.boundary_keys[2])
+    extra = next(e for e in c.cells[1] if e not in faces[4])
+    faces[4] += (extra, extra)
+    return CellComplex(2, c.cells, c.boundary_keys[:2] + (tuple(faces),), closed=True)
+
+
+class TestDerivedRows:
+    CASES = {"torus2d": lambda: build_torus(3, 4), "torus3d": lambda: build_torus(2, 3, 2),
+             "doubled": _doubled_edge_torus}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_and_ranks(self, case):
+        c = self.CASES[case]()
+        for k in range(c.dim):
+            assert c.coboundary_rows(k) == _transpose(c.boundary_rows(k + 1), len(c.cells[k]))
+        for k in range(1, c.dim + 1):
+            assert c.boundary_rank(k) == naive_rank(c.boundary_rows(k), len(c.cells[k - 1]))
+
+    def test_repeated_entries_cancel(self):
+        # a cell listed twice counts twice, so it drops out of the rows
+        plain, doubled = build_torus(3, 4), _doubled_edge_torus()
+        assert doubled.boundary_rows(2) == plain.boundary_rows(2)
+        assert doubled.coboundary_rows(1) == plain.coboundary_rows(1)
+        assert doubled.boundary_keys != plain.boundary_keys
 
 
 class TestHomology:
     def test_torus_2d(self):
-        c = build_torus(3, 3).to_chain()
+        c = build_torus(3, 3)
         assert [c.homology_dim(i) for i in range(3)] == [1, 2, 1]
 
     def test_torus_3d(self):
-        c = build_torus(2, 2, 2).to_chain()
+        c = build_torus(2, 2, 2)
         assert [c.homology_dim(i) for i in range(4)] == [1, 3, 3, 1]
 
     def test_sphere_complex(self):
-        p, _ = plane_graph_complex(random_stacked_triangulation(4, seed=1))
-        c = p.to_chain()
+        c, _ = plane_graph_complex(random_stacked_triangulation(4, seed=1))
         assert [c.homology_dim(i) for i in range(3)] == [1, 0, 1]
 
     def test_cohomology_matches_homology(self, monkeypatch):
         sphere, _ = plane_graph_complex(random_stacked_triangulation(4, seed=1))
-        chains = [cell.to_chain() for cell in (build_torus(2, 2), build_torus(2, 2, 2), sphere)]
-        homology = [[c.homology_dim(i) for i in range(len(c.dims))] for c in chains]
+        cells = [build_torus(2, 2), build_torus(2, 2, 2), sphere]
+        homology = [[c.homology_dim(i) for i in range(c.dim + 1)] for c in cells]
 
         def no_boundary_rank(self, k):
             raise AssertionError("cohomology must not reuse the boundary ranks")
 
         # cohomology ranks the transposed matrices, independently of boundary_rank
-        monkeypatch.setattr(ChainComplex, "boundary_rank", no_boundary_rank)
-        for c, hom in zip(chains, homology):
-            assert [c.cohomology_dim(i) for i in range(len(c.dims))] == hom
+        monkeypatch.setattr(CellComplex, "boundary_rank", no_boundary_rank)
+        for c, hom in zip(cells, homology):
+            assert [c.cohomology_dim(i) for i in range(c.dim + 1)] == hom
 
 
 class TestEulerCheck:
     def test_tori_have_zero_characteristic(self):
-        assert build_torus(2, 2).to_chain().euler_check()
-        assert build_torus(3, 3, 3).to_chain().euler_check()
+        assert build_torus(2, 2).euler_check()
+        assert build_torus(3, 3, 3).euler_check()
         assert sum((-1) ** i * d for i, d in enumerate(build_torus(2, 2, 2).dims())) == 0
 
     def test_sphere_has_characteristic_two(self):
         p, d = plane_graph_complex(wheel_graph(5))
-        for c in (p.to_chain(), d.to_chain()):
+        for c in (p, d):
             assert c.euler_check()
-            assert sum((-1) ** i * dd for i, dd in enumerate(c.dims)) == 2
+            assert sum((-1) ** i * dd for i, dd in enumerate(c.dims())) == 2
 
 
 class TestDualize:
@@ -213,7 +228,7 @@ class TestDualize:
         c = build_torus(3, 3)
         d = dualize(c)
         assert d.dims() == c.dims()
-        assert d.to_chain().homology_dim(1) == 2
+        assert d.homology_dim(1) == 2
 
     def test_3d_counts_swap(self):
         c = build_torus(2, 2, 2)
@@ -225,13 +240,13 @@ class TestDualize:
         dd = dualize(dualize(c))
         assert dd.dims() == c.dims()
         for k in range(1, 4):
-            assert dd.to_chain().boundary_rank(k) == c.to_chain().boundary_rank(k)
+            assert dd.boundary_rank(k) == c.boundary_rank(k)
 
     def test_dual_homology_equals_primal_cohomology(self):
         c = build_torus(2, 2, 2)
         d = dualize(c)
         for i in range(4):
-            assert d.to_chain().homology_dim(i) == c.to_chain().cohomology_dim(3 - i)
+            assert d.homology_dim(i) == c.cohomology_dim(3 - i)
 
     def test_open_complex_rejected(self):
         c = build_torus(2, 2)
@@ -266,6 +281,21 @@ class TestPlaneGraphs:
             g = random_stacked_triangulation(2 + seed % 5, seed=seed)
             p, d = plane_graph_complex(g)
             assert p.dims()[2] + d.dims()[2] - 2 == len(g.edges)
+
+    def test_dual_is_the_geometric_dual(self):
+        graphs = [random_stacked_triangulation(2 + seed % 5, seed=seed) for seed in range(10)]
+        graphs += [wheel_graph(4), wheel_graph(5), cycle_graph(6), dipole_graph(6)]
+        for g in graphs:
+            _, d = plane_graph_complex(g)
+            assert d.cells[1] == tuple(("e", i) for i in range(len(g.edges)))
+            assert d.cells[2] == tuple(("v", v) for v in g.vertices)
+            # dual 1-cell i joins the faces on the two sides of edge i
+            for i, faces in enumerate(g.edge_faces()):
+                assert set(d.boundary_indices(1, i)) == set(faces)
+            # dual 2-cell v is bounded by the edges at v
+            for vi, v in enumerate(g.vertices):
+                at_v = {i for i, ends in enumerate(g.edges) if v in ends}
+                assert set(d.boundary_indices(2, vi)) == at_v
 
     def test_self_loop_rejected(self):
         from stabgames.cellulation import PlaneGraph

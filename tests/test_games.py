@@ -23,6 +23,7 @@ from stabgames.codes import (
     toric3d_faces,
     xcube,
 )
+from stabgames.complexes import gf2_rank
 from stabgames.dense import deform, state_from_group
 from stabgames.games import (
     MagicSquareGame,
@@ -278,6 +279,37 @@ class TestCellulationGame:
         parity_ev = quantum_parity_eval(tc2d_parity_ops(code, 3))
         assert parity_ev.p_q == ev.p_q
         assert set(parity_ev.per_input.values()) == {1}
+
+    @pytest.mark.parametrize("build, blocks", [
+        (lambda: toric2d(6), (2, 3)), (lambda: toric2d(12), (3, 2)), (lambda: toric2d(5), None),
+        (lambda: toric3d_faces(4), (2, 2, 2)), (lambda: toric3d_edges(4), (2, 2, 2)),
+    ], ids=["tc2d-L6-2x3", "tc2d-L12-3x2", "fan", "tc3d-faces", "tc3d-edges"])
+    def test_bases_are_the_first_independent_coarse_cells(self, build, blocks):
+        # x_basis: the first coarse (p+1)-cells with independent boundaries;
+        # z_basis: the first coarse (p-1)-cells with independent coboundaries,
+        # both read here from the boundary keys
+        code = build()
+        strat = block_cellulation_ops(code, *blocks) if blocks else fan_cellulation_ops(code)
+        game = CellulationGame(strat)
+        coarse, p = strat.coarse, strat.p
+        x_rows = [0] * len(coarse.cells[p + 1])
+        z_rows = [0] * len(coarse.cells[p - 1])
+        for c, keys in enumerate(coarse.boundary_keys[p + 1]):
+            for key in keys:
+                x_rows[c] ^= 1 << coarse.index(p, key)
+        for c, keys in enumerate(coarse.boundary_keys[p]):
+            for key in keys:
+                z_rows[coarse.index(p - 1, key)] ^= 1 << c
+
+        def first_independent(rows):
+            kept = []
+            for i, row in enumerate(rows):
+                if gf2_rank([rows[j] for j in kept] + [row]) > len(kept):
+                    kept.append(i)
+            return tuple(kept)
+
+        assert game.x_basis == first_independent(x_rows)
+        assert game.z_basis == first_independent(z_rows)
 
     def test_unknown_resource_type_raises(self):
         game = CellulationGame(block_cellulation_ops(toric2d(4), 2, 2))

@@ -16,7 +16,7 @@ import pytest
 
 from stabgames.cellulation import CellulationStrategy, PlaneGraph, block_cellulation_ops
 from stabgames.codes import CodeInstance, _DsLattice, toric2d
-from stabgames.complexes import CellComplex, ChainComplex
+from stabgames.complexes import CellComplex
 from stabgames.dense import DenseState
 from stabgames.games import MagicSquareGame, ParityGame, StrategyEvaluation
 from stabgames.pauli import PauliOperator
@@ -46,7 +46,6 @@ CASES = {
                    ("kind", "indices", "phase_exp", "label"), True),
     "ParityGame": (lambda: ParityGame(5), ("p",), True),
     "MagicSquareGame": (lambda: MagicSquareGame(4), ("d",), True),
-    "ChainComplex": (lambda: ChainComplex((2, 1), ((0, 0), (3,))), ("dims", "boundary"), True),
     "CellComplex": (lambda: CellComplex(1, EDGE.cells, EDGE.boundary_keys, False, {"L": 1}),
                     ("dim", "cells", "boundary_keys", "closed", "meta"), False),
     "PlaneGraph": (lambda: PlaneGraph((0, 1), ((0, 1),), {0: [(0, 0)], 1: [(0, 1)]}),
@@ -74,7 +73,7 @@ CASES = {
 }
 FROZEN = [name for name, (_, _, frozen) in CASES.items() if frozen]
 # caches filled on construction or first use, outside equality and repr
-HIDDEN = {"ChainComplex": "_ranks", "CellComplex": "_index", "CompositeOperatorSet": "_table",
+HIDDEN = {"CellComplex": "_index", "CompositeOperatorSet": "_table",
           "CellulationGame": "_map"}
 # fields derived from the rest of the state, which refuse assignment
 DERIVED = {"DenseState": "amps"}
@@ -143,7 +142,6 @@ def test_repr_text_is_pinned():
     assert repr(CASES["Expectation"][0]()) == "Expectation(kind='definite', d=4, phase_exp=3)"
     assert repr(CASES["Constraint"][0]()) == "Constraint(kind='X', indices=(0, 2), phase_exp=1, label='xx')"
     assert repr(ParityGame(5)) == "ParityGame(p=5)"
-    assert repr(CASES["ChainComplex"][0]()) == "ChainComplex(dims=(2, 1), boundary=((0, 0), (3,)))"
     assert repr(EDGE) == (
         "CellComplex(dim=1, cells=(('a', 'b'), ('e',)), boundary_keys=(((), ()), (('a', 'b'),)), "
         "closed=False, meta={})")
@@ -220,9 +218,8 @@ def test_keywords_and_defaults():
     cell = CellComplex(dim=1, cells=EDGE.cells, boundary_keys=EDGE.boundary_keys, closed=False)
     assert cell.meta == {} and cell.meta is not EDGE.meta
     assert cell.index(0, "b") == 1 and cell.coboundary_indices(0, 0) == (0,)
-    chain = ChainComplex(dims=(2, 1), boundary=((0, 0), (3,)))
-    assert chain._ranks == {} and chain._ranks is not ChainComplex((2, 1), ((0, 0), (3,)))._ranks
-    assert chain.homology_dim(0) == 1 and chain._ranks == {1: 1}
+    assert cell._ranks == {} and cell._ranks is not EDGE._ranks
+    assert cell.homology_dim(0) == 1 and cell._ranks == {1: 1}
     graph = PlaneGraph(vertices=(0, 1), edges=((0, 1),), rotation={0: [(0, 0)], 1: [(0, 1)]},
                        _faces=((),))
     assert graph._faces == (((0, 0), (0, 1)),)
@@ -239,7 +236,6 @@ def test_keywords_and_defaults():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ChainComplex((1,), ((0,),), {}),
     lambda: CompositeOperatorSet(CODE, GROUP, PAIRS, CONSTRAINTS, {}, []),
     lambda: CellulationGame(STRATEGY, (0,)),
     lambda: CellComplex(1, EDGE.cells, EDGE.boundary_keys, False, {}, {}),
