@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Cold-start checks of the CLI: each command loads only the modules it needs,
+# none of them loads hashlib (and with it OpenSSL) for the configuration hash,
 # and none of them, nor the exact dense oracle, loads numpy.  Outputs go to the
 # directory given as the one argument.
 # Usage, from the repository root: bash .github/cold-start.sh OUTDIR
 set -eo pipefail
 out="${1:?usage: cold-start.sh OUTDIR}"
 export PYTHONPATH=src
-python -c "import sys, stabgames.cli; assert 'numpy' not in sys.modules"
-python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'parity', '--code', 'tc2d', '--L', '4', '--P', '3', '--outdir', sys.argv[1], '--tag', 'qubit4']) == 0; assert not {'numpy', 'dataclasses', 'inspect'} & set(sys.modules); assert not {'stabgames.semion', 'stabgames.parity3d', 'stabgames.cellulation'} & set(sys.modules)" "$out"
-python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'magic-square', '--Lx', '8', '--Ly', '10', '--outdir', sys.argv[1], '--tag', 'ds8x10']) == 0; assert not {'numpy', 'dataclasses', 'inspect'} & set(sys.modules); assert not {'stabgames.complexes', 'stabgames.strategies', 'stabgames.parity2d', 'stabgames.parity3d', 'stabgames.cellulation', 'stabgames.games', 'stabgames.scoring', 'stabgames.cli_commands'} & set(sys.modules)" "$out"
-timeout 20 python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'parity', '--classical', '--P', '20', '--outdir', sys.argv[1], '--tag', 'classical20']) == 0; assert sorted(m for m in sys.modules if m.split('.')[0] == 'stabgames') == ['stabgames', 'stabgames.cli', 'stabgames.cli_common', 'stabgames.games']; assert not {'dataclasses', 'inspect'} & set(sys.modules)" "$out"
+python -c "import sys, stabgames.cli; assert not {'numpy', 'hashlib', '_hashlib'} & set(sys.modules)"
+python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'parity', '--code', 'tc2d', '--L', '4', '--P', '3', '--outdir', sys.argv[1], '--tag', 'qubit4']) == 0; assert not {'numpy', 'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules); assert not {'stabgames.semion', 'stabgames.parity3d', 'stabgames.cellulation'} & set(sys.modules)" "$out"
+python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'magic-square', '--Lx', '8', '--Ly', '10', '--outdir', sys.argv[1], '--tag', 'ds8x10']) == 0; assert not {'numpy', 'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules); assert not {'stabgames.complexes', 'stabgames.strategies', 'stabgames.parity2d', 'stabgames.parity3d', 'stabgames.cellulation', 'stabgames.games', 'stabgames.scoring', 'stabgames.cli_commands'} & set(sys.modules)" "$out"
+timeout 20 python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'parity', '--classical', '--P', '20', '--outdir', sys.argv[1], '--tag', 'classical20']) == 0; assert sorted(m for m in sys.modules if m.split('.')[0] == 'stabgames') == ['stabgames', 'stabgames.cli', 'stabgames.cli_common', 'stabgames.games']; assert not {'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)" "$out"
 # the exact dense oracle: an 18-qubit and a 6-ququart cluster state, 25 queries each
 python - <<'EOF'
 import random, sys

@@ -1,17 +1,31 @@
 """What every command handler of the batch runner shares: the JSON form of
 a probability, the configuration hash, the --tag check, option resolution,
 and the writer of a run's JSON record and CSV table.
+
+The configuration hash is SHA-256 from the interpreter's builtin SHA-2
+module, not from hashlib: importing hashlib loads OpenSSL's libcrypto, the
+largest single item of a CLI run's memory, for this one digest.  The digest
+is the same, and hashlib is the fallback where no builtin module is built.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+
+# lean module first, as CPython's random module takes sha512: the builtin SHA-2
+# module is _sha2 since Python 3.12 and _sha256 in 3.10 and 3.11
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def _num(x):
@@ -25,7 +39,7 @@ def _num(x):
 
 def _config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def _check_tag(tag: str) -> None:

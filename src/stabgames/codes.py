@@ -89,19 +89,19 @@ def code_info(code: CodeInstance) -> Dict:
 def homological_css(cell: CellComplex, p: int) -> CodeInstance:
     """Qubits on p-cells; X stabilizers from (p+1)-cell boundaries, Z
     stabilizers from (p-1)-cell coboundaries.  Commutation is automatic
-    from boundary-of-boundary = 0."""
+    from boundary-of-boundary = 0.  The masks are the complex's own GF(2)
+    rows, so a cell listed twice in a boundary cancels, as it does there."""
     if not 1 <= p <= cell.dim - 1:
         raise ValueError(f"qubit degree p={p} outside 1..{cell.dim - 1}")
     n = len(cell.cells[p])
-    gens: List[LabeledGenerator] = []
-    for i in range(len(cell.cells[p + 1])):
-        support = cell.boundary_indices(p + 1, i)
-        op = PauliOperator.from_support(n, "X", support)
-        gens.append((("xstab", cell.cells[p + 1][i]), op))
-    for i in range(len(cell.cells[p - 1])):
-        support = cell.coboundary_indices(p - 1, i)
-        op = PauliOperator.from_support(n, "Z", support)
-        gens.append((("zstab", cell.cells[p - 1][i]), op))
+    gens: List[LabeledGenerator] = [
+        (("xstab", key), PauliOperator(n, mask, 0, 0))
+        for key, mask in zip(cell.cells[p + 1], cell.boundary_rows(p + 1))
+    ]
+    gens += [
+        (("zstab", key), PauliOperator(n, 0, mask, 0))
+        for key, mask in zip(cell.cells[p - 1], cell.coboundary_rows(p - 1))
+    ]
     group = StabilizerGroup([g for _, g in gens], d=2, n=n)
     return CodeInstance(
         kind=f"homological(p={p})",

@@ -72,6 +72,10 @@ class StrategyEvaluation(_Record):
 
 # -- classical parity baseline -----------------------------------------------------
 
+# the closed form costs P + 1 rotations of a P-bit Gaussian integer (about
+# a millisecond at the cap), so the bound only keeps every run finite
+CLASSICAL_PARITY_MAX_P = 4096
+
 
 def classical_optimum_parity(p: int) -> Tuple[Fraction, Dict]:
     """Exact optimum over deterministic strategies, in closed form.
@@ -94,8 +98,8 @@ def classical_optimum_parity(p: int) -> Tuple[Fraction, Dict]:
     """
     if p < 3:
         raise ValueError("parity game needs at least 3 players")
-    if p > 20:
-        raise ValueError("exact optimum capped at P = 20")
+    if p > CLASSICAL_PARITY_MAX_P:
+        raise ValueError(f"exact optimum capped at P = {CLASSICAL_PARITY_MAX_P}, got {p}")
     x, y = 1, 0  # x + iy = (1+i)^P
     for _ in range(p):
         x, y = x - y, x + y

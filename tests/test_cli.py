@@ -8,9 +8,12 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stabgames
 from stabgames.cli import main
+from stabgames.cli_common import _config_hash
 
 
 def run(args, tmp_path, tag):
@@ -719,6 +722,44 @@ def test_weyl_commands_load_no_numpy(tmp_path):
     record = json.loads((tmp_path / "game_magic-square.json").read_text())
     assert record["p_q"]["fraction"] == "1/1"
     assert json.loads((tmp_path / "code_info.json").read_text())["info"]["kind"] == "double_semion"
+
+
+def _hashlib_config_hash(cfg):
+    import hashlib
+
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest()[:16]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_config_hash_is_hashlib_sha256(cfg):
+    # the builtin SHA-2 module gives the digest hashlib gives
+    assert _config_hash(cfg) == _hashlib_config_hash(cfg)
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # with neither builtin SHA-2 module importable, cli_common takes hashlib's
+    # sha256, and the hash is the same
+    cfg = {"command": "game parity", "code": "tc2d", "L": 32, "P": 12, "classical": False,
+           "variant": None, "thetas": [0.0, 0.5], "note": "\u00e9"}
+    proc = _run_python(f"""
+        import sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        import hashlib
+        from stabgames import cli_common
+
+        assert cli_common.sha256 is hashlib.sha256
+        print(cli_common._config_hash({cfg!r}))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == _config_hash(cfg) == _hashlib_config_hash(cfg)
 
 
 @pytest.mark.parametrize("args", [

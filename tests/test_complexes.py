@@ -12,6 +12,7 @@ from stabgames.cellulation import (
     random_stacked_triangulation,
     wheel_graph,
 )
+from stabgames.codes import homological_css
 from stabgames.complexes import (
     CellComplex,
     _transpose,
@@ -181,6 +182,13 @@ class TestDerivedRows:
         assert doubled.boundary_rows(2) == plain.boundary_rows(2)
         assert doubled.coboundary_rows(1) == plain.coboundary_rows(1)
         assert doubled.boundary_keys != plain.boundary_keys
+
+    def test_code_cancels_repeated_entries(self):
+        # homological_css reads the same rows, so the doubled edge drops out of
+        # its X plaquette too, and the code is the plain torus's
+        plain, doubled = (homological_css(c, 1) for c in (build_torus(3, 4), _doubled_edge_torus()))
+        assert doubled.labeled_generators == plain.labeled_generators
+        assert doubled.group.rows == plain.group.rows
 
 
 class TestHomology:

@@ -154,13 +154,13 @@ class TestClassicalParity:
     def test_matches_reference_walsh_hadamard(self, p):
         assert classical_optimum_parity(p) == _reference_walsh_hadamard(p)
 
-    def test_tight_bound_through_p20(self):
-        for p in range(3, 21):
+    def test_tight_bound_through_the_cap(self):
+        for p in [*range(3, 201), 4096]:
             opt, witness = classical_optimum_parity(p)
             assert opt == Fraction(1, 2) + Fraction(1, 2 ** -(-p // 2)), p
             assert len(witness["a"]) == len(witness["c"]) == p
-        with pytest.raises(ValueError):
-            classical_optimum_parity(21)
+        with pytest.raises(ValueError, match="capped at P = 4096"):
+            classical_optimum_parity(4097)
 
     def test_trivial_all_ones_strategy_saturates_p3(self):
         assert classical_strategy_score(3, [1, 1, 1], [0, 0, 0]) == Fraction(3, 4)
