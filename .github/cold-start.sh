@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Cold-start checks of the CLI: each command loads only the modules it needs,
 # none of them loads hashlib (and with it OpenSSL) for the configuration hash,
-# and none of them, nor the exact dense oracle, loads numpy.  Outputs go to the
+# and none of them, nor the exact dense oracle, loads numpy.  A cellulation
+# game's input map is built from its complex alone, by games and complexes.  Outputs go to the
 # directory given as the one argument.
 # Usage, from the repository root: bash .github/cold-start.sh OUTDIR
 set -eo pipefail
@@ -11,6 +12,8 @@ python -c "import sys, stabgames.cli; assert not {'numpy', 'hashlib', '_hashlib'
 python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'parity', '--code', 'tc2d', '--L', '4', '--P', '3', '--outdir', sys.argv[1], '--tag', 'qubit4']) == 0; assert not {'numpy', 'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules); assert not {'stabgames.semion', 'stabgames.parity3d', 'stabgames.cellulation'} & set(sys.modules)" "$out"
 python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'magic-square', '--Lx', '8', '--Ly', '10', '--outdir', sys.argv[1], '--tag', 'ds8x10']) == 0; assert not {'numpy', 'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules); assert not {'stabgames.complexes', 'stabgames.strategies', 'stabgames.parity2d', 'stabgames.parity3d', 'stabgames.cellulation', 'stabgames.games', 'stabgames.scoring', 'stabgames.cli_commands'} & set(sys.modules)" "$out"
 timeout 20 python -c "import sys, stabgames.cli; assert stabgames.cli.main(['game', 'parity', '--classical', '--P', '20', '--outdir', sys.argv[1], '--tag', 'classical20']) == 0; assert sorted(m for m in sys.modules if m.split('.')[0] == 'stabgames') == ['stabgames', 'stabgames.cli', 'stabgames.cli_common', 'stabgames.games']; assert not {'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)" "$out"
+# a cellulation game is its coarse complex and degree: building its input map loads no scoring engine
+python -c "import sys; from stabgames.complexes import build_torus; from stabgames.games import CellulationGame; amap, bits = CellulationGame(build_torus(4, 4), 1).input_map(); assert (bits, len(amap)) == (30, 32); assert sorted(m for m in sys.modules if m.split('.')[0] == 'stabgames') == ['stabgames', 'stabgames.complexes', 'stabgames.games']; assert 'numpy' not in sys.modules"
 # the exact dense oracle: an 18-qubit and a 6-ququart cluster state, 25 queries each
 python - <<'EOF'
 import random, sys

@@ -313,8 +313,8 @@ def wheel_embedding(code: CodeInstance) -> Tuple[CompositeOperatorSet, Stabilize
 
 
 class CellulationStrategy(_Record):
-    """Composite pairs indexed by the p-cells of a coarse cellulation, plus the
-    incidence data the cellulation game consumes."""
+    """Composite pairs indexed by the p-cells of a coarse cellulation; the
+    game they play is ``games.CellulationGame(coarse, p)``."""
 
     __slots__ = _fields = ("ops", "coarse", "p")
 
@@ -326,14 +326,6 @@ class CellulationStrategy(_Record):
     @property
     def players(self) -> int:
         return self.ops.players
-
-    def face_incidence(self, player: int) -> Tuple[int, ...]:
-        """Coarse (p+1)-cells whose boundary contains this player's p-cell."""
-        return self.coarse.coboundary_indices(self.p, player)
-
-    def vertex_incidence(self, player: int) -> Tuple[int, ...]:
-        """Coarse (p-1)-cells on the boundary of this player's p-cell."""
-        return self.coarse.boundary_indices(self.p, player)
 
 
 def cellulation_ops(

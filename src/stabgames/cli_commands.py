@@ -149,7 +149,7 @@ def _parse_blocks(text: str):
 
 def cmd_game_cellulation(args):
     from .codes import toric2d
-    from .scoring import CellulationGame, cellulation_game_eval
+    from .scoring import cellulation_game_eval
     from .cellulation import block_cellulation_ops, fan_cellulation_ops
 
     _resolve(args, ["blocks"] if args.fan else [], "the fan cellulation has no blocks",
@@ -157,7 +157,7 @@ def cmd_game_cellulation(args):
     bx, by = _parse_blocks(args.blocks)
     code = toric2d(args.L)
     strat = fan_cellulation_ops(code) if args.fan else block_cellulation_ops(code, bx, by)
-    ev = cellulation_game_eval(CellulationGame(strat), restrict_unit_z=args.restrict_unit_z)
+    ev = cellulation_game_eval(strat, restrict_unit_z=args.restrict_unit_z)
     cfg = {"command": "game cellulation", "L": args.L, "blocks": args.blocks,
            "fan": args.fan, "restrict_unit_z": args.restrict_unit_z}
     inputs = 1 << ev.meta["bits"]  # every input is scored, by one exact sum

@@ -28,13 +28,9 @@ except ImportError:
         from hashlib import sha256
 
 
-def _num(x):
-    """JSON form of a probability: exact fraction string plus float."""
-    if isinstance(x, Fraction):
-        return {"fraction": f"{x.numerator}/{x.denominator}", "float": float(x)}
-    if isinstance(x, complex):
-        return {"float": x.real if abs(x.imag) < 1e-12 else [x.real, x.imag]}
-    return {"float": float(x)}
+def _num(x: Fraction) -> dict:
+    """JSON form of an exact probability: its fraction string plus its float."""
+    return {"fraction": f"{x.numerator}/{x.denominator}", "float": float(x)}
 
 
 def _config_hash(cfg: dict) -> str:

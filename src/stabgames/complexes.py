@@ -104,13 +104,20 @@ class CellComplex(_Record):
         self._bound = tuple(bound)
 
     def index(self, k: int, key: CellKey) -> int:
-        return self._index[k][key]
+        return self._level(self._index, k)[key]
 
     def dims(self) -> Tuple[int, ...]:
         return tuple(len(level) for level in self.cells)
 
+    def _level(self, levels: Sequence, k: int):
+        """levels[k]; ValueError for a degree k outside 0..dim, which would
+        run past the levels or, when negative, index them from the end."""
+        if not 0 <= k <= self.dim:
+            raise ValueError(f"degree k={k} outside 0..{self.dim}")
+        return levels[k]
+
     def boundary_indices(self, k: int, i: int) -> Tuple[int, ...]:
-        return self._bound[k][i]
+        return self._level(self._bound, k)[i]
 
     def coboundary_indices(self, k: int, i: int) -> Tuple[int, ...]:
         """Indices of (k+1)-cells whose boundary contains the i-th k-cell."""
@@ -123,17 +130,18 @@ class CellComplex(_Record):
             self._cobound = tuple(
                 {i: tuple(v) for i, v in level.items()} for level in cob
             )
-        return self._cobound[k].get(i, ())
+        return self._level(self._cobound, k).get(i, ())
 
     def boundary_rows(self, k: int) -> List[int]:
         """Bit-packed boundary of each k-cell over the (k-1)-cells; a cell
         listed twice cancels."""
-        return [_xor_mask(lows) for lows in self._bound[k]]
+        return [_xor_mask(lows) for lows in self._level(self._bound, k)]
 
     def coboundary_rows(self, k: int) -> List[int]:
         """Bit-packed coboundary of each k-cell over the (k+1)-cells: the
         transpose of boundary_rows(k + 1)."""
-        return [_xor_mask(self.coboundary_indices(k, i)) for i in range(len(self.cells[k]))]
+        cells = self._level(self.cells, k)
+        return [_xor_mask(self.coboundary_indices(k, i)) for i in range(len(cells))]
 
     def boundary_rank(self, k: int) -> int:
         """Rank of the boundary map C_k -> C_{k-1}; zero map outside range."""

@@ -1,23 +1,35 @@
 """Game definitions and their exact classical baselines: the P-player
-parity game and the even-dimension magic-square game.
+parity game, the coarse-cellulation game and the even-dimension
+magic-square game.
 
+The parity and cellulation games build their own input maps (``InputMap``).
 The classical optima are exact rationals with a witness strategy: the parity
 game's in closed form, the magic square's from a best-response table.  The
 quantum strategies are scored elsewhere, so the classical games compile none
-of that code: ``scoring`` evaluates the parity and cellulation games on
-stabilizer groups and dense states, and ``semion`` verifies the magic-square
-strategy beside the operators it plays.
+of that code: ``scoring`` evaluates the input maps on stabilizer groups and
+dense states, and ``semion`` verifies the magic-square strategy beside the
+operators it plays.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from operator import xor
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import _Frozen, _Record
 
+if TYPE_CHECKING:  # the complexes are imported where a cellulation game is built
+    from .complexes import CellComplex
+
 Number = Union[Fraction, float]
+
+# One (a, b) pair of masks per player over the bits of u | 1 << m: bit m - 1 - k
+# of u is input bit k, so u is the input's index in itertools.product order; bit
+# m is the constant bit; a_i(u) is the parity of a & (u | 1 << m), b_i(u) likewise
+InputMap = List[Tuple[int, int]]
 
 
 class ParityGame(_Frozen):
@@ -40,9 +52,58 @@ class ParityGame(_Frozen):
         return [bits + last[i.bit_count() & 1]
                 for i, bits in enumerate(itertools.product((0, 1), repeat=self.p - 1))]
 
+    def input_map(self) -> Tuple[InputMap, int]:
+        """The game's input map and its m = P - 1 free bits.
+
+        An even input is its first P - 1 bits with their parity appended, so
+        (a_i, b_i) = (1, input bit i) is affine in those bits, and the target
+        sign is i^{sum a_i b_i} = i^{|input|}; u in order is valid_inputs()' order.
+        """
+        m = self.p - 1
+        return [(1 << m, 1 << (m - 1 - i)) for i in range(m)] + [(1 << m, (1 << m) - 1)], m
+
     def target_sign(self, bits: Sequence[int]) -> int:
         """+1 when half the input sum is even, -1 when odd."""
         return 1 if (sum(bits) // 2) % 2 == 0 else -1
+
+
+class CellulationGame(_Record):
+    """One player per p-cell of the coarse complex.  Inputs are bits on the
+    independent coarse (p+1)-cells (x_basis) and (p-1)-cells (z_basis); a
+    player's a and b are the parities of the bits on its incident cells."""
+
+    _fields = ("coarse", "p")
+    # x_basis, z_basis and _map: derived from the complex, so left out of
+    # equality and repr
+    __slots__ = (*_fields, "x_basis", "z_basis", "_map")
+
+    def __init__(self, coarse: CellComplex, p: int):
+        if not 1 <= p <= coarse.dim - 1:
+            raise ValueError(f"cellulation degree p={p} outside 1..{coarse.dim - 1}")
+        from .complexes import gf2_eliminate
+
+        self.coarse, self.p = coarse, p
+        self.x_basis = gf2_eliminate(coarse.boundary_rows(p + 1))[0]
+        self.z_basis = gf2_eliminate(coarse.coboundary_rows(p - 1))[0]
+        # the x_basis bits come first, so they are the high bits of u; XOR
+        # cancels a cell incident twice
+        nz = len(self.z_basis)
+        x_bit = {cell: 1 << (nz + len(self.x_basis) - 1 - k) for k, cell in enumerate(self.x_basis)}
+        z_bit = {cell: 1 << (nz - 1 - k) for k, cell in enumerate(self.z_basis)}
+        self._map: InputMap = [
+            (reduce(xor, [x_bit.get(f, 0) for f in coarse.coboundary_indices(p, c)], 0),
+             reduce(xor, [z_bit.get(v, 0) for v in coarse.boundary_indices(p, c)], 0))
+            for c in range(len(coarse.cells[p]))
+        ]
+
+    def input_map(self, restrict_unit_z: bool = False) -> Tuple[InputMap, int]:
+        """(map, m): every player's masks over the m input bits, the
+        x_basis bits first, then the z_basis bits.  With restrict_unit_z
+        every b is 1 and only the x_basis bits are inputs."""
+        nx, nz = len(self.x_basis), len(self.z_basis)
+        if restrict_unit_z:
+            return [(a >> nz, 1 << nx) for a, _ in self._map], nx
+        return self._map, nx + nz
 
 
 class MagicSquareGame(_Frozen):

@@ -1,11 +1,9 @@
 """Exact quantum scoring of the parity and coarse-cellulation games.
 
-Both games are scored over all 2^m inputs u of an affine input map
-(``InputMap``): each player's (a_i, b_i) is a fixed bit or the parity of
-some input bits, read from one pair of masks per player.  The cellulation
-game's inputs are its basis bits; the parity game's even inputs are their
-first P - 1 bits with the parity of those appended.  The sign that wins
-input u is i^{sum_i a_i b_i}.
+Both games are scored over all 2^m inputs u of the affine input map their
+``games`` class builds (``games.InputMap``): each player's (a_i, b_i) is a
+fixed bit or the parity of some input bits, read from one pair of masks per
+player.  The sign that wins input u is i^{sum_i a_i b_i}.
 
 Quantum evaluations are exact: stabilizer resources give win probabilities
 as rationals, dense resources give floats from exact state vectors.  Win
@@ -29,13 +27,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
-from operator import xor
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from . import _Record
 from .complexes import _transpose, gf2_eliminate
-from .games import Number, ParityGame, StrategyEvaluation
+from .games import CellulationGame, InputMap, Number, ParityGame, StrategyEvaluation
 from .pauli import PauliOperator, _bits
 from .tableau import StabilizerGroup
 from .weyl import WeylOperator
@@ -44,12 +39,6 @@ if TYPE_CHECKING:  # the dense module is imported where it is used, so a stabili
     from .dense import DenseState
     from .cellulation import CellulationStrategy
     from .strategies import CompositeOperatorSet
-
-# One (a, b) pair of masks per player over the bits of u | 1 << m: bit m - 1 - k
-# of u is input bit k, so u is the input's index in itertools.product order; bit
-# m is the constant bit; a_i(u) is the parity of a & (u | 1 << m), b_i(u) likewise
-InputMap = List[Tuple[int, int]]
-
 
 # -- quantum parity evaluation --------------------------------------------------------
 
@@ -321,17 +310,6 @@ def _exact_value(
     return Fraction((1 << m) + total, 1 << (m + 1))
 
 
-def parity_input_map(p: int) -> Tuple[InputMap, int]:
-    """The P-player parity game's input map and its m = P - 1 free bits.
-
-    An even input is its first P - 1 bits with their parity appended, so
-    (a_i, b_i) = (1, input bit i) is affine in those bits, and the target
-    sign is i^{sum a_i b_i} = i^{|input|}; u in order is valid_inputs()' order.
-    """
-    m = p - 1
-    return [(1 << m, 1 << (m - 1 - i)) for i in range(m)] + [(1 << m, (1 << m) - 1)], m
-
-
 def quantum_parity_eval(
     ops: CompositeOperatorSet,
     resource: Optional[Union[StabilizerGroup, DenseState]] = None,
@@ -348,7 +326,7 @@ def quantum_parity_eval(
     p = ops.players
     game = ParityGame(p)
     res = resource if resource is not None else ops.resource
-    wins, p_q, ts_total = _score_inputs(ops, res, *parity_input_map(p))
+    wins, p_q, ts_total = _score_inputs(ops, res, *game.input_map())
     mermin = ts_total if p == 3 else None
     return StrategyEvaluation(dict(zip(game.valid_inputs(), wins)), p_q, mermin, meta={"P": p})
 
@@ -356,48 +334,12 @@ def quantum_parity_eval(
 # -- cellulation game -------------------------------------------------------------------
 
 
-class CellulationGame(_Record):
-    """Inputs are bits on independent coarse boundary/coboundary generators;
-    each player measures i^{ab} X^a Z^b with incidence-derived exponents.
-    x_basis (independent coarse (p+1)-cells) and z_basis (independent coarse
-    (p-1)-cells) are computed from the strategy."""
-
-    _fields = ("strategy", "x_basis", "z_basis")
-    __slots__ = (*_fields, "_map")
-
-    def __init__(self, strategy: CellulationStrategy):
-        self.strategy = strat = strategy
-        coarse, p = strat.coarse, strat.p
-        self.x_basis = gf2_eliminate(coarse.boundary_rows(p + 1))[0]
-        self.z_basis = gf2_eliminate(coarse.coboundary_rows(p - 1))[0]
-        # the x_basis bits come first, so they are the high bits of u; a is the
-        # parity of the bits on a player's incident (p+1)-cells, b on its
-        # (p-1)-cells, and XOR cancels a cell incident twice
-        nz = len(self.z_basis)
-        x_bit = {cell: 1 << (nz + len(self.x_basis) - 1 - k) for k, cell in enumerate(self.x_basis)}
-        z_bit = {cell: 1 << (nz - 1 - k) for k, cell in enumerate(self.z_basis)}
-        self._map: InputMap = [
-            (reduce(xor, [x_bit.get(f, 0) for f in strat.face_incidence(c)], 0),
-             reduce(xor, [z_bit.get(v, 0) for v in strat.vertex_incidence(c)], 0))
-            for c in range(strat.players)
-        ]
-
-    def input_map(self, restrict_unit_z: bool = False) -> Tuple[InputMap, int]:
-        """(map, m): every player's masks over the m input bits, the
-        x_basis bits first, then the z_basis bits.  With restrict_unit_z
-        every b is 1 and only the x_basis bits are inputs."""
-        nx, nz = len(self.x_basis), len(self.z_basis)
-        if restrict_unit_z:
-            return [(a >> nz, 1 << nx) for a, _ in self._map], nx
-        return self._map, nx + nz
-
-
 def cellulation_game_eval(
-    game: CellulationGame,
+    strategy: CellulationStrategy,
     resource: Optional[Union[StabilizerGroup, DenseState]] = None,
     restrict_unit_z: bool = False,
 ) -> StrategyEvaluation:
-    """Win probability over every input of the game.
+    """Win probability over every input of CellulationGame(coarse, p).
 
     On a stabilizer group p_q is the exact Fraction from one exponential sum
     (``_exact_value``), for any number of input bits, and per_input is
@@ -406,9 +348,9 @@ def cellulation_game_eval(
     inputs, which reduces the game to the parity game on suitable
     cellulations.
     """
-    ops = game.strategy.ops
+    ops = strategy.ops
     res = resource if resource is not None else ops.resource
-    amap, bits = game.input_map(restrict_unit_z)
+    amap, bits = CellulationGame(strategy.coarse, strategy.p).input_map(restrict_unit_z)
     if _is_exact(res):
         per_input, p_q = {}, _exact_value(ops, res, amap, bits)
     else:

@@ -42,7 +42,7 @@ from stabgames.games import (
 from stabgames.parity2d import tc2d_parity_ops
 from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
 from stabgames.pauli import PauliOperator, multiply, twist_product
-from stabgames.scoring import CellulationGame, cellulation_game_eval, quantum_parity_eval
+from stabgames.scoring import cellulation_game_eval, quantum_parity_eval
 from stabgames.semion import ds_magic_square_ops, magic_square_eval
 from stabgames.strategies import ghz_ops, validate
 from stabgames.tableau import StabilizerGroup
@@ -229,15 +229,14 @@ def test_criterion_08_cellulation_game():
         code6 = toric2d(6)
         for bx, by in ((2, 2), (3, 3), (2, 3)):
             strat = block_cellulation_ops(code6, bx, by)
-            ev = cellulation_game_eval(CellulationGame(strat))
+            ev = cellulation_game_eval(strat)
             assert ev.p_q == 1, (bx, by)
         # microscopic cellulation against the dense codespace projector
         code2 = toric2d(2)
         micro = block_cellulation_ops(code2, 1, 1)
-        game = CellulationGame(micro)
         fixed = code2.group.fix_sector(toric2d_winding_z_fixers(code2))
         codeword = state_from_group(fixed)
-        ev = cellulation_game_eval(game, resource=codeword)
+        ev = cellulation_game_eval(micro, resource=codeword)
         assert abs(float(ev.p_q) - 1.0) <= 1e-10
         flipped_gens = [
             (g.scale_i(2) if lab == ("zstab", ("v", 1, 1)) else g)
@@ -248,12 +247,12 @@ def test_criterion_08_cellulation_game():
             toric2d_winding_z_fixers(code2)
         )
         orth = state_from_group(flipped)
-        ev2 = cellulation_game_eval(game, resource=orth)
+        ev2 = cellulation_game_eval(micro, resource=orth)
         assert abs(float(ev2.p_q) - 0.5) <= 1e-10
         # unit-Z restriction reproduces the parity game results
         code5 = toric2d(5)
         fan = fan_cellulation_ops(code5)
-        ev_fan = cellulation_game_eval(CellulationGame(fan), restrict_unit_z=True)
+        ev_fan = cellulation_game_eval(fan, restrict_unit_z=True)
         par = quantum_parity_eval(tc2d_parity_ops(code5, 3))
         assert ev_fan.p_q == par.p_q == 1
         assert 1 << ev_fan.meta["bits"] == len(par.per_input) == 4

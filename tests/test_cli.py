@@ -1,5 +1,6 @@
 """CLI tests: subcommands, outputs, determinism, error handling."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -584,6 +585,26 @@ def test_classical_games_load_no_engine(tmp_path):
     proc = _run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "game_parity.json").read_text())["p_cl"]["fraction"] == "33/64"
+
+
+def test_lazy_exports_resolve_to_their_modules(monkeypatch):
+    # each exported name is read from the module _EXPORTS names on first use;
+    # its cached copy is dropped first, so the lookup itself runs here
+    assert set(stabgames.__all__) - {"__version__"} == set(stabgames._EXPORTS)
+    for name, module in stabgames._EXPORTS.items():
+        monkeypatch.delitem(vars(stabgames), name, raising=False)
+        want = getattr(importlib.import_module(f"stabgames.{module}"), name)
+        assert getattr(stabgames, name) is want, name
+        assert vars(stabgames)[name] is want, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        stabgames.no_such_name
+    proc = _run_python("""
+        import sys
+        import stabgames
+        stabgames.StabilizerGroup
+        assert "numpy" not in sys.modules
+    """)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_qubit_commands_load_no_numpy(tmp_path):

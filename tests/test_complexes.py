@@ -176,6 +176,21 @@ class TestDerivedRows:
         for k in range(1, c.dim + 1):
             assert c.boundary_rank(k) == naive_rank(c.boundary_rows(k), len(c.cells[k - 1]))
 
+    @pytest.mark.parametrize("case", ["torus2d", "torus3d"])
+    def test_degree_outside_range_refused(self, case):
+        # a negative degree would index the levels from the end, and dim + 1
+        # would run past them; degrees 0 and dim are valid, with zero rows
+        c = self.CASES[case]()
+        accessors = [c.boundary_rows, c.coboundary_rows,
+                     lambda k: c.boundary_indices(k, 0), lambda k: c.coboundary_indices(k, 0),
+                     lambda k: c.index(k, c.cells[c.dim][0])]
+        for k in (-1, c.dim + 1):
+            for read in accessors:
+                with pytest.raises(ValueError, match=f"degree k={k} outside 0..{c.dim}"):
+                    read(k)
+        assert set(c.boundary_rows(0)) == set(c.coboundary_rows(c.dim)) == {0}
+        assert c.boundary_indices(0, 0) == c.coboundary_indices(c.dim, 0) == ()
+
     def test_repeated_entries_cancel(self):
         # a cell listed twice counts twice, so it drops out of the rows
         plain, doubled = build_torus(3, 4), _doubled_edge_torus()

@@ -23,9 +23,10 @@ from stabgames.codes import (
     toric3d_faces,
     xcube,
 )
-from stabgames.complexes import gf2_rank
+from stabgames.complexes import build_torus, gf2_rank
 from stabgames.dense import deform, state_from_group
 from stabgames.games import (
+    CellulationGame,
     MagicSquareGame,
     ParityGame,
     _valid_rows,
@@ -39,7 +40,6 @@ from stabgames.parity2d import tc2d_parity_ops
 from stabgames.parity3d import tc3d_1form_ops, tc3d_2form_ops, xcube_ops
 from stabgames.pauli import PauliOperator, multiply
 from stabgames.scoring import (
-    CellulationGame,
     _exact_value,
     _quadratic_sign_sum,
     _score_inputs,
@@ -62,6 +62,16 @@ class TestParityGameStructure:
     def test_valid_inputs_are_the_even_weight_inputs_in_product_order(self, p):
         want = [bits for bits in itertools.product((0, 1), repeat=p) if sum(bits) % 2 == 0]
         assert ParityGame(p).valid_inputs() == want
+
+    @pytest.mark.parametrize("p", range(3, 9))
+    def test_input_map_follows_valid_inputs(self, p):
+        # input u of the map is valid input u: every player's a is 1 and its
+        # b is its input bit, the last player's the parity of the others
+        game = ParityGame(p)
+        amap, m = game.input_map()
+        assert m == p - 1
+        for u, bits in enumerate(game.valid_inputs()):
+            assert read_map(amap, m, u) == [(1, b) for b in bits]
 
     def test_target_sign(self):
         g = ParityGame(4)
@@ -227,14 +237,13 @@ class TestCellulationGame:
         code = toric2d(6)
         for bx, by in ((2, 2), (3, 3), (2, 3)):
             strat = block_cellulation_ops(code, bx, by)
-            game = CellulationGame(strat)
-            ev = cellulation_game_eval(game)
+            ev = cellulation_game_eval(strat)
             assert ev.p_q == 1
 
     def test_microscopic_matches_codespace_projector(self):
         code = toric2d(2)
         strat = block_cellulation_ops(code, 1, 1)
-        game = CellulationGame(strat)
+        game = CellulationGame(strat.coarse, strat.p)
         from stabgames.pauli import PauliOperator
 
         # winding dual Z loops: one crosses all vertical edges of a row, the
@@ -243,7 +252,7 @@ class TestCellulationGame:
         wz2 = PauliOperator.from_support(code.n, "Z", [code.qubit_index(("e", 0, y, 0)) for y in range(2)])
         fixed = code.group.fix_sector([wz1, wz2])
         codeword = state_from_group(fixed)
-        ev = cellulation_game_eval(game, resource=codeword)
+        ev = cellulation_game_eval(strat, resource=codeword)
         assert ev.p_q == pytest.approx(1.0, abs=1e-10)
         # orthogonal sector: flip one star's sign; p_q = (1 + 0)/2
         gens = [
@@ -253,11 +262,11 @@ class TestCellulationGame:
         ]
         flipped = StabilizerGroup(gens, d=2, n=code.n).fix_sector([wz1, wz2])
         orth = state_from_group(flipped)
-        ev2 = cellulation_game_eval(game, resource=orth)
+        ev2 = cellulation_game_eval(strat, resource=orth)
         assert ev2.p_q == pytest.approx(0.5, abs=1e-10)
         # the tableau sums the same sector exactly; dense scores every input,
         # each as the per-input rule with target i^{sum a_i b_i}
-        exact = cellulation_game_eval(game, resource=flipped)
+        exact = cellulation_game_eval(strat, resource=flipped)
         assert exact.p_q == Fraction(1, 2) and exact.per_input == {}
         assert len(ev2.per_input) == 1 << ev2.meta["bits"]
         for bits, win in ev2.per_input.items():
@@ -272,8 +281,7 @@ class TestCellulationGame:
     def test_fan_restriction_reproduces_parity(self):
         code = toric2d(5)
         strat = fan_cellulation_ops(code)
-        game = CellulationGame(strat)
-        ev = cellulation_game_eval(game, restrict_unit_z=True)
+        ev = cellulation_game_eval(strat, restrict_unit_z=True)
         assert 1 << ev.meta["bits"] == 4  # 2^(P-1) parity inputs
         assert ev.p_q == 1  # so every input is won, as in the parity game
         parity_ev = quantum_parity_eval(tc2d_parity_ops(code, 3))
@@ -290,8 +298,8 @@ class TestCellulationGame:
         # both read here from the boundary keys
         code = build()
         strat = block_cellulation_ops(code, *blocks) if blocks else fan_cellulation_ops(code)
-        game = CellulationGame(strat)
         coarse, p = strat.coarse, strat.p
+        game = CellulationGame(coarse, p)
         x_rows = [0] * len(coarse.cells[p + 1])
         z_rows = [0] * len(coarse.cells[p - 1])
         for c, keys in enumerate(coarse.boundary_keys[p + 1]):
@@ -311,15 +319,27 @@ class TestCellulationGame:
         assert game.x_basis == first_independent(x_rows)
         assert game.z_basis == first_independent(z_rows)
 
+    def test_built_from_the_complex_alone(self):
+        # the game is its coarse complex and degree: the strategy's game and
+        # one built from a fresh torus are equal, and p outside 1..dim - 1
+        # has no (p-1)- or (p+1)-cells to put inputs on
+        strat = block_cellulation_ops(toric2d(6), 2, 3)
+        game, played = CellulationGame(build_torus(3, 2), 1), CellulationGame(strat.coarse, strat.p)
+        assert game == played and game.input_map() == played.input_map()
+        for coarse in (build_torus(3, 2), build_torus(2, 2, 2)):
+            for p in (0, coarse.dim):
+                with pytest.raises(ValueError, match=f"p={p} outside 1..{coarse.dim - 1}"):
+                    CellulationGame(coarse, p)
+
     def test_unknown_resource_type_raises(self):
-        game = CellulationGame(block_cellulation_ops(toric2d(4), 2, 2))
+        strat = block_cellulation_ops(toric2d(4), 2, 2)
         with pytest.raises(TypeError, match="StabilizerGroup or a DenseState, got list"):
-            cellulation_game_eval(game, resource=[1, 2])
+            cellulation_game_eval(strat, resource=[1, 2])
 
     def test_even_cross_parity_asserted(self):
         code = toric2d(4)
         strat = block_cellulation_ops(code, 2, 2)
-        ev = cellulation_game_eval(CellulationGame(strat))
+        ev = cellulation_game_eval(strat)
         assert ev.p_q == 1  # implies every input passed the even-parity assert
 
 
@@ -331,7 +351,7 @@ class TestBlockCellulation3D:
     def test_codeword_wins_3d_blocks(self, build, L, blocks):
         strat = block_cellulation_ops(build(L), *blocks)
         assert validate(strat.ops).ok
-        ev = cellulation_game_eval(CellulationGame(strat))
+        ev = cellulation_game_eval(strat)
         assert ev.p_q == Fraction(1)
         assert ev.meta["bits"] == {4: 21, 6: 33}[L]
 
@@ -477,18 +497,18 @@ def read_map(amap, m, u):
 
 
 def incidence_exponents(game, bits, unit_z=False):
-    """A cellulation game's exponents at the input bits, from the incidences:
-    a is the parity of the bits on a player's incident x_basis cells, b of
-    those on its z_basis cells, or 1 with unit z; the x_basis bits come
-    first."""
-    strat, nx = game.strategy, len(game.x_basis)
+    """A cellulation game's exponents at the input bits, from the incidences
+    read off its complex: a is the parity of the bits on a player's incident
+    x_basis (p+1)-cells, b of those on its z_basis (p-1)-cells, or 1 with
+    unit z; the x_basis bits come first."""
+    coarse, p, nx = game.coarse, game.p, len(game.x_basis)
 
     def parity(cells, basis, offset):
         return sum(bits[offset + basis.index(c)] for c in cells if c in basis) % 2
 
-    return [(parity(strat.face_incidence(c), game.x_basis, 0),
-             1 if unit_z else parity(strat.vertex_incidence(c), game.z_basis, nx))
-            for c in range(strat.players)]
+    return [(parity(coarse.coboundary_indices(p, c), game.x_basis, 0),
+             1 if unit_z else parity(coarse.boundary_indices(p, c), game.z_basis, nx))
+            for c in range(len(coarse.cells[p]))]
 
 
 def reference_sign(ops, group, exps):
@@ -564,7 +584,7 @@ def test_cellulation_form_reads_every_pair_once(shape, m, monkeypatch):
     monkeypatch.setattr(StabilizerGroup, "reduce", lambda self, op: calls.append(op) or reduce(self, op))
     code = toric2d(6)
     strat = fan_cellulation_ops(code) if shape == "fan" else block_cellulation_ops(code, 2, 2)
-    ev = cellulation_game_eval(CellulationGame(strat))
+    ev = cellulation_game_eval(strat)
     assert ev.p_q == 1 and ev.meta["bits"] == m
     assert len(calls) == 1 + m + m * (m - 1) // 2
 
@@ -730,18 +750,27 @@ def test_cellulation_form_matches_per_input_rule(ops, data):
     assert _exact_value(ops, weyl, amap, m) == p_q
 
 
-@pytest.mark.parametrize("blocks, unit_z", [
-    ((2, 2), False), ((3, 3), False), ((2, 3), False), (None, False), (None, True),
-], ids=["blocks-2x2", "blocks-3x3", "blocks-2x3", "fan", "fan-unit-z"])
-def test_cellulation_sum_matches_enumeration(blocks, unit_z):
-    # criterion 8's block cellulations of L = 6, and the L = 5 fan
-    if blocks:
-        game = CellulationGame(block_cellulation_ops(toric2d(6), *blocks))
-    else:
-        game = CellulationGame(fan_cellulation_ops(toric2d(5)))
-    ev = cellulation_game_eval(game, restrict_unit_z=unit_z)
+@pytest.mark.parametrize("build, unit_z", [
+    (lambda: block_cellulation_ops(toric2d(6), 2, 2), False),
+    (lambda: block_cellulation_ops(toric2d(6), 3, 3), False),
+    (lambda: block_cellulation_ops(toric2d(6), 2, 3), False),
+    (lambda: fan_cellulation_ops(toric2d(5)), False),
+    (lambda: fan_cellulation_ops(toric2d(5)), True),
+    (lambda: block_cellulation_ops(toric3d_faces(4), 2, 2, 2), False),
+    (lambda: block_cellulation_ops(toric3d_faces(4), 2, 2, 2), True),
+    (lambda: block_cellulation_ops(toric3d_edges(4), 2, 2, 2), False),
+    (lambda: block_cellulation_ops(toric3d_edges(4), 2, 2, 2), True),
+], ids=["blocks-2x2", "blocks-3x3", "blocks-2x3", "fan", "fan-unit-z",
+        "tc3d-faces", "tc3d-faces-unit-z", "tc3d-edges", "tc3d-edges-unit-z"])
+def test_cellulation_sum_matches_enumeration(build, unit_z):
+    # criterion 8's block cellulations of L = 6, the L = 5 fan, and the 2x2x2
+    # blocks of both 3D toric codes at L = 4: p = 2 on the faces, p = 1 on
+    # the edges
+    strat = build()
+    game = CellulationGame(strat.coarse, strat.p)
+    ev = cellulation_game_eval(strat, restrict_unit_z=unit_z)
     bits = ev.meta["bits"]
-    ops = game.strategy.ops
+    ops = strat.ops
     amap, m = game.input_map(unit_z)
     assert m == bits
     # the map is affine, so its values at 0 and at each unit input fix it
@@ -754,7 +783,8 @@ def test_cellulation_sum_matches_enumeration(blocks, unit_z):
 
 def test_cellulation_sum_matches_enumeration_in_both_l2_sectors():
     code = toric2d(2)
-    game = CellulationGame(block_cellulation_ops(code, 1, 1))
+    strat = block_cellulation_ops(code, 1, 1)
+    game = CellulationGame(strat.coarse, strat.p)
     fixers = toric2d_winding_z_fixers(code)
     flipped = StabilizerGroup(
         [g.scale_i(2) if lab == ("zstab", ("v", 1, 1)) else g
@@ -762,9 +792,8 @@ def test_cellulation_sum_matches_enumeration_in_both_l2_sectors():
         d=2, n=code.n)
     for group, value in ((code.group, 1), (flipped, Fraction(1, 2))):
         fixed = group.fix_sector(fixers)
-        ev = cellulation_game_eval(game, resource=fixed)
-        bits = ev.meta["bits"]
-        _, p_q, _ = _score_inputs(game.strategy.ops, fixed, *game.input_map())
+        ev = cellulation_game_eval(strat, resource=fixed)
+        _, p_q, _ = _score_inputs(strat.ops, fixed, *game.input_map())
         assert ev.p_q == p_q == value
 
 

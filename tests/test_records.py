@@ -18,9 +18,8 @@ from stabgames.cellulation import CellulationStrategy, PlaneGraph, block_cellula
 from stabgames.codes import CodeInstance, _DsLattice, toric2d
 from stabgames.complexes import CellComplex
 from stabgames.dense import DenseState
-from stabgames.games import MagicSquareGame, ParityGame, StrategyEvaluation
+from stabgames.games import CellulationGame, MagicSquareGame, ParityGame, StrategyEvaluation
 from stabgames.pauli import PauliOperator
-from stabgames.scoring import CellulationGame
 from stabgames.semion import MagicSquareOperators, MagicSquareReport
 from stabgames.strategies import CompositeOperatorSet, Constraint, ValidationReport
 from stabgames.tableau import Expectation, StabilizerGroup
@@ -64,7 +63,7 @@ CASES = {
                              ("code", "resource", "a_x", "a_z", "b_x", "b_z", "meta"), False),
     "StrategyEvaluation": (lambda: StrategyEvaluation({(0, 0, 0): Fraction(1)}, Fraction(1), 4),
                            ("per_input", "p_q", "mermin", "meta"), False),
-    "CellulationGame": (lambda: CellulationGame(STRATEGY), ("strategy", "x_basis", "z_basis"), False),
+    "CellulationGame": (lambda: CellulationGame(STRATEGY.coarse, 1), ("coarse", "p"), False),
     "MagicSquareReport": (lambda: MagicSquareReport([(True, 0)], [(False, 2)], {(0, 0): ("definite", 0)},
                                                     True, False, Fraction(8, 9), ["column 0"]),
                           ("row_identities", "col_identities", "cell_constraints",
@@ -224,8 +223,8 @@ def test_keywords_and_defaults():
                        _faces=((),))
     assert graph._faces == (((0, 0), (0, 1)),)
     assert StrategyEvaluation({}, 1, meta={"P": 3}).meta == {"P": 3}
-    game = CellulationGame(strategy=STRATEGY)
-    assert game.x_basis == game.z_basis == (0, 1, 2)
+    game = CellulationGame(coarse=STRATEGY.coarse, p=STRATEGY.p)
+    assert game.x_basis == game.z_basis == (0, 1, 2) and "x_basis" not in repr(game)
     amap, m = game.input_map()
     assert m == 6 and len(amap) == STRATEGY.players and all(not (a | b) >> m for a, b in amap)
     assert ParityGame(p=3) == ParityGame(3) and MagicSquareGame(d=2) == MagicSquareGame(2)
@@ -237,7 +236,7 @@ def test_keywords_and_defaults():
 
 @pytest.mark.parametrize("make", [
     lambda: CompositeOperatorSet(CODE, GROUP, PAIRS, CONSTRAINTS, {}, []),
-    lambda: CellulationGame(STRATEGY, (0,)),
+    lambda: CellulationGame(STRATEGY.coarse, 1, (0,)),
     lambda: CellComplex(1, EDGE.cells, EDGE.boundary_keys, False, {}, {}),
     lambda: PauliOperator(1, 0, 0),
     lambda: Expectation(kind="zero"),

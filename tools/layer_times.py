@@ -4,9 +4,10 @@
 
 Times the stabgames under DIR (default: this checkout's ``src``), so one
 copy of the script compares two checkouts; the parity layers read the
-game's input map from ``scoring.parity_input_map`` and time
+game's input map from ``games.ParityGame.input_map`` and time
 ``scoring._reached_form``, and the cellulation layer reads its map from
-``scoring.CellulationGame.input_map``, so DIR must have all three.
+``games.CellulationGame(coarse, p).input_map``, so DIR must have all three:
+a tree where the games build their own input maps.
 Every layer is called once untimed, then timed REPEATS (7) times with
 ``time.perf_counter`` after a ``gc.collect()``; the inputs are built once,
 outside the timings.  Prints one line per layer, its median and its
@@ -109,19 +110,19 @@ def _oracle_state(n):
 
 
 def _tc2d_parity(code):
+    from stabgames.games import ParityGame
     from stabgames.parity2d import tc2d_parity_ops
-    from stabgames.scoring import parity_input_map
 
     ops = tc2d_parity_ops(code, 12)
-    return (ops, ops.resource, *parity_input_map(12))
+    return (ops, ops.resource, *ParityGame(12).input_map())
 
 
 def _tc2d_cellulation(code):
     from stabgames.cellulation import block_cellulation_ops
-    from stabgames.scoring import CellulationGame
+    from stabgames.games import CellulationGame
 
     strat = block_cellulation_ops(code, 2, 2)
-    return (strat.ops, strat.ops.resource, *CellulationGame(strat).input_map())
+    return (strat.ops, strat.ops.resource, *CellulationGame(strat.coarse, strat.p).input_map())
 
 
 def _scale(src):
