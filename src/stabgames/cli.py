@@ -249,12 +249,21 @@ def _config_value(action: argparse.Action, key: str, value):
 
 def _apply_config(parser: argparse.ArgumentParser, args, raw) -> None:
     """Fill options from the --config JSON file; explicit flags, given as
-    "--key value" or "--key=value", override it.  A key that names no option
-    of the command, or a value the option would not parse to, exits 2."""
+    "--key value" or "--key=value", override it.  A file that cannot be read
+    or decoded, JSON whose top level is not an object, a key that names no
+    option of the command, or a value the option would not parse to, exits
+    2 with the command's usage."""
     leaf = _leaf_parser(parser, args)
     actions = {a.dest: a for a in leaf._actions if a.option_strings and a.dest not in ("help", "config")}
-    with open(args.config) as f:
-        defaults = json.load(f)
+    try:
+        with open(args.config, "rb") as f:
+            defaults = json.load(f)
+    except OSError as exc:
+        leaf.error(f"--config: {exc}")
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        leaf.error(f"--config: {args.config!r} is no JSON file: {exc}")
+    if not isinstance(defaults, dict):
+        leaf.error(f"--config: the top level of {args.config!r} is not a JSON object")
     explicit = {tok.partition("=")[0] for tok in raw if tok.startswith("--")}
     for key, value in defaults.items():
         action = actions.get(key)

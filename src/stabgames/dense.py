@@ -2,23 +2,30 @@
 
 Ground truth for the tableau.  A stabilizer state has one magnitude on its
 support and a phase in Z_2d on each basis state there (Dehaene & De Moor,
-quant-ph/0304125; Hostens, Dehaene & De Moor, quant-ph/0408190).  So
-``state_from_group`` keeps the whole register as 2d bitsets in Python ints,
-its phase planes: bit q of plane k is set when amplitude q is
-w^k / sqrt(N), with w = exp(i*pi/d), N the size of the support and site 0
-the most significant digit of q.  An operator w^f X^x Z^z moves |q> in
-plane k to |q + x> in plane k + f + 2 z.q: the planes are split by the
-classes z.q mod d and shifted digit by digit, with masks cached per
-register (``_mask``).  ``dense_expectation`` and ``exact_expectation`` then
-count, over all d^n basis states, the overlaps c_e of psi with O psi at
-each phase difference e in Z_2d.  <O> = sum_e c_e w^e / N, and
-``exact_expectation`` decides it from c in integers, reduced modulo the
-cyclotomic polynomial Phi_2d.  For qubits the counts come from the support
-and two phase bits, not the four planes (``_qubit_counts``): the support is
-translated first, and when it misses its translate every count is 0 and no
-phase bit is moved; otherwise the translated phase bits are subtracted on
-the overlap and four popcounts give c.  Every other d moves all 2d planes
-(``_plane_counts``).  None of this loads numpy.
+quant-ph/0304125; Hostens, Dehaene & De Moor, quant-ph/0408190).  Basis
+index q has site 0 as its most significant digit, and w = exp(i*pi/d).
+``dense_expectation`` and ``exact_expectation`` count, over every basis
+state of the support, the overlaps c_e of psi with O psi at each phase
+difference e in Z_2d.  <O> = sum_e c_e w^e / N, N the size of the support,
+and ``exact_expectation`` decides it from c in integers, reduced modulo the
+cyclotomic polynomial Phi_2d.
+
+For d > 2, ``state_from_group`` keeps the whole register as 2d bitsets in
+Python ints, its phase planes: bit q of plane k is set when amplitude q is
+w^k / sqrt(N).  An operator w^f X^x Z^z moves |q> in plane k to |q + x> in
+plane k + f + 2 z.q: the planes are split by the classes z.q mod d and
+shifted digit by digit, with masks cached per register (``_mask``), and
+the counts come from the moved planes (``_plane_counts``).
+
+For qubits the support is the coset q0 + span of the canonical X rows, so
+a state is held in that coset's coordinates: u in GF(2)^r, one coordinate
+per X row, stands for q0 + sum_l u_l x_l, and two bitsets of 2^r bits hold
+the phase bits of every u (``_coordinate_state``).  A query reads its u
+off its x at the X rows' pivot sites; an x outside the span gives all-zero
+counts, and otherwise the phase bits are translated by u in coordinate
+space and subtracted with one borrow, so four popcounts give c
+(``_coordinate_counts``).  No register-wide bitset is built; the planes are
+built on the seed's orbit only when read.  None of this loads numpy.
 
 numpy is imported only where floats are needed: ``DenseState.amps`` (built
 from the planes when first read), ``deform``, ``apply_operator``, and the
@@ -50,29 +57,38 @@ class DenseState(_Record):
     """State vector of n qudits of dimension d: amps is complex, of length
     d**n and unit norm.
 
-    A state from ``state_from_group`` holds its phase planes in ``planes``
-    and its support size in ``support``, and builds amps from them when amps
-    is first read; any other state has planes None."""
+    A state from ``state_from_group`` is exact: it holds its support size in
+    ``support`` and builds amps from its phase planes when amps is first
+    read.  For d > 2 it holds the planes; a qubit state holds its coset
+    coordinates (``_coordinate_state``) and builds its planes on first read
+    (``_orbit_state``).  Any other state has support and planes None."""
 
-    __slots__ = ("d", "n", "planes", "support", "_amps")
+    __slots__ = ("d", "n", "support", "_planes", "_coords", "_amps")
     _fields = ("d", "n", "amps")
 
     def __init__(self, d: int, n: int, amps):
         self.d = d
         self.n = n
-        self.planes = self.support = None
+        self.support = self._planes = self._coords = None
         self._amps = amps
 
     def __eq__(self, other):
-        # states with planes compare them exactly, with no numpy; any other
-        # pair compares amplitudes, which elementwise == cannot decide alone
+        # exact states compare their planes, with no numpy; any other pair
+        # compares amplitudes, which elementwise == cannot decide alone
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.planes is not None and other.planes is not None:
+        if self.support is not None and other.support is not None:
             return (self.d, self.n, self.planes, self.support) == (other.d, other.n, other.planes, other.support)
         import numpy as np
 
         return self.d == other.d and self.n == other.n and np.array_equal(self.amps, other.amps)
+
+    @property
+    def planes(self):
+        if self._planes is None and self._coords is not None:
+            q0, x_rows = self._coords[:2]
+            self._planes = _orbit_state(2, self.n, q0, x_rows)._planes
+        return self._planes
 
     @property
     def amps(self):
@@ -111,7 +127,7 @@ def _check_size(d: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase planes: exact states as bitsets over the register
+# Exact states: phase planes over the register, qubit coset coordinates
 # ---------------------------------------------------------------------------
 
 _MASKS: dict = {}
@@ -121,7 +137,8 @@ def _mask(d: int, n: int, j: int, lo: int, hi: int) -> int:
     """Bitset of the basis indices whose digit j is in range(lo, hi).
 
     Digit j has stride s = d^(n-1-j), so the pattern is a run of (hi - lo) s
-    ones every d s bits, doubled until it covers the register; cached."""
+    ones every d s bits, doubled until it covers the register; cached.  With
+    d = 2 and n = r it also masks qubit coset coordinate r - 1 - j."""
     key = (d, n, j, lo, hi)
     mask = _MASKS.get(key)
     if mask is None:
@@ -185,18 +202,19 @@ def _act(d: int, n: int, planes: Sequence[int], w: WeylOperator, classes: Sequen
 
 def _counts(state: DenseState, op: AnyOperator) -> list:
     """c_e = #{q : psi_q != 0 and (O psi)_q / psi_q = w^e} for e in Z_2d,
-    over the whole register, so <psi|O|psi> = sum_e c_e w^e / N."""
-    w = _as_weyl(op)
-    if w.n != state.n or w.d != state.d:
+    over the whole support, so <psi|O|psi> = sum_e c_e w^e / N."""
+    pauli = isinstance(op, PauliOperator)
+    if (op.n, 2 if pauli else op.d) != (state.n, state.d):
         raise ValueError("operator register mismatch")
-    if state.d == 2:
-        return _qubit_counts(state.n, state.planes, w)
-    return _plane_counts(state.d, state.n, state.planes, w)
+    if state._coords is not None:
+        p = op if pauli else op.to_pauli()
+        return _coordinate_counts(state._coords, p.x, p.z, p.phase)
+    return _plane_counts(state.d, state.n, state.planes, _as_weyl(op))
 
 
 def _plane_counts(d: int, n: int, planes: Sequence[int], w: WeylOperator) -> list:
     """``_counts`` for every d, from the planes of O psi (``_act``); the
-    reference for ``_qubit_counts``."""
+    reference for ``_coordinate_counts``."""
     moved = _act(d, n, planes, w, _classes(d, n, w.z))
     counts = []
     for e in range(2 * d):
@@ -209,41 +227,55 @@ def _plane_counts(d: int, n: int, planes: Sequence[int], w: WeylOperator) -> lis
     return counts
 
 
-def _flipped(bits: int, flips: Sequence) -> int:
-    """A qubit bitset with bit q moved to q ^ x, given the (stride, digit-0
-    mask) of every site of x: one mask-and-shift per site, as in ``_act``."""
-    for s, low in flips:
-        kept = bits & low
-        bits = kept << s | (bits ^ kept) >> s
-    return bits
+def _coordinate_class(z: int, xs: Sequence[int]) -> int:
+    """Bitset of the coordinates u < 2^len(xs) with sum_m u_m z.x_m odd, by
+    doubling: coordinate m's block is the blocks below it, complemented when
+    z.x_m is odd."""
+    odd = 0
+    for m, x in enumerate(xs):
+        size = 1 << m
+        odd |= (odd ^ ((1 << size) - 1) if (z & x).bit_count() & 1 else odd) << size
+    return odd
 
 
-def _qubit_counts(n: int, planes: Sequence[int], w: WeylOperator) -> list:
-    """``_counts`` for d = 2, from three bitsets: the support S and the phase
-    bits B0 = P1|P3 and B1 = P2|P3 of the planes.
+def _coordinate_counts(coords: tuple, x: int, z: int, f: int) -> list:
+    """``_counts`` for a qubit state in coset coordinates (``_coordinate_state``)
+    and O = i^f X^x Z^z, x and z packed with bit j at site j.
 
-    O = i^f X^x Z^z takes the phase k(q) of psi_q to k(q) + f + 2 z.q at
-    q ^ x, so at p the overlap's phase difference is
-    k(p ^ x) - k(p) + 2 z.p + f + 2 z.x mod 4, on R = S & T(S), T the
-    translation by x.  R empty means no overlap at all, and then no phase
-    bit is moved.  Otherwise T(B0) and T(B1) are subtracted from B0 and B1
-    on R with one borrow, the odd class of z.p adds 2, and four popcounts
-    give the counts of T(k) - k + 2 z.p, relabelled by f + 2 z.x."""
-    p0, p1, p2, p3 = planes
-    flips = [(1 << n - 1 - j, _mask(2, n, j, 0, 1)) for j, a in enumerate(w.x) if a]
-    support = p0 | p1 | p2 | p3
-    both = support & _flipped(support, flips)
-    if not both:
+    O takes the phase k(q) of psi_q to k(q) + f + 2 z.q at q ^ x.  The rows'
+    x_l are independent, each the only one with a 1 at its pivot site, so x
+    is in their span only as sum_l u_l x_l with u_l = x at row l's pivot
+    site; any other x moves the support off itself, and every count is 0.
+    Otherwise q(v) ^ x = q(v ^ u), so at coordinate v the phase difference
+    is k(v ^ u) - k(v) + 2 z.q(v) + f + 2 z.x mod 4, where z.q(v) = z.q0 +
+    sum_l v_l z.x_l.  The phase bits B0, B1 are translated by u, one
+    mask-and-shift per set bit of u, and subtracted from themselves with one
+    borrow; the class sum_l v_l z.x_l is built by doubling over the
+    coordinates, and the constant z.q0 + z.x joins f in relabelling the four
+    popcounts."""
+    _, _, q0s, sites, xs, b0, b1 = coords
+    u = span = 0
+    for l, j in enumerate(sites):
+        if x >> j & 1:
+            u |= 1 << l
+            span ^= xs[l]
+    if span != x:
         return [0, 0, 0, 0]
-    a0, a1 = p1 | p3, p2 | p3
-    t0, t1 = _flipped(a0, flips), _flipped(a1, flips)
-    d0 = (t0 ^ a0) & both
-    d1 = (t1 ^ a1 ^ (a0 & ~t0) ^ _odd_class(n, w.z)) & both
+    r = len(xs)
+    t0, t1 = b0, b1
+    for m in range(r):
+        if u >> m & 1:
+            s, high = 1 << m, _mask(2, r, r - 1 - m, 1, 2)
+            h0, h1 = t0 & high, t1 & high
+            t0 = h0 >> s | (t0 ^ h0) << s
+            t1 = h1 >> s | (t1 ^ h1) << s
+    d0 = t0 ^ b0
+    d1 = t1 ^ b1 ^ (b0 & ~t0) ^ _coordinate_class(z, xs)
     c3 = (d0 & d1).bit_count()
     c1, c2 = d0.bit_count() - c3, d1.bit_count() - c3
-    shift = w.phase + 2 * sum(map(operator.and_, w.x, w.z))
+    shift = f + 2 * ((x & z).bit_count() + (z & q0s).bit_count())
     counts = [0] * 4
-    for e, c in enumerate((both.bit_count() - c1 - c2 - c3, c1, c2, c3)):
+    for e, c in enumerate(((1 << r) - c1 - c2 - c3, c1, c2, c3)):
         counts[(e + shift) % 4] = c
     return counts
 
@@ -292,7 +324,7 @@ def exact_expectation(state: DenseState, op: AnyOperator) -> Expectation:
     for |sum_e c_e w^e| to reach N), Zero when the counts' sum over the
     powers of w vanishes (``_reduced``); anything else is no expectation of
     a Weyl operator on a stabilizer state, and raises ValueError."""
-    if state.planes is None:
+    if state.support is None:
         raise ValueError("exact expectations need the phase planes of a state_from_group state")
     counts = _counts(state, op)
     hits = [e for e, c in enumerate(counts) if c]
@@ -395,13 +427,13 @@ def dense_expectation(state: DenseState, op: Union[AnyOperator, Sequence[SiteFac
     """<psi|O|psi>, summed over the whole register; accepts an operator or an
     ordered site-factor list, taken as their ``ordered_product``.
 
-    A state with phase planes gives sum_j r_j w^j / N from the reduced
-    overlap counts (``_reduced``), so a vanishing expectation is exactly 0.
+    An exact state, from ``state_from_group``, gives sum_j r_j w^j / N from
+    the reduced overlap counts (``_reduced``), so a vanishing expectation is exactly 0.
     On a float state each block of O|psi> is summed against the same
     amplitudes of psi as it is gathered, so no full-size vector is built."""
     if not isinstance(op, (PauliOperator, WeylOperator)):
         op = ordered_product(op, state.n)
-    if state.planes is not None:
+    if state.support is not None:
         total = 0j
         for j, r in enumerate(_reduced(_counts(state, op), state.d)):
             if r:
@@ -422,15 +454,14 @@ def dense_expectation(state: DenseState, op: Union[AnyOperator, Sequence[SiteFac
 
 
 def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> DenseState:
-    """The group's state, projected from a computational basis state |q0>,
-    as phase planes.
+    """The group's state, projected from a computational basis state |q0>.
 
     The group together with any sector fixers must single out a unique state
     (ground_space_dim == 1); otherwise whichever state the seed happens to
     project to would be an arbitrary choice and we refuse to guess.  By
     default q0 is a basis state of the state's support (``_support_seed``);
-    given ``seeds`` are tried in order, each an integer in range(d^n), and
-    q0 is the first in the support.
+    given ``seeds`` are tried in order, each an integer (not a bool) in
+    range(d^n), and q0 is the first in the support.
 
     The canonical rows with pivot column >= n carry no X; call their product
     of per-row sums P_Z, and that of the other (X) rows P_X.  Each per-row sum
@@ -444,14 +475,10 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
     support, and 0 otherwise: a seed is accepted or rejected by that integer
     check alone.
 
-    P_X|q0> is then the orbit of q0 under the X rows, built row by row in
-    row order: each row r = w^f X^x Z^z of order ord adds r^k of the planes
-    so far for k < ord (``_act``).  Two products of row powers that reach
-    the same index differ by an X-free element of the group, which fixes
-    every state of the support, so they reach it with the same phase, and
-    every index of the orbit is reached equally often: the planes hold the
-    normalised projection, with q0 in plane 0 (every factor is positive).
-    An index reached with two phases raises ValueError.
+    P_X|q0> is then the orbit of q0 under the X rows, in row order, with q0
+    at phase 0: on qubits (d = 2, whatever the generators' type) in the
+    orbit's own coordinates (``_coordinate_state``), for any other d as
+    phase planes (``_orbit_state``).
     """
     d, n = group.d, group.n
     _check_size(d, n)
@@ -467,7 +494,7 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
     size = d**n
     for seed in seeds:
         try:
-            q0 = operator.index(seed)
+            q0 = -1 if isinstance(seed, bool) else operator.index(seed)
         except TypeError:
             q0 = -1
         if not 0 <= q0 < size:
@@ -478,12 +505,65 @@ def state_from_group(group: StabilizerGroup, seeds: Iterable[int] = None) -> Den
         # every X-free row w^f Z^z fixes |q0>: f + 2 z.q0 = 0 mod 2d
         if not any((r.phase + 2 * sum(map(operator.mul, r.z, digits))) % (2 * d)
                    for r in rows[n_x:]):
+            if d == 2:
+                return _coordinate_state(n, q0, digits, rows[:n_x], [c for c, _ in group.pivots[:n_x]])
             return _orbit_state(d, n, q0, rows[:n_x])
     raise ValueError("projector annihilated every seed state tried")
 
 
+def _coordinate_state(n: int, q0: int, digits: Sequence[int], x_rows: Sequence[WeylOperator],
+                      sites: Sequence[int]) -> DenseState:
+    """The qubit state prod_l (1 + r_l) |q0> of the X rows r_l = i^f X^x Z^z,
+    in coordinates u in GF(2)^r: u stands for q(u) = q0 + sum_l u_l x_l.
+
+    Row l's pivot site must be the one site where x_l has a 1 and no other
+    row has (the canonical rows are fully reduced); otherwise ValueError.
+    The phase k(u) in Z_4 is held as two bitsets B0, B1 over u, with k(0) =
+    0.  Row l doubles them: for u < 2^l, k(u + 2^l) = k(u) + f + 2 z.q(u),
+    so block [2^l, 2^(l+1)) is block [0, 2^l) plus g = f + 2 z.q0 and twice
+    the class sum_{m<l} u_m z.x_m, built by doubling too.  Adding g's low bit
+    flips B0 and carries B0 into B1.  The r x_l are independent, so every u
+    is a distinct basis state, reached once: the support has 2^r states.
+
+    The state holds (q0, x_rows, q0 and the rows' x packed with bit j at
+    site j, the pivot sites, B0, B1); its planes are built from q0 and the
+    rows when first read."""
+    q0s = sum(b << j for j, b in enumerate(digits))
+    packed = [(sum(b << j for j, b in enumerate(r.x)), sum(b << j for j, b in enumerate(r.z)), r.phase)
+              for r in x_rows]
+    xs = [x for x, _, _ in packed]
+    pivmask = sum(1 << j for j in sites)
+    for j, x in zip(sites, xs):
+        if x & pivmask != 1 << j:
+            raise ValueError("the X rows are not fully reduced at their pivot sites")
+    b0 = b1 = 0
+    for l, (x, z, f) in enumerate(packed):
+        g = f + 2 * (z & q0s).bit_count()
+        size = 1 << l
+        hi0, hi1 = b0, b1 ^ _coordinate_class(z, xs[:l])
+        if g & 1:
+            hi0 ^= (1 << size) - 1
+            hi1 ^= b0
+        if g & 2:
+            hi1 ^= (1 << size) - 1
+        b0 |= hi0 << size
+        b1 |= hi1 << size
+    state = DenseState(2, n, None)
+    state._coords = (q0, tuple(x_rows), q0s, tuple(sites), tuple(xs), b0, b1)
+    state.support = 1 << len(xs)
+    return state
+
+
 def _orbit_state(d: int, n: int, q0: int, x_rows: Sequence[WeylOperator]) -> DenseState:
-    """The planes of prod_i sum_{k < ord_i} r_i^k |q0>, each index once."""
+    """The planes of prod_i sum_{k < ord_i} r_i^k |q0>, each index once.
+
+    Each row r = w^f X^x Z^z of order ord adds r^k of the planes so far for
+    k < ord (``_act``).  Two products of row powers that reach the same
+    index differ by an X-free element of the group, which fixes every state
+    of the support, so they reach it with the same phase, and every index of
+    the orbit is reached equally often: the planes hold the normalised
+    projection, with q0 in plane 0 (every factor is positive).  An index
+    reached with two phases raises ValueError."""
     planes = [0] * (2 * d)
     planes[0] = 1 << q0
     for row in x_rows:
@@ -499,7 +579,7 @@ def _orbit_state(d: int, n: int, q0: int, x_rows: Sequence[WeylOperator]) -> Den
                     raise ValueError("the orbit reaches a basis state with two phases")
             planes = [a | b for a, b in zip(planes, power)]
     state = DenseState(d, n, None)
-    state.planes = tuple(planes)
+    state._planes = tuple(planes)
     state.support = sum(plane.bit_count() for plane in planes)
     return state
 

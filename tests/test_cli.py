@@ -284,6 +284,33 @@ def test_config_values_go_through_the_parser(tmp_path, capsys, config, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, why", [
+    (None, "No such file"),
+    ("dir", "Is a directory"),
+    (b'{"P": 5', "is no JSON file"),
+    (b'{"P": "\xff"}', "can't decode byte 0xff"),  # not UTF-8
+    (b"[1, 2]", "not a JSON object"),
+    (b'"P"', "not a JSON object"),
+], ids=["missing", "directory", "invalid-json", "undecodable", "list", "string"])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, content, why):
+    # refused by the command's parser as an unknown key is: exit 2, the
+    # usage, then one error line naming --config; no traceback, no output
+    cfg = tmp_path / "cfg.json"
+    if content == "dir":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "parity", "--classical", "--config", str(cfg), "--outdir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    last = err.rstrip("\n").splitlines()[-1]
+    assert last.startswith("stabgames game parity: error: --config: ") and why in last
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_deformation_sector_list_from_config(tmp_path):
     # the route the --sector error message recommends, sign by sign
     cfg = tmp_path / "cfg.json"

@@ -17,11 +17,11 @@ import stabgames
 from stabgames.codes import toric2d, toric2d_winding_z_fixers
 from stabgames.dense import (
     DenseState,
+    _coordinate_state,
     _counts,
     _cyclotomic,
     _orbit_state,
     _plane_counts,
-    _qubit_counts,
     _row_order,
     apply_operator,
     deform,
@@ -631,32 +631,85 @@ def test_exact_expectation_matches_tableau_on_18_qubits():
 
 
 @st.composite
-def qubit_plane_sets(draw):
-    """(n, planes): a seeded stabilizer state's planes on 1..10 qubits, or
-    four arbitrary disjoint planes on 0..8 qubits, which need not be the
-    planes of any stabilizer state (label -1: off the support)."""
+def coordinate_states(draw):
+    """(group, state): a random stabilizer group on 1..10 qubits, as Pauli or
+    as Weyl generators, and its state projected from a random order of
+    every basis state, so q0 is any basis state of the support."""
+    n = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    group = _conjugated_z_group(rng, n)
     if draw(st.booleans()):
-        n = draw(st.integers(1, 10))
-        group = _conjugated_z_group(random.Random(draw(st.integers(0, 2**32 - 1))), n)
-        return n, state_from_group(group).planes
-    n = draw(st.integers(0, 8))
-    labels = draw(st.lists(st.integers(-1, 3), min_size=1 << n, max_size=1 << n))
-    return n, tuple(sum(1 << q for q, k in enumerate(labels) if k == p) for p in range(4))
+        group = StabilizerGroup([_as_weyl(g) for g in group.generators])
+    return group, state_from_group(group, rng.sample(range(1 << n), 1 << n))
+
+
+def _coordinate_planes(state):
+    """The planes read off a qubit state's coset coordinates: coordinate u
+    is basis index q0 ^ sum_l u_l x_l, site 0 most significant, at phase
+    B0[u] + 2 B1[u]."""
+    q0, _, _, _, xs, b0, b1 = state._coords
+    n = state.n
+    flips = [sum(1 << n - 1 - j for j in range(n) if x >> j & 1) for x in xs]
+    planes = [0] * 4
+    for u in range(1 << len(xs)):
+        q = q0
+        for l, flip in enumerate(flips):
+            if u >> l & 1:
+                q ^= flip
+        planes[(b0 >> u & 1) + 2 * (b1 >> u & 1)] |= 1 << q
+    return tuple(planes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
-def test_qubit_counts_match_plane_counts(data):
-    n, planes = data.draw(qubit_plane_sets())
-    kind = data.draw(st.sampled_from(["identity", "x", "z", "y-heavy", "any"]))
+def test_coordinate_counts_match_plane_counts(data):
+    group, state = data.draw(coordinate_states())
+    n = group.n
+    x_rows = [_as_weyl(r) for (col, _), r in zip(group.pivots, group.rows) if col < n]
+    planes = _orbit_state(2, n, state._coords[0], x_rows).planes
+    assert _coordinate_planes(state) == planes and state.planes == planes
+    assert state.support == sum(plane.bit_count() for plane in planes)
     bits = st.integers(0, (1 << n) - 1)
-    x = data.draw(bits) if kind in ("x", "y-heavy", "any") else 0
-    z = data.draw(bits) if kind in ("z", "any") else 0
-    if kind == "y-heavy":
-        z = x | data.draw(bits)  # Y on every X site
-    for phase in range(4):
-        w = _as_weyl(PauliOperator(n, x, z, phase))
-        assert _qubit_counts(n, planes, w) == _plane_counts(2, n, planes, w)
+    for _ in range(6):
+        kind = data.draw(st.sampled_from(["identity", "x", "z", "y-heavy", "any", "span"]))
+        x = data.draw(bits) if kind in ("x", "y-heavy", "any") else 0
+        z = data.draw(bits) if kind in ("z", "any", "span") else 0
+        if kind == "y-heavy":
+            z = x | data.draw(bits)  # Y on every X site
+        if kind == "span":  # x in the span of the X rows, z arbitrary
+            for row in x_rows:
+                if data.draw(st.booleans()):
+                    x ^= row.to_pauli().x
+        for phase in range(4):
+            op = PauliOperator(n, x, z, phase)
+            assert _counts(state, op) == _plane_counts(2, n, planes, _as_weyl(op))
+
+
+def test_qubit_state_is_chosen_by_d_not_by_operator_type():
+    # one group through the packed tableau and through the Weyl tableau: the
+    # same coordinate state, the same planes and the same exact expectations
+    rng = random.Random(41)
+    for n in (1, 4, 7, 10):
+        pauli = _conjugated_z_group(rng, n)
+        weyl = StabilizerGroup([_as_weyl(g) for g in pauli.generators])
+        assert all(isinstance(r, WeylOperator) for r in weyl.rows)
+        a, b = state_from_group(pauli), state_from_group(weyl)
+        assert a._coords is not None and b._coords is not None
+        assert a == b and a.planes == b.planes and a.support == b.support
+        for op in _query_ops(rng, pauli, count=16):
+            want = pauli.expectation(op)
+            for query in (op, _as_weyl(op)):
+                assert exact_expectation(a, query) == exact_expectation(b, query) == want
+
+
+def test_coordinate_state_needs_fully_reduced_x_rows():
+    # X0 X1 and X1 are independent, but X0 X1 has a 1 at X1's pivot site 1
+    x01 = WeylOperator(2, 2, (1, 1), (0, 0), 0)
+    x1 = WeylOperator(2, 2, (0, 1), (0, 0), 0)
+    with pytest.raises(ValueError, match="not fully reduced"):
+        _coordinate_state(2, 0, [0, 0], [x01, x1], [0, 1])
+    state = _coordinate_state(2, 0, [0, 0], [WeylOperator(2, 2, (1, 0), (0, 0), 0), x1], [0, 1])
+    assert state.support == 4 and state.planes == (0b1111, 0, 0, 0)
 
 
 def test_exact_expectation_on_qutrits():
@@ -734,8 +787,10 @@ def test_orbit_refuses_a_basis_state_with_two_phases():
 
 
 @pytest.mark.parametrize("seeds, bad", [([-1], -1), ([8], 8), ([3, 8], 8), ([1 << 40], 1 << 40),
-                                        ([0.0], r"0\.0"), (["0"], "'0'")])
+                                        ([0.0], r"0\.0"), (["0"], "'0'"), ([True], "True"),
+                                        ([False], "False")])
 def test_seed_outside_the_register_is_refused(seeds, bad):
+    # a bool is no basis state index, though True == 1 and False == 0
     gens = [PauliOperator.from_support(3, "X", range(3))]
     gens += [PauliOperator.from_support(3, "Z", [i, i + 1]) for i in range(2)]
     with pytest.raises(ValueError, match=rf"seed {bad} .*range\(8\)"):

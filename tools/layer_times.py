@@ -34,8 +34,10 @@ Layers:
                      exponential sum
   dense.*            the dense oracle at n=18: state_from_group on one
                      seeded random stabilizer state of the oracle benchmark
-                     (perfbench.workloads), and dense_expectation over its
-                     25 queries (group products and uniform random Paulis)
+                     (perfbench.workloads), held in its support's
+                     coordinates, and dense_expectation over its 25 queries
+                     (group products and uniform random Paulis), counted
+                     there
   scale.*            toric2d(128) in a child interpreter: its build time,
                      and its peak RSS from the child's rusage
 """
